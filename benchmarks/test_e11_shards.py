@@ -1,13 +1,15 @@
 """E11 — Sharded parallel execution: determinism parity and speedup.
 
 The sharded engine (``repro.sim.shard``) splits the cluster across
-worker processes synchronised by conservative time windows.  Its whole
-value rests on one claim: **the shard count is invisible in the
-simulation's results**.  This benchmark runs the cluster-scale protocol
-scenario twice — ``shards=1`` on the serial reference executor and
-``shards=N`` on the fork executor — and asserts every gated counter is
-byte-identical, then reports the wall-clock speedup (meta only, not
-gated: wall time depends on the host).
+worker processes that run ahead through their safe time ranges and
+meet pairwise (``repro.sim.barrier``).  Its whole value rests on one
+claim: **the shard count is invisible in the simulation's results**.
+This benchmark runs the cluster-scale protocol scenario on ``shards=1``
+(the serial reference executor: one keyed loop that meets nobody) and
+on ``shards=N`` forked workers, asserts every gated counter is
+byte-identical, gates the synchronisation traffic exactly, and reports
+the wall-clock speedup (meta only, not gated: wall time depends on the
+host).
 
 The scenario mirrors ``test_e11_cluster_scale`` with the two engine-
 mandated substitutions that keep it shard-layout independent *and*
@@ -18,8 +20,8 @@ anchored ``schedule_migration`` calls within the victim's row (live
 process generators cannot cross a fork boundary).
 
 Wires are 1 ms here (vs 100 us in the classic scenario): the minimum
-wire latency is the conservative lookahead, and a 10x bigger window
-amortises each barrier over ~10x more events — the knob that makes
+wire latency is the conservative lookahead, and a 10x longer one
+amortises each rendezvous over ~10x more events — the knob that makes
 parallelism pay.
 """
 
@@ -33,7 +35,7 @@ from conftest import print_table, write_bench_artifact
 
 from repro.core.config import SystemConfig, near_square_factor
 from repro.policy.load_balancer import DomainLoadBalancer
-from repro.sim.shard import ShardedSystem
+from repro.sim.shard import ShardedSystem, ShardPlan
 from repro.workloads.compute import compute_bound
 from repro.workloads.generators import poisson_plan
 from repro.workloads.pingpong import echo_server, pinger
@@ -56,10 +58,9 @@ class ShardBenchParams:
     duration: int
     latency: int = 1_000  #: wire latency == conservative lookahead
     topology: str = "torus"  #: SystemConfig topology shape
-    #: two-level window grid: pairs exchange at their own cadence
-    barrier_elision: bool = False
     #: slow-tier wire latency (torus verticals + column wraps); the
-    #: gap between this and `latency` is what elision harvests
+    #: gap between this and `latency` is what lets shard pairs meet
+    #: less often than every window
     backbone_latency: int | None = None
 
 
@@ -79,7 +80,10 @@ FULL = ShardBenchParams(
 #: the classic e11 full-cluster shape — 64 machines, every pair one
 #: hop — sharded.  A mesh partitions freely (alignment 1), so the
 #: contiguous 16-machine shard ranges keep the 8-wide balancer domains
-#: whole; parity here proves the engine on a dense topology too.
+#: whole; parity here proves the engine on a dense topology too.  Every
+#: shard pair is wire-connected and every pair period is the window
+#: grid, so this is the arm where run-ahead has the least to skip: its
+#: sync traffic is gated here (the torus arms' is gated by RUNAHEAD).
 MESH = ShardBenchParams(
     name="e11_shards_mesh",
     machines=64,
@@ -94,7 +98,7 @@ MESH = ShardBenchParams(
     topology="mesh",
 )
 
-#: CI `shard-smoke`: tiny torus, 2 shards, same parity gate
+#: CI `scale-smoke`: tiny torus, 2 shards, same parity gate
 SMOKE = ShardBenchParams(
     name="e11_shards_smoke",
     machines=8,  # 2x4 torus, one row per shard
@@ -108,65 +112,12 @@ SMOKE = ShardBenchParams(
     duration=700_000,
 )
 
-#: the FULL scenario with barrier elision on a two-tier torus: local
-#: wires 1 ms, inter-row backbone 4 ms, so each shard pair's exchange
-#: cadence is 4 grid windows and only the 4 wire-connected pairs of
-#: the row-band ring rendezvous at all (vs 6 all-pairs).
-ELIDE = ShardBenchParams(
-    name="e11_shards_elide",
-    machines=256,
-    shards=4,
-    pingers_per_server=4,
-    ping_rounds=24,
-    compute_rate_per_ms=1.0,
-    compute_window=600_000,
-    compute_work=40_000,
-    server_moves=32,
-    duration=1_500_000,
-    barrier_elision=True,
-    backbone_latency=4_000,
-)
-
-#: elision on the dense uniform-latency mesh: every shard pair is
-#: wire-connected and the pair period degenerates to the window grid,
-#: so there is nothing to elide — this arm proves the keyed-loop
-#: schedule is *still* byte-identical to the classic engine when the
-#: rendezvous cadence buys nothing.
-MESH_ELIDE = ShardBenchParams(
-    name="e11_shards_mesh_elide",
-    machines=64,
-    shards=4,
-    pingers_per_server=4,
-    ping_rounds=24,
-    compute_rate_per_ms=1.0,
-    compute_window=600_000,
-    compute_work=40_000,
-    server_moves=32,
-    duration=1_200_000,
-    topology="mesh",
-    barrier_elision=True,
-)
-
-#: CI `elision-smoke`: 4x4 two-tier torus, one row per shard, same
-#: gates as the full elision arm at 1/16th the size
-ELIDE_SMOKE = ShardBenchParams(
-    name="e11_shards_elide_smoke",
-    machines=16,
-    shards=4,
-    pingers_per_server=2,
-    ping_rounds=6,
-    compute_rate_per_ms=0.25,
-    compute_window=200_000,
-    compute_work=40_000,
-    server_moves=4,
-    duration=700_000,
-    barrier_elision=True,
-    backbone_latency=4_000,
-)
-
-#: run-ahead headline: the ELIDE scenario swept across shards
-#: {1, 2, 4, 8} — the wall-clock curve of the dynamic rendezvous
-#: schedule, with the static per-period cadence as the rounds baseline
+#: run-ahead headline: the FULL scenario on a two-tier torus — local
+#: wires 1 ms, inter-row backbone 4 ms, so each shard pair's period is
+#: 4 grid windows and only the wire-connected pairs of the row-band
+#: ring rendezvous before the drain — swept across shards {1, 2, 4, 8}:
+#: the wall-clock curve of the rendezvous schedule, with the static
+#: meet-every-period cadence beside it
 RUNAHEAD = ShardBenchParams(
     name="e11_shards_runahead",
     machines=256,
@@ -178,12 +129,11 @@ RUNAHEAD = ShardBenchParams(
     compute_work=40_000,
     server_moves=32,
     duration=1_500_000,
-    barrier_elision=True,
     backbone_latency=4_000,
 )
 
-#: CI `runahead-smoke`: the elision smoke shape swept across
-#: shards {1, 2, 4}, same parity and rounds gates
+#: CI `scale-smoke`: a 4x4 two-tier torus, one row per shard at x4,
+#: swept across shards {1, 2, 4} with the same gates at 1/16th the size
 RUNAHEAD_SMOKE = ShardBenchParams(
     name="e11_shards_runahead_smoke",
     machines=16,
@@ -195,7 +145,6 @@ RUNAHEAD_SMOKE = ShardBenchParams(
     compute_work=40_000,
     server_moves=4,
     duration=700_000,
-    barrier_elision=True,
     backbone_latency=4_000,
 )
 
@@ -221,7 +170,6 @@ def run_sharded_cluster(p: ShardBenchParams, shards: int, executor: str):
         topology=p.topology,
         latency=p.latency,
         shards=shards,
-        barrier_elision=p.barrier_elision,
         backbone_latency=p.backbone_latency,
         trace_categories=(),  # tracing off: measure the bare hot path
         metrics_enabled=False,  # plain integer counters only
@@ -362,11 +310,11 @@ def run_sharded_cluster(p: ShardBenchParams, shards: int, executor: str):
     return merged, sync, events, wall
 
 
-def _parity_and_report(p: ShardBenchParams) -> None:
+def _parity_and_report(p: ShardBenchParams, gate_sync: bool = False) -> None:
     reference, _, ref_events, ref_wall = run_sharded_cluster(
         p, 1, "serial",
     )
-    sharded, _, sh_events, sh_wall = run_sharded_cluster(
+    sharded, sync, sh_events, sh_wall = run_sharded_cluster(
         p, p.shards, "fork",
     )
 
@@ -393,6 +341,11 @@ def _parity_and_report(p: ShardBenchParams) -> None:
         ["metric", "value"],
         [[key, value] for key, value in sorted(reference.items())]
         + [
+            [f"sync {key} x{p.shards} (gated)", value]
+            for key, value in sync.items()
+            if gate_sync
+        ]
+        + [
             ["events_fired (not gated)", ref_events],
             ["serial wall s (not gated)", f"{ref_wall:.2f}"],
             [f"fork x{p.shards} wall s (not gated)", f"{sh_wall:.2f}"],
@@ -402,9 +355,12 @@ def _parity_and_report(p: ShardBenchParams) -> None:
         notes="all counters byte-identical between shards=1 and "
               f"shards={p.shards}; wall clock reported only",
     )
+    metrics = dict(reference)
+    if gate_sync:
+        metrics.update((f"sync_{key}", value) for key, value in sync.items())
     write_bench_artifact(
         p.name,
-        reference,
+        metrics,
         meta={
             "machines": p.machines,
             "topology": p.topology,
@@ -430,151 +386,25 @@ def _parity_and_report(p: ShardBenchParams) -> None:
     assert reference["link_updates_applied"] >= 1
 
 
-def _elide_and_report(p: ShardBenchParams) -> None:
-    """Elision gates: parity across shard counts AND engines, plus the
-    sync-overhead reductions the rendezvous schedule exists for."""
-    import dataclasses
-
-    classic = dataclasses.replace(p, barrier_elision=False)
-    reference, _, ref_events, ref_wall = run_sharded_cluster(
-        classic, 1, "serial",
-    )
-    classic_sharded, classic_sync, cl_events, cl_wall = (
-        run_sharded_cluster(classic, p.shards, "fork")
-    )
-
-    shard_counts = sorted({1, 2, p.shards})
-    arms = {}
-    elide_walls = {}
-    for n in shard_counts:
-        executor = "serial" if n == 1 else "fork"
-        merged, sync, events, wall = run_sharded_cluster(p, n, executor)
-        arms[n] = (merged, sync, events)
-        elide_walls[n] = wall
-
-    def diffed(other):
-        return {
-            key: (reference[key], other[key])
-            for key in reference
-            if reference[key] != other.get(key)
-        }
-
-    # Gate 1 — the classic determinism bar, unchanged.
-    assert classic_sharded == reference, (
-        "classic sharded diverged: " + str(diffed(classic_sharded))
-    )
-    assert cl_events == ref_events
-    # Gate 2 — elision is unobservable: every elided arm matches the
-    # classic reference bit for bit, counters and event counts alike.
-    for n, (merged, _, events) in arms.items():
-        assert merged == reference, (
-            f"elided shards={n} diverged from the classic reference: "
-            + str(diffed(merged))
-        )
-        assert events == ref_events, (n, events, ref_events)
-
-    elided_sync = arms[p.shards][1]
-    if p.backbone_latency is not None:
-        # Gate 3 — the point of the exercise: on a two-tier topology
-        # the rendezvous schedule must cut barrier rounds >= 3x and
-        # ship fewer bytes, while actually skipping grid windows.
-        round_ratio = classic_sync["rounds"] / max(
-            elided_sync["rounds"], 1,
-        )
-        assert round_ratio >= 3.0, (
-            f"barrier rounds only improved {round_ratio:.2f}x "
-            f"({classic_sync['rounds']} -> {elided_sync['rounds']})"
-        )
-        assert elided_sync["bytes_sent"] < classic_sync["bytes_sent"]
-        assert elided_sync["windows_elided"] > 0
-    else:
-        round_ratio = classic_sync["rounds"] / max(
-            elided_sync["rounds"], 1,
-        )
-
-    print_table(
-        f"E11: barrier elision ({p.machines} machines, "
-        f"{p.shards} shards, backbone "
-        f"{p.backbone_latency or p.latency}us)",
-        ["metric", "classic", "elided"],
-        [
-            [key, classic_sync[key], elided_sync[key]]
-            for key in classic_sync
-        ]
-        + [
-            ["barrier round ratio", "", f"{round_ratio:.2f}x"],
-            ["events_fired (gated)", ref_events, arms[p.shards][2]],
-            [f"fork x{p.shards} wall s (not gated)",
-             f"{cl_wall:.2f}", f"{elide_walls[p.shards]:.2f}"],
-        ],
-        notes=f"all counters byte-identical across shards "
-              f"{shard_counts} elided AND vs the classic engine; "
-              "sync overhead gated exactly",
-    )
-    write_bench_artifact(
-        p.name,
-        {
-            **reference,
-            **{f"classic_sync_{k}": v for k, v in classic_sync.items()
-               if k != "windows_elided"},
-            **{f"elided_sync_{k}": v for k, v in elided_sync.items()},
-        },
-        meta={
-            "machines": p.machines,
-            "topology": p.topology,
-            "shards": p.shards,
-            "shard_counts_gated": shard_counts,
-            "lookahead_us": p.latency,
-            "backbone_latency_us": p.backbone_latency,
-            "events_fired": ref_events,
-            "barrier_round_ratio": round(round_ratio, 2),
-            "serial_wall_seconds": round(ref_wall, 3),
-            "classic_fork_wall_seconds": round(cl_wall, 3),
-            "elided_fork_wall_seconds": round(
-                elide_walls[p.shards], 3,
-            ),
-            "cpu_count": os.cpu_count(),
-            "paper": "records carry their grid window, so shard pairs "
-                     "can exchange at their wire latency's cadence "
-                     "instead of every window — fewer, fatter barriers "
-                     "with bit-identical results",
-        },
-    )
-    assert reference["pingers_done"] == p.machines * p.pingers_per_server
-    assert reference["compute_done"] == reference["compute_jobs"]
-
-
 def _runahead_and_report(
     p: ShardBenchParams,
     shard_counts: tuple[int, ...],
     speedup_floor: float | None,
-    ratio_floor: float,
 ) -> None:
-    """Run-ahead gates: every shard count lands on the classic
-    reference bit for bit, the dynamic schedule beats the classic
-    engine's barrier rounds by at least *ratio_floor* while shipping
-    fewer bytes, and — when the host has the cores — the wall-clock
-    curve actually bends down."""
-    import dataclasses
-
+    """Run-ahead gates: every shard count lands on the one-shard
+    reference bit for bit, the schedule really crosses grid windows
+    without meeting, its sync traffic is pinned exactly, and — when the
+    host has the cores — the wall-clock curve actually bends down."""
     from repro.sim.barrier import rendezvous_schedule
 
-    classic = dataclasses.replace(p, barrier_elision=False)
-    reference, _, ref_events, _ = run_sharded_cluster(classic, 1, "serial")
-    # The classic engine at the curve's shared point (4 shards is in
-    # every arm's sweep): the denominator of the round-reduction gate.
-    _, classic_sync, cl_events, _ = run_sharded_cluster(
-        classic, 4, "fork",
-    )
-    assert cl_events == ref_events
-
-    walls: dict[int, float] = {}
-    syncs: dict[int, dict] = {}
-    for n in shard_counts:
-        executor = "serial" if n == 1 else "fork"
-        merged, sync, events, wall = run_sharded_cluster(p, n, executor)
+    runs = {
+        n: run_sharded_cluster(p, n, "serial" if n == 1 else "fork")
+        for n in shard_counts
+    }
+    reference, _, ref_events, _ = runs[1]
+    for n, (merged, _, events, _) in runs.items():
         assert merged == reference, (
-            f"run-ahead shards={n} diverged from the classic "
+            f"run-ahead shards={n} diverged from the one-shard "
             f"reference: " + str({
                 key: (reference[key], merged[key])
                 for key in reference
@@ -582,30 +412,22 @@ def _runahead_and_report(
             })
         )
         assert events == ref_events, (n, events, ref_events)
-        walls[n] = wall
-        syncs[n] = sync
+    syncs = {n: sync for n, (_, sync, _, _) in runs.items()}
+    walls = {n: wall for n, (_, _, _, wall) in runs.items()}
 
     top = max(shard_counts)
-    # The static cadence (the previous elision engine's schedule) is
-    # the horizon-phase upper bound the dynamic scheduler only ever
-    # skips forward from; reported for reference — the measured rounds
-    # additionally include the all-pairs drain phase.
-    plan = ShardedSystem(SystemConfig(
+    # Meeting at every period multiple is the horizon-phase upper bound
+    # the dynamic scheduler only ever skips forward from; reported for
+    # reference — the measured rounds additionally include the
+    # all-pairs drain phase.
+    config = SystemConfig(
         machines=p.machines, topology=p.topology, latency=p.latency,
-        shards=top, barrier_elision=True,
-        backbone_latency=p.backbone_latency,
-        trace_categories=(), metrics_enabled=False,
-    )).plan
+        shards=top, backbone_latency=p.backbone_latency,
+    )
+    plan = ShardPlan.build(config, config.build_topology())
     static_rounds = 2 * len(
         rendezvous_schedule(plan.pair_periods, p.duration)
     )
-    round_ratio = classic_sync["rounds"] / max(syncs[4]["rounds"], 1)
-    assert round_ratio >= ratio_floor, (
-        f"barrier rounds only improved {round_ratio:.2f}x at shards=4 "
-        f"({classic_sync['rounds']} -> {syncs[4]['rounds']}), floor "
-        f"{ratio_floor}x"
-    )
-    assert syncs[4]["bytes_sent"] < classic_sync["bytes_sent"]
     assert syncs[top]["windows_elided"] > 0
 
     cores = os.cpu_count() or 1
@@ -625,14 +447,16 @@ def _runahead_and_report(
         f"{list(shard_counts)}, backbone {p.backbone_latency}us)",
         ["metric", "value"],
         [
-            ["classic sync rounds x4 (gated)", classic_sync["rounds"]],
-        ]
-        + [
             [f"sync rounds x{n} (gated)", syncs[n]["rounds"]]
             for n in shard_counts if n > 1
         ]
         + [
-            ["barrier round ratio x4", f"{round_ratio:.2f}x"],
+            [f"sync bytes x{n} (gated)", syncs[n]["bytes_sent"]]
+            for n in shard_counts if n > 1
+        ]
+        + [
+            [f"windows elided x{top} (gated)",
+             syncs[top]["windows_elided"]],
             [f"static-cadence rounds x{top} (gated)", static_rounds],
             ["events_fired (gated)", ref_events],
         ]
@@ -645,15 +469,13 @@ def _runahead_and_report(
             for n, s in speedups.items()
         ],
         notes=f"all counters byte-identical across shards "
-              f"{list(shard_counts)} and vs the classic engine; "
+              f"{list(shard_counts)}; "
               f"wall clock honest for cpu_count={cores}",
     )
     write_bench_artifact(
         p.name,
         {
             **reference,
-            **{f"classic_sync_{k}": v for k, v in classic_sync.items()
-               if k != "windows_elided"},
             **{
                 f"runahead_sync_rounds_x{n}": syncs[n]["rounds"]
                 for n in shard_counts if n > 1
@@ -673,7 +495,6 @@ def _runahead_and_report(
             "lookahead_us": p.latency,
             "backbone_latency_us": p.backbone_latency,
             "events_fired": ref_events,
-            "barrier_round_ratio_x4": round(round_ratio, 2),
             "cpu_count": cores,
             **{
                 f"wall_seconds_x{n}": round(walls[n], 3)
@@ -698,7 +519,7 @@ def test_e11_shards(bench_once):
 
 
 def test_e11_shards_mesh(bench_once):
-    bench_once(_parity_and_report, MESH)
+    bench_once(_parity_and_report, MESH, gate_sync=True)
 
 
 def test_e11_shards_smoke(bench_once):
@@ -709,23 +530,9 @@ def test_e11_shards_xsparse(bench_once):
     bench_once(_parity_and_report, XSPARSE)
 
 
-def test_e11_shards_elide(bench_once):
-    bench_once(_elide_and_report, ELIDE)
-
-
-def test_e11_shards_mesh_elide(bench_once):
-    bench_once(_elide_and_report, MESH_ELIDE)
-
-
-def test_e11_shards_elide_smoke(bench_once):
-    bench_once(_elide_and_report, ELIDE_SMOKE)
-
-
 def test_e11_shards_runahead(bench_once):
-    # 4.21x was the static elision engine's round reduction on this
-    # scenario; the dynamic schedule must land beyond it.
-    bench_once(_runahead_and_report, RUNAHEAD, (1, 2, 4, 8), 1.5, 4.21)
+    bench_once(_runahead_and_report, RUNAHEAD, (1, 2, 4, 8), 1.5)
 
 
 def test_e11_shards_runahead_smoke(bench_once):
-    bench_once(_runahead_and_report, RUNAHEAD_SMOKE, (1, 2, 4), None, 3.0)
+    bench_once(_runahead_and_report, RUNAHEAD_SMOKE, (1, 2, 4), None)

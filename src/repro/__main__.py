@@ -32,6 +32,7 @@ import sys
 
 from repro.core.config import SystemConfig
 from repro.core.system import System
+from repro.errors import ConfigError
 from repro.obs.exporters import metrics_snapshot_dict, write_chrome_trace
 from repro.servers.common import rpc
 from repro.stats.collector import collect_report
@@ -143,9 +144,9 @@ def _report_sharded(args: argparse.Namespace) -> int:
     """The ``report`` scenario on the sharded engine (``--shards N``).
 
     Machines pair up as echo servers and pingers on a torus; the
-    cluster executes in conservative windows across N shards and the
-    printed report is the merged per-shard snapshot — identical numbers
-    for every shard count.
+    cluster executes across N shards and the printed report is the
+    merged per-shard snapshot — identical numbers for every shard
+    count.
     """
     from repro.sim.shard import ShardedSystem
     from repro.stats.collector import collect_sharded_report
@@ -154,7 +155,6 @@ def _report_sharded(args: argparse.Namespace) -> int:
 
     system = ShardedSystem(SystemConfig(
         machines=args.machines, topology="torus", shards=args.shards,
-        barrier_elision=args.elide,
         backbone_latency=args.backbone_latency,
     ))
     boards = [ResultsBoard() for _ in system.shards]
@@ -187,8 +187,7 @@ def _report_sharded(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     print(f"sharded execution: {len(system.shards)} shards, "
-          f"lookahead {system.plan.lookahead}us"
-          + (", barrier elision on" if args.elide else ""))
+          f"lookahead {system.plan.lookahead}us")
     for line in report.lines():
         print(line)
     return 0
@@ -473,11 +472,6 @@ def main(argv: list[str] | None = None) -> int:
              "(>1 selects the sharded engine on a torus; default: 1)",
     )
     report.add_argument(
-        "--elide", action="store_true",
-        help="with --shards: decouple barrier cadence from the window "
-             "grid (pairs rendezvous only every min-pair-latency)",
-    )
-    report.add_argument(
         "--backbone-latency", type=int, default=None,
         help="with --shards: slower latency (us) for torus backbone "
              "wires, widening cross-shard rendezvous periods",
@@ -565,7 +559,18 @@ def main(argv: list[str] | None = None) -> int:
     trace.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        for flag in ("source", "dest"):
+            machine = getattr(args, flag, None)
+            if machine is not None and not 0 <= machine < args.machines:
+                raise ConfigError(
+                    f"--{flag} {machine} is not one of the "
+                    f"{args.machines} machines (0..{args.machines - 1})"
+                )
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,17 +36,11 @@ class SystemConfig:
     #: (1 = the classic single event loop; >1 selects the sharded engine,
     #: :class:`repro.sim.shard.ShardedSystem`)
     shards: int = 1
-    #: decouple the injection grid from the communication cadence: shard
-    #: pairs exchange hop records only every pair-minimum-latency ticks
-    #: instead of at every global window, with batched pipe transport
-    #: (see :mod:`repro.sim.barrier`).  Off by default — the classic
-    #: per-window schedule stays available and is the reference.
-    barrier_elision: bool = False
     #: latency of the topology's backbone wires (torus inter-row wires
     #: and column wraps; the clique gateway ring).  None keeps every
     #: wire at ``latency``.  A backbone slower than the local wires is
-    #: what gives shard pairs a coarser exchange cadence than the
-    #: global window grid.
+    #: what lets shard pairs rendezvous less often than the global
+    #: window grid (see :mod:`repro.sim.barrier`).
     backbone_latency: int | None = None
 
     # --- kernels --------------------------------------------------------
@@ -124,12 +118,6 @@ class SystemConfig:
                     "is the slow tier; a faster backbone would shrink "
                     "the conservative lookahead instead)"
                 )
-        if self.barrier_elision and self.latency < 1:
-            raise ConfigError(
-                "barrier elision needs latency >= 1: the minimum wire "
-                "latency is the window grid the record keys are "
-                "computed against"
-            )
         if self.quantum <= 0 or self.syscall_cpu_cost <= 0:
             raise ConfigError("quantum and syscall cost must be positive")
         if self.max_data_packet <= 0:

@@ -37,7 +37,16 @@ class FaultPlan:
 
 
 class Channel:
-    """One directed wire with delay and optional fault injection."""
+    """One directed wire with delay and optional fault injection.
+
+    :meth:`transmit` is the wire model: fault draws, the duplicate
+    copy, serialisation behind whatever the wire is already carrying,
+    jitter.  What becomes of each copy that survives is the owning
+    network's business: by default an arrival event on *loop* that
+    hands the packet to *deliver*; a network that passes *land* gets
+    ``land(delay, packet)`` at transmit time instead and owns the
+    arrival from there (the sharded network mints a hop record).
+    """
 
     def __init__(
         self,
@@ -48,6 +57,7 @@ class Channel:
         rng: random.Random | None = None,
         on_drop: Callable[[Packet], None] | None = None,
         on_duplicate: Callable[[Packet], None] | None = None,
+        land: Callable[[int, Packet], None] | None = None,
     ) -> None:
         self._loop = loop
         self._wire = wire
@@ -56,6 +66,7 @@ class Channel:
         self._rng = rng or random.Random(0)
         self._on_drop = on_drop
         self._on_duplicate = on_duplicate
+        self._land = land or self._schedule_arrival
         self.in_flight = 0
         #: the wire is serial: a packet cannot start serialising before
         #: the previous one has finished (this is what makes bulk state
@@ -95,8 +106,11 @@ class Channel:
             delay = departs - now + self._wire.latency
             if plan.max_jitter:
                 delay += self._rng.randint(0, plan.max_jitter)
-            self.in_flight += 1
-            self._loop.call_after(delay, self._arrive, packet)
+            self._land(delay, packet)
+
+    def _schedule_arrival(self, delay: int, packet: Packet) -> None:
+        self.in_flight += 1
+        self._loop.call_after(delay, self._arrive, packet)
 
     def _arrive(self, packet: Packet) -> None:
         self.in_flight -= 1

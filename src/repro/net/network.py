@@ -21,13 +21,7 @@ from repro.net.packet import Packet
 from repro.net.reliable import DEFAULT_RTO, ReliableTransport
 from repro.net.stats import NetworkStats
 from repro.net.topology import MachineId, Topology
-from repro.sim.barrier import (
-    RECORD_KEY,
-    HopRecord,
-    SyncStats,
-    pack_record,
-    record_entry_key,
-)
+from repro.sim.barrier import RECORD_KEY, HopRecord, SyncStats
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
@@ -263,9 +257,17 @@ class Network:
                 rng=self._rngs.stream(f"channel/{a}->{b}"),
                 on_drop=self._note_drop,
                 on_duplicate=self._note_duplicate,
+                land=self._lander(a, b),
             )
             self._channels[(a, b)] = channel
         return channel
+
+    def _lander(
+        self, a: MachineId, b: MachineId
+    ) -> Callable[[int, Packet], None] | None:
+        """What becomes of each copy that survives wire ``a -> b``;
+        None keeps the channel's own arrival event on this loop."""
+        return None
 
     def _forward_from(self, here: MachineId, packet: Packet) -> None:
         destination = self.effective_destination(packet.dst)
@@ -308,19 +310,22 @@ class ShardNetwork(Network):
     """The network facade for one shard of a sharded system.
 
     Same kernel-facing API as :class:`Network`, but it owns transports
-    only for the shard's machines, and **no** hop is scheduled directly
-    on an event loop: every wire transmit — even one whose next hop is
-    in the same shard — becomes a :class:`~repro.sim.barrier.HopRecord`
-    in a per-destination-shard outbox.  Records are handed over at the
-    next conservative barrier, sorted canonically, and injected with
-    :meth:`receive_record`, so the ``(time, seq)`` order of deliveries
-    on any one machine is identical for every shard count (see
-    :mod:`repro.sim.barrier`).
+    only for the shard's machines, and every wire transmit becomes a
+    :class:`~repro.sim.barrier.HopRecord` tagged with the grid window
+    it was produced in.  The loop is a
+    :class:`~repro.sim.loop.KeyedEventLoop`, which files each record
+    under its canonical key, so when a record is injected is invisible
+    in the event order: a hop whose next stop is in this shard is
+    scheduled at once, and one bound for another shard waits in that
+    shard's outbox for the pair's next rendezvous (see
+    :mod:`repro.sim.barrier`).  Either way the order of deliveries on
+    any one machine is identical for every shard count.
 
-    Per-wire state — the serialisation horizon (``busy_until``), the
-    monotone hop counter, and the fault-injection stream — lives with
-    the wire's *source* shard, so it is touched by exactly one worker
-    and its evolution is shard-layout independent.
+    Per-wire state — the serialisation horizon, the hop counter and the
+    fault-injection stream — lives in the wire's
+    :class:`~repro.net.channel.Channel`, which belongs to the wire's
+    *source* shard, so it is touched by exactly one worker and its
+    evolution is shard-layout independent.
 
     Fail-stop takeover works, but only through
     :meth:`~repro.sim.shard.ShardedSystem.crash_transport`, which
@@ -330,18 +335,6 @@ class ShardNetwork(Network):
     refuse, because one shard flipping alone would desynchronise
     routing.  Retroactive ``set_faults`` stays unsupported (the default
     plan from the config applies to every wire from the start).
-
-    With *elide_grid* set (barrier elision), the loop must be a
-    :class:`~repro.sim.loop.KeyedEventLoop` on the same grid: records
-    carry their production window (``gen``) and are scheduled under
-    their canonical key, which makes injection timing irrelevant — so
-    hops whose next stop is in this same shard skip the outbox and are
-    scheduled immediately, and cross-shard outboxes wait for their
-    pair's rendezvous instead of the next global window.  Cross-shard
-    outbox entries carry the record *and* its wire blob, pickled at
-    production time (:func:`~repro.sim.barrier.pack_record`), so byte
-    accounting is executor-exact and unpicklable payloads degrade to a
-    capture envelope instead of an error.
     """
 
     def __init__(
@@ -356,7 +349,6 @@ class ShardNetwork(Network):
         faults: FaultPlan | None = None,
         rto: int = DEFAULT_RTO,
         metrics: "MetricsRegistry | None" = None,
-        elide_grid: int | None = None,
     ) -> None:
         super().__init__(
             loop,
@@ -368,10 +360,10 @@ class ShardNetwork(Network):
             metrics=metrics,
             machines=machines,
         )
-        if elide_grid is not None and not hasattr(loop, "schedule_record"):
+        if not hasattr(loop, "schedule_record"):
             raise SimulationError(
-                "barrier elision needs a KeyedEventLoop (record keys are "
-                "the loop's tie-break)"
+                "a shard network needs a KeyedEventLoop (record keys "
+                "are the loop's tie-break)"
             )
         self.shard_index = shard_index
         self.shard_of = shard_of
@@ -380,158 +372,67 @@ class ShardNetwork(Network):
         self.sync = SyncStats()
         #: test hook: called with each delivered HopRecord (or None)
         self.on_record_delivered: Callable[[HopRecord], None] | None = None
-        self._elide_grid = elide_grid
-        #: classic: lists of HopRecord; elided: lists of (record, blob)
-        #: pairs — the blob packed at production time (pack_record)
-        self._outboxes: dict[int, list] = {}
-        self._wire_busy: dict[tuple[MachineId, MachineId], int] = {}
-        self._wire_seq: dict[tuple[MachineId, MachineId], int] = {}
-        self._wire_rngs: dict[tuple[MachineId, MachineId], Any] = {}
+        self._outboxes: dict[int, list[HopRecord]] = {}
         self._inbound_pending = 0
 
     # -- barrier handoff ------------------------------------------------
 
-    def take_outboxes(self) -> dict[int, list]:
+    def take_outboxes(self) -> dict[int, list[HopRecord]]:
         """Pending hop records keyed by destination shard (clears them).
 
         Each destination's list is sorted into canonical order here —
         at drain time, per source — so barriers merge the pre-sorted
         per-source lists instead of re-sorting the concatenation.
-        Classic entries are plain records; elided entries are
-        ``(record, blob)`` with the blob packed at production time.
         """
         outboxes = self._outboxes
         self._outboxes = {}
-        key = (
-            RECORD_KEY if self._elide_grid is None else record_entry_key
-        )
         for records in outboxes.values():
-            records.sort(key=key)
+            records.sort(key=RECORD_KEY)
         return outboxes
 
-    def take_outbox(self, dest: int) -> list:
+    def take_outbox(self, dest: int) -> list[HopRecord]:
         """Pending hop records for one destination shard, pre-sorted
-        (clears just that outbox) — the pairwise-rendezvous drain.
-        Same per-engine entry shape as :meth:`take_outboxes`."""
+        (clears just that outbox) — the pairwise-rendezvous drain."""
         records = self._outboxes.pop(dest, [])
-        records.sort(
-            key=RECORD_KEY if self._elide_grid is None
-            else record_entry_key
-        )
+        records.sort(key=RECORD_KEY)
         return records
 
     def receive_record(self, record: HopRecord) -> None:
-        """Schedule one barrier-delivered hop at its exact arrival tick.
-
-        Classic schedule: called in canonical record order; ``call_at``
-        hands out sequence numbers in call order, so the injection
-        order *is* the delivery tie-break order.  Under elision the
-        record's own key is the tie-break and the call order does not
-        matter.
-        """
+        """Schedule one hop at its arrival tick, under its own key —
+        the call order does not matter."""
         self._inbound_pending += 1
-        if self._elide_grid is not None:
-            self.loop.schedule_record(record, self._record_arrived, record)
-        else:
-            self.loop.call_at(record.arrival, self._record_arrived, record)
+        self.loop.schedule_record(record, self._record_arrived, record)
 
     def _record_arrived(self, record: HopRecord) -> None:
         self._inbound_pending -= 1
         if self.on_record_delivered is not None:
             self.on_record_delivered(record)
-        here = record.dst
-        packet = record.packet
-        if here == self.effective_destination(packet.dst):
-            self._transport(here).on_packet(packet)
-        else:
-            self._forward_from(here, packet)
+        self._hop_arrived(record.dst, record.packet)
 
-    # -- hop transmission ----------------------------------------------
+    def _lander(
+        self, a: MachineId, b: MachineId
+    ) -> Callable[[int, Packet], None]:
+        """Wire ``a -> b`` lands its copies as hop records, numbered by
+        a per-wire counter (duplicates get their own number)."""
+        loop = self.loop
+        grid = loop.grid
+        dest_shard = self.shard_of(b)
+        direct = dest_shard == self.shard_index
+        wire_seq = 0
 
-    def _forward_from(self, here: MachineId, packet: Packet) -> None:
-        destination = self.effective_destination(packet.dst)
-        if here == destination:
-            self._transport(here).on_packet(packet)
-            return
-        next_hop = self.topology.next_hop(here, destination)
-        self._transmit_hop(here, next_hop, packet)
+        def land(delay: int, packet: Packet) -> None:
+            nonlocal wire_seq
+            wire_seq += 1
+            now = loop.now
+            record = HopRecord(
+                now + delay, a, b, wire_seq, packet, now // grid
+            )
+            if direct:
+                self.receive_record(record)
+            else:
+                self._outboxes.setdefault(dest_shard, []).append(record)
 
-    def _transmit_hop(
-        self, here: MachineId, next_hop: MachineId, packet: Packet
-    ) -> None:
-        """Mirror of :meth:`Channel.transmit`, emitting hop records.
-
-        Same fault draws from the same named stream, same wire
-        serialisation rule (a wire is serial: a packet cannot start
-        serialising before the previous one finished), but the arrival
-        is a record in the outbox instead of a scheduled event.
-        """
-        wire_key = (here, next_hop)
-        plan = self._default_faults
-        rng = None
-        if not plan.is_perfect:
-            rng = self._wire_rngs.get(wire_key)
-            if rng is None:
-                rng = self._rngs.stream(f"channel/{here}->{next_hop}")
-                self._wire_rngs[wire_key] = rng
-            if (
-                plan.drop_probability
-                and rng.random() < plan.drop_probability
-            ):
-                self._note_drop(packet)
-                return
-        copies = 1
-        if (
-            plan.duplicate_probability
-            and rng.random() < plan.duplicate_probability
-        ):
-            copies = 2
-            self._note_duplicate(packet)
-        wire = self.topology.wire(here, next_hop)
-        now = self.loop.now
-        serialization = packet.size_bytes * 1_000 // max(wire.bandwidth, 1)
-        busy = self._wire_busy.get(wire_key, 0)
-        seq = self._wire_seq.get(wire_key, 0)
-        grid = self._elide_grid
-        if grid is None:
-            outbox = self._outboxes.setdefault(self.shard_of(next_hop), [])
-            for _ in range(copies):
-                departs = max(now, busy) + serialization
-                busy = departs
-                delay = departs - now + wire.latency
-                if plan.max_jitter:
-                    delay += rng.randint(0, plan.max_jitter)
-                seq += 1
-                outbox.append(
-                    HopRecord(now + delay, here, next_hop, seq, packet)
-                )
-        else:
-            # Elision: tag the production window; a hop staying in this
-            # shard needs no barrier at all — its key already places it.
-            gen = now // grid
-            dest_shard = self.shard_of(next_hop)
-            direct = dest_shard == self.shard_index
-            for _ in range(copies):
-                departs = max(now, busy) + serialization
-                busy = departs
-                delay = departs - now + wire.latency
-                if plan.max_jitter:
-                    delay += rng.randint(0, plan.max_jitter)
-                seq += 1
-                record = HopRecord(
-                    now + delay, here, next_hop, seq, packet, gen
-                )
-                if direct:
-                    self.receive_record(record)
-                else:
-                    # Pack the wire blob *now*: the producing shard's
-                    # state at this instant is executor-independent,
-                    # so counted bytes (and shipped bytes) are too.
-                    self._outboxes.setdefault(dest_shard, []).append(
-                        (record, pack_record(record))
-                    )
-        self._wire_busy[wire_key] = busy
-        self._wire_seq[wire_key] = seq
+        return land
 
     # -- diagnostics -----------------------------------------------------
 

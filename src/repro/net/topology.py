@@ -130,8 +130,8 @@ class Topology:
         """Every directed wire, in insertion order (deterministic).
 
         The sharded engine walks this to derive per-shard-pair minimum
-        latencies — the communication cadence of the barrier-elision
-        schedule (:mod:`repro.sim.barrier`).
+        latencies — how often each pair has to rendezvous
+        (:mod:`repro.sim.barrier`).
         """
         return list(self._wires.values())
 
@@ -301,9 +301,8 @@ class Topology:
         the column wraps carry that latency while intra-row wires keep
         *latency* — short links inside a rack row, slower links between
         rows.  Rows are the shard-alignment unit, so every wire that can
-        cross a shard boundary is a backbone wire, which is what gives
-        the barrier-elision schedule a coarser cross-shard cadence than
-        the global window grid.
+        cross a shard boundary is a backbone wire, which is what lets
+        shard pairs rendezvous less often than the global window grid.
         """
         backbone = latency if backbone_latency is None else backbone_latency
         topo = cls()

@@ -1,97 +1,76 @@
-"""Conservative time-window barriers for sharded execution.
+"""Conservative run-ahead synchronisation for sharded execution.
 
 The sharded engine (:mod:`repro.sim.shard`) partitions the machine set
-into shards, each with its own :class:`~repro.sim.loop.EventLoop`.  The
-machines only interact through the network, and every wire has a
-non-zero latency, so a packet put on a wire at time ``t`` cannot affect
-any machine before ``t + L`` where ``L`` is the smallest wire latency in
-the topology.  That is the classic conservative-PDES lookahead argument:
-all events in the half-open window ``[s, s + L)`` are causally
-independent across shards and safe to execute in parallel.
+into shards, each with its own event loop.  Machines only interact
+through the network, and every wire has a non-zero latency, so a
+packet put on a wire at time ``t`` cannot affect any machine before
+``t + L``, where ``L`` (the *lookahead*) is the smallest wire latency
+in the topology — the classic conservative-PDES argument.
 
 Two rules make the result not merely *equivalent* but *byte-identical*
 for every shard count (the repo's determinism gate diffs ``shards=1``
 against ``shards=4``):
 
 - **Every** inter-machine hop — including hops whose source and
-  destination land in the same shard — is converted into a
-  :class:`HopRecord` and injected at a barrier, never scheduled
-  directly.  Records pending at a barrier are sorted by the canonical
-  key ``(arrival, src, dst, wire_seq)`` before injection, so the
-  relative ``(time, seq)`` order of deliveries on any one machine's
-  loop is a function of the simulation state alone, not of how machines
-  were grouped into shards.
-- The window length is the minimum latency over **all** wires, not the
-  minimum over wires that happen to cross a shard boundary.  A
-  boundary-crossing minimum would be a function of the partition (and
-  undefined at ``shards=1``); the global minimum is never larger, so it
-  is still a sound lookahead, and it makes the window grid — and hence
-  which records share a barrier — identical for every shard count.
+  destination land in the same shard — is a :class:`HopRecord`, and
+  the keyed event loop (:class:`~repro.sim.loop.KeyedEventLoop`) files
+  it under the pure-data key ``(gen, 1, src, dst, wire_seq)``, where
+  ``gen`` is the window of the ``L`` grid the hop was *produced* in.
+  The ``(time, key)`` order of deliveries on any one machine's loop is
+  therefore a function of the simulation state alone, not of how
+  machines were grouped into shards or of when a record was handed
+  over.
+- The grid is the minimum latency over **all** wires, not the minimum
+  over wires that happen to cross a shard boundary.  A boundary
+  minimum would be a function of the partition (and undefined at
+  ``shards=1``); the global minimum is never larger, so it is still a
+  sound lookahead, and it makes every key identical for every shard
+  count.
 
-Windows are aligned to a fixed grid (``[k*L, (k+1)*L)``), and globally
-empty windows are skipped: a barrier where no shard has work injects
-nothing and assigns no event sequence numbers, so fast-forwarding over
-it cannot perturb later ordering.
+Because injection timing is irrelevant to ordering, shards synchronise
+only as often as causality demands.  Each wire-connected shard *pair*
+``(i, j)`` has a period — the largest grid multiple not exceeding the
+minimum latency over wires crossing that pair: a record produced after
+one rendezvous cannot arrive before the next, so handing it over at
+the next rendezvous is conservatively early.  Pairs no wire crosses
+never rendezvous before the drain (hops traverse physical wires, so no
+record can be addressed to such a pair).
 
-Two runners share the schedule: :class:`SerialBarrierRunner` drives all
-shards in one process (the reference executor, also used for
-``shards=1``), and :class:`WorkerBarrier` drives a single shard inside
-a forked worker, exchanging records with its peers over pairwise pipes.
-Both compute the same global next-event time each round, so they follow
-exactly the same window sequence.
-
-**Barrier elision** (``SystemConfig.barrier_elision``) decouples the
-injection grid from the communication cadence.  The grid — which
-window a record belongs to, and hence its tie-break slot — stays the
-global minimum wire latency, but it is carried *in the record* (the
-``gen`` tag) and enforced by the keyed event loop
-(:class:`~repro.sim.loop.KeyedEventLoop`), not by injection timing.
-That frees the runners to exchange each shard *pair* only every
-``period(i, j)`` ticks, where the period is the largest grid multiple
-not exceeding the minimum latency over wires crossing that pair: a
-record produced after one rendezvous cannot arrive before the next, so
-handing it over at the next rendezvous is still conservatively early.
-Pairs with no connecting wire never rendezvous at all during the
-horizon phase (hops traverse physical wires, so no record can be
-addressed to a wireless pair); the drain phase keeps all-pairs rounds
-— global quiescence is not locally detectable on a sparse exchange
-graph — but strides each round by the shard's minimum incident pair
-period (:func:`drain_step`).
-
-**Run-ahead** makes the rendezvous schedule event-driven instead of
-purely periodic.  At each meeting the two sides exchange, alongside
-their records, their next pending event time and the earliest
-rendezvous of any *other* incident pair; from those both compute the
-same *activity bound* — the earliest instant either shard can possibly
-execute anything new (its own head, a record just injected, or an
-injection by a third shard, whose records never arrive before the
-meeting that delivers them).  Any record produced by an event at
-``p >= act`` arrives at ``>= p + period``, so the pair's next meeting
-is pushed out to ``min(act_i, act_j) + period`` snapped down to the
-period grid: every grid window in between runs back-to-back with no
-barrier touch.  A pair with no wake source at all *parks* (meets again
-only when re-armed).  Two clamps keep the meeting-before-arrival
-invariant when new work appears from outside the simulation: entering
-``run()`` re-arms every pair to its first period multiple after the
-resumed clock (driver code may have scheduled anything), and firing a
-barrier action re-arms every pair to its first period multiple after
-the action tick (the action may have scheduled events or emitted
+The rendezvous schedule is event-driven.  At each meeting the two
+sides exchange, alongside their records, their next pending event time
+and the earliest rendezvous of any *other* incident pair; from those
+both compute the same *activity bound* — the earliest instant either
+shard can possibly execute anything new (its own head, a record just
+injected, or an injection by a third shard, whose records never arrive
+before the meeting that delivers them).  Any record produced by an
+event at ``p >= act`` arrives at ``>= p + period``, so the pair's next
+meeting is pushed out to ``min(act_i, act_j) + period`` snapped down
+to the period grid, and each shard free-runs the whole range in
+between.  A pair with no wake source at all *parks* (meets again only
+when re-armed).  Two clamps keep the meeting-before-arrival invariant
+when new work appears from outside the simulation: entering ``run()``
+re-arms every pair to its first period multiple after the resumed
+clock (driver code may have scheduled anything), and firing a barrier
+action re-arms every pair to its first period multiple after the
+action tick (the action may have scheduled events or emitted
 records).  Extra meetings are always safe; late ones never happen.
+Quiescence is a global property, undetectable on a sparse exchange
+graph, so the drain phase after the horizon uses all-pairs rounds,
+each striding by the shard's minimum incident period
+(:func:`drain_step`).
 
-:class:`ElidedSerialRunner` and :class:`ElidedWorkerBarrier` implement
-the schedule; both count their synchronisation traffic in
-:class:`SyncStats` (rounds, records, bytes).  Byte counts are
-*executor-exact*: every cross-shard record is pickled once, at
-production time (:func:`pack_record` — the producing shard's state at
-that instant is identical under every executor), and rendezvous frames
-carry those per-record blobs, so the serial runner counts the very
-bytes a forked worker ships.  A payload that cannot pickle (a live
-process generator mid-migration) is *captured*: the frame carries a
-:class:`CapturedPayload` stand-in with deterministic bytes while the
-live record object rides the serial runners' in-process injection
-untouched — so live-generator migration works on both serial engines;
-only the forked executor, which must rehydrate from the blob, refuses
-it.
+:class:`SerialRunner` drives every shard in one process (the reference
+executor, also used for ``shards=1``) and hands live records across;
+:class:`WorkerBarrier` drives one shard inside a forked worker and
+meets its peers over pairwise pipes.  Both compute every meeting from
+the same exchanged data, so they follow the same schedule and fill
+:class:`SyncStats` with the same rounds, record counts and
+``windows_elided``; bytes are counted where they are shipped, at the
+pipe.  A record is packed as its worker builds the pipe frame
+(:func:`pack_record`); a payload that cannot pickle (a live process
+generator mid-migration) crosses shards untouched in the serial
+runner, and packs as a :class:`CapturedPayload` stand-in that the
+receiving worker refuses.
 """
 
 from __future__ import annotations
@@ -127,7 +106,7 @@ class HopRecord:
     dst: int  #: machine the hop arrives at (next hop, not final dest)
     wire_seq: int  #: per-wire transmit counter (duplicates get their own)
     packet: Any  #: the in-flight :class:`~repro.net.packet.Packet`
-    gen: int = 0  #: grid window of production (barrier-elision key)
+    gen: int = 0  #: grid window of production (keyed-loop slot)
 
     def __getstate__(self) -> tuple:
         """Positional wire state: every record blob repeats this class,
@@ -142,7 +121,9 @@ class HopRecord:
             object.__setattr__(self, name, value)
 
 
-#: Canonical barrier injection order (see module docstring).
+#: Canonical hand-over order: outboxes are sorted by it, so every
+#: executor ships and injects one sequence (the loop's own order comes
+#: from the record key, see the module docstring).
 RECORD_KEY = attrgetter("arrival", "src", "dst", "wire_seq")
 
 #: Pipes carry pre-pickled blobs (one per peer per round) so each
@@ -161,13 +142,12 @@ def pack_blob(payload: Any) -> bytes:
 class CapturedPayload:
     """Wire stand-in for a packet that cannot pickle (capture envelope).
 
-    A live process generator mid-migration has no byte form, but its
-    hop record still needs a deterministic wire frame: the record's
-    blob carries this pure-data surrogate instead (same declared sizes,
-    so byte accounting stays executor-independent), while the live
-    record object itself is what the serial runners inject.  A forked
-    worker that rehydrates one of these refuses the run — there is no
-    live object on its side of the pipe to fall back to.
+    A live process generator mid-migration has no byte form, so a
+    worker asked to ship one puts this pure-data surrogate in the frame
+    instead (same declared sizes, so the frame's bytes stay
+    deterministic) and survives; the worker that rehydrates it refuses
+    the run — there is no live object on its side of the pipe.  The
+    serial runner hands the live record across and never sees one.
     """
 
     kind: str  #: class name of the packet that could not pickle
@@ -231,16 +211,9 @@ def unpack_record(blob: bytes) -> HopRecord:
 
 
 def pack_record(record: HopRecord) -> bytes:
-    """One cross-shard record's wire blob, packed at production time.
-
-    Packing at the production instant — not at the rendezvous — is
-    what makes byte counts executor-exact: the producing shard's
-    object graph at that instant is identical whether it runs in the
-    shared serial process or in a forked worker, whereas by rendezvous
-    time a serial peer may have mutated shared state a worker could
-    never see.  Payloads that cannot pickle are captured (see
-    :class:`CapturedPayload`).
-    """
+    """One cross-shard record's wire blob, packed by the worker that
+    ships it.  Payloads that cannot pickle are captured (see
+    :class:`CapturedPayload`)."""
     try:
         return _pack_record_blob(record)
     except Exception:
@@ -265,12 +238,6 @@ def _pack_record_blob(record: HopRecord) -> bytes:
     return buffer.getvalue()
 
 
-def record_entry_key(entry: "tuple[HopRecord, bytes]"):
-    """Canonical order for the ``(record, blob)`` outbox entries the
-    elided engine keeps (the blob tags along, the record decides)."""
-    return RECORD_KEY(entry[0])
-
-
 def merge_sorted_records(
     lists: Iterable[list[HopRecord]],
 ) -> list[HopRecord]:
@@ -282,11 +249,6 @@ def merge_sorted_records(
     without the O(n log n) comparison bill at every barrier.
     """
     return list(_heapq_merge(*lists, key=RECORD_KEY))
-
-
-def sort_records(records: Iterable[HopRecord]) -> list[HopRecord]:
-    """Records in canonical injection order."""
-    return sorted(records, key=RECORD_KEY)
 
 
 def window_end(time: int, lookahead: int) -> int:
@@ -360,12 +322,14 @@ class BarrierActionQueue:
 class SyncStats:
     """Synchronisation-overhead counters for one shard.
 
-    Everything here is deterministic — rounds and record counts follow
-    the (deterministic) schedule, and byte counts measure the pickled
-    blobs with a pinned protocol — so benchmarks gate these numbers
-    exactly, per artifact.  They are *not* part of the shard-count
-    parity set: a ``shards=1`` run has no peers and therefore no
-    synchronisation traffic at all.
+    Rounds, record counts and ``windows_elided`` follow the
+    (deterministic) schedule and are the same under every executor;
+    byte counts measure the pipe frames with a pinned pickle protocol,
+    so they too repeat exactly — and read 0 under the serial executor,
+    which ships no bytes.  Benchmarks gate these numbers exactly, per
+    artifact.  They are *not* part of the shard-count parity set: a
+    ``shards=1`` run has no peers and therefore no synchronisation
+    traffic at all.
     """
 
     __slots__ = (
@@ -381,7 +345,7 @@ class SyncStats:
         self.rounds = 0  #: pairwise exchanges this shard took part in
         self.records_sent = 0
         self.records_received = 0
-        self.bytes_sent = 0  #: pickled blob bytes shipped to peers
+        self.bytes_sent = 0  #: pickled frame bytes shipped to peers
         self.bytes_received = 0
         #: grid windows crossed between rendezvous without a barrier
         self.windows_elided = 0
@@ -389,6 +353,17 @@ class SyncStats:
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (benchmark artifacts)."""
         return {name: getattr(self, name) for name in self.__slots__}
+
+    def note_exchange(
+        self, sent: int, received: int, skipped: int = 0
+    ) -> None:
+        """One pairwise exchange; a horizon-phase rendezvous also says
+        how many grid windows it *skipped* since the pair last met."""
+        self.rounds += 1
+        self.records_sent += sent
+        self.records_received += received
+        if skipped > 0:
+            self.windows_elided += skipped
 
 
 def drain_step(
@@ -403,8 +378,8 @@ def drain_step(
     pairs, so it cannot arrive before ``nxt + period(pair)``.  The
     minimum incident period is therefore a sound per-round stride —
     the drain-phase analogue of the rendezvous cadence (a shard with
-    no incident pairs keeps the classic one-window stride; it receives
-    nothing either way).
+    no incident pairs strides one grid window; it receives nothing
+    either way).
     """
     incident = [
         period
@@ -420,16 +395,16 @@ def rendezvous_schedule(
     """Every ``(time, i, j)`` rendezvous up to *horizon*, globally sorted.
 
     The *static* cadence: pair ``(i, j)`` meets at every multiple of
-    its period.  Run-ahead (the dynamic schedule the runners actually
-    walk) only ever *skips* meetings from this set forward along the
-    period grid, so this is its upper bound — benchmarks compare the
-    two to measure rounds saved.  The sorted order is the processing
-    order on every worker: each worker walks its own pairs' events in
-    this order, and because the globally least unprocessed rendezvous
-    is the least *local* rendezvous of both its participants, some
-    pair can always meet — no deadlock (the same argument covers the
-    dynamic schedule: both members of a pair agree on its next meeting
-    time, so the total ``(t, i, j)`` order is still shared).
+    its period.  The dynamic schedule the runners actually walk only
+    ever *skips* meetings from this set forward along the period grid,
+    so this is its upper bound — benchmarks compare the two to measure
+    rounds saved.  The sorted order is the processing order on every
+    worker: each worker walks its own pairs' events in this order, and
+    because the globally least unprocessed rendezvous is the least
+    *local* rendezvous of both its participants, some pair can always
+    meet — no deadlock (the same argument covers the dynamic schedule:
+    both members of a pair agree on its next meeting time, so the
+    total ``(t, i, j)`` order is still shared).
     """
     events = [
         (t, i, j)
@@ -496,25 +471,23 @@ class ShardPeer(Protocol):
         """
         ...  # pragma: no cover
 
-    def drain_outboxes(self) -> dict[int, list]:
+    def drain_outboxes(self) -> dict[int, list[HopRecord]]:
         """Take (and clear) pending records, keyed by dest shard.
 
-        Each list comes back pre-sorted in canonical order, so barriers
-        merge instead of re-sorting (see :func:`merge_sorted_records`).
-        Classic runners see plain :class:`HopRecord` lists; the elided
-        runners see ``(record, blob)`` entries — the blob packed at
-        production time by :func:`pack_record`.
+        Each list comes back pre-sorted in canonical order, so drain
+        rounds merge instead of re-sorting (see
+        :func:`merge_sorted_records`).
         """
         ...  # pragma: no cover
 
-    def take_outbox(self, dest: int) -> list:
+    def take_outbox(self, dest: int) -> list[HopRecord]:
         """Take (and clear) pending records for one destination shard,
         pre-sorted — the pairwise-rendezvous flavour of
-        :meth:`drain_outboxes` (same per-engine entry shape)."""
+        :meth:`drain_outboxes`."""
         ...  # pragma: no cover
 
     def inject(self, records: list[HopRecord]) -> None:
-        """Schedule canonically ordered *records* on this shard's loop."""
+        """Schedule *records* on this shard's loop."""
         ...  # pragma: no cover
 
 
@@ -524,225 +497,138 @@ def _next_time(*candidates: int | None) -> int | None:
     return min(live) if live else None
 
 
-class SerialBarrierRunner:
-    """Drive every shard in one process on the shared window schedule.
+def _min_arrival(outboxes: dict[int, list[HopRecord]]) -> int | None:
+    """Earliest arrival among everything one shard is handing over."""
+    return _next_time(
+        *(r.arrival for records in outboxes.values() for r in records)
+    )
 
-    This is both the ``shards=1`` executor and the reference semantics
-    the forked executor must match: the two runners make identical
-    window decisions because they compute the same global next-event
-    time from the same inputs each round.
+
+def _check_no_stray_outboxes(shard: int, outboxes: dict) -> None:
+    if outboxes:
+        raise RuntimeError(
+            f"shard {shard} produced records for unknown "
+            f"shards {sorted(outboxes)}"
+        )
+
+
+class _Rendezvous:
+    """The dynamic meeting schedule of a set of shard pairs.
+
+    One instance holds every pair (the serial runner) or one worker's
+    incident pairs (its slice of the schedule); the state persists
+    across ``run`` calls so a resumed horizon never replays a meeting.
     """
 
     def __init__(
-        self,
-        peers: list[ShardPeer],
-        lookahead: int,
-        actions: BarrierActionQueue | None = None,
+        self, pair_periods: dict[tuple[int, int], int], lookahead: int
     ) -> None:
         if lookahead < 1:
             raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-        self.peers = peers
         self.lookahead = lookahead
-        #: global (cross-shard) actions fired between windows
-        self.actions = actions
-        #: windows executed (diagnostics; identical for any shard count)
-        self.windows = 0
-        #: hop records exchanged at barriers (diagnostics)
-        self.records_exchanged = 0
+        self.pair_periods = dict(pair_periods)
+        #: last rendezvous time completed per pair
+        self._last_met = dict.fromkeys(self.pair_periods, 0)
+        #: each pair's agreed next meeting time (None == parked)
+        self._next_meet: dict[tuple[int, int], int | None] = dict.fromkeys(
+            self.pair_periods
+        )
+        #: clock every shard has been advanced to by completed runs
+        self._completed_through = 0
 
-    def run(self, horizon: int | None = None) -> None:
-        """Execute windows until quiescence (or the *horizon* clock)."""
-        peers = self.peers
-        lookahead = self.lookahead
-        while True:
-            self._exchange_all()
-            nxt = _next_time(*(p.next_event_time() for p in peers))
-            if self._fire_actions(nxt, horizon):
-                # Actions may schedule events and emit records; rerun
-                # the exchange and recompute the global next time.
-                continue
-            if nxt is None or (horizon is not None and nxt > horizon):
-                break
-            end = window_end(nxt, lookahead)
-            deadline = end - 1 if horizon is None else min(end - 1, horizon)
-            for peer in peers:
-                peer.run_window(deadline)
-            self.windows += 1
-            if horizon is not None and deadline >= horizon:
-                self._exchange_all()
-                break
-        if horizon is not None:
-            for peer in peers:
-                peer.advance_to(horizon)
+    def _rearm(
+        self, after: int, horizon: int, heap: list[tuple[int, int, int]]
+    ) -> None:
+        """Clamp every pair to its first period multiple after *after*.
 
-    def _fire_actions(self, nxt: int | None, horizon: int | None) -> bool:
-        """Fire barrier actions due before the next window, if any.
-
-        An action at grid time T fires once every event strictly before
-        T has executed (``nxt`` has climbed to T or beyond, or global
-        quiescence).  Windows are grid-aligned, so no window straddles
-        T: events at T are still pending when the action fires — the
-        same "crash runs first at its tick" semantics the classic
-        engine gets from scheduling the crash callback at install time.
+        Whatever appeared at *after* from outside the schedule — driver
+        code between runs, a barrier action — starts there, so its
+        influence cannot arrive before ``after + period``: meeting then
+        restores meeting-before-arrival.  Extra meetings are always
+        safe.
         """
-        queue = self.actions
-        if queue is None:
-            return False
-        at = queue.next_time()
-        if at is None:
-            return False
-        if horizon is not None and at > horizon:
-            return False
-        if nxt is not None and nxt < at:
-            return False
-        for peer in self.peers:
-            peer.freeze_at(at)
-        for action in queue.take_due(at):
-            action.callback(*action.args)
-        return True
+        next_meet = self._next_meet
+        for pair, period in self.pair_periods.items():
+            clamp = first_multiple_after(period, after)
+            agreed = next_meet[pair]
+            if agreed is None or clamp < agreed:
+                next_meet[pair] = clamp
+                if clamp <= horizon:
+                    heappush(heap, (clamp, *pair))
 
-    def _exchange_all(self) -> None:
-        """Move every pending record to its destination shard, merging
-        the per-source pre-sorted lists into canonical order."""
-        by_dest: dict[int, list[list[HopRecord]]] = {}
-        for peer in self.peers:
-            for dest, records in peer.drain_outboxes().items():
-                if records:
-                    by_dest.setdefault(dest, []).append(records)
-        for dest, lists in by_dest.items():
-            merged = merge_sorted_records(lists)
-            self.records_exchanged += len(merged)
-            self.peers[dest].inject(merged)
+    def _open(self, horizon: int) -> list[tuple[int, int, int]]:
+        """The meeting heap for a run to *horizon*, re-armed at entry."""
+        heap = [
+            (t, *pair)
+            for pair, t in self._next_meet.items()
+            if t is not None and t <= horizon
+        ]
+        heapify(heap)
+        self._rearm(self._completed_through, horizon, heap)
+        return heap
 
+    def _due(self, t: int, pair: tuple[int, int]) -> int | None:
+        """Grid windows skipped since *pair* last met, if a meeting
+        popped at *t* is still the agreed one (None: superseded by a
+        re-arm clamp)."""
+        if t != self._next_meet[pair]:
+            return None
+        last = self._last_met[pair]
+        if t <= last:
+            raise SimulationError(
+                f"rendezvous replay: pair {pair} met at {last}, "
+                f"scheduled again at {t}"
+            )
+        self._last_met[pair] = t
+        return (t - last) // self.lookahead - 1
 
-class WorkerBarrier:
-    """Drive one shard inside a worker process on the shared schedule.
-
-    Each barrier round is a pairwise exchange with every peer worker:
-    worker *i* sends ``(records bound for j, i's next event time, the
-    earliest arrival among everything i is sending this round)`` and
-    receives the same triple from *j*.  The third element lets every
-    worker compute the same global next-event time even for records
-    exchanged between two *other* workers, without an extra round trip.
-
-    Pipes are used in index order (lower index sends first), so the
-    rendezvous pattern is deterministic and deadlock-free for the small
-    worker counts the engine targets.  Each message travels as one
-    pre-pickled blob (:func:`pack_blob`) rather than per-object
-    ``Connection.send`` calls, and its size feeds :class:`SyncStats`.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        peer_conns: dict[int, "Connection"],
-        lookahead: int,
-        sync: SyncStats | None = None,
-    ) -> None:
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-        self.index = index
-        self.peer_conns = peer_conns
-        self.lookahead = lookahead
-        self.sync = sync if sync is not None else SyncStats()
-        self.windows = 0
-        self.records_exchanged = 0
-
-    def _exchange(self, peer: ShardPeer) -> int | None:
-        """One barrier round; injects inbound records and returns the
-        global next-event time (None == global quiescence)."""
-        sync = self.sync
-        outboxes = peer.drain_outboxes()
-        head = peer.next_event_time()
-        min_out = _next_time(
+    def _other_pair_bound(
+        self, shard: int, exclude: tuple[int, int]
+    ) -> int | None:
+        """Earliest *other* rendezvous of *shard* — the soonest any
+        third shard can inject new work into it (records injected at a
+        meeting never have arrivals before the meeting time)."""
+        return _next_time(
             *(
-                record.arrival
-                for records in outboxes.values()
-                for record in records
+                t
+                for pair, t in self._next_meet.items()
+                if pair != exclude and shard in pair
             )
         )
-        inbound: list[list[HopRecord]] = []
-        own = outboxes.pop(self.index, None)
-        if own:
-            inbound.append(own)
-        nxt = _next_time(head, min_out)
-        for j in sorted(self.peer_conns):
-            conn = self.peer_conns[j]
-            sending = outboxes.pop(j, [])
-            blob = pack_blob((sending, head, min_out))
-            if self.index < j:
-                conn.send_bytes(blob)
-                data = conn.recv_bytes()
-            else:
-                data = conn.recv_bytes()
-                conn.send_bytes(blob)
-            their_records, their_head, their_min_out = pickle.loads(data)
-            sync.rounds += 1
-            sync.bytes_sent += len(blob)
-            sync.bytes_received += len(data)
-            sync.records_sent += len(sending)
-            sync.records_received += len(their_records)
-            if their_records:
-                inbound.append(their_records)
-            nxt = _next_time(nxt, their_head, their_min_out)
-        if outboxes:
-            leftover = sorted(outboxes)
-            raise RuntimeError(
-                f"shard {self.index} produced records for unknown "
-                f"shards {leftover}"
-            )
-        if inbound:
-            merged = merge_sorted_records(inbound)
-            self.records_exchanged += len(merged)
-            peer.inject(merged)
-        return nxt
 
-    def run(self, peer: ShardPeer, horizon: int | None = None) -> None:
-        """Execute windows until global quiescence (or *horizon*)."""
-        lookahead = self.lookahead
-        while True:
-            nxt = self._exchange(peer)
-            if nxt is None or (horizon is not None and nxt > horizon):
-                break
-            end = window_end(nxt, lookahead)
-            deadline = end - 1 if horizon is None else min(end - 1, horizon)
-            peer.run_window(deadline)
-            self.windows += 1
-            if horizon is not None and deadline >= horizon:
-                self._exchange(peer)
-                break
-        if horizon is not None:
-            peer.advance_to(horizon)
+    def _agree(
+        self,
+        t: int,
+        pair: tuple[int, int],
+        acts: tuple[int | None, int | None],
+        horizon: int,
+        heap: list[tuple[int, int, int]],
+    ) -> None:
+        nxt = agree_next_meeting(t, self.pair_periods[pair], *acts)
+        self._next_meet[pair] = nxt
+        if nxt is not None and nxt <= horizon:
+            heappush(heap, (nxt, *pair))
 
 
-class ElidedSerialRunner:
+class SerialRunner(_Rendezvous):
     """All shards in one process on the run-ahead rendezvous schedule.
 
-    The horizon phase walks a dynamic meeting heap: only wire-connected
+    The horizon phase walks the meeting heap: only wire-connected
     shard pairs ever exchange, each meeting agrees on the pair's next
     one (:func:`agree_next_meeting`), and every shard free-runs through
-    the whole safe range between its rendezvous — the keyed event loop
-    makes injection timing irrelevant to ordering, so there is no
-    per-window lockstep.  Barrier actions are supported: every shard is
-    driven to the action tick, frozen, the due actions fire in key
-    order, and all pairs re-arm to their first period multiple after
-    the tick (whatever the action did starts there, so its influence
-    cannot arrive before tick + period).  The drain phase — quiescence
-    is a *global* property, undetectable on a sparse exchange graph —
-    keeps all-pairs rounds but strides them by each shard's
+    the whole safe range between its rendezvous.  Barrier actions are
+    supported: every shard is driven to the action tick, frozen, the
+    due actions fire in key order, and all pairs re-arm.  The drain
+    phase keeps all-pairs rounds but strides them by each shard's
     :func:`drain_step`.
 
-    Per-shard :class:`SyncStats` are filled the way the forked workers
-    fill theirs: the same meeting agreements (computed from exchanged
-    data both executors see identically, so ``rounds``, record counts
-    and ``windows_elided`` are executor-exact) and byte counts measured
-    on the same frames — per-record blobs packed at production time
-    (:func:`pack_record`) wrapped in the same rendezvous frame a worker
-    ships, so ``bytes_*`` are executor-exact too.  Records themselves
-    are injected as the original live objects (this process shares one
-    address space), which is what lets live-generator migration run
-    under elision: the unpicklable payload is captured in the frame
-    (:class:`CapturedPayload`) but never rehydrated here.
+    This is both the ``shards=1`` executor (no pairs, so no meetings)
+    and the reference the forked executor must match.  Per-shard
+    :class:`SyncStats` are filled the way the forked workers fill
+    theirs — the same meetings, computed from data both executors see
+    identically — except for bytes: records are handed over as the
+    live objects (this process shares one address space), which is
+    also what lets a live generator migrate across shards.
     """
 
     def __init__(
@@ -753,27 +639,13 @@ class ElidedSerialRunner:
         syncs: list[SyncStats] | None = None,
         actions: BarrierActionQueue | None = None,
     ) -> None:
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
+        super().__init__(pair_periods, lookahead)
         self.peers = peers
-        self.lookahead = lookahead
-        self.pair_periods = dict(pair_periods)
         self.syncs = (
             syncs if syncs is not None else [SyncStats() for _ in peers]
         )
         #: global (cross-shard) actions fired between meetings
         self.actions = actions
-        self.windows = 0  #: drain-phase windows (diagnostics)
-        self.records_exchanged = 0
-        #: last rendezvous time completed per pair — persisted across
-        #: ``run`` calls so a resumed horizon never replays a meeting
-        self._last_met = dict.fromkeys(self.pair_periods, 0)
-        #: the dynamic schedule: each pair's agreed next meeting time
-        #: (None == parked); persisted across ``run`` calls and clamped
-        #: at every re-entry
-        self._next_meet: dict[tuple[int, int], int | None] = {}
-        #: clock every shard has been advanced to by completed runs
-        self._completed_through = 0
         self._drain_steps = [
             drain_step(pair_periods, s, lookahead)
             for s in range(len(peers))
@@ -785,32 +657,15 @@ class ElidedSerialRunner:
             self._drain()
             return
         peers = self.peers
-        next_meet = self._next_meet
-        base = self._completed_through
-        # Re-arm clamp: driver code may have scheduled events at >= base
-        # between runs, so every pair must look again within one period.
-        for pair, period in self.pair_periods.items():
-            clamp = first_multiple_after(period, base)
-            agreed = next_meet.get(pair)
-            next_meet[pair] = (
-                clamp if agreed is None else min(agreed, clamp)
-            )
-        heap = [
-            (t, i, j)
-            for (i, j), t in next_meet.items()
-            if t is not None and t <= horizon
-        ]
-        heapify(heap)
+        heap = self._open(horizon)
         # Tick each shard has already executed through (run_until is
         # inclusive, so a rendezvous at t needs execution through t-1).
-        frontier = [base] * len(peers)
+        frontier = [self._completed_through] * len(peers)
         while True:
             at = self._next_action_time(horizon)
             bound = horizon if at is None else at
             while heap and heap[0][0] <= bound:
                 t, i, j = heappop(heap)
-                if t != next_meet[(i, j)]:
-                    continue  # superseded by a re-arm clamp
                 self._meet(t, i, j, frontier, heap, horizon)
             if at is None:
                 break
@@ -818,49 +673,32 @@ class ElidedSerialRunner:
                 if at - 1 > frontier[s]:
                     peer.run_window(at - 1)
                     frontier[s] = at - 1
-            for peer in peers:
-                peer.freeze_at(at)
-            for action in self.actions.take_due(at):
-                action.callback(*action.args)
-            # Whatever the action scheduled or emitted starts at `at`,
-            # so its influence cannot arrive before `at + period`:
-            # clamping every pair to its first period multiple after
-            # `at` restores meeting-before-arrival.  Extra meetings are
-            # always safe.
-            for pair, period in self.pair_periods.items():
-                clamp = first_multiple_after(period, at)
-                agreed = next_meet[pair]
-                if agreed is None or clamp < agreed:
-                    next_meet[pair] = clamp
-                    if clamp <= horizon:
-                        heappush(heap, (clamp, *pair))
+            self._fire_actions(at)
+            self._rearm(at, horizon, heap)
         for s, peer in enumerate(peers):
             if horizon > frontier[s]:
                 peer.run_window(horizon)
             peer.advance_to(horizon)
         self._completed_through = horizon
 
-    def _next_action_time(self, horizon: int) -> int | None:
-        queue = self.actions
-        if queue is None:
+    def _next_action_time(self, horizon: int | None = None) -> int | None:
+        if self.actions is None:
             return None
-        at = queue.next_time()
-        if at is None or at > horizon:
+        at = self.actions.next_time()
+        if at is not None and horizon is not None and at > horizon:
             return None
         return at
 
-    def _other_pair_bound(
-        self, shard: int, exclude: tuple[int, int]
-    ) -> int | None:
-        """Earliest *other* rendezvous of *shard* — the soonest any
-        third shard can inject new work into it (records injected at a
-        meeting never have arrivals before the meeting time)."""
-        times = [
-            t
-            for pair, t in self._next_meet.items()
-            if pair != exclude and shard in pair and t is not None
-        ]
-        return min(times) if times else None
+    def _fire_actions(self, at: int) -> None:
+        """Freeze every shard at *at* and fire the actions due there:
+        every event strictly before *at* has run, events at *at* are
+        still pending — the "crash runs first at its tick" semantics
+        the classic engine gets from scheduling the crash callback at
+        install time."""
+        for peer in self.peers:
+            peer.freeze_at(at)
+        for action in self.actions.take_due(at):
+            action.callback(*action.args)
 
     def _meet(
         self,
@@ -874,147 +712,73 @@ class ElidedSerialRunner:
         """One rendezvous of pair ``(i, j)`` at time *t*: run both
         sides to ``t - 1``, exchange, and agree on the next meeting."""
         peers = self.peers
-        syncs = self.syncs
         pair = (i, j)
-        last = self._last_met[pair]
-        if t <= last:
-            raise SimulationError(
-                f"rendezvous replay: pair {pair} met at {last}, "
-                f"scheduled again at {t}"
-            )
-        for s in (i, j):
+        skipped = self._due(t, pair)
+        if skipped is None:
+            return
+        for s in pair:
             if t - 1 > frontier[s]:
                 peers[s].run_window(t - 1)
                 frontier[s] = t - 1
         out_ij = peers[i].take_outbox(j)
         out_ji = peers[j].take_outbox(i)
-        head_i = peers[i].next_event_time()
-        head_j = peers[j].next_event_time()
-        bound_i = self._other_pair_bound(i, pair)
-        bound_j = self._other_pair_bound(j, pair)
-        frame_ij = pack_blob(
-            ([blob for _, blob in out_ij], head_i, bound_i)
+        self.syncs[i].note_exchange(len(out_ij), len(out_ji), skipped)
+        self.syncs[j].note_exchange(len(out_ji), len(out_ij), skipped)
+        # Both sides' activity bounds read the state *before* either
+        # injection, as two workers swapping frames would.
+        acts = (
+            _next_time(
+                peers[i].next_event_time(),
+                self._other_pair_bound(i, pair),
+                *(r.arrival for r in out_ji),
+            ),
+            _next_time(
+                peers[j].next_event_time(),
+                self._other_pair_bound(j, pair),
+                *(r.arrival for r in out_ij),
+            ),
         )
-        frame_ji = pack_blob(
-            ([blob for _, blob in out_ji], head_j, bound_j)
-        )
-        skipped = (t - last) // self.lookahead - 1
-        for here, sent, received, frame_out, frame_in in (
-            (i, out_ij, out_ji, frame_ij, frame_ji),
-            (j, out_ji, out_ij, frame_ji, frame_ij),
-        ):
-            sync = syncs[here]
-            sync.rounds += 1
-            sync.bytes_sent += len(frame_out)
-            sync.bytes_received += len(frame_in)
-            sync.records_sent += len(sent)
-            sync.records_received += len(received)
-            if skipped > 0:
-                sync.windows_elided += skipped
-        self._last_met[pair] = t
-        records_ij = [record for record, _ in out_ij]
-        records_ji = [record for record, _ in out_ji]
-        self.records_exchanged += len(records_ij) + len(records_ji)
-        if records_ij:
-            peers[j].inject(records_ij)
-        if records_ji:
-            peers[i].inject(records_ji)
-        act_i = _next_time(
-            head_i, bound_i, *(r.arrival for r in records_ji)
-        )
-        act_j = _next_time(
-            head_j, bound_j, *(r.arrival for r in records_ij)
-        )
-        nxt = agree_next_meeting(
-            t, self.pair_periods[pair], act_i, act_j
-        )
-        self._next_meet[pair] = nxt
-        if nxt is not None and nxt <= horizon:
-            heappush(heap, (nxt, i, j))
+        if out_ij:
+            peers[j].inject(out_ij)
+        if out_ji:
+            peers[i].inject(out_ji)
+        self._agree(t, pair, acts, horizon, heap)
 
     def _drain(self) -> None:
-        """All-pairs rounds to global quiescence, strided per shard.
-
-        Mirrors what every :class:`ElidedWorkerBarrier` does in its
-        drain phase — the same rounds, frames and per-shard strides —
-        so serial and forked executions report identical sync
-        schedules and byte counts.  Barrier actions registered past the
-        horizon fire here, between rounds, exactly as the classic
-        runner fires them.
-        """
+        """All-pairs rounds to global quiescence, strided per shard —
+        the rounds every :class:`WorkerBarrier` walks in its drain
+        phase.  Barrier actions registered past the horizon fire here,
+        between rounds."""
         peers = self.peers
         syncs = self.syncs
         count = len(peers)
         lookahead = self.lookahead
-        queue = self.actions
         while True:
             outs = [peer.drain_outboxes() for peer in peers]
             heads = [peer.next_event_time() for peer in peers]
-            min_outs = [
-                _next_time(
-                    *(
-                        record.arrival
-                        for entries in out.values()
-                        for record, _ in entries
-                    )
-                )
-                for out in outs
-            ]
+            nxt = _next_time(*heads, *(_min_arrival(out) for out in outs))
             inbound: list[list[list[HopRecord]]] = [[] for _ in peers]
-            for s in range(count):
-                own = outs[s].pop(s, None)
+            for s, out in enumerate(outs):
+                own = out.pop(s, None)
                 if own:
-                    inbound[s].append([record for record, _ in own])
+                    inbound[s].append(own)
             for i in range(count):
                 for j in range(i + 1, count):
                     sent_ij = outs[i].pop(j, [])
                     sent_ji = outs[j].pop(i, [])
-                    frame_ij = pack_blob((
-                        [blob for _, blob in sent_ij],
-                        heads[i],
-                        min_outs[i],
-                    ))
-                    frame_ji = pack_blob((
-                        [blob for _, blob in sent_ji],
-                        heads[j],
-                        min_outs[j],
-                    ))
-                    syncs[i].rounds += 1
-                    syncs[j].rounds += 1
-                    syncs[i].bytes_sent += len(frame_ij)
-                    syncs[i].bytes_received += len(frame_ji)
-                    syncs[j].bytes_sent += len(frame_ji)
-                    syncs[j].bytes_received += len(frame_ij)
-                    syncs[i].records_sent += len(sent_ij)
-                    syncs[i].records_received += len(sent_ji)
-                    syncs[j].records_sent += len(sent_ji)
-                    syncs[j].records_received += len(sent_ij)
+                    syncs[i].note_exchange(len(sent_ij), len(sent_ji))
+                    syncs[j].note_exchange(len(sent_ji), len(sent_ij))
                     if sent_ij:
-                        inbound[j].append(
-                            [record for record, _ in sent_ij]
-                        )
+                        inbound[j].append(sent_ij)
                     if sent_ji:
-                        inbound[i].append(
-                            [record for record, _ in sent_ji]
-                        )
-            for s in range(count):
-                if outs[s]:
-                    leftover = sorted(outs[s])
-                    raise RuntimeError(
-                        f"shard {s} produced records for unknown "
-                        f"shards {leftover}"
-                    )
+                        inbound[i].append(sent_ji)
+            for s, out in enumerate(outs):
+                _check_no_stray_outboxes(s, out)
                 if inbound[s]:
-                    merged = merge_sorted_records(inbound[s])
-                    self.records_exchanged += len(merged)
-                    peers[s].inject(merged)
-            nxt = _next_time(*heads, *min_outs)
-            at = queue.next_time() if queue is not None else None
+                    peers[s].inject(merge_sorted_records(inbound[s]))
+            at = self._next_action_time()
             if at is not None and (nxt is None or nxt >= at):
-                for peer in peers:
-                    peer.freeze_at(at)
-                for action in queue.take_due(at):
-                    action.callback(*action.args)
+                self._fire_actions(at)
                 continue
             if nxt is None:
                 break
@@ -1029,26 +793,25 @@ class ElidedSerialRunner:
                 if at is not None:
                     deadline = min(deadline, at - 1)
                 peer.run_window(deadline)
-            self.windows += 1
 
 
-class ElidedWorkerBarrier(WorkerBarrier):
+class WorkerBarrier(_Rendezvous):
     """One forked shard on the run-ahead rendezvous schedule.
 
-    The horizon phase walks this worker's slice of the dynamic meeting
-    heap: only wire-connected pairs, each meeting agreeing on the
-    pair's next one from data both sides exchange, so every worker
-    computes the identical schedule the serial runner does — and the
-    worker touches its pipes *only* at meetings (a dead peer therefore
-    surfaces at the next rendezvous, not at a per-window barrier).  The
-    drain phase keeps the all-pairs exchange but strides each round by
-    this shard's :func:`drain_step`.  All-pairs pipes still exist —
-    unconnected pairs stay silent until the drain.
+    The horizon phase walks this worker's slice of the meeting heap:
+    only wire-connected pairs, each meeting agreeing on the pair's next
+    one from data both sides exchange, so every worker computes the
+    identical schedule the serial runner does — and the worker touches
+    its pipes *only* at meetings (a dead peer therefore surfaces at
+    the next rendezvous).  The drain phase is an all-pairs exchange,
+    each round striding by this shard's :func:`drain_step`.
 
-    Inbound records are rehydrated from the per-record blobs in the
-    frame; a :class:`CapturedPayload` surrogate (a live object that
-    could not pickle) cannot cross a process boundary, so meeting one
-    aborts the worker with a pointer at the serial executors.
+    Pipes are used in index order (lower index sends first), so the
+    rendezvous pattern is deterministic and deadlock-free for the small
+    worker counts the engine targets.  Each exchange is one frame per
+    direction (:func:`pack_blob`): the outbound records, each packed by
+    :func:`pack_record`, and two schedule words.  Frame sizes feed
+    :class:`SyncStats`.
     """
 
     def __init__(
@@ -1059,191 +822,113 @@ class ElidedWorkerBarrier(WorkerBarrier):
         pair_periods: dict[tuple[int, int], int],
         sync: SyncStats | None = None,
     ) -> None:
-        super().__init__(index, peer_conns, lookahead, sync=sync)
-        #: only this worker's incident pairs — its slice of the schedule
-        self.pair_periods = {
-            pair: period
-            for pair, period in pair_periods.items()
-            if index in pair
-        }
-        self._last_met = dict.fromkeys(self.pair_periods, 0)
-        self._next_meet: dict[tuple[int, int], int | None] = {}
-        self._completed_through = 0
-        self._drain_step = drain_step(
-            self.pair_periods, index, lookahead
+        super().__init__(
+            {
+                pair: period
+                for pair, period in pair_periods.items()
+                if index in pair
+            },
+            lookahead,
         )
+        self.index = index
+        self.peer_conns = peer_conns
+        self.sync = sync if sync is not None else SyncStats()
+        self._drain_step = drain_step(self.pair_periods, index, lookahead)
 
-    def _rehydrate(self, blob: bytes, sender: int) -> HopRecord:
-        """One inbound record from its production-time blob."""
-        record = unpack_record(blob)
-        if isinstance(record.packet, CapturedPayload):
-            raise SimulationError(
-                f"shard {self.index} received a captured "
-                f"{record.packet.kind} payload from shard {sender}: a "
-                "live cross-shard payload (e.g. a migrating process "
-                "generator) cannot cross a fork boundary — run this "
-                "scenario on a serial executor"
-            )
-        return record
+    def _swap(
+        self,
+        other: int,
+        records: list[HopRecord],
+        head: int | None,
+        bound: int | None,
+    ) -> tuple[list[HopRecord], int | None, int | None]:
+        """One pipe round trip with worker *other*: ship *records* and
+        this side's two schedule words, return the other side's."""
+        frame = pack_blob(([pack_record(r) for r in records], head, bound))
+        conn = self.peer_conns[other]
+        if self.index < other:
+            conn.send_bytes(frame)
+            data = conn.recv_bytes()
+        else:
+            data = conn.recv_bytes()
+            conn.send_bytes(frame)
+        their_blobs, their_head, their_bound = pickle.loads(data)
+        self.sync.bytes_sent += len(frame)
+        self.sync.bytes_received += len(data)
+        inbound = [unpack_record(blob) for blob in their_blobs]
+        for record in inbound:
+            if isinstance(record.packet, CapturedPayload):
+                raise SimulationError(
+                    f"shard {self.index} received a captured "
+                    f"{record.packet.kind} payload from shard {other}: "
+                    "a live cross-shard payload (e.g. a migrating "
+                    "process generator) cannot cross a fork boundary — "
+                    "run this scenario on the serial executor"
+                )
+        return inbound, their_head, their_bound
 
-    def _other_pair_bound(self, exclude: tuple[int, int]) -> int | None:
-        """Earliest *other* rendezvous of this worker (see
-        :meth:`ElidedSerialRunner._other_pair_bound`)."""
-        times = [
-            t
-            for pair, t in self._next_meet.items()
-            if pair != exclude and t is not None
-        ]
-        return min(times) if times else None
-
-    def _exchange_elided(self, peer: ShardPeer) -> int | None:
-        """One all-pairs drain round over ``(record, blob)`` outboxes;
-        same frames (and counted bytes) as the serial drain."""
-        sync = self.sync
+    def _exchange(self, peer: ShardPeer) -> int | None:
+        """One all-pairs drain round; injects inbound records and
+        returns the global next-event time (None == quiescence)."""
         outboxes = peer.drain_outboxes()
         head = peer.next_event_time()
-        min_out = _next_time(
-            *(
-                record.arrival
-                for entries in outboxes.values()
-                for record, _ in entries
-            )
-        )
+        min_out = _min_arrival(outboxes)
         inbound: list[list[HopRecord]] = []
         own = outboxes.pop(self.index, None)
         if own:
-            inbound.append([record for record, _ in own])
+            inbound.append(own)
         nxt = _next_time(head, min_out)
         for j in sorted(self.peer_conns):
-            conn = self.peer_conns[j]
             sending = outboxes.pop(j, [])
-            frame = pack_blob(
-                ([blob for _, blob in sending], head, min_out)
+            theirs, their_head, their_min_out = self._swap(
+                j, sending, head, min_out
             )
-            if self.index < j:
-                conn.send_bytes(frame)
-                data = conn.recv_bytes()
-            else:
-                data = conn.recv_bytes()
-                conn.send_bytes(frame)
-            their_blobs, their_head, their_min_out = pickle.loads(data)
-            their_records = [
-                self._rehydrate(blob, j) for blob in their_blobs
-            ]
-            sync.rounds += 1
-            sync.bytes_sent += len(frame)
-            sync.bytes_received += len(data)
-            sync.records_sent += len(sending)
-            sync.records_received += len(their_records)
-            if their_records:
-                inbound.append(their_records)
+            self.sync.note_exchange(len(sending), len(theirs))
+            if theirs:
+                inbound.append(theirs)
             nxt = _next_time(nxt, their_head, their_min_out)
-        if outboxes:
-            leftover = sorted(outboxes)
-            raise RuntimeError(
-                f"shard {self.index} produced records for unknown "
-                f"shards {leftover}"
-            )
+        _check_no_stray_outboxes(self.index, outboxes)
         if inbound:
-            merged = merge_sorted_records(inbound)
-            self.records_exchanged += len(merged)
-            peer.inject(merged)
+            peer.inject(merge_sorted_records(inbound))
         return nxt
 
-    def _drain(self, peer: ShardPeer) -> None:
-        """All-pairs rounds to quiescence, striding at this shard's
-        minimum incident pair period per round (see
-        :func:`drain_step`) instead of one grid window."""
-        lookahead = self.lookahead
-        while True:
-            nxt = self._exchange_elided(peer)
-            if nxt is None:
-                break
-            floor = window_end(nxt, lookahead) - 1
-            peer.run_window(floor + self._drain_step - lookahead)
-            self.windows += 1
-
     def run(self, peer: ShardPeer, horizon: int | None = None) -> None:
+        """Rendezvous schedule up to *horizon*; strided drain without."""
         if horizon is None:
-            self._drain(peer)
+            lookahead = self.lookahead
+            while (nxt := self._exchange(peer)) is not None:
+                floor = window_end(nxt, lookahead) - 1
+                peer.run_window(floor + self._drain_step - lookahead)
             return
-        sync = self.sync
         index = self.index
-        next_meet = self._next_meet
-        base = self._completed_through
-        # Re-arm clamp at every run() entry — identical to the serial
-        # runner's, so both executors rebuild the same meeting heap.
-        for pair, period in self.pair_periods.items():
-            clamp = first_multiple_after(period, base)
-            agreed = next_meet.get(pair)
-            next_meet[pair] = (
-                clamp if agreed is None else min(agreed, clamp)
-            )
-        heap = [
-            (t, i, j)
-            for (i, j), t in next_meet.items()
-            if t is not None and t <= horizon
-        ]
-        heapify(heap)
-        frontier = base
+        heap = self._open(horizon)
+        frontier = self._completed_through
         while heap:
             t, i, j = heappop(heap)
-            if t != next_meet[(i, j)]:
-                continue  # superseded by a re-arm clamp
             pair = (i, j)
-            last = self._last_met[pair]
-            if t <= last:
-                raise SimulationError(
-                    f"rendezvous replay: pair {pair} met at {last}, "
-                    f"scheduled again at {t}"
-                )
+            skipped = self._due(t, pair)
+            if skipped is None:
+                continue
             if t - 1 > frontier:
                 peer.run_window(t - 1)
                 frontier = t - 1
             other = j if index == i else i
-            conn = self.peer_conns[other]
             out = peer.take_outbox(other)
             head = peer.next_event_time()
-            bound = self._other_pair_bound(pair)
-            frame = pack_blob(
-                ([blob for _, blob in out], head, bound)
+            bound = self._other_pair_bound(index, pair)
+            inbound, their_head, their_bound = self._swap(
+                other, out, head, bound
             )
-            if index < other:
-                conn.send_bytes(frame)
-                data = conn.recv_bytes()
-            else:
-                data = conn.recv_bytes()
-                conn.send_bytes(frame)
-            their_blobs, their_head, their_bound = pickle.loads(data)
-            inbound = [
-                self._rehydrate(blob, other) for blob in their_blobs
-            ]
-            sync.rounds += 1
-            sync.bytes_sent += len(frame)
-            sync.bytes_received += len(data)
-            sync.records_sent += len(out)
-            sync.records_received += len(inbound)
-            skipped = (t - last) // self.lookahead - 1
-            if skipped > 0:
-                sync.windows_elided += skipped
-            self._last_met[pair] = t
+            self.sync.note_exchange(len(out), len(inbound), skipped)
             if inbound:
-                self.records_exchanged += len(inbound)
                 peer.inject(inbound)
-            act_mine = _next_time(
-                head, bound, *(r.arrival for r in inbound)
+            acts = (
+                _next_time(head, bound, *(r.arrival for r in inbound)),
+                _next_time(
+                    their_head, their_bound, *(r.arrival for r in out)
+                ),
             )
-            act_theirs = _next_time(
-                their_head,
-                their_bound,
-                *(record.arrival for record, _ in out),
-            )
-            nxt = agree_next_meeting(
-                t, self.pair_periods[pair], act_mine, act_theirs
-            )
-            next_meet[pair] = nxt
-            if nxt is not None and nxt <= horizon:
-                heappush(heap, (nxt, i, j))
+            self._agree(t, pair, acts, horizon, heap)
         if horizon > frontier:
             peer.run_window(horizon)
         peer.advance_to(horizon)

@@ -55,9 +55,9 @@ class EventLoop:
         """Time of the earliest live event, or None when the queue is
         empty.
 
-        The windowed (sharded) executor uses this between ``run_until``
-        calls to pick the next conservative time window; pure peek, no
-        state change.
+        The sharded executor uses this between ``run_until`` calls to
+        agree on how far a shard may safely run; pure peek, no state
+        change.
         """
         return self._queue.peek_time()
 
@@ -223,25 +223,25 @@ class KeyedEventLoop(EventLoop):
     """An event loop whose same-tick tie-break is data, not call order.
 
     The classic loop orders same-tick events by a monotone sequence
-    number, so the interleaving of barrier-injected hop records with
-    locally scheduled events depends on *when* records are injected.
-    The barrier-elision executor injects records at pair-specific
-    cadences (see :mod:`repro.sim.barrier`), so it needs a tie-break
-    that is a pure function of the simulation state instead:
+    number, so the interleaving of injected hop records with locally
+    scheduled events would depend on *when* records are injected.  The
+    sharded engine injects records whenever a shard pair happens to
+    meet (see :mod:`repro.sim.barrier`), so it needs a tie-break that
+    is a pure function of the simulation state instead:
 
     - a **local** event scheduled while the clock sits in grid window
       ``g`` gets key ``(g, 0, n)`` with ``n`` a per-loop monotone
       counter — same relative order the classic loop would assign;
     - a **hop record** produced in grid window ``g`` gets key
-      ``(g, 1, src, dst, wire_seq)`` — the canonical barrier order,
-      slotted after window-``g`` locals and before window-``g + 1``
-      events, exactly where the classic per-window barrier would have
-      injected it.
+      ``(g, 1, src, dst, wire_seq)``, slotted after window-``g``
+      locals and before window-``g + 1`` events — where a barrier at
+      the end of every window would have injected it.
 
     With these keys the heap order is independent of injection timing
     (a record may arrive one window early or five windows late and
-    still lands in the same slot), which is what lets shard pairs skip
-    barriers without perturbing a single tie-break.
+    still lands in the same slot), which is what lets shard pairs meet
+    as rarely as causality allows without perturbing a single
+    tie-break.
     """
 
     def __init__(self, grid: int, start: int = 0) -> None:

@@ -3,17 +3,18 @@
 A :class:`ShardedSystem` is the multi-loop sibling of
 :class:`repro.core.system.System`: the machine set is partitioned into
 ``config.shards`` shards, each with its own event loop, tracer, metrics
-registry, :class:`~repro.net.network.ShardNetwork` and kernels.  Shards
-execute conservative time windows in lockstep (see
-:mod:`repro.sim.barrier`), exchanging in-flight packet hops at window
-barriers — DEMOS/MP is "per-processor kernels" by construction, so the
-machine boundary is exactly the distribution boundary.
+registry, :class:`~repro.net.network.ShardNetwork` and kernels.  Each
+shard runs ahead through the time range no other shard can yet
+influence and hands in-flight packet hops to its neighbours at
+pairwise rendezvous (see :mod:`repro.sim.barrier`) — DEMOS/MP is
+"per-processor kernels" by construction, so the machine boundary is
+exactly the distribution boundary.
 
-Two executors share one window schedule:
+Two executors share that one schedule:
 
 - **serial** — every shard driven by one process
-  (:class:`~repro.sim.barrier.SerialBarrierRunner`).  Fully general:
-  live process generators may migrate across shard boundaries because
+  (:class:`~repro.sim.barrier.SerialRunner`).  Fully general: live
+  process generators may migrate across shard boundaries because
   everything shares an address space.  ``shards=1`` under this executor
   is the determinism reference.
 - **fork** — one ``multiprocessing`` (fork) worker per shard
@@ -30,7 +31,7 @@ bulk local traffic stay inside one shard.
 
 Determinism: every gated counter is byte-identical for every shard
 count.  The argument lives in :mod:`repro.sim.barrier`; the engine-side
-obligations are (a) all hops go through barrier outboxes, (b) per-wire
+obligations are (a) every hop is a keyed hop record, (b) per-wire
 state lives with the wire's source shard, (c) build-time event order is
 the single global order of this module's constructors, and (d) scenario
 drivers anchor decisions to per-machine state (see
@@ -54,14 +55,8 @@ from repro.kernel.kernel import Kernel
 from repro.net.network import ShardNetwork
 from repro.net.topology import MachineId, Topology
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.sim.barrier import (
-    BarrierActionQueue,
-    ElidedSerialRunner,
-    ElidedWorkerBarrier,
-    SerialBarrierRunner,
-    WorkerBarrier,
-)
-from repro.sim.loop import EventLoop, KeyedEventLoop
+from repro.sim.barrier import BarrierActionQueue, SerialRunner, WorkerBarrier
+from repro.sim.loop import KeyedEventLoop
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -128,7 +123,7 @@ class ShardPlan:
     """How one machine set maps onto shards."""
 
     shards: tuple[tuple[MachineId, ...], ...]
-    lookahead: int  #: conservative window length (min wire latency)
+    lookahead: int  #: the window grid (min wire latency)
     #: per wire-connected shard pair ``(i, j)`` with ``i < j``: the
     #: exchange period in microseconds — the pair's minimum crossing
     #: latency snapped down to the window grid.  Pairs no wire crosses
@@ -187,7 +182,7 @@ class Shard:
 
     index: int
     machines: list[MachineId]
-    loop: EventLoop
+    loop: KeyedEventLoop
     tracer: Tracer
     metrics: MetricsRegistry
     network: ShardNetwork
@@ -206,8 +201,8 @@ class ShardRuntime:
         return self.shard.loop.next_event_time()
 
     def run_window(self, deadline: int) -> None:
-        # A resumed elided run can revisit rendezvous ticks the drain
-        # already executed past; behind-the-clock deadlines are no-ops.
+        # A resumed run can revisit rendezvous ticks the drain already
+        # executed past; behind-the-clock deadlines are no-ops.
         if deadline >= self.shard.loop.now:
             self.shard.loop.run_until(deadline)
 
@@ -285,12 +280,8 @@ class ShardedSystem:
         self.shards: list[Shard] = []
         kernel_config = self.config.kernel_config()
         programs = registered_programs()
-        elision = self.config.barrier_elision
         for index, machines in enumerate(self.plan.shards):
-            loop: EventLoop = (
-                KeyedEventLoop(self.plan.lookahead) if elision
-                else EventLoop()
-            )
+            loop = KeyedEventLoop(self.plan.lookahead)
             tracer = Tracer(
                 (lambda _loop=loop: _loop.now),
                 max_records=self.config.max_trace_records,
@@ -308,7 +299,6 @@ class ShardedSystem:
                 faults=self.config.faults,
                 rto=self.config.rto,
                 metrics=metrics,
-                elide_grid=self.plan.lookahead if elision else None,
             )
             kernels = {
                 machine: Kernel(
@@ -336,24 +326,16 @@ class ShardedSystem:
             )
             self.shards.append(shard)
         runtimes = [ShardRuntime(shard) for shard in self.shards]
-        #: global (cross-shard) actions fired between windows — the
+        #: global (cross-shard) actions fired between meetings — the
         #: fail-stop crash hook; empty unless chaos registers actions
         self._barrier_actions = BarrierActionQueue(self.plan.lookahead)
-        if elision:
-            self._runner: SerialBarrierRunner | ElidedSerialRunner = (
-                ElidedSerialRunner(
-                    runtimes,
-                    self.plan.lookahead,
-                    self.plan.pair_periods,
-                    syncs=[shard.network.sync for shard in self.shards],
-                    actions=self._barrier_actions,
-                )
-            )
-        else:
-            self._runner = SerialBarrierRunner(
-                runtimes, self.plan.lookahead,
-                actions=self._barrier_actions,
-            )
+        self._runner = SerialRunner(
+            runtimes,
+            self.plan.lookahead,
+            self.plan.pair_periods,
+            syncs=[shard.network.sync for shard in self.shards],
+            actions=self._barrier_actions,
+        )
         #: set once a forked execution has consumed this system
         self._forked = False
         if self.config.boot_servers:
@@ -418,20 +400,19 @@ class ShardedSystem:
         """Schedule a *global* action at the window barrier at *time*.
 
         Unlike :meth:`call_at`, the callback is not anchored to one
-        machine's loop: it fires between windows, when every shard has
-        executed all events strictly before *time* and frozen its clock
-        there — so it may touch state on several shards atomically
-        (fail-stop crash recovery does).  *time* must sit on the window
-        grid (a multiple of ``plan.lookahead``); *key* is pure data and
-        orders same-tick actions deterministically.
+        machine's loop: it fires when every shard has executed all
+        events strictly before *time* and frozen its clock there — so
+        it may touch state on several shards atomically (fail-stop
+        crash recovery does).  *time* must sit on the window grid (a
+        multiple of ``plan.lookahead``); *key* is pure data and orders
+        same-tick actions deterministically.
 
-        Both serial engines support this: the classic runner fires due
-        actions between windows, and the elided runner drives every
-        shard to the action tick, fires, and re-arms its rendezvous
-        schedule (the action's influence cannot arrive anywhere before
-        tick + pair period, so clamped meetings stay conservative).
-        Only the forked executor refuses — its workers have no global
-        rendezvous a cross-shard mutation could ride on.
+        The serial runner drives every shard to the action tick, fires,
+        and re-arms its rendezvous schedule (the action's influence
+        cannot arrive anywhere before tick + pair period, so clamped
+        meetings stay conservative).  The forked executor refuses — its
+        workers have no global rendezvous a cross-shard mutation could
+        ride on.
         """
         try:
             self._barrier_actions.add(time, key, callback, *args)
@@ -533,7 +514,7 @@ class ShardedSystem:
     # ------------------------------------------------------------------
 
     def run(self, until: int | None = None) -> None:
-        """Serial windowed execution; with *until*, stop the clocks there."""
+        """Serial execution; with *until*, stop the clocks there."""
         self._require_not_forked()
         self._runner.run(horizon=until)
 
@@ -553,7 +534,7 @@ class ShardedSystem:
         ``collect`` runs against each shard after quiescence — in this
         process (serial) or inside the owning worker (fork), where it
         must return something picklable.  Both executors follow the
-        identical window schedule, so the collected results match
+        identical rendezvous schedule, so the collected results match
         byte for byte.
         """
         if executor == "serial":
@@ -637,7 +618,7 @@ class ShardedSystem:
                 "a common cause is a live cross-shard payload (e.g. "
                 "migrating a live process generator between shards), "
                 "which cannot cross a fork boundary — the serial "
-                "executors (classic and elided) support it"
+                "executor supports it"
             )
         return results
 
@@ -747,17 +728,10 @@ def _forked_worker(
         for j, conn in conns.items():
             if i != index:
                 conn.close()
-    network = system.shards[index].network
-    if system.config.barrier_elision:
-        barrier: WorkerBarrier = ElidedWorkerBarrier(
-            index, pair_conns[index], system.plan.lookahead,
-            system.plan.pair_periods, sync=network.sync,
-        )
-    else:
-        barrier = WorkerBarrier(
-            index, pair_conns[index], system.plan.lookahead,
-            sync=network.sync,
-        )
+    barrier = WorkerBarrier(
+        index, pair_conns[index], system.plan.lookahead,
+        system.plan.pair_periods, sync=system.shards[index].network.sync,
+    )
     runtime = ShardRuntime(system.shards[index])
     barrier.run(runtime, horizon=until)
     barrier.run(runtime, horizon=None)

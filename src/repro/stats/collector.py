@@ -127,10 +127,12 @@ class SystemReport:
         ]
         if any(self.sync_overhead.values()):
             sync = self.sync_overhead
+            exchanged = f"{sync.get('records_sent', 0)} records exchanged"
+            if sync.get("bytes_sent"):
+                exchanged += f" ({sync['bytes_sent']} bytes shipped)"
             out.append(
                 f"shard sync: {sync.get('rounds', 0)} barrier rounds, "
-                f"{sync.get('records_sent', 0)} records / "
-                f"{sync.get('bytes_sent', 0)} bytes shipped, "
+                f"{exchanged}, "
                 f"{sync.get('windows_elided', 0)} windows elided"
             )
         if self.chaos_faults:

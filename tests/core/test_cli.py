@@ -50,6 +50,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv, complaint", [
+        (["report", "--shards", "3", "--machines", "8"],
+         "cannot split 2 aligned unit(s) of 4 machine(s) into 3 shards"),
+        (["report", "--shards", "2", "--machines", "8",
+          "--backbone-latency", "50"],
+         "backbone_latency must be >= latency"),
+        (["migrate", "--dest", "9"],
+         "--dest 9 is not one of the 4 machines (0..3)"),
+    ])
+    def test_bad_input_gets_one_line_not_a_traceback(
+        self, capsys, argv, complaint,
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro: error: {complaint}")
+        assert captured.err.count("\n") == 1
+
 
 class TestReportSharded:
     def test_text_mode_names_the_shard_count(self, capsys):
@@ -59,6 +77,9 @@ class TestReportSharded:
         out = capsys.readouterr().out
         assert "sharded execution: 2 shards" in out
         assert "lookahead" in out
+        # One process shipped no bytes, so the sync line names none.
+        assert "records exchanged, " in out
+        assert "bytes" not in out.split("shard sync:")[1].splitlines()[0]
 
     def test_json_mode_carries_shard_count(self, capsys):
         assert main(

@@ -1,34 +1,39 @@
-"""Barrier elision: keyed tie-breaks, rendezvous cadence, sync stats.
+"""Run-ahead rendezvous: keyed tie-breaks, meeting cadence, sync stats.
 
-The elided engine's claim is the classic determinism gate plus one
-more: with ``barrier_elision=True`` the gated counters are identical
-not only across shard counts but also to the classic engine on the
-same topology — the keyed event loop reproduces the classic injection
-order bitwise, so skipping barriers is unobservable in the simulation.
+The sharded engine's claim is that skipping barriers is unobservable in
+the simulation: the keyed event loop orders every hop record by its own
+data, so the gated counters are identical for every shard count — the
+reference being ``shards=1``, one keyed loop that never meets anybody —
+and equal to the single-loop ``System`` on the same scenario.
 """
 
+import dataclasses
 import pickle
+from collections import Counter
 
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.system import System
 from repro.errors import ClockError, ConfigError, SimulationError
 from repro.net.topology import Topology
+from repro.policy.load_balancer import DomainLoadBalancer
 from repro.sim.barrier import (
+    RECORD_KEY,
     CapturedPayload,
-    ElidedSerialRunner,
     HopRecord,
+    SerialRunner,
     SyncStats,
     WorkerBarrier,
     merge_sorted_records,
     pack_blob,
     pack_record,
     rendezvous_schedule,
-    sort_records,
     unpack_record,
 )
 from repro.sim.loop import EventLoop, KeyedEventLoop
 from repro.sim.shard import ShardedSystem, ShardPlan
+from repro.workloads.compute import compute_bound
 from repro.workloads.pingpong import echo_server, pinger
 from repro.workloads.results import ResultsBoard
 
@@ -89,7 +94,7 @@ class TestKeyedEventLoop:
             loop_b.schedule_record(r, fired_b.append, r)
         loop_a.run()
         loop_b.run()
-        assert fired_a == fired_b == sort_records(records)
+        assert fired_a == fired_b == sorted(records, key=RECORD_KEY)
 
     def test_schedule_record_rejects_past_arrivals(self):
         loop = KeyedEventLoop(10)
@@ -119,16 +124,21 @@ class TestRendezvousSchedule:
 
 class TestMergeSortedRecords:
     def test_merge_equals_sorted_concatenation(self):
-        a = sort_records([
-            HopRecord(30, 0, 4, 1, None),
-            HopRecord(10, 1, 4, 2, None),
-            HopRecord(10, 1, 4, 1, None),
-        ])
-        b = sort_records([
-            HopRecord(10, 2, 5, 1, None),
-            HopRecord(20, 0, 5, 1, None),
-        ])
-        assert merge_sorted_records([a, b]) == sort_records(a + b)
+        a = sorted(
+            [
+                HopRecord(30, 0, 4, 1, None),
+                HopRecord(10, 1, 4, 2, None),
+                HopRecord(10, 1, 4, 1, None),
+            ],
+            key=RECORD_KEY,
+        )
+        b = sorted(
+            [HopRecord(10, 2, 5, 1, None), HopRecord(20, 0, 5, 1, None)],
+            key=RECORD_KEY,
+        )
+        assert merge_sorted_records([a, b]) == sorted(
+            a + b, key=RECORD_KEY
+        )
 
 
 class TestPackBlob:
@@ -280,12 +290,6 @@ class TestConfigValidation:
                 backbone_latency=500,
             ).validate()
 
-    def test_elision_needs_nonzero_latency(self):
-        with pytest.raises(ConfigError, match="elision"):
-            SystemConfig(
-                machines=4, latency=0, barrier_elision=True,
-            ).validate()
-
     def test_elision_needs_a_keyed_loop(self):
         from repro.net.network import ShardNetwork
 
@@ -293,7 +297,6 @@ class TestConfigValidation:
             ShardNetwork(
                 EventLoop(), Topology.line(2, latency=100),
                 shard_index=0, shard_of=lambda m: 0, machines=[0, 1],
-                elide_grid=100,
             )
 
 
@@ -330,24 +333,27 @@ class _StubPeer:
 
 
 class TestWorkerBarrierErrors:
+    """The worker's all-pairs drain exchange (``_exchange``)."""
+
     def test_unknown_destination_shard_is_an_error(self):
-        barrier = WorkerBarrier(0, {}, 1_000)
+        barrier = WorkerBarrier(0, {}, 1_000, {})
         peer = _StubPeer({5: [HopRecord(10, 0, 1, 1, None)]})
         with pytest.raises(RuntimeError, match=r"unknown\s+shards \[5\]"):
             barrier._exchange(peer)
 
     def test_own_shard_records_loop_back_without_a_pipe(self):
         record = HopRecord(10, 0, 1, 1, None)
-        barrier = WorkerBarrier(0, {}, 1_000)
+        barrier = WorkerBarrier(0, {}, 1_000, {})
         peer = _StubPeer({0: [record]})
         assert barrier._exchange(peer) == 10
         assert peer.injected == [record]
+        assert barrier.sync.as_dict() == SyncStats().as_dict()
 
     def test_dead_worker_is_diagnosed_not_hung(self):
-        """A worker that dies mid-exchange (unpicklable cross-shard
-        payload) must surface as SimulationError with exit codes, not
-        deadlock its peers."""
-        system = _build_pingpong(shards=2, elide=False, backbone=None)
+        """A worker that dies in the drain exchange (it refuses the
+        captured payload its peer shipped) must surface as
+        SimulationError with exit codes, not deadlock its peers."""
+        system = _build_pingpong(shards=2, backbone=None)
         # A payload closure over a generator cannot cross the pipe.
         gen = (x for x in range(3))
         system.schedule_spawn(
@@ -355,10 +361,9 @@ class TestWorkerBarrierErrors:
             lambda ctx: _poison_sender(ctx, gen),
             name="poison",
         )
+        # No horizon: the run is drain rounds from the first tick.
         with pytest.raises(SimulationError, match="died.*exit codes"):
-            system.execute(
-                300_000, lambda shard: None, executor="fork",
-            )
+            system.execute(None, lambda shard: None, executor="fork")
 
 
 def _poison_sender(ctx, payload):
@@ -376,11 +381,11 @@ def _poison_sender(ctx, payload):
 # ---------------------------------------------------------------------------
 
 
-def _build_pingpong(shards, elide, backbone, machines=8):
+def _build_pingpong(shards, backbone, machines=8):
     system = ShardedSystem(SystemConfig(
         machines=machines, topology="torus", latency=1_000,
         shards=shards, trace_categories=(), metrics_enabled=False,
-        barrier_elision=elide, backbone_latency=backbone,
+        backbone_latency=backbone,
     ))
     boards = [ResultsBoard() for _ in system.shards]
     for m in range(machines):
@@ -412,88 +417,80 @@ def _collect(shard):
     }
 
 
-def _run(shards, elide, backbone, executor=None, until=300_000):
-    system = _build_pingpong(shards, elide, backbone)
+def _merged(parts):
+    return {key: sum(part[key] for part in parts) for key in parts[0]}
+
+
+def _run(shards, backbone, executor=None, until=300_000):
+    system = _build_pingpong(shards, backbone)
     executor = executor or ("serial" if shards == 1 else "fork")
     parts = system.execute(
         until,
         lambda shard: (_collect(shard), shard.network.sync.as_dict()),
         executor=executor,
     )
-    merged = {
-        key: sum(part[0][key] for part in parts) for key in parts[0][0]
-    }
-    sync = {
-        key: sum(part[1][key] for part in parts) for key in parts[0][1]
-    }
-    return merged, sync
+    return (
+        _merged([part[0] for part in parts]),
+        _merged([part[1] for part in parts]),
+    )
+
+
+def _resumed(horizons):
+    system = _build_pingpong(2, 4_000)
+    for until in horizons:
+        system.run(until=until)
+    system.drain()
+    return _merged([_collect(shard) for shard in system.shards])
 
 
 class TestElisionParity:
+    """The reference is ``shards=1``: no pairs, no rendezvous, one
+    keyed loop."""
+
     def test_elided_counters_match_classic_uniform_latency(self):
-        reference, _ = _run(1, False, None)
-        assert _run(1, True, None)[0] == reference
-        assert _run(2, True, None)[0] == reference
+        reference, _ = _run(1, None)
+        assert _run(2, None, executor="serial")[0] == reference
+        assert _run(2, None)[0] == reference
 
     def test_elided_counters_match_classic_backbone(self):
-        reference, _ = _run(1, False, 4_000)
-        assert _run(2, False, 4_000)[0] == reference
-        assert _run(1, True, 4_000)[0] == reference
-        assert _run(2, True, 4_000)[0] == reference
+        reference, _ = _run(1, 4_000)
+        assert _run(2, 4_000, executor="serial")[0] == reference
+        assert _run(2, 4_000)[0] == reference
 
     def test_serial_and_fork_elided_agree(self):
-        serial, serial_sync = _run(2, True, 4_000, executor="serial")
-        fork, fork_sync = _run(2, True, 4_000, executor="fork")
+        serial, serial_sync = _run(2, 4_000, executor="serial")
+        fork, fork_sync = _run(2, 4_000, executor="fork")
         assert serial == fork
-        # Executor-exact, bytes included: records are packed at
-        # production time and the wire form excludes address-space-local
-        # fields (serials, receiver-minted link ids), so both executors
-        # measure identical blobs.
-        assert serial_sync == fork_sync
+        # The schedule is executor-exact; bytes exist only where a
+        # pipe ships them.
+        for key in ("rounds", "records_sent", "records_received",
+                    "windows_elided"):
+            assert serial_sync[key] == fork_sync[key], key
+        assert serial_sync["bytes_sent"] == 0
+        assert fork_sync["bytes_sent"] == fork_sync["bytes_received"] > 0
 
     def test_elision_actually_elides(self):
-        _, classic_sync = _run(2, False, 4_000)
-        _, elided_sync = _run(2, True, 4_000)
-        assert elided_sync["windows_elided"] > 0
-        assert elided_sync["rounds"] < classic_sync["rounds"] * 0.8
+        until = 300_000
+        _, sync = _run(2, 4_000, executor="serial", until=until)
+        plan = _build_pingpong(2, 4_000).plan
+        # Meeting at every period multiple is the static upper bound
+        # (each meeting is counted once by each of its two shards);
+        # run-ahead skips most of them, drain rounds included.
+        static = 2 * len(rendezvous_schedule(plan.pair_periods, until))
+        assert sync["windows_elided"] > 0
+        assert 0 < sync["rounds"] < static * 0.8
 
     def test_resumed_horizons_match_a_single_run(self):
-        single = _run(2, True, 4_000, executor="serial")[0]
-        system = _build_pingpong(2, True, 4_000)
-        system.run(until=140_000)
-        system.run(until=300_000)
-        system.drain()
-        resumed = {
-            key: sum(
-                _collect(shard)[key] for shard in system.shards
-            )
-            for key in (
-                "delivered", "spawned", "packets",
-                "wire_bytes", "events",
-            )
-        }
-        assert resumed == single
+        single = _run(2, 4_000, executor="serial")[0]
+        assert _resumed((140_000, 300_000)) == single
 
     def test_resume_mid_runahead_off_grid_matches_a_single_run(self):
         """Interrupting a horizon at an off-grid tick mid-run-ahead and
         resuming must not replay a meeting or re-execute a window: the
         runner persists the agreed schedule and the completed clock, so
         chopped-up horizons land on the identical counters."""
-        single = _run(2, True, 4_000, executor="serial")[0]
-        system = _build_pingpong(2, True, 4_000)
-        for until in (7_919, 53_147, 147_001, 300_000):
-            system.run(until=until)
-        system.drain()
-        resumed = {
-            key: sum(
-                _collect(shard)[key] for shard in system.shards
-            )
-            for key in (
-                "delivered", "spawned", "packets",
-                "wire_bytes", "events",
-            )
-        }
-        assert resumed == single
+        single = _run(2, 4_000, executor="serial")[0]
+        assert _resumed((7_919, 53_147, 147_001, 300_000)) == single
 
     def test_rendezvous_replay_is_refused(self):
         """The runner's replay guard: a pair scheduled to meet at or
@@ -503,36 +500,170 @@ class TestElisionParity:
         class _Inert:
             pass
 
-        runner = ElidedSerialRunner(
-            [_Inert(), _Inert()], 1_000, {(0, 1): 1_000}
-        )
+        runner = SerialRunner([_Inert(), _Inert()], 1_000, {(0, 1): 1_000})
         runner._last_met[(0, 1)] = 4_000
         with pytest.raises(SimulationError, match="replay"):
             runner.run(horizon=2_000)
 
     def test_shards_1_elided_never_packs_a_blob(self):
-        _, sync = _run(1, True, 4_000)
+        _, sync = _run(1, 4_000)
         assert sync == SyncStats().as_dict()
 
 
 # ---------------------------------------------------------------------------
-# Live payloads under elision
+# The independent oracle: the single-loop System
+# ---------------------------------------------------------------------------
+
+
+class _Classic:
+    """``System`` behind the scenario surface ``ShardedSystem`` has."""
+
+    def __init__(self, config):
+        self.system = System(config)
+        self.topology = self.system.topology
+        self.kernel = self.system.kernel
+        self.domain_view = self.system.domain_view
+        self.networks = [self.system.network]
+        self.loops = [self.system.loop]
+
+    def spawn(self, program, machine, name=""):
+        return self.system.spawn(program, machine=machine, name=name)
+
+    def call_at(self, at, machine, callback):
+        self.system.loop.call_at(at, callback)
+
+    def schedule_spawn(self, at, machine, program, name=""):
+        self.call_at(at, machine, lambda: self.spawn(program, machine, name))
+
+    def schedule_migration(self, at, pid, home, dest):
+        def start():
+            if pid in self.kernel(home).processes:
+                self.kernel(home).migration.start(pid, dest)
+
+        self.call_at(at, home, start)
+
+    def finish(self, until):
+        self.system.run(until=until)
+        self.system.run()
+
+
+class _Sharded(ShardedSystem):
+    @property
+    def networks(self):
+        return [shard.network for shard in self.shards]
+
+    @property
+    def loops(self):
+        return [shard.loop for shard in self.shards]
+
+    def finish(self, until):
+        self.run(until=until)
+        self.drain()
+
+
+def _torus_protocol_counters(cluster_class, shards=1):
+    """The quiet-rto two-tier torus of ``benchmarks/perf`` at its smoke
+    size: echo servers with pingers, a compute flood one balancer per
+    row has to spread, forced row-local server moves — every protocol
+    counter, per machine."""
+    machines, cols, duration = 16, 4, 700_000
+    cluster = cluster_class(SystemConfig(
+        machines=machines, topology="torus", latency=1_000,
+        backbone_latency=4_000, rto=100_000, shards=shards,
+        trace_categories=(), metrics_enabled=False,
+        control_machine=machines - 1, file_system_machine=machines - 2,
+    ))
+    servers = {
+        m: cluster.spawn(
+            lambda ctx, _m=m: echo_server(ctx, service_name=f"e{_m}"),
+            machine=m, name=f"e{m}",
+        )
+        for m in range(machines)
+    }
+    for m in range(machines):
+        for k in range(2):
+            cluster.schedule_spawn(
+                20_000 + 15_000 * (m // 2) + 500 * k,
+                (m + 9 + 7 * k) % machines,
+                lambda ctx, _m=m: pinger(
+                    ctx, service_name=f"e{_m}", rounds=6,
+                    payload_bytes=32, gap=1_000, board=ResultsBoard(),
+                    key="ping",
+                ),
+                name="pinger",
+            )
+    for index in range(50):
+        cluster.schedule_spawn(
+            4_000 * index, index % 4,
+            lambda ctx: compute_bound(
+                ctx, total=40_000, board=ResultsBoard()
+            ),
+            name=f"job-{index}",
+        )
+    for row in range(machines // cols):
+        row_machines = list(range(row * cols, (row + 1) * cols))
+        balancer = DomainLoadBalancer(
+            cluster.domain_view(row_machines), domain=f"row{row}",
+            interval=20_000, threshold=3, sustain=2, cooldown=100_000,
+        )
+        balancer.install()
+        cluster.call_at(duration, row_machines[0], balancer.stop)
+    for j in range(4):
+        victim = 2 * j
+        row_start = (victim // cols) * cols
+        dest = row_start + (victim - row_start + cols // 2) % cols
+        cluster.schedule_migration(
+            80_000 + 15_000 * j, servers[victim], victim, dest
+        )
+    cluster.finish(duration)
+    kernels = [cluster.kernel(m) for m in cluster.topology.machines]
+    network = Counter()
+    for net in cluster.networks:
+        network.update(net.stats.snapshot())
+    return {
+        "kernels": [dataclasses.asdict(k.stats) for k in kernels],
+        "network": dict(network),
+        "migrations": sorted(
+            (r.started_at, r.source, r.dest, r.success, r.downtime,
+             r.admin_message_count, r.state_transfer_bytes)
+            for k in kernels
+            for r in k.migration.completed
+        ),
+        "forwarding_entries": [len(k.forwarding) for k in kernels],
+        "events_fired": sum(loop.events_fired for loop in cluster.loops),
+    }
+
+
+class TestClassicSystemOracle:
+    def test_single_loop_system_and_every_shard_count_agree(self):
+        """The sharded parity tests above compare the engine with
+        itself; this one compares it with the engine that has no
+        records, keys or rendezvous at all."""
+        classic = _torus_protocol_counters(_Classic)
+        assert len(classic["migrations"]) >= 4
+        assert sum(k["messages_forwarded"] for k in classic["kernels"]) > 0
+        assert classic["network"]["retransmissions"] == 0
+        for shards in (1, 2):
+            assert _torus_protocol_counters(_Sharded, shards) == classic
+
+
+# ---------------------------------------------------------------------------
+# Live payloads across shards
 # ---------------------------------------------------------------------------
 
 
 class TestLivePayloadsUnderElision:
-    """Elision used to require picklable cross-shard payloads even in
-    one process.  Records are now packed into a capture envelope — an
-    unpicklable payload gets a deterministic surrogate for the byte
-    accounting while the *original* live object crosses shards in the
-    serial executors."""
+    """A live process generator cannot pickle.  The serial runner hands
+    the live record across shards untouched; a forked worker ships a
+    capture envelope in its place and the receiving worker refuses
+    it."""
 
     @staticmethod
-    def _migrating(elide):
+    def _migrating(shards):
         system = ShardedSystem(SystemConfig(
-            machines=8, topology="torus", latency=1_000, shards=2,
+            machines=8, topology="torus", latency=1_000, shards=shards,
             trace_categories=(), metrics_enabled=False,
-            barrier_elision=elide, backbone_latency=4_000,
+            backbone_latency=4_000,
         ))
         progress = []
 
@@ -542,7 +673,8 @@ class TestLivePayloadsUnderElision:
                 progress.append(ctx.machine)
 
         pid = system.spawn(worker, machine=0, name="subject")
-        dest = system.shards[1].machines[0]
+        dest = 4  # the first machine of the second shard at shards=2
+        assert system.plan.shard_of(dest) == shards - 1
         ticket = system.migrate(pid, dest)
         system.run(until=2_000_000)
         merged = {
@@ -558,14 +690,12 @@ class TestLivePayloadsUnderElision:
 
     def test_live_generator_migration_parity(self):
         # The migrating process's generator frame is live (it closes
-        # over `progress`); the move must work under elision and land
-        # on the classic sharded counters.
-        assert self._migrating(elide=True) == self._migrating(
-            elide=False
-        )
+        # over `progress`); the move must work across the shard
+        # boundary and land on the one-shard counters.
+        assert self._migrating(shards=2) == self._migrating(shards=1)
 
     def test_fork_still_rejects_live_cross_shard_payloads(self):
-        system = _build_pingpong(shards=2, elide=True, backbone=4_000)
+        system = _build_pingpong(shards=2, backbone=4_000)
         gen = (x for x in range(3))
         system.schedule_spawn(
             40_000, 0,

@@ -1,9 +1,8 @@
 """Unit tests for the sharded parallel execution engine.
 
-Covers the partitioner, the conservative window math, the barrier
-runners, the ``ShardedSystem`` lifecycle under both executors, and the
-determinism gate in miniature: every counter identical for every shard
-count.
+Covers the partitioner, the window-grid math, the ``ShardedSystem``
+lifecycle under both executors, and the determinism gate in miniature:
+every counter identical for every shard count.
 """
 
 import pytest
@@ -11,10 +10,9 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.errors import ConfigError, SimulationError
 from repro.net.channel import FaultPlan
-from repro.sim.barrier import HopRecord, sort_records, window_end
+from repro.sim.barrier import RECORD_KEY, HopRecord, window_end
 from repro.sim.shard import (
     ShardedSystem,
-    ShardPlan,
     partition_machines,
     shard_alignment,
 )
@@ -85,7 +83,7 @@ class TestWindowMath:
             HopRecord(100, 1, 2, 2, "c"),
             HopRecord(100, 1, 2, 1, "d"),
         ]
-        ordered = sort_records(records)
+        ordered = sorted(records, key=RECORD_KEY)
         assert [(r.arrival, r.src, r.dst, r.wire_seq) for r in ordered] == [
             (100, 1, 2, 1), (100, 1, 2, 2), (100, 3, 0, 2), (200, 1, 2, 1),
         ]
@@ -130,7 +128,12 @@ class TestConfigValidation:
             SystemConfig(machines=4, shards=2, latency=0).validate()
 
     def test_single_shard_zero_latency_still_fine(self):
-        SystemConfig(machines=4, shards=1, latency=0).validate()
+        config = SystemConfig(machines=4, shards=1, latency=0)
+        config.validate()  # the single-loop System needs no lookahead
+        # ...the sharded engine does, whatever the shard count, and
+        # says so when it is built rather than mid-run.
+        with pytest.raises(ConfigError, match="lookahead"):
+            ShardedSystem(config)
 
 
 class TestShardedSystemBuild:
@@ -193,7 +196,14 @@ def pingpong_scenario(system):
 
 
 def fingerprint(system):
+    """Everything that must not depend on the shard count — which the
+    synchronisation traffic does (a one-shard run meets nobody)."""
     report = collect_sharded_report(system).to_dict()
+    sync = report.pop("sync_overhead")
+    if len(system.shards) == 1:
+        assert not any(sync.values())
+    else:
+        assert sync["rounds"] > 0
     report["events_fired"] = system.events_fired()
     return report
 

@@ -17,9 +17,9 @@ from repro.kernel.ids import ProcessAddress
 from repro.kernel.messages import MessageKind
 from repro.net.channel import FaultPlan
 from repro.sim.shard import ShardedSystem
-from repro.stats.collector import collect_sharded_report
 from repro.workloads.pingpong import echo_server, pinger
 from repro.workloads.results import ResultsBoard
+from tests.sim.test_shard import fingerprint
 
 BOUNDED = settings(
     max_examples=10,
@@ -130,8 +130,7 @@ class TestSameTickWakeups:
                     name=f"w{tag}",
                 )
             system.drain()
-            report = collect_sharded_report(system).to_dict()
-            return sorted(posts), arrivals, report, system.events_fired()
+            return sorted(posts), arrivals, fingerprint(system)
 
         assert run(1) == run(2)
 
@@ -177,7 +176,6 @@ class TestShardCountInvariance:
                     name=f"pinger-{index}",
                 )
             system.drain()
-            report = collect_sharded_report(system).to_dict()
             rounds = sorted(
                 (key, entry["round"], entry["server_machine"])
                 for board in boards
@@ -185,7 +183,7 @@ class TestShardCountInvariance:
                 if not key.endswith("-summary")
                 for entry in board.get(key)
             )
-            return report, rounds, system.events_fired()
+            return fingerprint(system), rounds
 
         assert run(1) == run(2)
 
@@ -227,11 +225,47 @@ class TestMigrationMidRequest:
         assert system.where_is(pid) == 3
 
 
+def delivery_order(
+    shape, shard_count, seed, install, horizons, faults=None,
+):
+    """Per-machine hop-record delivery sequences of one run: echo
+    servers everywhere, whatever clients *install* adds."""
+    topology, machines, _, backbone = shape
+    system = ShardedSystem(SystemConfig(
+        machines=machines, topology=topology, latency=1_000,
+        shards=shard_count, backbone_latency=backbone,
+        faults=faults or FaultPlan(), seed=seed,
+        trace_categories=(), metrics_enabled=False,
+    ))
+    deliveries = {m: [] for m in range(machines)}
+
+    def record_hook(record):
+        packet = record.packet
+        deliveries[record.dst].append((
+            record.arrival, record.src, record.dst,
+            record.wire_seq, packet.kind.value, packet.seq,
+            packet.payload_bytes,
+        ))
+
+    for shard in system.shards:
+        shard.network.on_record_delivered = record_hook
+    for m in range(machines):
+        system.spawn(
+            lambda ctx, _m=m: echo_server(ctx, service_name=f"svc-{_m}"),
+            machine=m,
+        )
+    install(system, machines)
+    for until in horizons:
+        system.run(until=until)
+    system.drain()
+    return deliveries
+
+
 class TestElisionOrderEquivalence:
-    """Satellite claim of the barrier-elision engine: for any topology
-    and shard count, the two-level rendezvous schedule delivers every
-    hop record to every machine in exactly the order the classic
-    global-grid barrier would — bitwise, per machine."""
+    """For any topology and shard count, the pairwise rendezvous
+    schedule delivers every hop record to every machine in exactly the
+    order one shard would — one keyed loop that never meets anybody —
+    bitwise, per machine."""
 
     @BOUNDED
     @given(
@@ -250,51 +284,22 @@ class TestElisionOrderEquivalence:
     def test_elided_delivery_order_matches_classic(
         self, shape, faults, seed,
     ):
-        topology, machines, shards, backbone = shape
-
-        def run(shard_count, elide):
-            system = ShardedSystem(SystemConfig(
-                machines=machines, topology=topology, latency=1_000,
-                shards=shard_count, backbone_latency=backbone,
-                barrier_elision=elide, faults=faults, seed=seed,
-                trace_categories=(), metrics_enabled=False,
-            ))
-            deliveries = {m: [] for m in range(machines)}
-
-            def record_hook(record):
-                packet = record.packet
-                deliveries[record.dst].append((
-                    record.arrival, record.src, record.dst,
-                    record.wire_seq, packet.kind.value, packet.seq,
-                    packet.payload_bytes,
-                ))
-
-            for shard in system.shards:
-                shard.network.on_record_delivered = record_hook
-            for m in range(machines):
-                system.spawn(
-                    lambda ctx, _m=m: echo_server(
-                        ctx, service_name=f"svc-{_m}",
-                    ),
-                    machine=m,
-                )
+        def pingers(system, machines):
             for m in range(0, machines, 2):
-                client = (m + 3) % machines
                 system.schedule_spawn(
-                    5_000 + 900 * m, client,
+                    5_000 + 900 * m, (m + 3) % machines,
                     lambda ctx, _m=m: pinger(
                         ctx, service_name=f"svc-{_m}", rounds=3,
                         gap=2_000, board=ResultsBoard(), key="p",
                     ),
                 )
-            system.run(until=250_000)
-            system.drain()
-            return deliveries
 
-        classic = run(1, elide=False)
-        assert run(shards, elide=True) == classic
-        # and the classic engine's own parity, with the hook attached
-        assert run(shards, elide=False) == classic
+        def run(shard_count):
+            return delivery_order(
+                shape, shard_count, seed, pingers, [250_000], faults,
+            )
+
+        assert run(shape[2]) == run(1)
 
     @BOUNDED
     @given(
@@ -317,55 +322,29 @@ class TestElisionOrderEquivalence:
         bursts separated by long idle stretches (meetings get skipped
         wholesale) with the horizon chopped at arbitrary off-grid ticks
         (every re-entry re-arms the meeting schedule).  Delivery order
-        must still be bitwise the classic single-shard order."""
-        topology, machines, shards, backbone = shape
+        must still be bitwise the single-shard order."""
 
-        def run(shard_count, elide, horizons):
-            system = ShardedSystem(SystemConfig(
-                machines=machines, topology=topology, latency=1_000,
-                shards=shard_count, backbone_latency=backbone,
-                barrier_elision=elide, seed=seed,
-                trace_categories=(), metrics_enabled=False,
-            ))
-            deliveries = {m: [] for m in range(machines)}
-
-            def record_hook(record):
-                packet = record.packet
-                deliveries[record.dst].append((
-                    record.arrival, record.src, record.dst,
-                    record.wire_seq, packet.kind.value, packet.seq,
-                    packet.payload_bytes,
-                ))
-
-            for shard in system.shards:
-                shard.network.on_record_delivered = record_hook
-            for m in range(machines):
-                system.spawn(
-                    lambda ctx, _m=m: echo_server(
-                        ctx, service_name=f"svc-{_m}",
-                    ),
-                    machine=m,
-                )
+        def bursts(system, machines):
             # Three bursts, each a single exchange, `idle` apart: the
-            # inter-burst stretches are dead air the elided engine
-            # should cross without a rendezvous.
+            # inter-burst stretches are dead air the engine should
+            # cross without a rendezvous.
             for burst in range(3):
                 target = (2 * burst + 1) % machines
-                client = (target + machines // 2) % machines
                 system.schedule_spawn(
-                    5_000 + burst * idle, client,
+                    5_000 + burst * idle,
+                    (target + machines // 2) % machines,
                     lambda ctx, _t=target: pinger(
                         ctx, service_name=f"svc-{_t}", rounds=1,
                         board=ResultsBoard(), key="p",
                     ),
                 )
-            for until in horizons:
-                system.run(until=until)
-            system.drain()
-            return deliveries
+
+        def run(shard_count, horizons):
+            return delivery_order(
+                shape, shard_count, seed, bursts, horizons,
+            )
 
         full = [400_000]
-        chopped = sorted(set(cuts)) + full
-        classic = run(1, elide=False, horizons=full)
-        assert run(shards, elide=True, horizons=chopped) == classic
-        assert run(shards, elide=True, horizons=full) == classic
+        reference = run(1, full)
+        assert run(shape[2], sorted(set(cuts)) + full) == reference
+        assert run(shape[2], full) == reference

@@ -1,6 +1,11 @@
 """Tests for the system-wide report collector."""
 
-from repro.stats.collector import collect_report
+from repro.core.config import SystemConfig
+from repro.sim.shard import ShardedSystem
+from repro.stats.collector import (
+    collect_report,
+    sharded_report_from_snapshots,
+)
 from tests.conftest import drain, make_bare_system, make_system
 
 
@@ -127,3 +132,27 @@ class TestRequestLatencySection:
         report = collect_report(system)
         assert report.request_latency_by_domain == {}
         assert report.to_dict()["request_latency_by_domain"] == {}
+
+
+class TestShardSyncLine:
+    @staticmethod
+    def _line(executor):
+        system = ShardedSystem(SystemConfig(
+            machines=4, topology="torus", shards=2,
+        ))
+        snapshots = system.execute(
+            50_000, lambda shard: shard.metrics.snapshot(),
+            executor=executor,
+        )
+        report = sharded_report_from_snapshots(
+            snapshots, now=50_000, machines=4,
+        )
+        assert report.sync_overhead["rounds"] > 0
+        return next(
+            line for line in report.lines()
+            if line.startswith("shard sync:")
+        )
+
+    def test_bytes_are_named_only_when_bytes_were_shipped(self):
+        assert "bytes" not in self._line("serial")
+        assert "bytes shipped" in self._line("fork")
