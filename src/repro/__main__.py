@@ -126,16 +126,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
         30_000, lambda: system.migrate(server, args.machines - 1),
     )
     system.run(until=2_000_000)
-    report = collect_report(system)
+    return _print_report(system, args)
+
+
+def _print_report(
+    cluster, args: argparse.Namespace, *headline: str, **extra
+) -> int:
+    """The ``report`` tail for either scenario body: the cluster's
+    report as lines (after any *headline*) or as a JSON document
+    (with any *extra* keys)."""
+    report = collect_report(cluster)
     if args.json:
         document = metrics_snapshot_dict(
-            system.metrics.snapshot(),
-            now=system.loop.now,
-            extra={"report": report.to_dict()},
+            cluster.snapshot(),
+            now=cluster.now(),
+            extra={"report": report.to_dict(), **extra},
         )
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
-    for line in report.lines():
+    for line in (*headline, *report.lines()):
         print(line)
     return 0
 
@@ -146,10 +155,10 @@ def _report_sharded(args: argparse.Namespace) -> int:
     Machines pair up as echo servers and pingers on a torus; the
     cluster executes across N shards and the printed report is the
     merged per-shard snapshot — identical numbers for every shard
-    count.
+    count.  (A second scenario body only until ``ClientPool`` is
+    shard-aware.)
     """
     from repro.sim.shard import ShardedSystem
-    from repro.stats.collector import collect_sharded_report
     from repro.workloads.pingpong import echo_server, pinger
     from repro.workloads.results import ResultsBoard
 
@@ -176,21 +185,12 @@ def _report_sharded(args: argparse.Namespace) -> int:
         )
     system.run(until=2_000_000)
     system.drain()
-    report = collect_sharded_report(system)
-    if args.json:
-        document = metrics_snapshot_dict(
-            system.snapshot(),
-            now=system.now(),
-            extra={"report": report.to_dict(),
-                   "shards": len(system.shards)},
-        )
-        print(json.dumps(document, indent=2, sort_keys=True))
-        return 0
-    print(f"sharded execution: {len(system.shards)} shards, "
-          f"lookahead {system.plan.lookahead}us")
-    for line in report.lines():
-        print(line)
-    return 0
+    return _print_report(
+        system, args,
+        f"sharded execution: {len(system.shards)} shards, "
+        f"lookahead {system.plan.lookahead}us",
+        shards=len(system.shards),
+    )
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:

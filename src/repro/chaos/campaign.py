@@ -56,6 +56,7 @@ from repro.chaos.scenario import (
     Move,
     Partition,
 )
+from repro.core.cluster import Cluster
 from repro.core.config import SystemConfig
 from repro.core.system import System
 from repro.errors import ConfigError
@@ -126,6 +127,52 @@ def ledger_digest(ledger: list[FaultEvent]) -> int:
     return int(hashlib.sha256(text.encode()).hexdigest()[:8], 16)
 
 
+def protocol_counters(cluster: Cluster) -> dict[str, int]:
+    """The shard-layout-independent protocol counters of a finished
+    run: what the parity scenarios and the fuzzer compare across
+    engines."""
+    kernels = cluster.kernels
+    return {
+        "processes_spawned": sum(
+            k.stats.processes_spawned for k in kernels
+        ),
+        "messages_delivered": sum(
+            k.stats.messages_delivered for k in kernels
+        ),
+        "messages_forwarded": sum(
+            k.stats.messages_forwarded for k in kernels
+        ),
+        "link_updates_applied": sum(
+            k.stats.link_updates_applied for k in kernels
+        ),
+        "forwarding_entries": sum(
+            len(k.forwarding) for k in kernels if not k.crashed
+        ),
+        "packets_sent": sum(
+            shard.network.stats.packets_sent for shard in cluster.shards
+        ),
+    }
+
+
+def pingers_completed(
+    board: ResultsBoard, keys: int, rounds: int, problems: list[str]
+) -> int:
+    """How many pingers posted a summary under ``ping-<0..keys-1>``;
+    every transcript that is not each round echoed exactly once, in
+    order, is appended to *problems*."""
+    completed = 0
+    for key in range(keys):
+        for summary in board.get(f"ping-{key}-summary"):
+            completed += 1
+            echoes = [t["echo"] for t in summary["transcript"]]
+            if echoes != [{"round": r} for r in range(rounds)]:
+                problems.append(
+                    f"pinger {key} saw replies {echoes} — not "
+                    f"exactly-once in order"
+                )
+    return completed
+
+
 # ---------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------
@@ -138,7 +185,7 @@ def _drain(system: System) -> None:
 
 
 def _spawn_servers(
-    system: System | ShardedSystem,
+    system: Cluster,
     placements: list[int],
     prefix: str,
 ) -> dict[str, Any]:
@@ -461,16 +508,14 @@ def run_fileserver_crash_scenario(scale: str = "smoke") -> ScenarioOutcome:
     pool.install()
     fboard = ResultsBoard()
     for tag in range(file_clients):
-        system.loop.call_at(
+        system.schedule_spawn(
             4_000 + 1_000 * tag,
-            lambda _t=tag: system.spawn(
-                lambda ctx, _g=_t: file_io_client(
-                    ctx, tag=_g, operations=operations,
-                    gap=2_000, board=fboard, key=f"file-{_g}",
-                ),
-                machine=5 + (_t % (machines - 5)),
-                name=f"file-client-{_t}",
+            5 + (tag % (machines - 5)),
+            lambda ctx, _g=tag: file_io_client(
+                ctx, tag=_g, operations=operations,
+                gap=2_000, board=fboard, key=f"file-{_g}",
             ),
+            name=f"file-client-{tag}",
         )
     scenario = ChaosScenario(
         "fileserver_crash",
@@ -539,7 +584,9 @@ def _run_storm_once(
         trace_categories=(),
         metrics_enabled=False,
     ))
-    boards = [ResultsBoard() for _ in system.shards]
+    # One board serves every shard: the ledger already pins chaos runs
+    # to the serial executor, where all shards share this process.
+    board = ResultsBoard()
     pids = {}
     for m in range(machines):
         name = f"storm-echo-{m}"
@@ -550,14 +597,12 @@ def _run_storm_once(
     expected_pings = 0
     for m in range(machines):
         for k in range(pingers_per_server):
-            client = (m + 1 + 3 * k) % machines
-            board = boards[system.plan.shard_of(client)]
             system.schedule_spawn(
                 10_000 + 500 * (m * pingers_per_server + k),
-                client,
-                lambda ctx, _m=m, _b=board: pinger(
+                (m + 1 + 3 * k) % machines,
+                lambda ctx, _m=m: pinger(
                     ctx, service_name=f"storm-echo-{_m}", rounds=rounds,
-                    gap=8_000, board=_b, key=f"ping-{_m}",
+                    gap=8_000, board=board, key=f"ping-{_m}",
                 ),
                 name="pinger",
             )
@@ -581,25 +626,7 @@ def _run_storm_once(
     engine.install()
     system.drain()
 
-    kernels = system.kernels_in_machine_order()
-    counters = {
-        "processes_spawned": sum(
-            k.stats.processes_spawned for k in kernels
-        ),
-        "messages_delivered": sum(
-            k.stats.messages_delivered for k in kernels
-        ),
-        "messages_forwarded": sum(
-            k.stats.messages_forwarded for k in kernels
-        ),
-        "link_updates_applied": sum(
-            k.stats.link_updates_applied for k in kernels
-        ),
-        "forwarding_entries": sum(len(k.forwarding) for k in kernels),
-        "packets_sent": sum(
-            shard.network.stats.packets_sent for shard in system.shards
-        ),
-    }
+    counters = protocol_counters(system)
     for kind, count in sorted(engine.counts.items()):
         counters[f"faults.{kind}"] = count
     ledger = engine.ledger()
@@ -607,18 +634,7 @@ def _run_storm_once(
     counters["ledger_digest"] = ledger_digest(ledger)
 
     problems = survivor_invariants(system)
-    completed = 0
-    for board in boards:
-        for m in range(machines):
-            for summary in board.get(f"ping-{m}-summary"):
-                transcript = summary["transcript"]
-                completed += 1
-                echoes = [t["echo"] for t in transcript]
-                if echoes != [{"round": r} for r in range(rounds)]:
-                    problems.append(
-                        f"pinger of storm-echo-{m} saw replies "
-                        f"{echoes} — not exactly-once in order"
-                    )
+    completed = pingers_completed(board, machines, rounds, problems)
     counters["pingers_done"] = completed
     if completed != expected_pings:
         problems.append(
@@ -674,8 +690,9 @@ def _run_crash_parity_once(
     ``shards=0`` builds the classic single-loop :class:`System`;
     anything else builds a :class:`ShardedSystem`.  The schedule is a
     storm that pushes servers onto doomed machines, then grid-aligned
-    fail-stop crashes of those machines — the barrier-action path on
-    the sharded engine, the ``loop.call_at`` path on the classic one.
+    fail-stop crashes of those machines — ``call_at_barrier`` actions,
+    fired between windows on the sharded engine and as ordinary loop
+    events on the single loop.
     """
     # The storm's migrations take ~27ms each (process image over a
     # 1,000 bytes/ms wire); the crashes wait until the servers have
@@ -699,7 +716,7 @@ def _run_crash_parity_once(
         trace_categories=(),
         metrics_enabled=False,
     )
-    system: Any = ShardedSystem(config) if shards else System(config)
+    system = ShardedSystem(config) if shards else System(config)
     pids = _spawn_servers(system, placements, "cpar-echo")
     services = list(pids)
     engine = ChaosEngine(system, ChaosScenario("crash_parity", (
@@ -713,91 +730,45 @@ def _run_crash_parity_once(
     )))
     engine.install()
 
-    boards = (
-        [ResultsBoard() for _ in system.shards]
-        if shards else [ResultsBoard()]
-    )
+    # One board serves every shard: the ledger already pins chaos runs
+    # to the serial executor, where all shards share this process.
+    board = ResultsBoard()
     # Pinger clients live on the low machines — never on a crash victim
     # (fail-stop abandons the victim's unacked sends; see the fuzzer's
     # generator for the same rule).
     for j, service in enumerate(services):
-        client = j % 4
-        at = 10_037 + 500 * j
-        if shards:
-            board = boards[system.plan.shard_of(client)]
-        else:
-            board = boards[0]
+        system.schedule_spawn(
+            10_037 + 500 * j,
+            j % 4,
+            lambda ctx, _s=service, _j=j: pinger(
+                ctx, service_name=_s, rounds=rounds, gap=8_000,
+                board=board, key=f"ping-{_j}",
+            ),
+            name=f"pinger-{j}",
+        )
 
-        def spawn(_s=service, _j=j, _c=client, _b=board):
-            system.spawn(
-                lambda ctx: pinger(
-                    ctx, service_name=_s, rounds=rounds, gap=8_000,
-                    board=_b, key=f"ping-{_j}",
-                ),
-                machine=_c, name=f"pinger-{_j}",
-            )
-
-        if shards:
-            system.call_at(at, client, spawn)
-        else:
-            system.loop.call_at(at, spawn)
-
-    problems: list[str] = []
+    # The hang guard is the one engine-dependent step left: the single
+    # loop is bounded by an event budget, the runner has none.
     if shards:
         system.drain()
-        kernels = system.kernels_in_machine_order()
-        packets = sum(
-            shard.network.stats.packets_sent for shard in system.shards
-        )
-    else:
-        fired = system.run(max_events=MAX_EVENTS)
-        if fired >= MAX_EVENTS:
-            raise RuntimeError("crash-parity run did not quiesce")
-        kernels = list(system.kernels)
-        packets = system.network.stats.packets_sent
+    elif system.run(max_events=MAX_EVENTS) >= MAX_EVENTS:
+        raise RuntimeError("crash-parity run did not quiesce")
 
-    counters = {
-        "processes_spawned": sum(
-            k.stats.processes_spawned for k in kernels
-        ),
-        "messages_delivered": sum(
-            k.stats.messages_delivered for k in kernels
-        ),
-        "messages_forwarded": sum(
-            k.stats.messages_forwarded for k in kernels
-        ),
-        "link_updates_applied": sum(
-            k.stats.link_updates_applied for k in kernels
-        ),
-        "forwarding_entries": sum(
-            len(k.forwarding) for k in kernels if not k.crashed
-        ),
-        "packets_sent": packets,
-        "recovered": sum(
-            len(r.recovered) for r in engine.crash_reports
-        ),
-        "casualties": sum(
-            len(r.casualties) for r in engine.crash_reports
-        ),
-    }
+    counters = protocol_counters(system)
+    counters["recovered"] = sum(
+        len(r.recovered) for r in engine.crash_reports
+    )
+    counters["casualties"] = sum(
+        len(r.casualties) for r in engine.crash_reports
+    )
     for kind, count in sorted(engine.counts.items()):
         counters[f"faults.{kind}"] = count
     ledger = engine.ledger()
     counters["ledger_events"] = len(ledger)
     counters["ledger_digest"] = ledger_digest(ledger)
 
-    problems += survivor_invariants(system, recovery=engine.recovery)
-    completed = 0
-    for board in boards:
-        for j in range(len(services)):
-            for summary in board.get(f"ping-{j}-summary"):
-                completed += 1
-                echoes = [t["echo"] for t in summary["transcript"]]
-                if echoes != [{"round": r} for r in range(rounds)]:
-                    problems.append(
-                        f"pinger {j} saw replies {echoes} — not "
-                        f"exactly-once in order"
-                    )
+    problems = survivor_invariants(system, recovery=engine.recovery)
+    completed = pingers_completed(board, len(services), rounds, problems)
     counters["pingers_done"] = completed
     if completed != len(services):
         problems.append(f"{completed}/{len(services)} pingers completed")
@@ -807,8 +778,8 @@ def _run_crash_parity_once(
 def run_crash_parity_scenario(scale: str = "smoke") -> ScenarioOutcome:
     """Fail-stop crashes under traffic, byte-identical on every engine.
 
-    The classic engine interprets crash times with ``loop.call_at``;
-    the sharded engine fires them as barrier actions between windows.
+    The single loop fires crash times as ordinary events; the
+    sharded engine fires them as barrier actions between windows.
     Both must produce the same counters and the same fault ledger for
     every shard count — the sharded-crash parity argument, gated.
     """

@@ -8,20 +8,23 @@ ledger of what actually happened (:class:`FaultEvent`).  Identical
 scenario + identical system config ⇒ identical ledger, byte for byte —
 the property the campaign gates and the Hypothesis suite fuzzes.
 
-Sharded systems get the shard-safe subset (storms, fail-stop crashes,
-evacuations).  Crashes and maintenance kills are *global* actions — the
-recovery sequence mutates several shards at once — so the engine
-schedules them through
-:meth:`~repro.sim.shard.ShardedSystem.call_at_barrier`: they become
-barrier-aligned records, fired between windows in pure-data key order
+The engine is written against :class:`~repro.core.cluster.Cluster`:
+every action is scheduled through ``call_at`` (anchored to a machine)
+or ``call_at_barrier``.  Crashes and maintenance kills are *global*
+actions — the recovery sequence mutates several shards at once — so on
+a sharded cluster they fire between windows in pure-data key order
 (kind, machine, executor), with every shard clock frozen at the crash
-instant.  That requires their times to sit on the window grid and to be
-unique among the scenario's action times — the classic engine runs a
-crash first at its tick because it is scheduled at install time (lowest
-sequence number), and the barrier engine runs it before the window that
-contains it; distinct times keep the two orderings identical, which the
-crash-parity gates check byte for byte.  Partitions and flaky windows
-stay classic-only (they rewrite wire fault plans retroactively, which
+instant; on the single loop the same call is an ordinary event.
+
+The one thing the engine still asks the cluster is its
+``barrier_grid``, twice, at build time.  Where there is a grid (a
+sharded cluster), barrier-action times must sit on it and be unique
+among the scenario's action times — the single loop runs a crash first
+at its tick because it is scheduled at install time (lowest sequence
+number), and the barrier engine runs it before the window that contains
+it; distinct times keep the two orderings identical, which the
+crash-parity gates check byte for byte — and partitions and flaky
+windows are refused (they rewrite wire fault plans retroactively, which
 :class:`~repro.net.network.ShardNetwork` refuses by design).  The
 ledger is kept in the driving process, so sharded scenarios must run
 under the serial executor (the same constraint as cross-shard live
@@ -31,7 +34,7 @@ migration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.chaos.scenario import (
     ChaosScenario,
@@ -43,13 +46,11 @@ from repro.chaos.scenario import (
 )
 from repro.errors import SimulationError
 from repro.net.channel import FaultPlan
-from repro.net.topology import MachineId
 from repro.policy.metrics import migratable_processes
 from repro.policy.recovery import CrashRecoveryManager, CrashReport
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.system import System
-    from repro.sim.shard import ShardedSystem
+    from repro.core.cluster import Cluster
 
 
 @dataclass(frozen=True, order=True)
@@ -74,23 +75,23 @@ class ChaosEngine:
 
     def __init__(
         self,
-        system: "System | ShardedSystem",
+        system: "Cluster",
         scenario: ChaosScenario,
         recovery: CrashRecoveryManager | None = None,
     ) -> None:
         self.system = system
         self.scenario = scenario
-        self.sharded = hasattr(system, "shards")
-        scenario.validate(len(system.topology.machines))
-        if self.sharded and not scenario.shard_safe:
+        scenario.validate(len(system.kernels))
+        grid = system.barrier_grid
+        if grid is not None and not scenario.shard_safe:
             raise SimulationError(
                 f"scenario {scenario.name!r} uses actions that rewrite "
                 f"wire fault plans (partition/flaky links), which the "
                 f"sharded network refuses; storms, crashes and "
                 f"evacuations run under sharding"
             )
-        if self.sharded:
-            self._check_sharded_schedule()
+        if grid is not None:
+            self._check_barrier_schedule(grid)
         if recovery is None:
             recovery = CrashRecoveryManager(system)
         self.recovery = recovery
@@ -103,9 +104,8 @@ class ChaosEngine:
     # Wiring
     # ------------------------------------------------------------------
 
-    def _check_sharded_schedule(self) -> None:
+    def _check_barrier_schedule(self, grid: int) -> None:
         """Validate barrier-action times (see the module docstring)."""
-        grid = self.system.plan.lookahead
         loop_times: set[int] = set()
         barrier_times: list[tuple[int, str]] = []
         for action in self.scenario.actions:
@@ -143,60 +143,34 @@ class ChaosEngine:
         if self.installed:
             raise SimulationError("engine already installed")
         self.installed = True
+        at = self.system.call_at
+        at_barrier = self.system.call_at_barrier
         for action in self.scenario.actions:
             if isinstance(action, CrashMachine):
-                if self.sharded:
-                    self._at_barrier(
-                        action.at,
-                        ("crash", action.machine, action.executor),
-                        self._crash, action,
-                    )
-                else:
-                    self._at(
-                        action.at, action.machine, self._crash, action
-                    )
+                at_barrier(
+                    action.at,
+                    ("crash", action.machine, action.executor),
+                    self._crash, action,
+                )
             elif isinstance(action, Partition):
-                self._at(action.at, 0, self._partition, action)
-                self._at(action.heal_at, 0, self._heal, action)
+                at(action.at, 0, self._partition, action)
+                at(action.heal_at, 0, self._heal, action)
             elif isinstance(action, FlakyLinks):
-                self._at(action.at, 0, self._flaky_start, action)
-                self._at(action.until, 0, self._flaky_end, action)
+                at(action.at, 0, self._flaky_start, action)
+                at(action.until, 0, self._flaky_end, action)
             elif isinstance(action, MigrationStorm):
                 for move in action.moves:
-                    self._at(
+                    at(
                         action.at, move.home, self._storm_move,
                         action.at, move,
                     )
             elif isinstance(action, Evacuation):
-                self._at(action.drain_at, action.machine, self._drain,
-                         action)
-                if self.sharded:
-                    self._at_barrier(
-                        action.kill_at,
-                        (
-                            "maintenance-kill", action.machine,
-                            action.executor,
-                        ),
-                        self._kill, action,
-                    )
-                else:
-                    self._at(action.kill_at, action.executor, self._kill,
-                             action)
-
-    def _at(
-        self, time: int, machine: MachineId, callback, *args: Any
-    ) -> None:
-        """Schedule *callback* at *time*, anchored to *machine*'s loop."""
-        if self.sharded:
-            self.system.call_at(time, machine, callback, *args)
-        else:
-            self.system.loop.call_at(time, callback, *args)
-
-    def _at_barrier(
-        self, time: int, key: tuple, callback, *args: Any
-    ) -> None:
-        """Schedule a global action at a window barrier (sharded only)."""
-        self.system.call_at_barrier(time, key, callback, *args)
+                at(action.drain_at, action.machine, self._drain, action)
+                at_barrier(
+                    action.kill_at,
+                    ("maintenance-kill", action.machine, action.executor),
+                    self._kill, action,
+                )
 
     # ------------------------------------------------------------------
     # Ledger
@@ -214,17 +188,12 @@ class ChaosEngine:
     def _record(self, at: int, kind: str, detail: str) -> None:
         self.events.append(FaultEvent(at, kind, detail))
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        self._metrics_for_record().counter(
+        # Charge shard 0 so merged counters are shard-layout
+        # independent (the ledger, not the charge site, carries the
+        # machine information).
+        self.system.shards[0].metrics.counter(
             "chaos.faults", kind=kind, scenario=self.scenario.name,
         ).inc()
-
-    def _metrics_for_record(self):
-        if self.sharded:
-            # Charge shard 0 so merged counters are shard-layout
-            # independent (the ledger, not the charge site, carries
-            # the machine information).
-            return self.system.shards[0].metrics
-        return self.system.metrics
 
     # ------------------------------------------------------------------
     # Actions

@@ -34,7 +34,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.chaos.campaign import ledger_digest
+from repro.chaos.campaign import (
+    ledger_digest,
+    pingers_completed,
+    protocol_counters,
+)
 from repro.chaos.engine import ChaosEngine, FaultEvent
 from repro.chaos.invariants import survivor_invariants
 from repro.chaos.scenario import (
@@ -418,7 +422,7 @@ def _run_once(
         trace_categories=(),
         metrics_enabled=False,
     )
-    system: Any = ShardedSystem(config) if shards else System(config)
+    system = ShardedSystem(config) if shards else System(config)
     pids = []
     for sidx, home in enumerate(schedule.servers):
         name = f"fuzz-echo-{sidx}"
@@ -429,70 +433,39 @@ def _run_once(
     engine = ChaosEngine(system, _materialize(schedule, pids))
     engine.install()
 
-    if shards:
-        boards = [ResultsBoard() for _ in system.shards]
-    else:
-        boards = [ResultsBoard()]
+    # One board serves every shard: the ledger already pins chaos runs
+    # to the serial executor, where all shards share this process.
+    board = ResultsBoard()
     for j, (sidx, client) in enumerate(schedule.pingers):
-        at = PINGER_BASE + OFFGRID + 500 * j
-        if shards:
-            board = boards[system.plan.shard_of(client)]
-        else:
-            board = boards[0]
-
-        def spawn(_j=j, _s=sidx, _c=client, _b=board):
-            system.spawn(
-                lambda ctx: pinger(
-                    ctx, service_name=f"fuzz-echo-{_s}",
-                    rounds=schedule.rounds, gap=8_000,
-                    board=_b, key=f"ping-{_j}",
-                ),
-                machine=_c, name=f"pinger-{_j}",
-            )
-
-        if shards:
-            system.call_at(at, client, spawn)
-        else:
-            system.loop.call_at(at, spawn)
+        system.schedule_spawn(
+            PINGER_BASE + OFFGRID + 500 * j,
+            client,
+            lambda ctx, _j=j, _s=sidx: pinger(
+                ctx, service_name=f"fuzz-echo-{_s}",
+                rounds=schedule.rounds, gap=8_000,
+                board=board, key=f"ping-{_j}",
+            ),
+            name=f"pinger-{j}",
+        )
 
     problems: list[str] = []
+    # The hang guard is the one engine-dependent step left: the runner
+    # is bounded by a simulated horizon, the single loop by an event
+    # budget (ROADMAP "Close the carve-outs").
     if shards:
         system.run(until=HORIZON)
         if not system.quiescent():
             problems.append(
                 f"system not quiescent at the {HORIZON}us horizon"
             )
-        kernels = system.kernels_in_machine_order()
-        packets = sum(
-            shard.network.stats.packets_sent for shard in system.shards
-        )
     else:
         fired = system.run(max_events=budget)
         if fired >= budget:
             problems.append(
                 f"simulation did not quiesce within {budget} events"
             )
-        kernels = list(system.kernels)
-        packets = system.network.stats.packets_sent
 
-    counters = {
-        "processes_spawned": sum(
-            k.stats.processes_spawned for k in kernels
-        ),
-        "messages_delivered": sum(
-            k.stats.messages_delivered for k in kernels
-        ),
-        "messages_forwarded": sum(
-            k.stats.messages_forwarded for k in kernels
-        ),
-        "link_updates_applied": sum(
-            k.stats.link_updates_applied for k in kernels
-        ),
-        "forwarding_entries": sum(
-            len(k.forwarding) for k in kernels if not k.crashed
-        ),
-        "packets_sent": packets,
-    }
+    counters = protocol_counters(system)
     for kind, count in sorted(engine.counts.items()):
         counters[f"faults.{kind}"] = count
     ledger = engine.ledger()
@@ -501,22 +474,9 @@ def _run_once(
 
     if not problems:
         problems += survivor_invariants(system, recovery=engine.recovery)
-    completed = 0
-    for board in boards:
-        for j in range(len(schedule.pingers)):
-            for summary in board.get(f"ping-{j}-summary"):
-                completed += 1
-                echoes = [
-                    t["echo"] for t in summary["transcript"]
-                ]
-                expected = [
-                    {"round": r} for r in range(schedule.rounds)
-                ]
-                if echoes != expected:
-                    problems.append(
-                        f"pinger {j} saw replies {echoes} — not "
-                        f"exactly-once in order"
-                    )
+    completed = pingers_completed(
+        board, len(schedule.pingers), schedule.rounds, problems
+    )
     counters["pingers_done"] = completed
     if completed != len(schedule.pingers):
         problems.append(

@@ -2,9 +2,8 @@
 
 Each check returns a list of human-readable problems (empty = clean),
 so a gate is ``assert not survivor_invariants(...)`` and a failure
-message names every violated property at once.  All checks duck-type
-over :class:`~repro.core.system.System` and
-:class:`~repro.sim.shard.ShardedSystem` (serial executor).
+message names every violated property at once.  All checks are written
+against :class:`~repro.core.cluster.Cluster` (serial executor).
 
 The gated properties, mapped to the paper:
 
@@ -31,26 +30,9 @@ from typing import TYPE_CHECKING
 from repro.net.topology import MachineId
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.system import System
+    from repro.core.cluster import Cluster
     from repro.policy.recovery import CrashRecoveryManager
-    from repro.sim.shard import ShardedSystem
     from repro.workloads.closed_loop import ClientPool
-
-    AnySystem = System | ShardedSystem
-
-
-def _kernels(system: "AnySystem"):
-    if hasattr(system, "shards"):
-        return system.kernels_in_machine_order()
-    return list(system.kernels)
-
-
-def _effective(system: "AnySystem", machine: MachineId) -> MachineId:
-    if hasattr(system, "shards"):
-        # crash_transport replicates redirects onto every shard's
-        # routing view, so any shard answers for the whole system.
-        return system.shards[0].network.effective_destination(machine)
-    return system.network.effective_destination(machine)
 
 
 def check_exactly_once(pool: "ClientPool") -> list[str]:
@@ -81,11 +63,14 @@ def check_exactly_once(pool: "ClientPool") -> list[str]:
     return problems
 
 
-def check_chain_collapse(system: "AnySystem") -> list[str]:
+def check_chain_collapse(system: "Cluster") -> list[str]:
     """Every forwarding chain reaches its process (or its death notice)
     without cycling, dangling, or dead-ending on a crashed machine."""
     problems: list[str] = []
-    for kernel in _kernels(system):
+    # crash_transport replicates redirects onto every shard's routing
+    # view, so any shard answers for the whole cluster.
+    routing = system.shards[0].network
+    for kernel in system.kernels:
         if kernel.crashed:
             continue
         for entry in kernel.forwarding.entries():
@@ -93,7 +78,7 @@ def check_chain_collapse(system: "AnySystem") -> list[str]:
             seen = {kernel.machine}
             current: MachineId = entry.machine
             while True:
-                current = _effective(system, current)
+                current = routing.effective_destination(current)
                 target = system.kernel(current)
                 if target.crashed:
                     problems.append(
@@ -125,10 +110,10 @@ def check_chain_collapse(system: "AnySystem") -> list[str]:
     return problems
 
 
-def check_no_stranded_forwarding(system: "AnySystem") -> list[str]:
+def check_no_stranded_forwarding(system: "Cluster") -> list[str]:
     """After GC, forwarding addresses exist only for live processes."""
     problems: list[str] = []
-    for kernel in _kernels(system):
+    for kernel in system.kernels:
         if kernel.crashed:
             continue
         for entry in kernel.forwarding.entries():
@@ -149,32 +134,26 @@ def check_recovery_state(
     return recovery.audit()
 
 
-def check_quiescence(system: "AnySystem") -> list[str]:
+def check_quiescence(system: "Cluster") -> list[str]:
     """The transport holds nothing: no packets in flight, no unacked
     sends waiting to retransmit."""
     problems: list[str] = []
-    if hasattr(system, "shards"):
-        for shard in system.shards:
-            in_flight = shard.network.in_flight()
-            unacked = shard.network.unacked()
-            if in_flight or unacked:
-                problems.append(
-                    f"shard {shard.index} transport not quiescent: "
-                    f"{in_flight} in flight, {unacked} unacked"
-                )
-    elif not system.network.quiescent():
-        problems.append(
-            f"transport not quiescent: {system.network.in_flight()} "
-            f"in flight, {system.network.unacked()} unacked"
-        )
+    for shard in system.shards:
+        in_flight = shard.network.in_flight()
+        unacked = shard.network.unacked()
+        if in_flight or unacked:
+            problems.append(
+                f"shard {shard.index} transport not quiescent: "
+                f"{in_flight} in flight, {unacked} unacked"
+            )
     return problems
 
 
-def check_memory_accounting(system: "AnySystem") -> list[str]:
+def check_memory_accounting(system: "Cluster") -> list[str]:
     """Used bytes on each surviving machine equal the sum of its
     residents' images (nothing leaked, nothing double-freed)."""
     problems: list[str] = []
-    for kernel in _kernels(system):
+    for kernel in system.kernels:
         if kernel.crashed:
             continue
         expected = sum(
@@ -190,7 +169,7 @@ def check_memory_accounting(system: "AnySystem") -> list[str]:
 
 
 def survivor_invariants(
-    system: "AnySystem",
+    system: "Cluster",
     *,
     pool: "ClientPool | None" = None,
     recovery: "CrashRecoveryManager | None" = None,

@@ -6,8 +6,9 @@ is pinned at build time (absolute simulated times, explicit machines,
 explicit victims), so the fault schedule is a pure function of the
 scenario — the determinism property the Hypothesis suite gates.  The
 :class:`~repro.chaos.engine.ChaosEngine` interprets a scenario against a
-live :class:`~repro.core.system.System` (all actions) or a
-:class:`~repro.sim.shard.ShardedSystem` (the shard-safe subset).
+live :class:`~repro.core.cluster.Cluster`: all actions on the single-loop
+:class:`~repro.core.system.System`, the shard-safe subset on a
+:class:`~repro.sim.shard.ShardedSystem`.
 
 Action vocabulary:
 
@@ -209,7 +210,7 @@ Action = Union[CrashMachine, Partition, FlakyLinks, MigrationStorm,
 #: actions safe under sharded execution.  Storms are per-machine
 #: anchored loop events; crashes and evacuation kills run as
 #: barrier-aligned global actions (grid-aligned times, key-ordered —
-#: see :meth:`~repro.sim.shard.ShardedSystem.call_at_barrier`).
+#: see :meth:`~repro.core.cluster.Cluster.call_at_barrier`).
 #: Partitions and flaky windows stay classic-only: they rewrite wire
 #: fault plans retroactively, which the sharded network refuses.
 SHARD_SAFE_ACTIONS = (MigrationStorm, CrashMachine, Evacuation)

@@ -10,44 +10,33 @@ This is the library's public entry point::
     system.run()
     assert ticket.success
 
-A ``System`` owns one event loop, one network, and one kernel per machine,
-and (by default) boots the paper's system processes: switchboard, process
-manager, memory scheduler, the four-process file system, and the command
-interpreter (Figure 2-3).
+A ``System`` is the one-shard :class:`~repro.core.cluster.Cluster`: one
+event loop, one network, and one kernel per machine; (by default) it boots
+the paper's system processes: switchboard, process manager, memory
+scheduler, the four-process file system, and the command interpreter
+(Figure 2-3).  Spawning, scheduling, migrating and inspecting are the
+cluster surface's; this module adds the loop, the clock and the servers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.core.cluster import Cluster, Program, Shard
+from repro.core.cluster import MigrationTicket  # noqa: F401 (old home)
 from repro.core.config import SystemConfig
-from repro.core.registry import registered_programs
-from repro.errors import ConfigError, UnknownProcessError
-from repro.kernel.context import ProcessContext
 from repro.kernel.ids import ProcessAddress, ProcessId, kernel_address
-from repro.kernel.kernel import Kernel
-from repro.kernel.memory import MemoryImage
-from repro.kernel.process_state import ProcessState
-from repro.net.network import Network
 from repro.net.topology import MachineId
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanCollector
 from repro.sim.loop import EventLoop
-from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
-from repro.stats.migration_cost import MigrationCostRecord
-
-Program = Callable[[ProcessContext], Any]
 
 
-def boot_standard_servers(system: Any) -> None:
+def boot_standard_servers(system: Cluster) -> None:
     """Spawn the Figure 2-3 system processes in dependency order.
 
-    *system* is duck-typed: it needs ``config``, ``topology``,
-    ``kernel()``, ``well_known`` and ``server_pids``.  Shared by
-    :class:`System` and :class:`repro.sim.shard.ShardedSystem`, so both
-    boot bit-identical server populations.
+    Every engine boots through here once its shards are built, so all
+    of them start from bit-identical server populations.
     """
     from repro.servers.command_interpreter import command_interpreter_program
     from repro.servers.filesystem import boot_file_system
@@ -80,7 +69,7 @@ def boot_standard_servers(system: Any) -> None:
 
 
 def boot_server(
-    system: Any,
+    system: Cluster,
     name: str,
     program: Program,
     machine: MachineId,
@@ -95,70 +84,19 @@ def boot_server(
     return pid
 
 
-@dataclass
-class MigrationTicket:
-    """Tracks one requested migration to completion."""
-
-    pid: ProcessId
-    dest: MachineId
-    initiated: bool = False
-    done: bool = False
-    success: bool | None = None
-    record: MigrationCostRecord | None = None
-
-    def _complete(self, success: bool, record: MigrationCostRecord) -> None:
-        self.done = True
-        self.success = success
-        self.record = record
-
-
-class System:
-    """One simulated DEMOS/MP installation."""
+class System(Cluster):
+    """One simulated DEMOS/MP installation on a single event loop."""
 
     def __init__(self, config: SystemConfig | None = None) -> None:
-        self.config = config or SystemConfig()
-        self.config.validate()
+        super().__init__(config)
         self.loop = EventLoop()
-        self.tracer = Tracer(
-            lambda: self.loop.now,
-            max_records=self.config.max_trace_records,
-            enabled_categories=self.config.trace_categories,
-        )
-        self.rngs = RandomStreams(self.config.seed)
+        shard = self._build_shard(self.topology.machines, self.loop)
+        self.tracer = shard.tracer
         #: the system-wide metrics registry every component publishes into
-        self.metrics = MetricsRegistry(enabled=self.config.metrics_enabled)
-        self.metrics.register_collector(self._publish_sim_metrics)
+        self.metrics = shard.metrics
+        self.network = shard.network
         #: migration spans assembled live from the tracer stream
         self.spans = SpanCollector(self.tracer)
-        self.topology = self.config.build_topology()
-        self.network = Network(
-            self.loop,
-            self.topology,
-            tracer=self.tracer,
-            rngs=self.rngs,
-            faults=self.config.faults,
-            rto=self.config.rto,
-            metrics=self.metrics,
-        )
-        #: shared by every kernel; server boots add entries as they come up
-        self.well_known: dict[str, ProcessAddress] = {}
-        self.kernels: list[Kernel] = [
-            Kernel(
-                machine,
-                self.loop,
-                self.network,
-                self.tracer,
-                config=self.config.kernel_config(),
-                well_known=self.well_known,
-                metrics=self.metrics,
-            )
-            for machine in self.topology.machines
-        ]
-        for name, factory in registered_programs().items():
-            for kernel in self.kernels:
-                kernel.register_program(name, factory)
-        #: pids of the system processes booted at start-up, by service name
-        self.server_pids: dict[str, ProcessId] = {}
         if self.config.boot_servers:
             boot_standard_servers(self)
         self._load_reporting = False
@@ -214,72 +152,8 @@ class System:
         )
 
     # ------------------------------------------------------------------
-    # Public operations
+    # Time
     # ------------------------------------------------------------------
-
-    def _publish_sim_metrics(self, registry: MetricsRegistry) -> None:
-        """Registry collector for event-loop and tracer level facts."""
-        registry.gauge("sim.now_us").set(self.loop.now)
-        registry.counter("sim.events_fired").set_total(self.loop.events_fired)
-        registry.gauge("sim.trace_records").set(len(self.tracer))
-        registry.counter("sim.trace_dropped").set_total(self.tracer.dropped)
-        registry.gauge("sim.migration_spans").set(len(self.spans))
-
-    def kernel(self, machine: MachineId) -> Kernel:
-        """The kernel running on *machine*."""
-        try:
-            return self.kernels[machine]
-        except IndexError:
-            raise ConfigError(f"no machine {machine}") from None
-
-    def domain_view(self, machines: list[MachineId]) -> "SystemDomainView":
-        """A window onto a subset of machines, for per-domain policies.
-
-        Shaped like :class:`repro.sim.shard.DomainView`, so a
-        :class:`~repro.policy.load_balancer.DomainLoadBalancer` runs
-        unchanged against a single-loop system — same decisions, same
-        traces — which is how benchmarks compare policies without
-        paying for sharded execution.
-        """
-        return SystemDomainView(self, machines)
-
-    def spawn(
-        self,
-        program: Program,
-        machine: MachineId = 0,
-        name: str = "",
-        memory: MemoryImage | None = None,
-        priority: int = 0,
-    ) -> ProcessId:
-        """Create a process on *machine* running *program*."""
-        return self.kernel(machine).spawn(
-            program, name=name, memory=memory, priority=priority,
-        )
-
-    def migrate(
-        self,
-        pid: ProcessId,
-        dest: MachineId,
-        on_done: Callable[[bool, MigrationCostRecord], None] | None = None,
-    ) -> MigrationTicket:
-        """Ask the kernel currently hosting *pid* to migrate it to *dest*.
-
-        This is the direct mechanism-level entry (what the process manager
-        does internally); returns a ticket that fills in when the source
-        kernel sees the migration finish.
-        """
-        ticket = MigrationTicket(pid, dest)
-        kernel = self.kernel_hosting(pid)
-        if kernel is None:
-            raise UnknownProcessError(f"{pid} is not running anywhere")
-
-        def _done(success: bool, record: MigrationCostRecord) -> None:
-            ticket._complete(success, record)
-            if on_done is not None:
-                on_done(success, record)
-
-        ticket.initiated = kernel.migration.start(pid, dest, on_done=_done)
-        return ticket
 
     def run(
         self, until: int | None = None, max_events: int | None = None
@@ -289,76 +163,25 @@ class System:
             return self.loop.run(max_events=max_events)
         return self.loop.run_until(until, max_events=max_events)
 
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
+    def call_at_barrier(
+        self, time: int, key: tuple, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Schedule a *global* action at *time*: on one loop, an
+        ordinary event (*key* only matters where shards must agree)."""
+        self.loop.call_at(time, callback, *args)
 
-    def kernel_hosting(self, pid: ProcessId) -> Kernel | None:
-        """The kernel where *pid* currently lives (omniscient; for tests,
-        benchmarks and the embedded process manager)."""
-        for kernel in self.kernels:
-            if pid in kernel.processes:
-                return kernel
-        return None
-
-    def where_is(self, pid: ProcessId) -> MachineId | None:
-        """The machine currently hosting *pid*, or None."""
-        kernel = self.kernel_hosting(pid)
-        return kernel.machine if kernel is not None else None
-
-    def process_state(self, pid: ProcessId) -> ProcessState | None:
-        """The live state object for *pid*, wherever it is."""
-        kernel = self.kernel_hosting(pid)
-        return kernel.processes[pid] if kernel is not None else None
-
-    def is_alive(self, pid: ProcessId) -> bool:
-        """Whether *pid* is still running somewhere."""
-        return self.kernel_hosting(pid) is not None
-
-    def migration_records(self) -> list[MigrationCostRecord]:
-        """Every completed migration's cost record, across all kernels,
-        ordered by start time."""
-        records = [
-            record
-            for kernel in self.kernels
-            for record in kernel.migration.completed
-        ]
-        return sorted(records, key=lambda r: r.started_at)
-
-    def total_forwarding_entries(self) -> int:
-        """Forwarding addresses currently installed system-wide."""
-        return sum(len(k.forwarding) for k in self.kernels)
-
-    def loads(self) -> dict[MachineId, dict[str, Any]]:
-        """Per-machine load snapshots (the §3.1 decision inputs)."""
-        return {k.machine: k.load_snapshot() for k in self.kernels}
+    def _publish_sim_metrics(
+        self, registry: MetricsRegistry, shard: Shard
+    ) -> None:
+        """Registry collector for event-loop and tracer level facts."""
+        registry.gauge("sim.now_us").set(self.loop.now)
+        registry.counter("sim.events_fired").set_total(self.loop.events_fired)
+        registry.gauge("sim.trace_records").set(len(self.tracer))
+        registry.counter("sim.trace_dropped").set_total(self.tracer.dropped)
+        registry.gauge("sim.migration_spans").set(len(self.spans))
 
     def __repr__(self) -> str:
         return (
             f"System(machines={self.config.machines},"
             f" now={self.loop.now}us, events={self.loop.events_fired})"
         )
-
-
-class SystemDomainView:
-    """A domain-scoped window onto a single-loop :class:`System`.
-
-    Duck-types :class:`repro.sim.shard.DomainView` (``loop``, ``tracer``,
-    ``metrics``, ``kernels``, ``kernel()``), so per-domain policies see
-    the same interface whether the system runs sharded or not.
-    """
-
-    def __init__(self, system: System, machines: list[MachineId]) -> None:
-        self.loop = system.loop
-        self.tracer = system.tracer
-        self.metrics = system.metrics
-        self.kernels = [system.kernel(m) for m in machines]
-        self._by_machine = {k.machine: k for k in self.kernels}
-
-    def kernel(self, machine: MachineId) -> Kernel:
-        try:
-            return self._by_machine[machine]
-        except KeyError:
-            raise ConfigError(
-                f"machine {machine} is outside this domain"
-            ) from None

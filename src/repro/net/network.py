@@ -21,7 +21,7 @@ from repro.net.packet import Packet
 from repro.net.reliable import DEFAULT_RTO, ReliableTransport
 from repro.net.stats import NetworkStats
 from repro.net.topology import MachineId, Topology
-from repro.sim.barrier import RECORD_KEY, HopRecord, SyncStats
+from repro.sim.barrier import HopRecord, SyncStats
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
@@ -175,19 +175,22 @@ class Network:
             self.set_faults(self._default_faults, a, b)
         return len(pairs)
 
-    def redirect_machine(
+    def install_redirect(
         self, dead: MachineId, executor: MachineId
     ) -> None:
         """Deliver all traffic addressed to *dead* at *executor* instead.
 
-        Installed by crash recovery: the executor's transport accepts the
-        dead machine's packets (and acks them), so senders' outstanding
-        retransmissions settle instead of looping forever.
+        The routing half of fail-stop takeover: the executor's transport
+        accepts the dead machine's packets (and acks them), so senders'
+        outstanding retransmissions settle instead of looping forever.
+        :meth:`repro.core.cluster.Cluster.crash_transport` calls this on
+        **every** network of the cluster at one barrier, so all of them
+        flip their (pure-data) routing view together; no transport
+        validation here — a shard's network usually owns neither
+        machine, and the cluster validated both before fanning out.
         """
         if dead == executor:
             raise UnknownMachineError("a machine cannot execute itself")
-        self._transport(dead)  # validate both exist
-        self._transport(executor)
         self._redirects[dead] = executor
         # Chase chains: anything previously redirected to `dead` now
         # lands on the executor too.
@@ -198,30 +201,6 @@ class Network:
     def effective_destination(self, machine: MachineId) -> MachineId:
         """Where traffic addressed to *machine* is actually delivered."""
         return self._redirects.get(machine, machine)
-
-    def crash_machine(self, dead: MachineId, executor: MachineId) -> None:
-        """Fail-stop *dead* at the transport level.
-
-        Installs the redirect, hands the dead machine's receive-stream
-        state (the published mirror) to the executor so redirected
-        packets keep their sequence spaces, and abandons the dead
-        machine's own unacknowledged sends — fail-stop semantics: they
-        may or may not have been delivered.
-        """
-        self.redirect_machine(dead, executor)
-        dead_transport = self._transport(dead)
-        self._transport(executor).absorb_recv_states(
-            dead_transport.export_recv_states()
-        )
-        abandoned = dead_transport.abandon_sends()
-        if self.tracer is not None:
-            self.tracer.record(
-                "net",
-                "crash",
-                machine=dead,
-                executor=executor,
-                abandoned_sends=abandoned,
-            )
 
     def in_flight(self) -> int:
         """Packets currently on some wire (diagnostics)."""
@@ -327,14 +306,12 @@ class ShardNetwork(Network):
     *source* shard, so it is touched by exactly one worker and its
     evolution is shard-layout independent.
 
-    Fail-stop takeover works, but only through
-    :meth:`~repro.sim.shard.ShardedSystem.crash_transport`, which
+    Fail-stop takeover goes through
+    :meth:`~repro.core.cluster.Cluster.crash_transport`, which
     replicates the redirect onto every shard's routing view at a global
-    barrier (:meth:`install_redirect`); the direct
-    :meth:`redirect_machine` / :meth:`crash_machine` entry points
-    refuse, because one shard flipping alone would desynchronise
-    routing.  Retroactive ``set_faults`` stays unsupported (the default
-    plan from the config applies to every wire from the start).
+    barrier (one shard flipping alone would desynchronise routing).
+    Retroactive ``set_faults`` stays unsupported (the default plan from
+    the config applies to every wire from the start).
     """
 
     def __init__(
@@ -378,24 +355,17 @@ class ShardNetwork(Network):
     # -- barrier handoff ------------------------------------------------
 
     def take_outboxes(self) -> dict[int, list[HopRecord]]:
-        """Pending hop records keyed by destination shard (clears them).
-
-        Each destination's list is sorted into canonical order here —
-        at drain time, per source — so barriers merge the pre-sorted
-        per-source lists instead of re-sorting the concatenation.
-        """
+        """Pending hop records keyed by destination shard (clears
+        them), in production order: the keyed loop files each under its
+        own key, so hand-over order is invisible."""
         outboxes = self._outboxes
         self._outboxes = {}
-        for records in outboxes.values():
-            records.sort(key=RECORD_KEY)
         return outboxes
 
     def take_outbox(self, dest: int) -> list[HopRecord]:
-        """Pending hop records for one destination shard, pre-sorted
-        (clears just that outbox) — the pairwise-rendezvous drain."""
-        records = self._outboxes.pop(dest, [])
-        records.sort(key=RECORD_KEY)
-        return records
+        """Pending hop records for one destination shard (clears just
+        that outbox) — the pairwise-rendezvous drain."""
+        return self._outboxes.pop(dest, [])
 
     def receive_record(self, record: HopRecord) -> None:
         """Schedule one hop at its arrival tick, under its own key —
@@ -453,40 +423,3 @@ class ShardNetwork(Network):
             "set_faults is not supported on a sharded network; configure "
             "SystemConfig.faults before building the system"
         )
-
-    def redirect_machine(self, dead: MachineId, executor: MachineId) -> None:
-        raise SimulationError(
-            "direct fail-stop takeover is not supported on one shard "
-            "network; go through ShardedSystem.crash_transport so every "
-            "shard's routing view flips at the same barrier"
-        )
-
-    def crash_machine(self, dead: MachineId, executor: MachineId) -> None:
-        raise SimulationError(
-            "direct fail-stop takeover is not supported on one shard "
-            "network; go through ShardedSystem.crash_transport so every "
-            "shard's routing view flips at the same barrier"
-        )
-
-    # -- sharded fail-stop takeover ---------------------------------------
-
-    def install_redirect(
-        self, dead: MachineId, executor: MachineId
-    ) -> None:
-        """Route traffic addressed to *dead* towards *executor*.
-
-        Called on **every** shard network by
-        :meth:`~repro.sim.shard.ShardedSystem.crash_transport` at a
-        global barrier, so all shards flip their (pure-data) routing
-        view atomically.  No transport validation here — a shard
-        usually owns neither machine; the sharded system validated
-        both before fanning out.
-        """
-        if dead == executor:
-            raise UnknownMachineError("a machine cannot execute itself")
-        self._redirects[dead] = executor
-        # Chase chains exactly as the classic facade does: anything
-        # previously redirected to `dead` now lands on the executor.
-        for original, target in list(self._redirects.items()):
-            if target == dead:
-                self._redirects[original] = executor

@@ -35,46 +35,7 @@ from repro.kernel.process_state import ProcessState, ProcessStatus
 from repro.net.topology import MachineId
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.system import System
-    from repro.sim.shard import ShardedSystem
-
-    AnySystem = System | ShardedSystem
-
-
-def _kernels(system: "AnySystem"):
-    """Every kernel in machine order, on either engine."""
-    if hasattr(system, "shards"):
-        return system.kernels_in_machine_order()
-    return list(system.kernels)
-
-
-def _now(system: "AnySystem") -> int:
-    """The engine clock: one loop classically, the barrier clock sharded.
-
-    Under sharding, recovery only ever runs inside a barrier action,
-    where every shard clock has been frozen to the action time — so the
-    max over shard clocks *is* the crash instant.
-    """
-    if hasattr(system, "shards"):
-        return system.now()
-    return system.loop.now
-
-
-def _tracer(system: "AnySystem", machine: MachineId):
-    """The tracer that owns *machine* (the shard's, or the global one)."""
-    if hasattr(system, "shards"):
-        return system.shard_for(machine).tracer
-    return system.tracer
-
-
-def _crash_transport(
-    system: "AnySystem", machine: MachineId, executor: MachineId
-) -> None:
-    """Fail-stop the transport on either engine."""
-    if hasattr(system, "shards"):
-        system.crash_transport(machine, executor)
-    else:
-        system.network.crash_machine(machine, executor)
+    from repro.core.cluster import Cluster
 
 
 @dataclass
@@ -92,16 +53,15 @@ class CrashReport:
 class CrashRecoveryManager:
     """Fail-stop crashes with stable-storage process recovery.
 
-    Duck-types over :class:`~repro.core.system.System` and
-    :class:`~repro.sim.shard.ShardedSystem` (serial executor).  Sharded
-    crashes must run inside a barrier action
-    (:meth:`~repro.sim.shard.ShardedSystem.call_at_barrier`): the
-    recovery sequence mutates several shards' state atomically, which
-    is only sound between windows with every shard clock frozen at the
-    crash instant.
+    Written against :class:`~repro.core.cluster.Cluster` (serial
+    executor).  A crash scheduled ahead of time must go through
+    :meth:`~repro.core.cluster.Cluster.call_at_barrier`: the recovery
+    sequence mutates several shards' state atomically, which is only
+    sound between windows with every shard clock frozen at the crash
+    instant (``system.now()``).
     """
 
-    def __init__(self, system: "AnySystem") -> None:
+    def __init__(self, system: "Cluster") -> None:
         self.system = system
         self._protected: set[ProcessId] = set()
         self.reports: list[CrashReport] = []
@@ -135,11 +95,11 @@ class CrashRecoveryManager:
         # the delivery substrate (published communications) hands its
         # streams and its traffic to the executor.
         dead.crashed = True
-        _crash_transport(system, machine, executor)
+        system.crash_transport(machine, executor)
 
         # Abort outbound migrations from *any* machine that were headed
         # to the dead one (their destination state is gone).
-        for kernel in _kernels(system):
+        for kernel in system.kernels:
             if kernel is dead or kernel.crashed:
                 continue
             for pid in list(kernel.migration.outgoing_pids()):
@@ -149,7 +109,7 @@ class CrashRecoveryManager:
                 state = kernel.processes.get(pid)
                 entry.record.success = False
                 entry.record.refusal_reason = "destination crashed"
-                entry.record.completed_at = _now(system)
+                entry.record.completed_at = system.now()
                 if state is not None:
                     kernel.restore_aborted_migration(state)
                 kernel.migration._finish_source(entry, success=False)
@@ -162,7 +122,7 @@ class CrashRecoveryManager:
         # already-lost pending queue, cleanup) are moot.  Otherwise the
         # transfer is incomplete and is cancelled; the frozen state is
         # still at the source and is recovered below if protected.
-        for kernel in _kernels(system):
+        for kernel in system.kernels:
             if kernel is dead or kernel.crashed:
                 continue
             for pid, entry in list(kernel.migration._incoming.items()):
@@ -186,10 +146,10 @@ class CrashRecoveryManager:
                     # redirects to the executor and is undeliverable.
                     if kernel is not alive:
                         alive.forwarding.install(
-                            pid, kernel.machine, _now(system),
+                            pid, kernel.machine, system.now(),
                         )
                         report.forwarding_recovered += 1
-                    _tracer(system, kernel.machine).record(
+                    kernel.tracer.record(
                         "recover", "inbound-completed", pid=str(pid),
                         at=kernel.machine,
                     )
@@ -197,7 +157,7 @@ class CrashRecoveryManager:
                     kernel.memory.cancel_reservation(pid)
                     kernel.processes.pop(pid, None)
                     report.migrations_aborted += 1
-                    _tracer(system, kernel.machine).record(
+                    kernel.tracer.record(
                         "recover", "inbound-cancelled", pid=str(pid),
                         at=kernel.machine,
                     )
@@ -219,7 +179,7 @@ class CrashRecoveryManager:
             if own is not None and own.machine != machine:
                 continue
             alive.forwarding.install(
-                entry.pid, entry.machine, _now(system),
+                entry.pid, entry.machine, system.now(),
             )
             report.forwarding_recovered += 1
 
@@ -233,12 +193,12 @@ class CrashRecoveryManager:
                 dead_mark = alive  # executor answers for the casualties
                 dead_mark.dead.add(pid)
                 report.casualties.append(pid)
-                _tracer(system, alive.machine).record(
+                alive.tracer.record(
                     "recover", "casualty", pid=str(pid), machine=machine,
                 )
 
         self.reports.append(report)
-        _tracer(system, executor).record(
+        alive.tracer.record(
             "recover", "crash", machine=machine, executor=executor,
             recovered=len(report.recovered),
             casualties=len(report.casualties),
@@ -265,7 +225,7 @@ class CrashRecoveryManager:
         system = self.system
         problems: list[str] = []
         hosts: dict[ProcessId, list[MachineId]] = {}
-        for kernel in _kernels(system):
+        for kernel in system.kernels:
             if kernel.crashed:
                 if kernel.processes:
                     problems.append(
@@ -289,7 +249,7 @@ class CrashRecoveryManager:
                 )
 
         def dead_marked(pid: ProcessId) -> bool:
-            return any(pid in k.dead for k in _kernels(system))
+            return any(pid in k.dead for k in system.kernels)
 
         for report in self.reports:
             for pid in report.recovered:
@@ -330,7 +290,7 @@ class CrashRecoveryManager:
             dead.loop.cancel(dead_timer)
         if state.wake_deadline is not None:
             state.wake_remaining = max(
-                0, state.wake_deadline - _now(self.system),
+                0, state.wake_deadline - self.system.now(),
             )
             state.wake_deadline = None
 
@@ -342,6 +302,6 @@ class CrashRecoveryManager:
             state.context.rebind(alive)
         state.accounting.migrations += 1  # a recovery is a forced move
         alive._unfreeze(state)
-        _tracer(self.system, alive.machine).record(
+        alive.tracer.record(
             "recover", "recovered", pid=str(pid), to=alive.machine,
         )

@@ -79,9 +79,7 @@ import io
 import pickle
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from heapq import merge as _heapq_merge
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterable, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.errors import SimulationError
 
@@ -120,11 +118,6 @@ class HopRecord:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
 
-
-#: Canonical hand-over order: outboxes are sorted by it, so every
-#: executor ships and injects one sequence (the loop's own order comes
-#: from the record key, see the module docstring).
-RECORD_KEY = attrgetter("arrival", "src", "dst", "wire_seq")
 
 #: Pipes carry pre-pickled blobs (one per peer per round) so each
 #: rendezvous is a single send/recv syscall pair and its size is
@@ -238,19 +231,6 @@ def _pack_record_blob(record: HopRecord) -> bytes:
     return buffer.getvalue()
 
 
-def merge_sorted_records(
-    lists: Iterable[list[HopRecord]],
-) -> list[HopRecord]:
-    """Merge per-source pre-sorted record lists into canonical order.
-
-    Every list is already sorted by :data:`RECORD_KEY` (outboxes are
-    sorted when drained) and the key is globally unique, so a k-way
-    merge produces exactly what re-sorting the concatenation would —
-    without the O(n log n) comparison bill at every barrier.
-    """
-    return list(_heapq_merge(*lists, key=RECORD_KEY))
-
-
 def window_end(time: int, lookahead: int) -> int:
     """End of the grid-aligned window containing *time*."""
     return (time // lookahead + 1) * lookahead
@@ -261,9 +241,9 @@ class BarrierAction:
     """One global action pinned to a barrier on the window grid.
 
     ``key`` is pure data (kind string + machine ids) and totally orders
-    same-tick actions the way :data:`RECORD_KEY` orders hop records:
-    the firing order is a function of the schedule alone, never of the
-    shard layout or of registration order.
+    same-tick actions the way a hop record's key orders it on the keyed
+    loop: the firing order is a function of the schedule alone, never
+    of the shard layout or of registration order.
     """
 
     at: int  #: fire time; must be a multiple of the window grid
@@ -472,18 +452,13 @@ class ShardPeer(Protocol):
         ...  # pragma: no cover
 
     def drain_outboxes(self) -> dict[int, list[HopRecord]]:
-        """Take (and clear) pending records, keyed by dest shard.
-
-        Each list comes back pre-sorted in canonical order, so drain
-        rounds merge instead of re-sorting (see
-        :func:`merge_sorted_records`).
-        """
+        """Take (and clear) pending records, keyed by dest shard, in
+        any order (the keyed loop makes hand-over order invisible)."""
         ...  # pragma: no cover
 
     def take_outbox(self, dest: int) -> list[HopRecord]:
-        """Take (and clear) pending records for one destination shard,
-        pre-sorted — the pairwise-rendezvous flavour of
-        :meth:`drain_outboxes`."""
+        """Take (and clear) pending records for one destination shard
+        — the pairwise-rendezvous flavour of :meth:`drain_outboxes`."""
         ...  # pragma: no cover
 
     def inject(self, records: list[HopRecord]) -> None:
@@ -757,25 +732,21 @@ class SerialRunner(_Rendezvous):
             outs = [peer.drain_outboxes() for peer in peers]
             heads = [peer.next_event_time() for peer in peers]
             nxt = _next_time(*heads, *(_min_arrival(out) for out in outs))
-            inbound: list[list[list[HopRecord]]] = [[] for _ in peers]
-            for s, out in enumerate(outs):
-                own = out.pop(s, None)
-                if own:
-                    inbound[s].append(own)
+            inbound: list[list[HopRecord]] = [
+                out.pop(s, []) for s, out in enumerate(outs)
+            ]
             for i in range(count):
                 for j in range(i + 1, count):
                     sent_ij = outs[i].pop(j, [])
                     sent_ji = outs[j].pop(i, [])
                     syncs[i].note_exchange(len(sent_ij), len(sent_ji))
                     syncs[j].note_exchange(len(sent_ji), len(sent_ij))
-                    if sent_ij:
-                        inbound[j].append(sent_ij)
-                    if sent_ji:
-                        inbound[i].append(sent_ji)
+                    inbound[j] += sent_ij
+                    inbound[i] += sent_ji
             for s, out in enumerate(outs):
                 _check_no_stray_outboxes(s, out)
                 if inbound[s]:
-                    peers[s].inject(merge_sorted_records(inbound[s]))
+                    peers[s].inject(inbound[s])
             at = self._next_action_time()
             if at is not None and (nxt is None or nxt >= at):
                 self._fire_actions(at)
@@ -873,10 +844,7 @@ class WorkerBarrier(_Rendezvous):
         outboxes = peer.drain_outboxes()
         head = peer.next_event_time()
         min_out = _min_arrival(outboxes)
-        inbound: list[list[HopRecord]] = []
-        own = outboxes.pop(self.index, None)
-        if own:
-            inbound.append(own)
+        inbound: list[HopRecord] = outboxes.pop(self.index, [])
         nxt = _next_time(head, min_out)
         for j in sorted(self.peer_conns):
             sending = outboxes.pop(j, [])
@@ -884,12 +852,11 @@ class WorkerBarrier(_Rendezvous):
                 j, sending, head, min_out
             )
             self.sync.note_exchange(len(sending), len(theirs))
-            if theirs:
-                inbound.append(theirs)
+            inbound += theirs
             nxt = _next_time(nxt, their_head, their_min_out)
         _check_no_stray_outboxes(self.index, outboxes)
         if inbound:
-            peer.inject(merge_sorted_records(inbound))
+            peer.inject(inbound)
         return nxt
 
     def run(self, peer: ShardPeer, horizon: int | None = None) -> None:

@@ -1,9 +1,12 @@
 """The sharded parallel execution engine.
 
-A :class:`ShardedSystem` is the multi-loop sibling of
-:class:`repro.core.system.System`: the machine set is partitioned into
+A :class:`ShardedSystem` is the multi-loop
+:class:`~repro.core.cluster.Cluster` (the single-loop one is
+:class:`repro.core.system.System`): the machine set is partitioned into
 ``config.shards`` shards, each with its own event loop, tracer, metrics
-registry, :class:`~repro.net.network.ShardNetwork` and kernels.  Each
+registry, :class:`~repro.net.network.ShardNetwork` and kernels.  This
+module supplies only what the engine adds to the shared surface — the
+plan, the keyed loops, the runner, barrier actions and fork.  Each
 shard runs ahead through the time range no other shard can yet
 influence and hands in-flight packet hops to its neighbours at
 pairwise rendezvous (see :mod:`repro.sim.barrier`) — DEMOS/MP is
@@ -35,7 +38,7 @@ obligations are (a) every hop is a keyed hop record, (b) per-wire
 state lives with the wire's source shard, (c) build-time event order is
 the single global order of this module's constructors, and (d) scenario
 drivers anchor decisions to per-machine state (see
-:meth:`ShardedSystem.schedule_migration` and
+:meth:`~repro.core.cluster.Cluster.schedule_migration` and
 :class:`repro.policy.load_balancer.DomainLoadBalancer`) rather than to
 a cross-shard global view.
 """
@@ -46,23 +49,19 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.core.cluster import Cluster, Shard
+from repro.core.cluster import DomainView  # noqa: F401 (old home)
 from repro.core.config import SystemConfig, near_square_factor
-from repro.core.registry import registered_programs
-from repro.core.system import MigrationTicket, boot_standard_servers
-from repro.errors import ConfigError, SimulationError, UnknownProcessError
-from repro.kernel.ids import ProcessAddress, ProcessId
-from repro.kernel.kernel import Kernel
+from repro.core.system import boot_standard_servers
+from repro.errors import ConfigError, SimulationError
 from repro.net.network import ShardNetwork
 from repro.net.topology import MachineId, Topology
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.barrier import BarrierActionQueue, SerialRunner, WorkerBarrier
 from repro.sim.loop import KeyedEventLoop
-from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.barrier import HopRecord
-    from repro.stats.migration_cost import MigrationCostRecord
 
 
 def shard_alignment(config: SystemConfig) -> int:
@@ -176,19 +175,6 @@ class ShardPlan:
             raise ConfigError(f"no machine {machine}") from None
 
 
-@dataclass
-class Shard:
-    """One shard's runtime: a loop, its kernels, and its network."""
-
-    index: int
-    machines: list[MachineId]
-    loop: KeyedEventLoop
-    tracer: Tracer
-    metrics: MetricsRegistry
-    network: ShardNetwork
-    kernels: dict[MachineId, Kernel]
-
-
 class ShardRuntime:
     """Adapter giving the barrier runners their ``ShardPeer`` surface."""
 
@@ -230,107 +216,25 @@ class ShardRuntime:
             receive(record)
 
 
-class DomainView:
-    """A ``System``-shaped window onto one shard, scoped to a domain.
-
-    :class:`~repro.policy.load_balancer.DomainLoadBalancer` (and any
-    other per-neighbourhood policy) runs against this instead of the
-    global system, so its decisions read only domain-local state — the
-    property that keeps policy behaviour independent of the shard
-    layout *and* executable inside a forked worker.
-    """
-
-    def __init__(self, shard: Shard, machines: list[MachineId]) -> None:
-        missing = [m for m in machines if m not in shard.kernels]
-        if missing:
-            raise ConfigError(
-                f"domain machines {missing} are not in shard {shard.index} "
-                f"(a policy domain must sit inside one shard)"
-            )
-        self.shard = shard
-        self.loop = shard.loop
-        self.tracer = shard.tracer
-        self.metrics = shard.metrics
-        self.kernels = [shard.kernels[m] for m in machines]
-        self._by_machine = {k.machine: k for k in self.kernels}
-
-    def kernel(self, machine: MachineId) -> Kernel:
-        try:
-            return self._by_machine[machine]
-        except KeyError:
-            raise ConfigError(
-                f"machine {machine} is outside this domain"
-            ) from None
-
-
-class ShardedSystem:
+class ShardedSystem(Cluster):
     """One simulated DEMOS/MP installation across parallel shards."""
 
     def __init__(self, config: SystemConfig | None = None) -> None:
-        self.config = config or SystemConfig()
-        self.config.validate()
-        self.topology = self.config.build_topology()
+        super().__init__(config)
         self.plan = ShardPlan.build(self.config, self.topology)
-        self.rngs = RandomStreams(self.config.seed)
-        #: shared by every kernel; server boots add entries as they come
-        #: up.  Fully populated at build time, so forked workers all see
-        #: the same (copied) directory.
-        self.well_known: dict[str, ProcessAddress] = {}
-        self.server_pids: dict[str, ProcessId] = {}
-        self.shards: list[Shard] = []
-        kernel_config = self.config.kernel_config()
-        programs = registered_programs()
         for index, machines in enumerate(self.plan.shards):
-            loop = KeyedEventLoop(self.plan.lookahead)
-            tracer = Tracer(
-                (lambda _loop=loop: _loop.now),
-                max_records=self.config.max_trace_records,
-                enabled_categories=self.config.trace_categories,
-            )
-            metrics = MetricsRegistry(enabled=self.config.metrics_enabled)
-            network = ShardNetwork(
-                loop,
-                self.topology,
+            self._build_shard(
+                list(machines),
+                KeyedEventLoop(self.plan.lookahead),
+                ShardNetwork,
                 shard_index=index,
                 shard_of=self.plan.shard_of,
-                machines=list(machines),
-                tracer=tracer,
-                rngs=self.rngs,
-                faults=self.config.faults,
-                rto=self.config.rto,
-                metrics=metrics,
             )
-            kernels = {
-                machine: Kernel(
-                    machine,
-                    loop,
-                    network,
-                    tracer,
-                    config=kernel_config,
-                    well_known=self.well_known,
-                    metrics=metrics,
-                )
-                for machine in machines
-            }
-            for name, factory in programs.items():
-                for kernel in kernels.values():
-                    kernel.register_program(name, factory)
-            shard = Shard(
-                index, list(machines), loop, tracer, metrics, network,
-                kernels,
-            )
-            metrics.register_collector(
-                lambda registry, _shard=shard: self._publish_sim_metrics(
-                    registry, _shard
-                )
-            )
-            self.shards.append(shard)
-        runtimes = [ShardRuntime(shard) for shard in self.shards]
         #: global (cross-shard) actions fired between meetings — the
         #: fail-stop crash hook; empty unless chaos registers actions
         self._barrier_actions = BarrierActionQueue(self.plan.lookahead)
         self._runner = SerialRunner(
-            runtimes,
+            [ShardRuntime(shard) for shard in self.shards],
             self.plan.lookahead,
             self.plan.pair_periods,
             syncs=[shard.network.sync for shard in self.shards],
@@ -341,54 +245,10 @@ class ShardedSystem:
         if self.config.boot_servers:
             boot_standard_servers(self)
 
-    # ------------------------------------------------------------------
-    # Build-time scenario wiring
-    # ------------------------------------------------------------------
-
-    def kernel(self, machine: MachineId) -> Kernel:
-        """The kernel running on *machine*."""
-        shard = self.shards[self.plan.shard_of(machine)]
-        return shard.kernels[machine]
-
-    def shard_for(self, machine: MachineId) -> Shard:
-        """The shard owning *machine*."""
-        return self.shards[self.plan.shard_of(machine)]
-
-    def domain_view(self, machines: list[MachineId]) -> DomainView:
-        """A policy-facing view of one topology neighbourhood.
-
-        All *machines* must live in one shard (the partitioner keeps
-        aligned neighbourhoods whole, so any domain that respects the
-        alignment satisfies this for every shard count).
-        """
-        if not machines:
-            raise ConfigError("a domain needs at least one machine")
-        return DomainView(self.shard_for(machines[0]), machines)
-
-    def spawn(
-        self,
-        program: Callable,
-        machine: MachineId = 0,
-        name: str = "",
-        **kwargs: Any,
-    ) -> ProcessId:
-        """Create a process on *machine* running *program*."""
-        return self.kernel(machine).spawn(program, name=name, **kwargs)
-
-    def call_at(
-        self,
-        time: int,
-        machine: MachineId,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> None:
-        """Schedule driver code at *time* on *machine*'s shard loop.
-
-        The machine anchor is what keeps scheduled scenario actions
-        executable in a forked worker (the closure runs where the
-        machine's state lives) and shard-layout independent.
-        """
-        self.shard_for(machine).loop.call_at(time, callback, *args)
+    @property
+    def barrier_grid(self) -> int:
+        """Barrier actions fire between windows of the lookahead grid."""
+        return self.plan.lookahead
 
     def call_at_barrier(
         self,
@@ -403,9 +263,9 @@ class ShardedSystem:
         machine's loop: it fires when every shard has executed all
         events strictly before *time* and frozen its clock there — so
         it may touch state on several shards atomically (fail-stop
-        crash recovery does).  *time* must sit on the window grid (a
-        multiple of ``plan.lookahead``); *key* is pure data and orders
-        same-tick actions deterministically.
+        crash recovery does).  *time* must sit on :attr:`barrier_grid`;
+        *key* is pure data and orders same-tick actions
+        deterministically.
 
         The serial runner drives every shard to the action tick, fires,
         and re-arms its rendezvous schedule (the action's influence
@@ -419,109 +279,15 @@ class ShardedSystem:
         except ValueError as exc:
             raise SimulationError(str(exc)) from None
 
-    def crash_transport(
-        self, dead: MachineId, executor: MachineId
-    ) -> None:
-        """Fail-stop *dead*'s transport across every shard network.
-
-        The sharded sibling of :meth:`Network.crash_machine`: installs
-        the redirect on **every** shard's routing view (pure data,
-        replicated so each shard routes identically), hands the dead
-        machine's receive-stream state to the executor's transport, and
-        abandons the dead machine's unacknowledged sends.  Call only
-        from a barrier action — mid-window the shards disagree on time.
-        """
-        dead_net = self.shard_for(dead).network
-        exec_net = self.shard_for(executor).network
-        for shard in self.shards:
-            shard.network.install_redirect(dead, executor)
-        exec_net._transport(executor).absorb_recv_states(
-            dead_net._transport(dead).export_recv_states()
-        )
-        abandoned = dead_net._transport(dead).abandon_sends()
-        self.shard_for(dead).tracer.record(
-            "net",
-            "crash",
-            machine=dead,
-            executor=executor,
-            abandoned_sends=abandoned,
-        )
-
-    def schedule_spawn(
-        self,
-        at: int,
-        machine: MachineId,
-        program: Callable,
-        name: str = "",
-    ) -> None:
-        """Spawn *program* on *machine* at simulated time *at*."""
-        self.call_at(
-            at, machine,
-            lambda: self.kernel(machine).spawn(program, name=name),
-        )
-
-    def schedule_migration(
-        self,
-        at: int,
-        pid: ProcessId,
-        home: MachineId,
-        dest: MachineId,
-        on_done: Callable[[bool, "MigrationCostRecord"], None] | None = None,
-    ) -> None:
-        """Ask *home*'s kernel to migrate *pid* to *dest* at time *at*.
-
-        Unlike :meth:`System.migrate` this is anchored to a machine,
-        not to an omniscient process lookup: if the process is no
-        longer on *home* at that tick (it exited, or a policy moved
-        it), the request is skipped.  Per-machine state is identical
-        across shard layouts, so skip-or-start is too.
-        """
-
-        def _start() -> None:
-            kernel = self.kernel(home)
-            if pid in kernel.processes:
-                kernel.migration.start(pid, dest, on_done=on_done)
-
-        self.call_at(at, home, _start)
-
-    def migrate(
-        self,
-        pid: ProcessId,
-        dest: MachineId,
-        on_done: Callable[[bool, "MigrationCostRecord"], None] | None = None,
-    ) -> MigrationTicket:
-        """Immediate migration request (serial-executor convenience).
-
-        Looks the process up across all shards, so tests can drive
-        cross-shard migrations directly; scenario code meant for the
-        forked executor should use :meth:`schedule_migration`.
-        """
-        ticket = MigrationTicket(pid, dest)
-        kernel = self.kernel_hosting(pid)
-        if kernel is None:
-            raise UnknownProcessError(f"{pid} is not running anywhere")
-
-        def _done(success: bool, record: "MigrationCostRecord") -> None:
-            ticket._complete(success, record)
-            if on_done is not None:
-                on_done(success, record)
-
-        ticket.initiated = kernel.migration.start(pid, dest, on_done=_done)
-        return ticket
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def run(self, until: int | None = None) -> None:
-        """Serial execution; with *until*, stop the clocks there."""
+        """Serial execution: with *until*, stop the clocks there;
+        without, drain to global quiescence."""
         self._require_not_forked()
         self._runner.run(horizon=until)
-
-    def drain(self) -> None:
-        """Serial execution to global quiescence."""
-        self._require_not_forked()
-        self._runner.run(horizon=None)
 
     def execute(
         self,
@@ -537,13 +303,9 @@ class ShardedSystem:
         identical rendezvous schedule, so the collected results match
         byte for byte.
         """
-        if executor == "serial":
-            self.run(until=until)
-            self.drain()
-            return [collect(shard) for shard in self.shards]
         if executor == "fork":
             return self._execute_forked(until, collect)
-        raise ConfigError(f"unknown executor {executor!r}")
+        return super().execute(until, collect, executor)
 
     def _require_not_forked(self) -> None:
         if self._forked:
@@ -622,10 +384,6 @@ class ShardedSystem:
             )
         return results
 
-    # ------------------------------------------------------------------
-    # Inspection (serial executor / post-build)
-    # ------------------------------------------------------------------
-
     def _publish_sim_metrics(
         self, registry: MetricsRegistry, shard: Shard
     ) -> None:
@@ -637,68 +395,6 @@ class ShardedSystem:
             registry.counter(
                 f"sim.sync.{name}", shard=shard.index
             ).set_total(value)
-
-    def kernels_in_machine_order(self) -> list[Kernel]:
-        """Every kernel, ordered by machine id."""
-        return [self.kernel(m) for m in self.topology.machines]
-
-    def kernel_hosting(self, pid: ProcessId) -> Kernel | None:
-        """The kernel where *pid* currently lives (omniscient; only
-        meaningful under the serial executor)."""
-        for kernel in self.kernels_in_machine_order():
-            if pid in kernel.processes:
-                return kernel
-        return None
-
-    def where_is(self, pid: ProcessId) -> MachineId | None:
-        """The machine currently hosting *pid*, or None."""
-        kernel = self.kernel_hosting(pid)
-        return kernel.machine if kernel is not None else None
-
-    def is_alive(self, pid: ProcessId) -> bool:
-        """Whether *pid* is still running somewhere (serial executor)."""
-        return self.kernel_hosting(pid) is not None
-
-    def total_forwarding_entries(self) -> int:
-        """Forwarding addresses currently installed system-wide."""
-        return sum(
-            len(kernel.forwarding)
-            for kernel in self.kernels_in_machine_order()
-        )
-
-    def events_fired(self) -> int:
-        """Events executed across all shards (shard-count independent)."""
-        return sum(shard.loop.events_fired for shard in self.shards)
-
-    def now(self) -> int:
-        """The common barrier clock (max over shard clocks)."""
-        return max(shard.loop.now for shard in self.shards)
-
-    def quiescent(self) -> bool:
-        """No pending events, no queued hops, nothing awaiting an ack."""
-        return all(
-            shard.loop.pending_events == 0
-            and shard.network.in_flight() == 0
-            and shard.network.unacked() == 0
-            for shard in self.shards
-        )
-
-    def migration_records(self) -> list["MigrationCostRecord"]:
-        """Every completed migration's cost record, ordered by start."""
-        records = [
-            record
-            for kernel in self.kernels_in_machine_order()
-            for record in kernel.migration.completed
-        ]
-        return sorted(records, key=lambda r: r.started_at)
-
-    def snapshot(self) -> MetricsSnapshot:
-        """One merged metrics snapshot across every shard registry."""
-        from repro.obs.metrics import merge_snapshots
-
-        return merge_snapshots(
-            [shard.metrics.snapshot() for shard in self.shards]
-        )
 
     def __repr__(self) -> str:
         return (

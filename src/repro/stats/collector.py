@@ -17,8 +17,7 @@ from typing import TYPE_CHECKING, Any
 from repro.obs.metrics import MetricsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.system import System
-    from repro.sim.shard import ShardedSystem
+    from repro.core.cluster import Cluster
 
 #: scalar network counters surfaced in ``SystemReport.network``
 _NETWORK_SCALARS = (
@@ -256,41 +255,16 @@ def report_from_snapshot(
     )
 
 
-def collect_report(system: "System") -> SystemReport:
-    """Build a :class:`SystemReport` from a (possibly running) system."""
-    return report_from_snapshot(
-        system.metrics.snapshot(),
-        now=system.loop.now,
-        machines=len(system.kernels),
-    )
+def collect_report(cluster: "Cluster") -> SystemReport:
+    """Build a :class:`SystemReport` from a (possibly running) cluster.
 
-
-def collect_sharded_report(system: "ShardedSystem") -> SystemReport:
-    """Build one :class:`SystemReport` from a sharded system.
-
-    Takes each shard registry's snapshot and folds them with
-    :func:`repro.obs.metrics.merge_snapshots`, so the report reads
-    exactly like a single-loop run's: counters sum, the request-latency
-    histogram is the merged distribution across all shards.
+    On either engine: the shard registries' snapshots are folded with
+    :func:`repro.obs.metrics.merge_snapshots` (counters sum, the
+    request-latency histogram is the merged distribution), so a sharded
+    run's report reads exactly like a single-loop run's.
     """
     return report_from_snapshot(
-        system.snapshot(),
-        now=system.now(),
-        machines=system.config.machines,
-    )
-
-
-def sharded_report_from_snapshots(
-    snapshots: list[MetricsSnapshot], now: int, machines: int
-) -> SystemReport:
-    """Assemble one report from already-collected per-shard snapshots.
-
-    The fork executor ships each worker's :class:`MetricsSnapshot` back
-    over a pipe; this merges them without needing the (stale) parent
-    system object.
-    """
-    from repro.obs.metrics import merge_snapshots
-
-    return report_from_snapshot(
-        merge_snapshots(snapshots), now=now, machines=machines
+        cluster.snapshot(),
+        now=cluster.now(),
+        machines=len(cluster.kernels),
     )

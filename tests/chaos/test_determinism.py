@@ -103,7 +103,7 @@ def run_storm(seed: int, wave_times: tuple[int, ...], shards: int):
     engine = ChaosEngine(system, ChaosScenario("prop-storm", storms))
     engine.install()
     system.drain()
-    kernels = system.kernels_in_machine_order()
+    kernels = system.kernels
     counters = dict(engine.counts)
     counters["delivered"] = sum(
         k.stats.messages_delivered for k in kernels

@@ -1,5 +1,7 @@
 """Tests for retransmission timing: backoff, cap, and recovery."""
 
+from repro.core.config import SystemConfig
+from repro.core.system import System
 from repro.net.channel import FaultPlan
 from repro.net.network import Network
 from repro.net.reliable import DEFAULT_RTO, MAX_RTO, RTO_BACKOFF
@@ -69,14 +71,20 @@ class TestRetransmission:
         # the unacked dict while _on_timer is walking it.  This used to
         # raise "dictionary changed size during iteration"; now the
         # stream must settle to quiescence.
-        loop, net, inbox = make_pair(
-            faults=FaultPlan(drop_probability=1.0), rto=1_000,
-        )
+        # The crash sequence belongs to the cluster (it spans every
+        # network of a sharded one), so this pair sits inside a System.
+        system = System(SystemConfig(
+            machines=2, boot_servers=False, rto=1_000,
+            faults=FaultPlan(drop_probability=1.0),
+        ))
+        loop, net, inbox = system.loop, system.network, []
+        net.register_receiver(1, lambda src, p: inbox.append((loop.now, p)))
+        net.register_receiver(0, lambda src, p: None)
         for i in range(5):
             net.send(0, 1, i, 8)
         loop.run_until(2_500)  # at least one retransmission pass
         assert inbox == []
-        net.crash_machine(1, executor=0)
+        system.crash_transport(1, executor=0)
         net.set_faults(FaultPlan())  # network heals
         loop.run()
         # The executor absorbed machine 1's streams: every payload is

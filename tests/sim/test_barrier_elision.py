@@ -10,6 +10,7 @@ and equal to the single-loop ``System`` on the same scenario.
 import dataclasses
 import pickle
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -19,13 +20,11 @@ from repro.errors import ClockError, ConfigError, SimulationError
 from repro.net.topology import Topology
 from repro.policy.load_balancer import DomainLoadBalancer
 from repro.sim.barrier import (
-    RECORD_KEY,
     CapturedPayload,
     HopRecord,
     SerialRunner,
     SyncStats,
     WorkerBarrier,
-    merge_sorted_records,
     pack_blob,
     pack_record,
     rendezvous_schedule,
@@ -94,7 +93,9 @@ class TestKeyedEventLoop:
             loop_b.schedule_record(r, fired_b.append, r)
         loop_a.run()
         loop_b.run()
-        assert fired_a == fired_b == sorted(records, key=RECORD_KEY)
+        assert fired_a == fired_b == sorted(
+            records, key=attrgetter("arrival", "src", "dst", "wire_seq")
+        )
 
     def test_schedule_record_rejects_past_arrivals(self):
         loop = KeyedEventLoop(10)
@@ -107,7 +108,7 @@ class TestKeyedEventLoop:
 
 
 # ---------------------------------------------------------------------------
-# Schedule / merge helpers
+# Schedule helpers
 # ---------------------------------------------------------------------------
 
 
@@ -120,25 +121,6 @@ class TestRendezvousSchedule:
 
     def test_empty_before_first_period(self):
         assert rendezvous_schedule({(0, 1): 1000}, 999) == []
-
-
-class TestMergeSortedRecords:
-    def test_merge_equals_sorted_concatenation(self):
-        a = sorted(
-            [
-                HopRecord(30, 0, 4, 1, None),
-                HopRecord(10, 1, 4, 2, None),
-                HopRecord(10, 1, 4, 1, None),
-            ],
-            key=RECORD_KEY,
-        )
-        b = sorted(
-            [HopRecord(10, 2, 5, 1, None), HopRecord(20, 0, 5, 1, None)],
-            key=RECORD_KEY,
-        )
-        assert merge_sorted_records([a, b]) == sorted(
-            a + b, key=RECORD_KEY
-        )
 
 
 class TestPackBlob:
@@ -509,56 +491,45 @@ class TestElisionParity:
         _, sync = _run(1, 4_000)
         assert sync == SyncStats().as_dict()
 
+    def test_hand_over_order_is_invisible(self, monkeypatch):
+        """Nothing sorts an outbox before hand-over, because nothing
+        needs to: the keyed loop files every record under its own key,
+        and a frame's size does not depend on the order of its blobs.
+        Reversing every outbox changes no counter under the serial
+        runner and no shipped byte under the fork executor."""
+        from repro.net.network import ShardNetwork
+
+        natural = {
+            executor: _run(2, 4_000, executor=executor)
+            for executor in ("serial", "fork")
+        }
+        take_outbox = ShardNetwork.take_outbox
+        take_outboxes = ShardNetwork.take_outboxes
+        longest = [0]
+
+        def reversed_outbox(self, dest):
+            records = take_outbox(self, dest)
+            longest[0] = max(longest[0], len(records))
+            return records[::-1]
+
+        def reversed_outboxes(self):
+            return {
+                dest: records[::-1]
+                for dest, records in take_outboxes(self).items()
+            }
+
+        monkeypatch.setattr(ShardNetwork, "take_outbox", reversed_outbox)
+        monkeypatch.setattr(ShardNetwork, "take_outboxes", reversed_outboxes)
+        for executor in ("serial", "fork"):
+            counters, sync = _run(2, 4_000, executor=executor)
+            assert (counters, sync) == natural[executor], executor
+        assert longest[0] > 1  # some hand-over really was reversed
+        assert natural["fork"][1]["bytes_sent"] > 0
+
 
 # ---------------------------------------------------------------------------
 # The independent oracle: the single-loop System
 # ---------------------------------------------------------------------------
-
-
-class _Classic:
-    """``System`` behind the scenario surface ``ShardedSystem`` has."""
-
-    def __init__(self, config):
-        self.system = System(config)
-        self.topology = self.system.topology
-        self.kernel = self.system.kernel
-        self.domain_view = self.system.domain_view
-        self.networks = [self.system.network]
-        self.loops = [self.system.loop]
-
-    def spawn(self, program, machine, name=""):
-        return self.system.spawn(program, machine=machine, name=name)
-
-    def call_at(self, at, machine, callback):
-        self.system.loop.call_at(at, callback)
-
-    def schedule_spawn(self, at, machine, program, name=""):
-        self.call_at(at, machine, lambda: self.spawn(program, machine, name))
-
-    def schedule_migration(self, at, pid, home, dest):
-        def start():
-            if pid in self.kernel(home).processes:
-                self.kernel(home).migration.start(pid, dest)
-
-        self.call_at(at, home, start)
-
-    def finish(self, until):
-        self.system.run(until=until)
-        self.system.run()
-
-
-class _Sharded(ShardedSystem):
-    @property
-    def networks(self):
-        return [shard.network for shard in self.shards]
-
-    @property
-    def loops(self):
-        return [shard.loop for shard in self.shards]
-
-    def finish(self, until):
-        self.run(until=until)
-        self.drain()
 
 
 def _torus_protocol_counters(cluster_class, shards=1):
@@ -615,11 +586,11 @@ def _torus_protocol_counters(cluster_class, shards=1):
         cluster.schedule_migration(
             80_000 + 15_000 * j, servers[victim], victim, dest
         )
-    cluster.finish(duration)
-    kernels = [cluster.kernel(m) for m in cluster.topology.machines]
+    cluster.execute(duration, lambda shard: None)
+    kernels = cluster.kernels
     network = Counter()
-    for net in cluster.networks:
-        network.update(net.stats.snapshot())
+    for shard in cluster.shards:
+        network.update(shard.network.stats.snapshot())
     return {
         "kernels": [dataclasses.asdict(k.stats) for k in kernels],
         "network": dict(network),
@@ -630,7 +601,7 @@ def _torus_protocol_counters(cluster_class, shards=1):
             for r in k.migration.completed
         ),
         "forwarding_entries": [len(k.forwarding) for k in kernels],
-        "events_fired": sum(loop.events_fired for loop in cluster.loops),
+        "events_fired": cluster.events_fired(),
     }
 
 
@@ -639,12 +610,14 @@ class TestClassicSystemOracle:
         """The sharded parity tests above compare the engine with
         itself; this one compares it with the engine that has no
         records, keys or rendezvous at all."""
-        classic = _torus_protocol_counters(_Classic)
+        classic = _torus_protocol_counters(System)
         assert len(classic["migrations"]) >= 4
         assert sum(k["messages_forwarded"] for k in classic["kernels"]) > 0
         assert classic["network"]["retransmissions"] == 0
         for shards in (1, 2):
-            assert _torus_protocol_counters(_Sharded, shards) == classic
+            assert (
+                _torus_protocol_counters(ShardedSystem, shards) == classic
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.errors import ConfigError, SimulationError
 from repro.net.channel import FaultPlan
-from repro.sim.barrier import RECORD_KEY, HopRecord, window_end
+from repro.sim.barrier import HopRecord, window_end
+from repro.sim.loop import KeyedEventLoop
 from repro.sim.shard import (
     ShardedSystem,
     partition_machines,
     shard_alignment,
 )
-from repro.stats.collector import collect_sharded_report
+from repro.stats.collector import collect_report
 from repro.workloads.pingpong import echo_server, pinger
 from repro.workloads.results import ResultsBoard
 
@@ -77,13 +78,19 @@ class TestWindowMath:
         assert window_end(250, 100) == 300
 
     def test_sort_records_is_canonical(self):
+        # The canonical order is the keyed loop's: it files each record
+        # under its own data, whatever order they were handed over in.
         records = [
             HopRecord(200, 1, 2, 1, "b"),
             HopRecord(100, 3, 0, 2, "a"),
             HopRecord(100, 1, 2, 2, "c"),
             HopRecord(100, 1, 2, 1, "d"),
         ]
-        ordered = sorted(records, key=RECORD_KEY)
+        loop = KeyedEventLoop(100)
+        ordered = []
+        for record in records:
+            loop.schedule_record(record, ordered.append, record)
+        loop.run()
         assert [(r.arrival, r.src, r.dst, r.wire_seq) for r in ordered] == [
             (100, 1, 2, 1), (100, 1, 2, 2), (100, 3, 0, 2), (200, 1, 2, 1),
         ]
@@ -198,7 +205,7 @@ def pingpong_scenario(system):
 def fingerprint(system):
     """Everything that must not depend on the shard count — which the
     synchronisation traffic does (a one-shard run meets nobody)."""
-    report = collect_sharded_report(system).to_dict()
+    report = collect_report(system).to_dict()
     sync = report.pop("sync_overhead")
     if len(system.shards) == 1:
         assert not any(sync.values())
@@ -361,7 +368,11 @@ class TestShardNetworkRestrictions:
         network = system.shards[0].network
         with pytest.raises(SimulationError, match="not supported"):
             network.set_faults(FaultPlan(drop_probability=0.5))
-        with pytest.raises(SimulationError, match="not supported"):
-            network.redirect_machine(0, 1)
-        with pytest.raises(SimulationError, match="not supported"):
-            network.crash_machine(0, 1)
+        # One network flipping its routing alone would desynchronise
+        # the shards: the crash entry point is the cluster's, which
+        # fans the redirect out to every shard.
+        system.crash_transport(0, 5)
+        assert [
+            shard.network.effective_destination(0)
+            for shard in system.shards
+        ] == [5, 5]

@@ -1,11 +1,9 @@
 """Tests for the system-wide report collector."""
 
 from repro.core.config import SystemConfig
+from repro.obs.metrics import merge_snapshots
 from repro.sim.shard import ShardedSystem
-from repro.stats.collector import (
-    collect_report,
-    sharded_report_from_snapshots,
-)
+from repro.stats.collector import collect_report, report_from_snapshot
 from tests.conftest import drain, make_bare_system, make_system
 
 
@@ -144,8 +142,10 @@ class TestShardSyncLine:
             50_000, lambda shard: shard.metrics.snapshot(),
             executor=executor,
         )
-        report = sharded_report_from_snapshots(
-            snapshots, now=50_000, machines=4,
+        # The fork executor leaves the parent's system stale, so the
+        # report is assembled from the snapshots the workers shipped.
+        report = report_from_snapshot(
+            merge_snapshots(snapshots), now=50_000, machines=4,
         )
         assert report.sync_overhead["rounds"] > 0
         return next(
