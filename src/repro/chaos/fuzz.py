@@ -689,14 +689,29 @@ def write_repro(
 
 
 def load_repro(path: str | Path) -> FuzzSchedule:
-    """Load the schedule out of a repro file."""
-    payload = json.loads(Path(path).read_text())
+    """Load the schedule out of a repro file.
+
+    The file comes from outside the program: one that is missing,
+    unreadable, not JSON or not shaped like a repro is a
+    :class:`ConfigError` naming the file, never a traceback.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise ConfigError(f"cannot read repro file {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"repro file {path} is not a JSON object")
     if payload.get("version") != REPRO_VERSION:
         raise ConfigError(
             f"repro file {path} has version "
             f"{payload.get('version')!r}; expected {REPRO_VERSION}"
         )
-    return schedule_from_json(payload["schedule"])
+    try:
+        return schedule_from_json(payload["schedule"])
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"repro file {path} does not hold a schedule: {exc!r}"
+        ) from None
 
 
 def replay(path: str | Path, budget: int = 2_000_000) -> FuzzOutcome:

@@ -995,7 +995,17 @@ class Kernel:
         # Release the running mark before the syscall decides the next
         # status, so a _requeue inside the handler actually queues.
         self.scheduler.release_cpu(pid)
-        self._handle_syscall(state, syscall)
+        # Every key of the table is a Syscall class, so an exact-type
+        # hit needs neither the isinstance check nor the subclass scan.
+        handler = self._syscall_table.get(syscall.__class__)
+        if handler is None:
+            self._handle_syscall(state, syscall)
+        else:
+            try:
+                handler(state, syscall)
+            except ReproError as exc:
+                state.resume_error = exc
+                self._requeue(state)
         self._cpu_busy = False
         self._maybe_dispatch()
 

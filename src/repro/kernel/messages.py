@@ -57,7 +57,7 @@ class Message:
     forward_count: int = 0
     #: accounting category for the network layer ("user", "admin", ...)
     category: str = "user"
-    serial: int = field(default_factory=lambda: next(_message_serial))
+    serial: int = field(default_factory=_message_serial.__next__)
     #: local link ids minted in the receiver's table at delivery time
     delivered_link_ids: tuple[int, ...] = ()
 

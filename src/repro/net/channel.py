@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.net.packet import Packet
+from repro.net.packet import PACKET_HEADER_BYTES, Packet
 from repro.net.topology import Wire
 from repro.sim.loop import EventLoop
 
@@ -46,6 +46,9 @@ class Channel:
     hands the packet to *deliver*; a network that passes *land* gets
     ``land(delay, packet)`` at transmit time instead and owns the
     arrival from there (the sharded network mints a hop record).
+
+    *make_rng* supplies the fault stream and is called at the first
+    draw, so a wire that never draws never builds one.
     """
 
     def __init__(
@@ -54,16 +57,21 @@ class Channel:
         wire: Wire,
         deliver: Callable[[Packet], None],
         faults: FaultPlan | None = None,
-        rng: random.Random | None = None,
+        make_rng: Callable[[], random.Random] | None = None,
         on_drop: Callable[[Packet], None] | None = None,
         on_duplicate: Callable[[Packet], None] | None = None,
         land: Callable[[int, Packet], None] | None = None,
     ) -> None:
         self._loop = loop
+        self._clock = loop.clock
         self._wire = wire
+        # A Wire is frozen, so its two numbers can be read once.
+        self._latency = wire.latency
+        self._bandwidth = max(wire.bandwidth, 1)
         self._deliver = deliver
         self.faults = faults or FaultPlan()
-        self._rng = rng or random.Random(0)
+        self._make_rng = make_rng or (lambda: random.Random(0))
+        self._rng: random.Random | None = None
         self._on_drop = on_drop
         self._on_duplicate = on_duplicate
         self._land = land or self._schedule_arrival
@@ -81,32 +89,36 @@ class Channel:
     def transmit(self, packet: Packet) -> None:
         """Put *packet* on the wire; it arrives (or not) later."""
         plan = self.faults
-        if (
-            plan.drop_probability
-            and self._rng.random() < plan.drop_probability
-        ):
-            if self._on_drop is not None:
-                self._on_drop(packet)
-            return
+        drop = plan.drop_probability
+        duplicate = plan.duplicate_probability
+        jitter = plan.max_jitter
         copies = 1
-        if (
-            plan.duplicate_probability
-            and self._rng.random() < plan.duplicate_probability
-        ):
-            copies = 2
-            if self._on_duplicate is not None:
-                self._on_duplicate(packet)
-        now = self._loop.now
-        serialization = (
-            packet.size_bytes * 1_000 // max(self._wire.bandwidth, 1)
-        )
-        for _ in range(copies):
-            departs = max(now, self._busy_until) + serialization
+        if drop or duplicate or jitter:
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = self._make_rng()
+            if drop and rng.random() < drop:
+                if self._on_drop is not None:
+                    self._on_drop(packet)
+                return
+            if duplicate and rng.random() < duplicate:
+                copies = 2
+                if self._on_duplicate is not None:
+                    self._on_duplicate(packet)
+        now = self._clock._now
+        size = PACKET_HEADER_BYTES + packet.payload_bytes
+        serialization = size * 1_000 // self._bandwidth
+        while True:
+            busy = self._busy_until
+            departs = (now if now > busy else busy) + serialization
             self._busy_until = departs
-            delay = departs - now + self._wire.latency
-            if plan.max_jitter:
-                delay += self._rng.randint(0, plan.max_jitter)
+            delay = departs - now + self._latency
+            if jitter:
+                delay += rng.randint(0, jitter)
             self._land(delay, packet)
+            if copies == 1:
+                return
+            copies = 1  # the duplicate serialises behind the first copy
 
     def _schedule_arrival(self, delay: int, packet: Packet) -> None:
         self.in_flight += 1

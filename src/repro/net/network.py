@@ -13,6 +13,7 @@ Kernels use exactly two operations:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import SimulationError, UnknownMachineError
@@ -72,10 +73,7 @@ class Network:
                 # Route from the transport's physical machine, not from
                 # packet.src: an executor acks with the dead machine's
                 # address in the src field.
-                transmit_fn=(
-                    lambda packet, _here=machine:
-                    self._forward_from(_here, packet)
-                ),
+                transmit_fn=partial(self._forward_from, machine),
                 stats=self.stats,
                 tracer=tracer,
                 rto=rto,
@@ -231,9 +229,11 @@ class Network:
             channel = Channel(
                 self.loop,
                 wire,
-                deliver=lambda pkt, _here=b: self._hop_arrived(_here, pkt),
+                deliver=partial(self._forward_from, b),
                 faults=self._default_faults,
-                rng=self._rngs.stream(f"channel/{a}->{b}"),
+                # A stream is a function of its name alone, so taking it
+                # at the first draw gives the sequence taking it here would.
+                make_rng=partial(self._rngs.stream, f"channel/{a}->{b}"),
                 on_drop=self._note_drop,
                 on_duplicate=self._note_duplicate,
                 land=self._lander(a, b),
@@ -249,18 +249,21 @@ class Network:
         return None
 
     def _forward_from(self, here: MachineId, packet: Packet) -> None:
-        destination = self.effective_destination(packet.dst)
+        """A packet is at *here* (just sent, or off a wire): hand it to
+        the transport if this is where it is delivered, else put it on
+        the next wire.  The only forwarding function; once per hop."""
+        destination = packet.dst
+        if self._redirects:
+            destination = self._redirects.get(destination, destination)
         if here == destination:
-            self._transport(here).on_packet(packet)
+            transport = self._transports.get(here) or self._transport(here)
+            transport.on_packet(packet)
             return
         next_hop = self.topology.next_hop(here, destination)
-        self._channel(here, next_hop).transmit(packet)
-
-    def _hop_arrived(self, here: MachineId, packet: Packet) -> None:
-        if here == self.effective_destination(packet.dst):
-            self._transport(here).on_packet(packet)
-        else:
-            self._forward_from(here, packet)
+        channel = self._channels.get((here, next_hop))
+        if channel is None:
+            channel = self._channel(here, next_hop)
+        channel.transmit(packet)
 
     def _note_drop(self, packet: Packet) -> None:
         self.stats.note_drop()
@@ -377,15 +380,17 @@ class ShardNetwork(Network):
         self._inbound_pending -= 1
         if self.on_record_delivered is not None:
             self.on_record_delivered(record)
-        self._hop_arrived(record.dst, record.packet)
+        self._forward_from(record.dst, record.packet)
 
     def _lander(
         self, a: MachineId, b: MachineId
     ) -> Callable[[int, Packet], None]:
         """Wire ``a -> b`` lands its copies as hop records, numbered by
         a per-wire counter (duplicates get their own number)."""
-        loop = self.loop
-        grid = loop.grid
+        clock = self.loop.clock
+        grid = self.loop.grid
+        schedule_record = self.loop.schedule_record
+        arrived = self._record_arrived
         dest_shard = self.shard_of(b)
         direct = dest_shard == self.shard_index
         wire_seq = 0
@@ -393,12 +398,13 @@ class ShardNetwork(Network):
         def land(delay: int, packet: Packet) -> None:
             nonlocal wire_seq
             wire_seq += 1
-            now = loop.now
+            now = clock._now
             record = HopRecord(
                 now + delay, a, b, wire_seq, packet, now // grid
             )
             if direct:
-                self.receive_record(record)
+                self._inbound_pending += 1
+                schedule_record(record, arrived, record)
             else:
                 self._outboxes.setdefault(dest_shard, []).append(record)
 

@@ -45,7 +45,7 @@ class Packet:
     #: category tag from the layer above ("admin", "user", "datamove", ...);
     #: used only for accounting, never for routing.
     category: str = "user"
-    serial: int = field(default_factory=lambda: next(_packet_serial))
+    serial: int = field(default_factory=_packet_serial.__next__)
 
     @property
     def size_bytes(self) -> int:

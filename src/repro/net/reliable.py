@@ -262,15 +262,14 @@ class ReliableTransport:
 
     def on_packet(self, packet: Packet) -> None:
         """Handle a raw packet arriving at (or executed by) this machine."""
-        if packet.kind is PacketKind.ACK:
-            self._on_ack(packet)
-        else:
+        if packet.kind is not PacketKind.ACK:
             self._on_data(packet)
-
-    def _on_ack(self, packet: Packet) -> None:
+            return
         # The ack's source is the machine the data was *addressed* to
         # (its executor echoes that address), matching our send state.
-        sender = self._send_state(packet.src)
+        sender = self._send_states.get(packet.src)
+        if sender is None:
+            return  # nothing was ever sent there: nothing to settle
         sender.unacked.pop(packet.payload, None)
         if not sender.unacked and sender.timer is not None:
             self._loop.cancel(sender.timer)

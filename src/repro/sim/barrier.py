@@ -87,7 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HopRecord:
     """One packet hop travelling along one wire, barrier-to-barrier.
 
@@ -97,6 +97,11 @@ class HopRecord:
     depend on the shard layout.  ``gen`` is the grid window the hop was
     *produced* in — the slot the keyed event loop files it under, so a
     record can be injected at any barrier without moving in the order.
+
+    Not declared frozen — one is minted per hop, and a frozen
+    dataclass's ``__init__`` costs three times a plain one — but
+    treated so: nothing assigns to a record after ``__init__`` /
+    ``__setstate__``.
     """
 
     arrival: int  #: simulated time the hop completes at ``dst``
@@ -115,8 +120,10 @@ class HopRecord:
         )
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        (
+            self.arrival, self.src, self.dst, self.wire_seq,
+            self.packet, self.gen,
+        ) = state
 
 
 #: Pipes carry pre-pickled blobs (one per peer per round) so each

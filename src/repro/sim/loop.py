@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from heapq import heappush
+from heapq import heappop, heappush
 
 from repro.errors import ClockError, SimulationError
 from repro.sim.clock import SimClock
@@ -134,37 +134,31 @@ class EventLoop:
         *max_events* bound is the standard guard against accidental
         infinite event cascades in tests.
 
-        The pop/advance/fire sequence is inlined here (rather than
-        delegating to :meth:`step`) because this loop executes every
-        event in every benchmark; the heap already yields events in
+        The heap is popped here, not through :class:`EventQueue` (and
+        not through :meth:`step`): this loop executes every event of
+        every benchmark, and the heap already yields events in
         non-decreasing time order, so the clock write needs no
-        backwards-motion check.
+        backwards-motion check.  A cancelled entry was uncounted from
+        ``_live`` when it was cancelled; it is dropped unfired.
         """
         if self._running:
             raise SimulationError("event loop is already running")
         self._running = True
         fired = 0
-        queue_pop = self._queue.pop
+        limit = None if max_events is None else max(max_events, 0)
+        queue = self._queue
+        heap = queue._heap
         clock = self.clock
         try:
-            if max_events is None:
-                while True:
-                    event = queue_pop()
-                    if event is None:
-                        break
-                    clock._now = event.time
-                    fired += 1
-                    self._events_fired += 1
-                    event.callback(*event.args)
-            else:
-                while fired < max_events:
-                    event = queue_pop()
-                    if event is None:
-                        break
-                    clock._now = event.time
-                    fired += 1
-                    self._events_fired += 1
-                    event.callback(*event.args)
+            while heap and fired != limit:
+                time, _, event = heappop(heap)
+                if event.cancelled:
+                    continue
+                queue._live -= 1
+                clock._now = time
+                fired += 1
+                self._events_fired += 1
+                event.callback(*event.args)
         finally:
             self._running = False
         return fired
@@ -183,30 +177,24 @@ class EventLoop:
             raise SimulationError("event loop is already running")
         self._running = True
         fired = 0
+        limit = None if max_events is None else max(max_events, 0)
         queue = self._queue
-        queue_pop = queue.pop
+        heap = queue._heap
         clock = self.clock
         try:
-            if max_events is None:
-                while True:
-                    next_time = queue.peek_time()
-                    if next_time is None or next_time > deadline:
-                        break
-                    event = queue_pop()
-                    clock._now = event.time
-                    fired += 1
-                    self._events_fired += 1
-                    event.callback(*event.args)
-            else:
-                while fired < max_events:
-                    next_time = queue.peek_time()
-                    if next_time is None or next_time > deadline:
-                        break
-                    event = queue_pop()
-                    clock._now = event.time
-                    fired += 1
-                    self._events_fired += 1
-                    event.callback(*event.args)
+            while heap and fired != limit:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if time > deadline:
+                    break
+                heappop(heap)
+                queue._live -= 1
+                clock._now = time
+                fired += 1
+                self._events_fired += 1
+                event.callback(*event.args)
             self.clock.advance_to(deadline)
         finally:
             self._running = False
@@ -321,7 +309,7 @@ class KeyedEventLoop(EventLoop):
         any barrier — yields the same heap order.
         """
         time = record.arrival
-        if time < self.clock.now:
+        if time < self.clock._now:
             raise ClockError(
                 f"cannot schedule at {time}, clock already at {self.clock.now}"
             )

@@ -68,6 +68,35 @@ class TestCli:
         assert captured.err.startswith(f"repro: error: {complaint}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("content, complaint", [
+        (None, "cannot read repro file"),
+        (..., "cannot read repro file"),
+        (b"\xff\xfe not text", "cannot read repro file"),
+        (b"{not json", "cannot read repro file"),
+        (b"[1, 2, 3]", "is not a JSON object"),
+        (b'{"version": 1, "schedule": {"seed": 0}}',
+         "does not hold a schedule: KeyError('index')"),
+        (b'{"version": 1, "schedule": 7}',
+         "does not hold a schedule: TypeError("),
+    ], ids=[
+        "missing", "unreadable", "not-text", "malformed-json", "not-an-object",
+        "missing-field", "wrong-shape",
+    ])
+    def test_bad_repro_file_gets_one_line_not_a_traceback(
+        self, capsys, tmp_path, content, complaint,
+    ):
+        path = tmp_path / "repro.json"
+        if content is ...:
+            path.mkdir()  # reading a directory fails even for root
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert str(path) in captured.err and complaint in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestReportSharded:
     def test_text_mode_names_the_shard_count(self, capsys):

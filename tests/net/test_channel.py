@@ -57,7 +57,7 @@ class TestFaultInjection:
         channel = Channel(
             loop, Wire(0, 1, 10, 1_000), deliver=seen.append,
             faults=FaultPlan(drop_probability=1.0),
-            rng=random.Random(0), on_drop=dropped.append,
+            make_rng=lambda: random.Random(0), on_drop=dropped.append,
         )
         channel.transmit(make_packet())
         loop.run()
@@ -70,7 +70,7 @@ class TestFaultInjection:
         channel = Channel(
             loop, Wire(0, 1, 10, 1_000), deliver=seen.append,
             faults=FaultPlan(duplicate_probability=1.0),
-            rng=random.Random(0),
+            make_rng=lambda: random.Random(0),
         )
         channel.transmit(make_packet())
         loop.run()
@@ -82,7 +82,7 @@ class TestFaultInjection:
         channel = Channel(
             loop, Wire(0, 1, 10, 1_000_000), deliver=lambda p: seen.append(loop.now),
             faults=FaultPlan(max_jitter=500),
-            rng=random.Random(1),
+            make_rng=lambda: random.Random(1),
         )
         channel.transmit(make_packet(size=0))
         loop.run()
@@ -95,7 +95,7 @@ class TestFaultInjection:
         channel = Channel(
             loop, Wire(0, 1, 1, 1_000_000), deliver=seen.append,
             faults=FaultPlan(drop_probability=0.5),
-            rng=random.Random(7),
+            make_rng=lambda: random.Random(7),
         )
         for i in range(200):
             channel.transmit(make_packet(seq=i))
