@@ -36,7 +36,7 @@ def _fuzz_and_report(scale: str, name: str) -> None:
     first = run_fuzz(**params, shrink_violations=False)
     assert first.ok, (
         "fuzz violations:\n" + "\n".join(
-            f"schedule {o.schedule.index}: {o.problems}"
+            f"{o.name}: {o.problems}"
             for o in first.violations
         )
     )

@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 
+from repro.chaos.campaign import SCALES, SCENARIOS, run_campaign
 from repro.core.config import SystemConfig
 from repro.core.system import System
 from repro.errors import ConfigError
@@ -293,8 +294,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos campaign and gate the survivor invariants."""
-    from repro.chaos import SCENARIOS, run_campaign
-
     result = run_campaign(args.scale, scenarios=args.scenario or None)
     if args.json:
         document = {
@@ -330,20 +329,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.replay is not None:
         outcome = replay(args.replay, budget=args.budget)
-        schedule = outcome.schedule
         if args.json:
             print(json.dumps({
                 "replay": args.replay,
-                "seed": schedule.seed,
-                "index": schedule.index,
+                "scenario": outcome.name,
                 "counters": outcome.counters,
                 "problems": outcome.problems,
                 "ok": outcome.ok,
             }, indent=2, sort_keys=True))
         else:
             verdict = "ok" if outcome.ok else "VIOLATION"
-            print(f"[replay {args.replay}] {verdict} "
-                  f"(seed {schedule.seed}, index {schedule.index})")
+            print(f"[replay {args.replay}] {verdict} ({outcome.name})")
             for problem in outcome.problems:
                 print(f"  {problem}")
         return 0 if outcome.ok else 1
@@ -358,10 +354,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             "runs": report.runs,
             "digests": report.digests,
             "violations": [
-                {
-                    "index": outcome.schedule.index,
-                    "problems": outcome.problems,
-                }
+                {"scenario": outcome.name, "problems": outcome.problems}
                 for outcome in report.violations
             ],
             "repro_paths": report.repro_paths,
@@ -371,7 +364,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     print(f"fuzz: seed {report.seed}, {report.runs} schedules, "
           f"{len(report.violations)} violation(s)")
     for outcome in report.violations:
-        print(f"  schedule {outcome.schedule.index}:")
+        print(f"  {outcome.name}:")
         for problem in outcome.problems:
             print(f"    {problem}")
     for path in report.repro_paths:
@@ -500,13 +493,11 @@ def main(argv: list[str] | None = None) -> int:
         "chaos", help="run the chaos campaign, gate survivor invariants",
     )
     chaos.add_argument(
-        "--scale", choices=("smoke", "full"), default="smoke",
+        "--scale", choices=SCALES, default="smoke",
         help="campaign size (default: smoke, the CI tier)",
     )
     chaos.add_argument(
-        "--scenario", action="append",
-        choices=("crash", "partition", "evacuate", "fileserver_crash",
-                 "storm_parity", "crash_parity"),
+        "--scenario", action="append", choices=tuple(SCENARIOS),
         help="run only this scenario (repeatable; default: all)",
     )
     chaos.add_argument(
@@ -529,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     fuzz.add_argument(
         "--budget", type=int, default=2_000_000,
-        help="event budget per classic run; exhausting it is itself a "
+        help="event budget per engine run; exhausting it is itself a "
              "violation (default: 2000000)",
     )
     fuzz.add_argument(

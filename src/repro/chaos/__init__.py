@@ -13,27 +13,19 @@ machine evacuation) into declarative, seeded, fully deterministic
 campaigns, runs a live workload throughout, and gates survivor
 invariants at quiescence instead of merely logging them.
 
-See ``docs/CHAOS.md`` for the scenario format and the invariant list.
+Every experiment — a campaign scenario or a fuzz draw — is one
+:class:`Scenario` record run by :func:`run_scenario`.  See
+``docs/CHAOS.md`` for the record format and the invariant list.
 """
 
-from repro.chaos.campaign import (
-    SCENARIOS,
-    CampaignResult,
-    ScenarioOutcome,
-    ledger_digest,
-    run_campaign,
-)
+from repro.chaos.campaign import SCENARIOS, CampaignResult, run_campaign
 from repro.chaos.engine import ChaosEngine, FaultEvent
 from repro.chaos.fuzz import (
-    ActionSpec,
-    FuzzOutcome,
     FuzzReport,
-    FuzzSchedule,
     generate_schedule,
     load_repro,
     replay,
     run_fuzz,
-    run_schedule,
     shrink,
     validate_schedule,
     write_repro,
@@ -47,7 +39,9 @@ from repro.chaos.invariants import (
     check_recovery_state,
     survivor_invariants,
 )
+from repro.chaos.runner import ScenarioOutcome, ledger_digest, run_scenario
 from repro.chaos.scenario import (
+    ActionSpec,
     ChaosScenario,
     CrashMachine,
     Evacuation,
@@ -55,6 +49,7 @@ from repro.chaos.scenario import (
     MigrationStorm,
     Move,
     Partition,
+    Scenario,
 )
 
 __all__ = [
@@ -67,12 +62,11 @@ __all__ = [
     "Evacuation",
     "FaultEvent",
     "FlakyLinks",
-    "FuzzOutcome",
     "FuzzReport",
-    "FuzzSchedule",
     "MigrationStorm",
     "Move",
     "Partition",
+    "Scenario",
     "ScenarioOutcome",
     "check_chain_collapse",
     "check_exactly_once",
@@ -86,7 +80,7 @@ __all__ = [
     "replay",
     "run_campaign",
     "run_fuzz",
-    "run_schedule",
+    "run_scenario",
     "shrink",
     "survivor_invariants",
     "validate_schedule",

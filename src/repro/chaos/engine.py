@@ -17,18 +17,14 @@ a sharded cluster they fire between windows in pure-data key order
 instant; on the single loop the same call is an ordinary event.
 
 The one thing the engine still asks the cluster is its
-``barrier_grid``, twice, at build time.  Where there is a grid (a
-sharded cluster), barrier-action times must sit on it and be unique
-among the scenario's action times — the single loop runs a crash first
-at its tick because it is scheduled at install time (lowest sequence
-number), and the barrier engine runs it before the window that contains
-it; distinct times keep the two orderings identical, which the
-crash-parity gates check byte for byte — and partitions and flaky
-windows are refused (they rewrite wire fault plans retroactively, which
-:class:`~repro.net.network.ShardNetwork` refuses by design).  The
-ledger is kept in the driving process, so sharded scenarios must run
-under the serial executor (the same constraint as cross-shard live
-migration).
+``barrier_grid``, once, at build time, and hands it to the scenario's
+own validation: where there is a grid (a sharded cluster),
+:meth:`~repro.chaos.scenario.ChaosScenario.check_barrier_schedule`
+refuses partitions and flaky windows and requires barrier-action times
+on the grid and unique — the same pure check the fuzzer's validator
+runs.  The ledger is kept in the driving process, so sharded scenarios
+must run under the serial executor (the same constraint as cross-shard
+live migration).
 """
 
 from __future__ import annotations
@@ -81,17 +77,7 @@ class ChaosEngine:
     ) -> None:
         self.system = system
         self.scenario = scenario
-        scenario.validate(len(system.kernels))
-        grid = system.barrier_grid
-        if grid is not None and not scenario.shard_safe:
-            raise SimulationError(
-                f"scenario {scenario.name!r} uses actions that rewrite "
-                f"wire fault plans (partition/flaky links), which the "
-                f"sharded network refuses; storms, crashes and "
-                f"evacuations run under sharding"
-            )
-        if grid is not None:
-            self._check_barrier_schedule(grid)
+        scenario.validate(len(system.kernels), system.barrier_grid)
         if recovery is None:
             recovery = CrashRecoveryManager(system)
         self.recovery = recovery
@@ -103,40 +89,6 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-
-    def _check_barrier_schedule(self, grid: int) -> None:
-        """Validate barrier-action times (see the module docstring)."""
-        loop_times: set[int] = set()
-        barrier_times: list[tuple[int, str]] = []
-        for action in self.scenario.actions:
-            if isinstance(action, CrashMachine):
-                barrier_times.append(
-                    (action.at, f"crash of machine {action.machine}")
-                )
-            elif isinstance(action, Evacuation):
-                barrier_times.append((
-                    action.kill_at,
-                    f"maintenance kill of machine {action.machine}",
-                ))
-                loop_times.add(action.drain_at)
-            elif isinstance(action, MigrationStorm):
-                loop_times.add(action.at)
-        seen: set[int] = set()
-        for at, what in barrier_times:
-            if at % grid:
-                raise SimulationError(
-                    f"{what} at t={at} is off the {grid}us window grid; "
-                    f"sharded crashes fire at barriers, so their times "
-                    f"must be multiples of the lookahead"
-                )
-            if at in seen or at in loop_times:
-                raise SimulationError(
-                    f"{what} at t={at} collides with another action's "
-                    f"time; sharded crash times must be unique so the "
-                    f"classic and barrier engines order same-tick work "
-                    f"identically"
-                )
-            seen.add(at)
 
     def install(self) -> None:
         """Schedule every scenario action on the simulation clock."""

@@ -1,12 +1,23 @@
 """Declarative chaos scenarios.
 
-A :class:`ChaosScenario` is a named, validated schedule of failure
-actions against one simulated system.  Scenarios are *data*: everything
-is pinned at build time (absolute simulated times, explicit machines,
-explicit victims), so the fault schedule is a pure function of the
-scenario — the determinism property the Hypothesis suite gates.  The
-:class:`~repro.chaos.engine.ChaosEngine` interprets a scenario against a
-live :class:`~repro.core.cluster.Cluster`: all actions on the single-loop
+Two records, one above the other:
+
+- a :class:`Scenario` is a whole chaos experiment as pure data — system
+  shape, echo servers, the workload (pingers or a closed-loop pool),
+  flat :class:`ActionSpec` actions, the engines to run it on and what
+  its counters must show.  Every campaign scenario and every fuzz draw
+  is one; :func:`repro.chaos.runner.run_scenario` runs it, and it
+  round-trips through JSON (the fuzzer's repro files).
+- a :class:`ChaosScenario` is a named, validated schedule of failure
+  actions against one live system — what :meth:`Scenario.chaos`
+  materializes once the servers have pids.
+
+Scenarios are *data*: everything is pinned at build time (absolute
+simulated times, explicit machines, explicit victims), so the fault
+schedule is a pure function of the scenario — the determinism property
+the Hypothesis suite gates.  The :class:`~repro.chaos.engine.ChaosEngine`
+interprets a ``ChaosScenario`` against a live
+:class:`~repro.core.cluster.Cluster`: all actions on the single-loop
 :class:`~repro.core.system.System`, the shard-safe subset on a
 :class:`~repro.sim.shard.ShardedSystem`.
 
@@ -29,8 +40,8 @@ Action vocabulary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Iterator, Union
 
 from repro.errors import ConfigError
 from repro.kernel.ids import ProcessId
@@ -223,8 +234,10 @@ class ChaosScenario:
     name: str
     actions: tuple[Action, ...]
 
-    def validate(self, machines: int) -> None:
-        """Raise :class:`ConfigError` on an inconsistent schedule."""
+    def validate(self, machines: int, grid: int | None = None) -> None:
+        """Raise :class:`ConfigError` on an inconsistent schedule, or on
+        one a cluster with barrier grid *grid* cannot run
+        (:meth:`check_barrier_schedule`)."""
         if not self.name:
             raise ConfigError("a scenario needs a name")
         crashed: dict[MachineId, int] = {}
@@ -259,6 +272,59 @@ class ChaosScenario:
                     f"executor {executor} is already dead "
                     f"(crashed at {died_at}) when needed at {at}"
                 )
+        if grid is not None:
+            self.check_barrier_schedule(grid)
+
+    def check_barrier_schedule(self, grid: int) -> None:
+        """The rules a sharded cluster (window grid *grid*) adds.
+
+        Wire surgery is refused: partitions and flaky windows rewrite
+        wire fault plans retroactively, which the sharded network
+        refuses.  Barrier actions (crashes, maintenance kills) must sit
+        on the grid and be unique among the scenario's action times: the
+        single loop runs a crash first at its tick because it is
+        scheduled at install time, the barrier engine runs it before the
+        window that contains it, and distinct times keep the two
+        orderings identical.
+        """
+        if not self.shard_safe:
+            raise ConfigError(
+                f"scenario {self.name!r} uses wire-surgery actions "
+                f"(partition/flaky links) that rewrite wire fault plans, "
+                f"which the sharded network refuses; storms, crashes and "
+                f"evacuations run under sharding"
+            )
+        loop_times: set[int] = set()
+        barrier_times: list[tuple[int, str]] = []
+        for action in self.actions:
+            if isinstance(action, CrashMachine):
+                barrier_times.append(
+                    (action.at, f"crash of machine {action.machine}")
+                )
+            elif isinstance(action, Evacuation):
+                barrier_times.append((
+                    action.kill_at,
+                    f"maintenance kill of machine {action.machine}",
+                ))
+                loop_times.add(action.drain_at)
+            elif isinstance(action, MigrationStorm):
+                loop_times.add(action.at)
+        seen: set[int] = set()
+        for at, what in barrier_times:
+            if at % grid:
+                raise ConfigError(
+                    f"{what} at t={at} is off the {grid}us grid; sharded "
+                    f"crashes fire at barriers between windows, so their "
+                    f"times must sit on the window grid"
+                )
+            if at in seen or at in loop_times:
+                raise ConfigError(
+                    f"{what} at t={at} collides with another action's "
+                    f"time; sharded crash times must be unique so the "
+                    f"classic and barrier engines order same-tick work "
+                    f"identically"
+                )
+            seen.add(at)
 
     @property
     def shard_safe(self) -> bool:
@@ -314,3 +380,192 @@ class ChaosScenario:
                     f"machine {action.machine} -> executor "
                     f"{action.executor}",
                 )
+
+
+@dataclass(frozen=True)
+class ActionSpec:
+    """One chaos action, described over server *indices* and machines.
+
+    Pure data (no pids, no objects): the same spec materializes against
+    any freshly built system, which is what makes scenarios replayable
+    and shrinkable.  Unused fields keep their defaults, so specs of
+    every kind share one JSON shape.
+    """
+
+    kind: str  # crash|storm|evacuate|partition|flaky
+    at: int
+    machine: int = -1  # crash victim / evacuated machine
+    executor: int = -1
+    until: int = -1  # heal_at / flaky end / kill_at
+    group_a: tuple[int, ...] = ()
+    group_b: tuple[int, ...] = ()
+    moves: tuple[tuple[int, int], ...] = ()  # (server index, dest)
+    dests: tuple[int, ...] = ()  # evacuation destinations
+    drop_permille: int = 0  # flaky drop probability * 1000
+    jitter: int = 0  # flaky max jitter
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One chaos experiment as pure data: what a run is built from.
+
+    Names, homes, keys and spawn times are all here, so a run is a pure
+    function of the record; the runner
+    (:func:`repro.chaos.runner.run_scenario`) adds nothing but the
+    fixed workload constants (pingers echo every 8 ms; a pool thinks
+    8 ms between requests from t = 2 ms; file streams start at
+    t = 4 ms + 1 ms per stream).
+    """
+
+    name: str
+    machines: int
+    seed: int  # the system's root RNG seed
+    topology: str = "mesh"
+    latency: int = 1_000  # every wire; the window grid when sharded
+    drop_permille: int = 0  # background wire loss * 1000
+    jitter: int = 0  # background wire jitter
+    observe: bool = False  # tracer and metrics registry on
+    #: engine variants, first = reference: 0 is the classic single
+    #: loop, n > 0 a ShardedSystem with n shards
+    engines: tuple[int, ...] = (0,)
+    servers: tuple[int, ...] = ()  # echo server homes
+    prefix: str = "echo"  # server i serves (and is named) <prefix>-<i>
+    pingers: tuple[tuple[int, int], ...] = ()  # (server index, client)
+    pinger_start: int = 10_037  # pinger j spawns at start + 500 j
+    rounds: int = 0  # per pinger
+    clients: int = 0  # closed-loop pool size (0: no pool)
+    requests: int = 0  # per pool client
+    pool_exclude: tuple[int, ...] = ()  # machines no pool client lives on
+    files: tuple[int, ...] = ()  # one verified file stream per machine
+    file_ops: int = 0  # operations per file stream
+    probe: bool = False  # GC sweep + chain-collapse probe at the end
+    actions: tuple[ActionSpec, ...] = ()
+    #: ``(counter, op, value)`` the reference run must show, op one of
+    #: ``>=``, ``==`` — how a scenario proves its fault actually bit
+    expect: tuple[tuple[str, str, int], ...] = ()
+
+    @property
+    def sharded(self) -> bool:
+        """Whether any engine variant is the sharded engine."""
+        return any(self.engines)
+
+    def chaos(self, pids: list[ProcessId]) -> ChaosScenario:
+        """Materialize the actions against the servers' concrete pids.
+
+        Server homes are tracked through the action sequence (storm
+        moves, crash recovery and evacuation takeovers relocate), so
+        each storm ``Move`` is anchored where the server actually is —
+        and the tracking stays correct after the shrinker drops earlier
+        actions, because it is recomputed from whatever actions remain.
+        """
+        homes = list(self.servers)
+        actions: list[Action] = []
+        for spec in self.actions:
+            if spec.kind == "crash":
+                actions.append(CrashMachine(
+                    at=spec.at, machine=spec.machine, executor=spec.executor,
+                ))
+                homes = [
+                    spec.executor if h == spec.machine else h for h in homes
+                ]
+            elif spec.kind == "evacuate":
+                actions.append(Evacuation(
+                    drain_at=spec.at, machine=spec.machine,
+                    kill_at=spec.until, executor=spec.executor,
+                    dests=spec.dests,
+                ))
+                # Drained residents round-robin onto dests; track the
+                # first (an empty dests fails validation below).
+                takeover = (*spec.dests, spec.executor)[0]
+                homes = [takeover if h == spec.machine else h for h in homes]
+            elif spec.kind == "storm":
+                moves = []
+                for sidx, dest in spec.moves:
+                    if not 0 <= sidx < len(pids):
+                        raise ConfigError(
+                            f"storm move server index {sidx} out of range"
+                        )
+                    moves.append(Move(
+                        pid=pids[sidx], home=homes[sidx], dest=dest,
+                    ))
+                    homes[sidx] = dest
+                actions.append(MigrationStorm(at=spec.at, moves=tuple(moves)))
+            elif spec.kind == "partition":
+                actions.append(Partition(
+                    at=spec.at, heal_at=spec.until,
+                    group_a=spec.group_a, group_b=spec.group_b,
+                ))
+            elif spec.kind == "flaky":
+                actions.append(FlakyLinks(
+                    at=spec.at, until=spec.until,
+                    faults=FaultPlan(
+                        drop_probability=spec.drop_permille / 1000,
+                        max_jitter=spec.jitter,
+                    ),
+                ))
+            else:
+                raise ConfigError(f"unknown action kind {spec.kind!r}")
+        return ChaosScenario(self.name, tuple(actions))
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` if the record cannot run: machine
+        ranges, the engines its workload runs on, then the materialized
+        schedule's own checks (barrier rules included when sharded)."""
+        for home in self.servers:
+            if not 0 <= home < self.machines:
+                raise ConfigError(f"server home {home} out of range")
+        for sidx, client in self.pingers:
+            if not 0 <= sidx < len(self.servers):
+                raise ConfigError(f"pinger server index {sidx} out of range")
+            if not 0 <= client < self.machines:
+                raise ConfigError(f"pinger machine {client} out of range")
+        if self.pingers and self.rounds < 1:
+            raise ConfigError("a schedule needs at least one pinger round")
+        for machine in self.files:
+            if not 0 <= machine < self.machines:
+                raise ConfigError(f"file machine {machine} out of range")
+        if not self.engines or min(self.engines) < 0:
+            raise ConfigError(
+                f"engines {self.engines!r} must name at least one variant "
+                f"(0 = classic, n = n shards)"
+            )
+        widest = max(self.engines)
+        if widest > 1 and self.machines % widest:
+            raise ConfigError(
+                f"{self.machines} machines do not split into {widest} shards"
+            )
+        if (self.clients or self.probe) and self.engines != (0,):
+            raise ConfigError(
+                "a closed-loop pool and the sweep-and-probe epilogue run "
+                "on the classic engine alone"
+            )
+        for key, op, _ in self.expect:
+            if op not in (">=", "=="):
+                raise ConfigError(f"expectation on {key}: unknown op {op!r}")
+        fake_pids = [
+            ProcessId(creating_machine=0, local_id=i + 1)
+            for i in range(len(self.servers))
+        ]
+        grid = self.latency if self.sharded else None
+        self.chaos(fake_pids).validate(self.machines, grid)
+
+    def to_json(self) -> dict[str, Any]:
+        """A JSON-safe dict; :meth:`from_json` inverts it exactly."""
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, data: dict[str, Any]) -> "Scenario":
+        """Rebuild a record from its JSON dict (lists back to tuples)."""
+        fields = {key: _tuples(value) for key, value in dict(data).items()}
+        fields["actions"] = tuple(
+            ActionSpec(**{k: _tuples(v) for k, v in dict(spec).items()})
+            for spec in fields.get("actions", ())
+        )
+        return cls(**fields)
+
+
+def _tuples(value: Any) -> Any:
+    """JSON lists back to the record's tuples, at any depth."""
+    if isinstance(value, list):
+        return tuple(_tuples(item) for item in value)
+    return value

@@ -106,8 +106,9 @@ class Cluster:
     """One simulated DEMOS/MP installation, engine left open.
 
     An engine builds its shards with :meth:`_build_shard` and defines
-    ``run(until=None)`` (advance time; no horizon means run to global
-    quiescence) and ``call_at_barrier(time, key, callback, *args)`` (a
+    ``run(until=None, max_events=None) -> events fired`` (advance time;
+    no horizon means run to global quiescence; the event budget is the
+    hang guard) and ``call_at_barrier(time, key, callback, *args)`` (a
     *global* action that may touch several shards at once).
     """
 

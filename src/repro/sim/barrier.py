@@ -441,6 +441,10 @@ class ShardPeer(Protocol):
         """Earliest pending event on this shard's loop, or None."""
         ...  # pragma: no cover
 
+    def events_fired(self) -> int:
+        """Events this shard's loop has executed (the runner's budget)."""
+        ...  # pragma: no cover
+
     def run_window(self, deadline: int) -> None:
         """Execute all events with ``time <= deadline``."""
         ...  # pragma: no cover
@@ -633,10 +637,21 @@ class SerialRunner(_Rendezvous):
             for s in range(len(peers))
         ]
 
-    def run(self, horizon: int | None = None) -> None:
-        """Rendezvous schedule up to *horizon*; strided drain without."""
+    def run(
+        self, horizon: int | None = None, max_events: int | None = None
+    ) -> None:
+        """Rendezvous schedule up to *horizon*; strided drain without.
+
+        With *max_events*, stop once the shards have fired that many
+        events: checked before each drain round (the run ends between
+        rounds, resumable) and before each meeting (the run ends as if
+        its horizon were the tick before that meeting).
+        """
+        budget = None
+        if max_events is not None:
+            budget = self._events_fired() + max_events
         if horizon is None:
-            self._drain()
+            self._drain(budget)
             return
         peers = self.peers
         heap = self._open(horizon)
@@ -647,6 +662,12 @@ class SerialRunner(_Rendezvous):
             at = self._next_action_time(horizon)
             bound = horizon if at is None else at
             while heap and heap[0][0] <= bound:
+                if budget is not None and self._events_fired() >= budget:
+                    # No shard has run past the next meeting's tick - 1,
+                    # so a horizon there is legal and the meeting stays
+                    # agreed for whichever run resumes.
+                    horizon, at = heap[0][0] - 1, None
+                    break
                 t, i, j = heappop(heap)
                 self._meet(t, i, j, frontier, heap, horizon)
             if at is None:
@@ -662,6 +683,9 @@ class SerialRunner(_Rendezvous):
                 peer.run_window(horizon)
             peer.advance_to(horizon)
         self._completed_through = horizon
+
+    def _events_fired(self) -> int:
+        return sum(peer.events_fired() for peer in self.peers)
 
     def _next_action_time(self, horizon: int | None = None) -> int | None:
         if self.actions is None:
@@ -726,11 +750,12 @@ class SerialRunner(_Rendezvous):
             peers[i].inject(out_ji)
         self._agree(t, pair, acts, horizon, heap)
 
-    def _drain(self) -> None:
+    def _drain(self, budget: int | None = None) -> None:
         """All-pairs rounds to global quiescence, strided per shard —
         the rounds every :class:`WorkerBarrier` walks in its drain
         phase.  Barrier actions registered past the horizon fire here,
-        between rounds."""
+        between rounds; the rounds stop early once the shards' fired
+        events reach *budget*."""
         peers = self.peers
         syncs = self.syncs
         count = len(peers)
@@ -759,6 +784,8 @@ class SerialRunner(_Rendezvous):
                 self._fire_actions(at)
                 continue
             if nxt is None:
+                break
+            if budget is not None and self._events_fired() >= budget:
                 break
             # Per-shard stride: nothing new can cross into shard s
             # before nxt + its minimum incident pair period, so each

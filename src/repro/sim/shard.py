@@ -186,6 +186,9 @@ class ShardRuntime:
     def next_event_time(self) -> int | None:
         return self.shard.loop.next_event_time()
 
+    def events_fired(self) -> int:
+        return self.shard.loop.events_fired
+
     def run_window(self, deadline: int) -> None:
         # A resumed run can revisit rendezvous ticks the drain already
         # executed past; behind-the-clock deadlines are no-ops.
@@ -283,11 +286,22 @@ class ShardedSystem(Cluster):
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, until: int | None = None) -> None:
+    def run(
+        self, until: int | None = None, max_events: int | None = None
+    ) -> int:
         """Serial execution: with *until*, stop the clocks there;
-        without, drain to global quiescence."""
+        without, drain to global quiescence.  Returns the events fired.
+
+        *max_events* is the hang guard :meth:`System.run` has, checked
+        only between drain rounds and at meetings, so a run may
+        overshoot it by what one round executes — one window of the
+        grid where wire latency is uniform; before a horizon with no
+        shard pairs to meet (one shard), the range is never checked.
+        """
         self._require_not_forked()
-        self._runner.run(horizon=until)
+        before = self.events_fired()
+        self._runner.run(horizon=until, max_events=max_events)
+        return self.events_fired() - before
 
     def execute(
         self,

@@ -14,7 +14,7 @@ from repro.chaos import (
     Partition,
 )
 from repro.core.config import SystemConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.net.channel import FaultPlan
 from repro.sim.shard import ShardedSystem
 from repro.workloads.pingpong import echo_server
@@ -183,7 +183,7 @@ class TestEngineDiscipline:
         system = ShardedSystem(SystemConfig(
             machines=4, topology="torus", latency=1_000, shards=2,
         ))
-        with pytest.raises(SimulationError, match="fault plans"):
+        with pytest.raises(ConfigError, match="fault plans"):
             ChaosEngine(system, ChaosScenario(
                 "t",
                 (
@@ -198,7 +198,7 @@ class TestEngineDiscipline:
         system = ShardedSystem(SystemConfig(
             machines=4, topology="torus", latency=1_000, shards=2,
         ))
-        with pytest.raises(SimulationError, match="window grid"):
+        with pytest.raises(ConfigError, match="window grid"):
             ChaosEngine(system, ChaosScenario(
                 "t", (CrashMachine(at=1_500, machine=2, executor=3),),
             ))
@@ -208,7 +208,7 @@ class TestEngineDiscipline:
             machines=4, topology="torus", latency=1_000, shards=2,
         ))
         pid = system.spawn(parked, machine=1, name="mover")
-        with pytest.raises(SimulationError, match="collides"):
+        with pytest.raises(ConfigError, match="collides"):
             ChaosEngine(system, ChaosScenario(
                 "t",
                 (

@@ -7,24 +7,23 @@ test replays every file and asserts the bug stays fixed.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.chaos import (
+    SCENARIOS,
     ActionSpec,
-    FuzzSchedule,
+    Scenario,
     generate_schedule,
     load_repro,
     replay,
     run_fuzz,
-    run_schedule,
+    run_scenario,
     shrink,
     validate_schedule,
     write_repro,
 )
-from repro.chaos.fuzz import schedule_from_json, schedule_to_json
 from repro.errors import ConfigError
 from repro.__main__ import main
 
@@ -87,9 +86,8 @@ class TestValidation:
 
     def base(self, **overrides):
         fields = dict(
-            seed=0, index=0, system_seed=1, machines=4,
-            topology="mesh", sharded=False, servers=(1,),
-            pingers=((0, 2),), rounds=2,
+            name="t", seed=1, machines=4, topology="mesh",
+            engines=(0,), servers=(1,), pingers=((0, 2),), rounds=2,
             actions=(
                 ActionSpec(
                     kind="crash", at=20_000, machine=2, executor=3,
@@ -97,7 +95,7 @@ class TestValidation:
             ),
         )
         fields.update(overrides)
-        return FuzzSchedule(**fields)
+        return Scenario(**fields)
 
     def test_base_schedule_is_valid(self):
         validate_schedule(self.base())
@@ -125,16 +123,16 @@ class TestValidation:
             validate_schedule(self.base(rounds=0))
 
     def test_sharded_needs_even_machines(self):
-        with pytest.raises(ConfigError, match="even machine count"):
+        with pytest.raises(ConfigError, match="do not split into 2 shards"):
             validate_schedule(self.base(
-                sharded=True, topology="torus", machines=5,
+                engines=(0, 1, 2), topology="torus", machines=5,
                 servers=(1,), pingers=((0, 2),),
             ))
 
     def test_sharded_rejects_wire_surgery(self):
         with pytest.raises(ConfigError, match="wire-surgery"):
             validate_schedule(self.base(
-                sharded=True, topology="torus",
+                engines=(0, 1, 2), topology="torus",
                 actions=(ActionSpec(
                     kind="flaky", at=20_000, until=29_000,
                     drop_permille=100, jitter=10,
@@ -144,7 +142,7 @@ class TestValidation:
     def test_sharded_crash_must_sit_on_the_grid(self):
         with pytest.raises(ConfigError, match="off the 1000us grid"):
             validate_schedule(self.base(
-                sharded=True, topology="torus",
+                engines=(0, 1, 2), topology="torus",
                 actions=(
                     ActionSpec(
                         kind="crash", at=20_037, machine=2, executor=3,
@@ -155,7 +153,7 @@ class TestValidation:
     def test_sharded_barrier_times_must_not_collide(self):
         with pytest.raises(ConfigError, match="collides"):
             validate_schedule(self.base(
-                sharded=True, topology="torus",
+                engines=(0, 1, 2), topology="torus",
                 actions=(
                     ActionSpec(
                         kind="crash", at=20_000, machine=2, executor=0,
@@ -171,22 +169,35 @@ class TestRunning:
     def test_classic_schedule_runs_clean(self):
         schedule = generate_schedule(77, 0)
         assert not schedule.sharded
-        outcome = run_schedule(schedule)
+        outcome = run_scenario(schedule)
         assert outcome.ok, outcome.problems
         assert outcome.counters["pingers_done"] == len(schedule.pingers)
 
     def test_sharded_schedule_passes_the_parity_oracle(self):
         schedule = generate_schedule(77, 1)
         assert schedule.sharded
-        outcome = run_schedule(schedule)
+        outcome = run_scenario(schedule)
         assert outcome.ok, outcome.problems
 
     def test_same_schedule_twice_is_byte_identical(self):
         schedule = generate_schedule(77, 2)
-        first = run_schedule(schedule)
-        second = run_schedule(schedule)
+        first = run_scenario(schedule)
+        second = run_scenario(schedule)
         assert first.counters == second.counters
         assert first.ledger == second.ledger
+
+    def test_a_spent_budget_is_a_problem_on_every_engine(self):
+        # One hang guard: the runner's event budget stops the sharded
+        # engines exactly as the single loop's stops the classic one,
+        # and a spent budget is a verdict, not an exception.
+        schedule = generate_schedule(77, 1)
+        assert schedule.engines == (0, 1, 2)
+        outcome = run_scenario(schedule, budget=10)
+        for label in ("classic", "shards=1", "shards=2"):
+            assert (
+                f"({label}) simulation did not quiesce within 10 events"
+                in outcome.problems
+            )
 
     def test_fuzz_report_digests_are_deterministic(self):
         first = run_fuzz(seed=42, runs=4)
@@ -218,10 +229,9 @@ class TestShrinking:
         # Dropping the crash would re-home the server onto machine 1,
         # turning the storm move into a no-op ("goes nowhere") — an
         # invalid candidate the shrinker must skip, not crash on.
-        schedule = FuzzSchedule(
-            seed=0, index=0, system_seed=1, machines=4,
-            topology="mesh", sharded=False, servers=(1,),
-            pingers=((0, 3),), rounds=2,
+        schedule = Scenario(
+            name="t", seed=1, machines=4, topology="mesh",
+            servers=(1,), pingers=((0, 3),), rounds=2,
             actions=(
                 ActionSpec(
                     kind="crash", at=20_000, machine=1, executor=2,
@@ -253,8 +263,8 @@ class TestShrinking:
 class TestReproFiles:
     def test_json_round_trip_is_exact(self):
         schedule = generate_schedule(9, 4)
-        data = schedule_to_json(schedule)
-        assert schedule_from_json(json.loads(json.dumps(data))) == schedule
+        data = json.loads(json.dumps(schedule.to_json()))
+        assert Scenario.from_json(data) == schedule
 
     def test_write_and_load_repro(self, tmp_path):
         schedule = generate_schedule(9, 4)
@@ -265,6 +275,28 @@ class TestReproFiles:
         payload = json.loads(path.read_text())
         assert payload["violations"] == ["problem"]
         assert payload["note"] == "why"
+
+    @pytest.mark.parametrize("scale", ["smoke", "full"])
+    def test_every_campaign_record_round_trips(self, scale):
+        for name, table in SCENARIOS.items():
+            record = table[scale]
+            data = json.loads(json.dumps(record.to_json()))
+            assert Scenario.from_json(data) == record, name
+
+    def test_version_1_file_reads_as_the_record(self, tmp_path):
+        (path,) = [p for p in REGRESSIONS if p.stem == "mid_migration_crash"]
+        assert json.loads(path.read_text())["version"] == 1
+        record = load_repro(path)
+        assert record.name == "fuzz-1983-5"
+        assert record.seed == 3946362892
+        assert record.engines == (0,)
+        assert record.prefix == "fuzz-echo"
+        assert [spec.kind for spec in record.actions] == [
+            "storm", "evacuate",
+        ]
+        rewritten = write_repro(tmp_path / "v2.json", record, [])
+        assert json.loads(rewritten.read_text())["version"] == 2
+        assert load_repro(rewritten) == record
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "r.json"
@@ -352,6 +384,6 @@ class TestCli:
         document = json.loads(capsys.readouterr().out)
         assert document["ok"] is False
         (violation,) = document["violations"]
-        assert violation["index"] == 0
+        assert violation["scenario"] == "fuzz-5-0"
         assert violation["problems"]
         assert document["repro_paths"]

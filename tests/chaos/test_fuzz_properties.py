@@ -8,12 +8,15 @@ and the shrinker only ever returns schedules that still satisfy the
 caller's failure predicate.
 """
 
+import json
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import (
+    Scenario,
     generate_schedule,
-    run_schedule,
+    run_scenario,
     shrink,
     validate_schedule,
 )
@@ -41,6 +44,14 @@ class TestGenerationProperties:
         """Same (seed, index) — byte-identical schedule, forever."""
         assert generate_schedule(seed, index) == \
             generate_schedule(seed, index)
+
+    @BOUNDED
+    @given(seed=seeds, index=indices)
+    def test_draws_round_trip_through_json(self, seed, index):
+        """A draw is a record: its JSON form rebuilds it exactly."""
+        schedule = generate_schedule(seed, index)
+        data = json.loads(json.dumps(schedule.to_json()))
+        assert Scenario.from_json(data) == schedule
 
     @BOUNDED
     @given(seed=seeds, index=indices)
@@ -73,8 +84,8 @@ class TestRunProperties:
         """The run is deterministic: counters, ledger and verdict are
         functions of the schedule alone."""
         schedule = generate_schedule(seed, index)
-        first = run_schedule(schedule)
-        second = run_schedule(schedule)
+        first = run_scenario(schedule)
+        second = run_scenario(schedule)
         assert first.counters == second.counters
         assert first.ledger == second.ledger
         assert first.problems == second.problems

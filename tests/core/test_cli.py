@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,31 @@ class TestCli:
         assert captured.err.startswith("repro: error: ")
         assert str(path) in captured.err and complaint in captured.err
         assert captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("edit, complaint", [
+        (lambda schedule: schedule.update(servers=[99]),
+         "server home 99 out of range"),
+        (lambda schedule: schedule["actions"][0].update(kind="meteor"),
+         "unknown action kind 'meteor'"),
+    ], ids=["server-out-of-range", "unknown-action"])
+    def test_unrunnable_repro_file_is_bad_input_not_a_violation(
+        self, capsys, tmp_path, edit, complaint,
+    ):
+        regression = (
+            Path(__file__).parents[1] / "chaos" / "regressions"
+            / "mid_migration_crash.json"
+        )
+        payload = json.loads(regression.read_text())
+        edit(payload["schedule"])
+        path = tmp_path / "repro.json"
+        path.write_text(json.dumps(payload))
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: error: repro file {path} cannot run: {complaint}\n"
+        )
 
 
 class TestReportSharded:

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.chaos.campaign import protocol_counters
+from repro.chaos.runner import protocol_counters
 from repro.chaos.invariants import check_quiescence
 from repro.core.cluster import Cluster, DomainView, MigrationTicket, Shard
 from repro.core.config import SystemConfig

@@ -303,6 +303,39 @@ class TestSerialExecution:
         assert records[0].source == 1 and records[0].dest == 2
 
 
+def forever(ctx):
+    while True:
+        yield ctx.sleep(500)
+
+
+class TestEventBudget:
+    """``run(max_events=...)`` is the same hang guard ``System.run``
+    has, checked between drain rounds and at meetings."""
+
+    def test_budget_stops_a_run_that_never_drains(self):
+        system = sharded(boot_servers=False)
+        system.spawn(forever, machine=5, name="forever")
+        fired = system.run(max_events=1_000)
+        # At most one round past the budget: one 100us window here.
+        assert 1_000 <= fired < 1_010
+        assert not system.quiescent()
+        # Stopped between rounds, so the run resumes where it stopped.
+        assert system.run(max_events=1_000) >= 1_000
+        assert system.events_fired() >= 2_000
+
+    def test_a_budget_cut_horizon_resumes_to_identical_counters(self):
+        straight = sharded()
+        pingpong_scenario(straight)
+        straight.run(until=120_000)
+        cut = sharded()
+        pingpong_scenario(cut)
+        assert cut.run(until=120_000, max_events=500) >= 500
+        assert cut.now() < 120_000
+        cut.run(until=120_000)
+        assert all(s.loop.now == 120_000 for s in cut.shards)
+        assert fingerprint(cut) == fingerprint(straight)
+
+
 class TestForkExecution:
     def test_fork_matches_serial(self):
         def run(executor, shards):
