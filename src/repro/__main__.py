@@ -22,12 +22,18 @@ Commands:
                     numbers);
 - ``trace``       — run a migration scenario and export a Chrome
                     trace-event JSON (``--out``) loadable in Perfetto.
+
+Bad input prints one ``repro: error:`` line and exits 2.  Output into a
+pipe whose reader has gone away (``python -m repro report | head -1``)
+ends the command quietly with exit status 141, as a shell reports a
+process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.chaos.campaign import SCALES, SCENARIOS, run_campaign
@@ -37,6 +43,10 @@ from repro.errors import ConfigError
 from repro.obs.exporters import metrics_snapshot_dict, write_chrome_trace
 from repro.servers.common import rpc
 from repro.stats.collector import collect_report
+
+#: Exit status when the reader of stdout goes away (``... | head``):
+#: what a shell reports for a process killed by SIGPIPE, 128 + 13.
+EXIT_BROKEN_PIPE = 141
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -558,10 +568,30 @@ def main(argv: list[str] | None = None) -> int:
                     f"--{flag} {machine} is not one of the "
                     f"{args.machines} machines (0..{args.machines - 1})"
                 )
-        return args.func(args)
+        code = args.func(args)
+        # A reader that went away surfaces here, not in the exit flush.
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        _detach_stdout()
+        return EXIT_BROKEN_PIPE
+
+
+def _detach_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the interpreter's
+    exit flush of the unwritten rest cannot fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a descriptor: nothing to flush at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 if __name__ == "__main__":  # pragma: no cover

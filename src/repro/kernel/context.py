@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.kernel.ids import ProcessId
+from repro.kernel.ids import ProcessAddress, ProcessId
 from repro.kernel.links import DataArea, LinkAttribute
 from repro.kernel.syscalls import (
     Compute,
@@ -48,6 +48,12 @@ class ProcessContext:
     def __init__(self, kernel: "Kernel", pid: ProcessId) -> None:
         self._kernel = kernel
         self.pid = pid
+        #: this process's address on its current machine, minted once
+        #: per residence: the sender of every message it sends.  Links
+        #: it creates to itself mint their own address: a request whose
+        #: reply link shared this object would pickle (as a cross-shard
+        #: record) to different bytes.
+        self.address = ProcessAddress(pid, kernel.machine)
         #: well-known service name -> link id, minted at spawn
         self.bootstrap: dict[str, int] = {}
 
@@ -67,8 +73,9 @@ class ProcessContext:
 
     def rebind(self, kernel: "Kernel") -> None:
         """Point this context at the kernel that now hosts the process
-        (called by the migration engine at restart, step 8)."""
+        (called when a migrated or recovered process is installed)."""
         self._kernel = kernel
+        self.address = ProcessAddress(self.pid, kernel.machine)
 
     # ------------------------------------------------------------------
     # Syscall sugar — each returns a syscall object to be yielded

@@ -90,12 +90,14 @@ if TYPE_CHECKING:  # pragma: no cover - circular-import guard
 ProgramFactory = Callable[[ProcessContext], Any]
 
 # Module-level aliases for the statuses the delivery and dispatch hot
-# paths test on every message/resume; a global load is cheaper than the
-# enum class-attribute chain at these call frequencies.
+# paths test on every message/resume (and the kind every user send
+# mints); a global load is cheaper than the enum class-attribute chain
+# at these call frequencies.
 _READY = ProcessStatus.READY
 _RUNNING = ProcessStatus.RUNNING
 _WAITING_MESSAGE = ProcessStatus.WAITING_MESSAGE
 _IN_MIGRATION = ProcessStatus.IN_MIGRATION
+_USER = MessageKind.USER
 
 
 class UndeliverablePolicy(Enum):
@@ -220,6 +222,9 @@ class Kernel:
         self._processes_get = self.processes.get
         self._forward_target = self.forwarding.forward_target
         self._trace_wants = tracer.wants
+        #: the scheduler's queued-pid table, read (never written) so a
+        #: dispatch with nothing queued returns before pick_next
+        self._run_queue = self.scheduler._queued
         #: hop-count distribution of messages this kernel forwarded
         #: (paper §4: chains are the cost of lazy link updating)
         self._forward_hops = self.metrics.histogram(
@@ -262,7 +267,7 @@ class Kernel:
         self._syscall_table: dict[
             type, Callable[[ProcessState, Any], None]
         ] = {
-            Send: self._sys_send,
+            Send: self.send_from_process,
             Receive: self._do_receive,
             CreateLink: self._do_create_link,
             DupLink: self._sys_dup_link,
@@ -403,25 +408,33 @@ class Kernel:
 
     def send_from_process(self, state: ProcessState, call: Send) -> None:
         """Execute a Send syscall on behalf of *state*."""
-        link = state.link_table.get(call.link_id)
-        enclosed = tuple(
-            LinkSnapshot.of(state.link_table.get(lid)) for lid in call.links
-        )
+        link_table = state.link_table
+        link = link_table.get(call.link_id)
+        enclosed = call.links
+        if enclosed:
+            enclosed = tuple(
+                [LinkSnapshot.of(link_table.get(lid)) for lid in enclosed]
+            )
+        else:
+            enclosed = ()
+        # Positional, in field order: dest, sender, kind, op, payload,
+        # payload_bytes, links, deliver_to_kernel, forward_count,
+        # category.  The sender address was minted once per residence.
         message = Message(
-            dest=link.address,
-            sender=ProcessAddress(state.pid, self.machine),
-            kind=MessageKind.USER,
-            op=call.op,
-            payload=call.payload,
-            payload_bytes=call.payload_bytes,
-            links=enclosed,
-            deliver_to_kernel=(
-                link.deliver_to_kernel or call.deliver_to_kernel
-            ),
-            category="user",
+            link.address,
+            state.context.address,
+            _USER,
+            call.op,
+            call.payload,
+            call.payload_bytes,
+            enclosed,
+            link.deliver_to_kernel or call.deliver_to_kernel,
+            0,
+            "user",
         )
-        state.accounting.messages_sent += 1
-        state.accounting.bytes_sent += message.wire_bytes
+        accounting = state.accounting
+        accounting.messages_sent += 1
+        accounting.bytes_sent += message.wire_bytes
         self.route_message(message)
 
     def send_control(
@@ -534,7 +547,33 @@ class Kernel:
             # transit are "held and forwarded for delivery when normal
             # message receiving can continue" — they sit in the queue and
             # travel with the pending messages in step 6.
-            self._enqueue_for_process(state, message)
+            state.message_queue.append(message)
+            self.stats.messages_delivered += 1
+            if self._trace_wants("kernel"):
+                self.tracer.record(
+                    "kernel", "deliver", pid=str(state.pid), op=message.op,
+                    sender=str(message.sender.pid), serial=message.serial,
+                    fwd=message.forward_count,
+                )
+            # Wakeup fast path.  The Receive is satisfied inline — timer
+            # cancel, message hand-off, READY, run-queue insert — so
+            # every other event in this tick observes exactly the state
+            # it always did.  Only the CPU grant is batched: all wakeups
+            # of a tick share one deferred _maybe_dispatch event instead
+            # of probing the scheduler once per delivered message.
+            if state.status is _WAITING_MESSAGE and isinstance(
+                state.pending_syscall, Receive
+            ):
+                # A timer is armed only together with a wake deadline.
+                if state.wake_deadline is not None:
+                    self._cancel_timer(state.pid)
+                    state.wake_deadline = None
+                self._hand_message(state)
+                state.status = _READY
+                self.scheduler.enqueue(state.pid, state.priority)
+                if not self._cpu_busy and not self._wakeup_flush_scheduled:
+                    self._wakeup_flush_scheduled = True
+                    self.loop.call_soon(self._flush_wakeups)
             return
 
         if pid.is_kernel:
@@ -547,33 +586,6 @@ class Kernel:
             return
 
         self._undeliverable(message)
-
-    def _enqueue_for_process(self, state: ProcessState, msg: Message) -> None:
-        state.message_queue.append(msg)
-        self.stats.messages_delivered += 1
-        if self._trace_wants("kernel"):
-            self.tracer.record(
-                "kernel", "deliver", pid=str(state.pid), op=msg.op,
-                sender=str(msg.sender.pid), serial=msg.serial,
-                fwd=msg.forward_count,
-            )
-        # Wakeup fast path.  The Receive is satisfied inline — timer
-        # cancel, message hand-off, READY, run-queue insert — so every
-        # other event in this tick observes exactly the state it always
-        # did.  Only the CPU grant is batched: all wakeups of a tick
-        # share one deferred _maybe_dispatch event instead of probing
-        # the scheduler once per delivered message.
-        if state.status is _WAITING_MESSAGE and isinstance(
-            state.pending_syscall, Receive
-        ):
-            self._cancel_timer(state.pid)
-            state.wake_deadline = None
-            self._hand_message(state)
-            state.status = _READY
-            self.scheduler.enqueue(state.pid, state.priority)
-            if not self._cpu_busy and not self._wakeup_flush_scheduled:
-                self._wakeup_flush_scheduled = True
-                self.loop.call_soon(self._flush_wakeups)
 
     def _flush_wakeups(self) -> None:
         """Grant the CPU once for all of this tick's message wakeups."""
@@ -889,7 +901,7 @@ class Kernel:
 
     def _maybe_dispatch(self) -> None:
         """Give the CPU to the next ready process, if it is free."""
-        if self._cpu_busy or self.crashed:
+        if self._cpu_busy or self.crashed or not self._run_queue:
             return
         scheduler = self.scheduler
         processes_get = self._processes_get
@@ -924,14 +936,12 @@ class Kernel:
     def _compute_slice_done(self, pid: ProcessId, slice_len: int) -> None:
         if self.crashed:
             return
-        state = self.processes.get(pid)
+        state = self._processes_get(pid)
         if state is None:
-            self._cpu_busy = False
-            self.scheduler.release_cpu(pid)
-            self._maybe_dispatch()
+            self._release_cpu(pid)
             return
         state.accounting.cpu_time += slice_len
-        if state.status is not ProcessStatus.RUNNING:
+        if state.status is not _RUNNING:
             # Preempted by migration or suspension mid-slice; the unfinished
             # Compute travels in compute_remaining.
             state.compute_remaining = max(
@@ -940,17 +950,12 @@ class Kernel:
             self._release_cpu(pid)
             return
         state.compute_remaining -= slice_len
-        if state.compute_remaining > 0:
-            state.status = ProcessStatus.READY
-            self.scheduler.release_cpu(pid)
-            self.scheduler.enqueue(pid, state.priority)
-            self._cpu_busy = False
-            self._maybe_dispatch()
-            return
-        # Compute finished: resume the program with None on its next turn.
-        state.pending_syscall = None
-        state.resume_value = None
-        state.status = ProcessStatus.READY
+        if state.compute_remaining <= 0:
+            # Compute finished: resume the program with None on its next
+            # turn.
+            state.pending_syscall = None
+            state.resume_value = None
+        state.status = _READY
         self.scheduler.release_cpu(pid)
         self.scheduler.enqueue(pid, state.priority)
         self._cpu_busy = False
@@ -961,9 +966,7 @@ class Kernel:
             return
         state = self._processes_get(pid)
         if state is None:
-            self._cpu_busy = False
-            self.scheduler.release_cpu(pid)
-            self._maybe_dispatch()
+            self._release_cpu(pid)
             return
         state.accounting.cpu_time += self.config.syscall_cpu_cost
         if state.status is not _RUNNING:
@@ -993,34 +996,38 @@ class Kernel:
             self.terminate(pid, 1)
             return
         # Release the running mark before the syscall decides the next
-        # status, so a _requeue inside the handler actually queues.
-        self.scheduler.release_cpu(pid)
+        # status, so the requeue below actually queues.  The scheduler
+        # marked this very pid object running, so identity settles it.
+        scheduler = self.scheduler
+        if scheduler.running is pid:
+            scheduler.running = None
+        else:
+            scheduler.release_cpu(pid)
         # Every key of the table is a Syscall class, so an exact-type
         # hit needs neither the isinstance check nor the subclass scan.
         handler = self._syscall_table.get(syscall.__class__)
         if handler is None:
-            self._handle_syscall(state, syscall)
-        else:
-            try:
-                handler(state, syscall)
-            except ReproError as exc:
-                state.resume_error = exc
-                self._requeue(state)
-        self._cpu_busy = False
-        self._maybe_dispatch()
-
-    def _handle_syscall(self, state: ProcessState, syscall: Any) -> None:
-        if not isinstance(syscall, Syscall):
-            state.resume_error = KernelError(
-                f"program yielded {syscall!r}, which is not a Syscall"
-            )
-            self._requeue(state)
-            return
+            handler = self._handle_syscall
         try:
-            self._dispatch_syscall(state, syscall)
+            handler(state, syscall)
         except ReproError as exc:
             state.resume_error = exc
             self._requeue(state)
+        else:
+            # A call that did not block goes to the back of the queue.
+            if state.status is _RUNNING:
+                state.status = _READY
+                scheduler.enqueue(state.pid, state.priority)
+        self._cpu_busy = False
+        if self._run_queue:  # _maybe_dispatch's own first probe, hoisted
+            self._maybe_dispatch()
+
+    def _handle_syscall(self, state: ProcessState, syscall: Any) -> None:
+        if not isinstance(syscall, Syscall):
+            raise KernelError(
+                f"program yielded {syscall!r}, which is not a Syscall"
+            )
+        self._dispatch_syscall(state, syscall)
 
     def _dispatch_syscall(self, state: ProcessState, syscall: Syscall) -> None:
         # Exact-type table dispatch: one dict probe replaces the former
@@ -1037,26 +1044,20 @@ class Kernel:
                 return
         raise KernelError(f"unhandled syscall {syscall!r}")
 
-    def _sys_send(self, state: ProcessState, syscall: Send) -> None:
-        self.send_from_process(state, syscall)
-        state.resume_value = None
-        self._requeue(state)
+    # Syscall handlers.  A handler that blocks the process sets its
+    # status; one that leaves it RUNNING is requeued by _resume_program.
 
     def _sys_dup_link(self, state: ProcessState, syscall: DupLink) -> None:
         state.resume_value = state.link_table.dup(syscall.link_id)
-        self._requeue(state)
 
     def _sys_destroy_link(
         self, state: ProcessState, syscall: DestroyLink
     ) -> None:
         state.link_table.remove(syscall.link_id)
-        state.resume_value = None
-        self._requeue(state)
 
     def _sys_compute(self, state: ProcessState, syscall: Compute) -> None:
         state.compute_remaining = max(0, syscall.duration)
         state.pending_syscall = syscall
-        self._requeue(state)
 
     def _sys_move_data(self, state: ProcessState, syscall: MoveData) -> None:
         self.transfers.start_move(state, syscall)
@@ -1065,7 +1066,6 @@ class Kernel:
         self, state: ProcessState, syscall: RequestMigration
     ) -> None:
         state.resume_value = True
-        self._requeue(state)
         self.migration.start(state.pid, syscall.destination)
 
     def _sys_exit(self, state: ProcessState, syscall: Exit) -> None:
@@ -1080,11 +1080,9 @@ class Kernel:
             "link_count": len(state.link_table),
             "migrations": state.accounting.migrations,
         }
-        self._requeue(state)
 
     def _sys_yield(self, state: ProcessState, syscall: Yield) -> None:
-        state.resume_value = None
-        self._requeue(state)
+        pass
 
     def _requeue(self, state: ProcessState) -> None:
         state.status = _READY
@@ -1093,7 +1091,6 @@ class Kernel:
     def _do_receive(self, state: ProcessState, syscall: Receive) -> None:
         if state.message_queue:
             self._hand_message(state)
-            self._requeue(state)
             return
         state.pending_syscall = syscall
         state.status = ProcessStatus.WAITING_MESSAGE
@@ -1118,7 +1115,6 @@ class Kernel:
             syscall.data_area,
         )
         state.resume_value = state.link_table.insert(link)
-        self._requeue(state)
 
     def _do_sleep(self, state: ProcessState, syscall: Sleep) -> None:
         state.pending_syscall = syscall
@@ -1130,17 +1126,21 @@ class Kernel:
         """Pop the next queued message and prepare it as the Receive result,
         materialising any enclosed links into the receiver's table."""
         message = state.message_queue.popleft()
-        link_ids = tuple(
-            state.link_table.insert(snapshot.materialise())
-            for snapshot in message.links
-        )
-        message.delivered_link_ids = link_ids
+        snapshots = message.links
+        if snapshots:
+            insert = state.link_table.insert
+            message.delivered_link_ids = tuple(
+                [insert(snapshot.materialise()) for snapshot in snapshots]
+            )
+        else:
+            message.delivered_link_ids = ()
         # A message is "received" when the process gets it, not each time
         # it lands in a queue (pending messages re-queue after step 6).
-        state.accounting.messages_received += 1
-        state.accounting.bytes_received += message.wire_bytes
+        accounting = state.accounting
+        accounting.messages_received += 1
+        accounting.bytes_received += message.wire_bytes
         if message.forward_count:
-            state.accounting.forwarded_to_me += 1
+            accounting.forwarded_to_me += 1
         state.pending_syscall = None
         state.resume_value = message
 

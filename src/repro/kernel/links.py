@@ -44,6 +44,11 @@ class LinkAttribute(Flag):
     DATA_WRITE = auto()
 
 
+#: The DELIVER_TO_KERNEL bit as a plain int: every user send tests it,
+#: and ``Flag.__and__`` builds a new member through four Python frames.
+_DELIVER_TO_KERNEL_BIT = LinkAttribute.DELIVER_TO_KERNEL.value
+
+
 @dataclass(frozen=True)
 class DataArea:
     """A window into the link creator's address space."""
@@ -81,7 +86,7 @@ class Link:
     @property
     def deliver_to_kernel(self) -> bool:
         """Whether messages on this link are received by the target's kernel."""
-        return bool(self.attributes & LinkAttribute.DELIVER_TO_KERNEL)
+        return self.attributes._value_ & _DELIVER_TO_KERNEL_BIT != 0
 
     def copy(self) -> "Link":
         """An independent duplicate (passing a link always copies it)."""

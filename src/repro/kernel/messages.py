@@ -64,10 +64,11 @@ class Message:
     @property
     def wire_bytes(self) -> int:
         """Bytes this message occupies as a network payload."""
+        links = self.links
         return (
             MESSAGE_HEADER_BYTES
             + self.payload_bytes
-            + LINK_WIRE_BYTES * len(self.links)
+            + (LINK_WIRE_BYTES * len(links) if links else 0)
         )
 
     def redirect(self, machine: int) -> None:

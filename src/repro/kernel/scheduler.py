@@ -24,7 +24,10 @@ class RoundRobinScheduler:
         #: priority levels in dispatch order (descending); rebuilt only
         #: when a new level appears, so pick_next never re-sorts
         self._levels: list[int] = []
-        self._queued: dict[ProcessId, int] = {}  # pid -> priority level
+        #: pid -> (priority level,) of every queued pid.  Each enqueue
+        #: offers its own fresh 1-tuple, so one setdefault both inserts
+        #: and says whether the pid was already queued.
+        self._queued: dict[ProcessId, tuple[int]] = {}
         self.running: ProcessId | None = None
 
     def __len__(self) -> int:
@@ -33,21 +36,24 @@ class RoundRobinScheduler:
     def enqueue(self, pid: ProcessId, priority: int = 0) -> None:
         """Add *pid* at *priority* to the back of its queue.  Idempotent
         (a pid already queued or running is left where it is)."""
-        if pid in self._queued or pid == self.running:
+        running = self.running
+        if running is pid or (running is not None and running == pid):
             return
-        queue = self._queues.get(priority)
-        if queue is None:
-            queue = deque()
-            self._queues[priority] = queue
+        entry = (priority,)
+        if self._queued.setdefault(pid, entry) is not entry:
+            return
+        try:
+            queue = self._queues[priority]
+        except KeyError:
+            queue = self._queues[priority] = deque()
             self._levels = sorted(self._queues, reverse=True)
         queue.append(pid)
-        self._queued[pid] = priority
 
     def remove(self, pid: ProcessId) -> None:
         """Take *pid* off the run queue if queued (migration step 1)."""
-        priority = self._queued.pop(pid, None)
-        if priority is not None:
-            self._queues[priority].remove(pid)
+        entry = self._queued.pop(pid, None)
+        if entry is not None:
+            self._queues[entry[0]].remove(pid)
 
     def pick_next(self) -> ProcessId | None:
         """Pop the next process to run (highest priority, FIFO within),
@@ -63,7 +69,8 @@ class RoundRobinScheduler:
 
     def release_cpu(self, pid: ProcessId) -> None:
         """The running process gave up the CPU."""
-        if self.running == pid:
+        running = self.running
+        if running is pid or (running is not None and running == pid):
             self.running = None
 
     @property

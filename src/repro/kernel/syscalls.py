@@ -4,6 +4,10 @@
 and the system are via communication-oriented kernel calls" (paper §2.1).
 Programs are Python generators; they *yield* one of these dataclasses and
 are resumed with the call's result (or have an error thrown into them).
+A call is a record built once per syscall and read by the kernel; nothing
+assigns to it after ``__init__``, so the classes are slotted rather than
+frozen (a frozen ``__init__`` pays one ``object.__setattr__`` per field,
+and a ``Send`` is built on every message a program sends).
 
 Example program::
 
@@ -33,7 +37,7 @@ class Syscall:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send(Syscall):
     """Send a message over a link in my link table.
 
@@ -50,7 +54,7 @@ class Send(Syscall):
     deliver_to_kernel: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Receive(Syscall):
     """Block until a message arrives; resumes with the :class:`Message`.
 
@@ -61,7 +65,7 @@ class Receive(Syscall):
     timeout: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CreateLink(Syscall):
     """Create a link pointing at *me*; resumes with its local link id."""
 
@@ -69,35 +73,35 @@ class CreateLink(Syscall):
     data_area: DataArea | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DupLink(Syscall):
     """Duplicate a link in my table; resumes with the new link id."""
 
     link_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DestroyLink(Syscall):
     """Remove a link from my table; resumes with None."""
 
     link_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Compute(Syscall):
     """Consume *duration* microseconds of CPU (contended, quantised)."""
 
     duration: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sleep(Syscall):
     """Block for *duration* microseconds without holding the CPU."""
 
     duration: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MoveData(Syscall):
     """Bulk-transfer through a data-area link (paper §2.2).
 
@@ -113,7 +117,7 @@ class MoveData(Syscall):
     length: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RequestMigration(Syscall):
     """Ask to be migrated to *destination* ("it is of course possible for
     a process to request its own migration", §3.1).  Resumes with True if
@@ -122,18 +126,19 @@ class RequestMigration(Syscall):
     destination: MachineId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Exit(Syscall):
     """Terminate this process."""
 
     code: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GetInfo(Syscall):
-    """Resumes with a dict: pid, machine, now, queue_length, link_count."""
+    """Resumes with a dict: pid, machine, now, queue_length, link_count,
+    migrations."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Yield(Syscall):
     """Give up the CPU voluntarily; resumes after requeueing."""

@@ -104,7 +104,8 @@ class Network:
                 f"machine {src} tried to use the network to reach itself; "
                 "local delivery never touches the wire"
             )
-        self._transport(src).send(dst, payload, payload_bytes, category)
+        transport = self._transports.get(src) or self._transport(src)
+        transport.send(dst, payload, payload_bytes, category)
 
     def set_faults(
         self,

@@ -42,6 +42,9 @@ RTO_BACKOFF = 2
 #: Cap on the backed-off timeout so recovery stays bounded.
 MAX_RTO = 200_000
 
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
 #: A receive stream: (source machine, machine the packets were addressed
 #: to — usually the receiver itself, or a dead machine it executes).
 StreamKey = tuple[MachineId, MachineId]
@@ -102,6 +105,7 @@ class ReliableTransport:
     ) -> None:
         self.machine = machine
         self._loop = loop
+        self._clock = loop.clock
         self._transmit = transmit_fn
         self._stats = stats
         self._tracer = tracer
@@ -109,20 +113,6 @@ class ReliableTransport:
         self._send_states: dict[MachineId, _SendState] = {}
         self._recv_states: dict[StreamKey, _RecvState] = {}
         self.deliver_fn: Callable[[MachineId, Any], None] | None = None
-
-    def _send_state(self, dst: MachineId) -> _SendState:
-        state = self._send_states.get(dst)
-        if state is None:
-            state = _SendState()
-            self._send_states[dst] = state
-        return state
-
-    def _recv_state(self, key: StreamKey) -> _RecvState:
-        state = self._recv_states.get(key)
-        if state is None:
-            state = _RecvState()
-            self._recv_states[key] = state
-        return state
 
     # ------------------------------------------------------------------
     # Sending
@@ -136,22 +126,24 @@ class ReliableTransport:
         category: str = "user",
     ) -> None:
         """Reliably send *payload* to machine *dst*."""
-        sender = self._send_state(dst)
+        sender = self._send_states.get(dst)
+        if sender is None:
+            sender = self._send_states[dst] = _SendState()
         seq = sender.next_seq
-        sender.next_seq += 1
+        sender.next_seq = seq + 1
         packet = Packet(
-            src=self.machine,
-            dst=dst,
-            kind=PacketKind.DATA,
-            seq=seq,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            category=category,
+            self.machine, dst, _DATA, seq, payload, payload_bytes, category
         )
         self._stats.note_send(packet)
-        deadline = self._loop.now + self._base_rto
+        deadline = self._clock._now + self._base_rto
         sender.unacked[seq] = _Outstanding(packet, deadline, self._base_rto)
-        self._arm_timer(dst, sender, deadline)
+        timer = sender.timer
+        if (
+            timer is None
+            or timer.cancelled
+            or sender.timer_deadline > deadline
+        ):
+            self._arm_timer(dst, sender, deadline)
         self._transmit(packet)
 
     def _arm_timer(
@@ -167,7 +159,11 @@ class ReliableTransport:
             if sender.timer_deadline <= deadline:
                 return
             self._loop.cancel(sender.timer)
-        sender.timer = self._loop.call_at(deadline, self._on_timer, dst)
+        # call_after is call_at's inlined twin: the same time and the
+        # same tie-break key, without the checks a deadline never fails.
+        sender.timer = self._loop.call_after(
+            deadline - self._clock._now, self._on_timer, dst
+        )
         sender.timer_deadline = deadline
 
     def _on_timer(self, dst: MachineId) -> None:
@@ -180,11 +176,11 @@ class ReliableTransport:
         a snapshot, transmits afterwards (skipping anything acked
         mid-burst), and recomputes the next deadline from the live dict.
         """
-        sender = self._send_state(dst)
+        sender = self._send_states[dst]
         sender.timer = None
         if not sender.unacked:
             return
-        now = self._loop.now
+        now = self._clock._now
         expired = [
             (seq, entry)
             for seq, entry in sender.unacked.items()
@@ -262,7 +258,7 @@ class ReliableTransport:
 
     def on_packet(self, packet: Packet) -> None:
         """Handle a raw packet arriving at (or executed by) this machine."""
-        if packet.kind is not PacketKind.ACK:
+        if packet.kind is not _ACK:
             self._on_data(packet)
             return
         # The ack's source is the machine the data was *addressed* to
@@ -276,32 +272,28 @@ class ReliableTransport:
             sender.timer = None
 
     def _on_data(self, packet: Packet) -> None:
-        stream = self._recv_state((packet.src, packet.dst))
-        self._send_ack(packet)
-        if packet.seq < stream.next_deliver_seq:
+        key = (packet.src, packet.dst)
+        stream = self._recv_states.get(key)
+        if stream is None:
+            stream = self._recv_states[key] = _RecvState()
+        # Ack every copy.  Acks carry the *addressed* destination as
+        # their source so the original sender finds its send state even
+        # when an executor is answering for a crashed machine.
+        seq = packet.seq
+        ack = Packet(
+            packet.dst, packet.src, _ACK, seq, seq, ACK_PAYLOAD_BYTES, "ack"
+        )
+        self._stats.note_send(ack)
+        self._transmit(ack)
+        if seq < stream.next_deliver_seq:
             return  # duplicate of something already delivered
-        if packet.seq in stream.reorder_buffer:
+        buffer = stream.reorder_buffer
+        if seq in buffer:
             return  # duplicate of something already buffered
-        stream.reorder_buffer[packet.seq] = packet
-        while stream.next_deliver_seq in stream.reorder_buffer:
-            ready = stream.reorder_buffer.pop(stream.next_deliver_seq)
+        buffer[seq] = packet
+        while stream.next_deliver_seq in buffer:
+            ready = buffer.pop(stream.next_deliver_seq)
             stream.next_deliver_seq += 1
             self._stats.note_delivery(ready)
             if self.deliver_fn is not None:
                 self.deliver_fn(ready.src, ready.payload)
-
-    def _send_ack(self, data_packet: Packet) -> None:
-        ack = Packet(
-            # Acks carry the *addressed* destination as their source so
-            # the original sender finds its send state even when an
-            # executor is answering for a crashed machine.
-            src=data_packet.dst,
-            dst=data_packet.src,
-            kind=PacketKind.ACK,
-            seq=data_packet.seq,
-            payload=data_packet.seq,
-            payload_bytes=ACK_PAYLOAD_BYTES,
-            category="ack",
-        )
-        self._stats.note_send(ack)
-        self._transmit(ack)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.net.packet import Packet
+from repro.net.packet import PACKET_HEADER_BYTES, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
@@ -35,16 +35,16 @@ class NetworkStats:
 
     def note_send(self, packet: Packet, retransmit: bool = False) -> None:
         """Record a packet leaving a transport (including retransmits)."""
+        payload_bytes = packet.payload_bytes
         self.packets_sent += 1
-        self.bytes_sent += packet.size_bytes
-        self.payload_bytes_sent += packet.payload_bytes
+        self.bytes_sent += PACKET_HEADER_BYTES + payload_bytes
+        self.payload_bytes_sent += payload_bytes
         if retransmit:
             self.retransmissions += 1
         else:
-            self.sends_by_category[packet.category] += 1
-            self.payload_bytes_by_category[packet.category] += (
-                packet.payload_bytes
-            )
+            category = packet.category
+            self.sends_by_category[category] += 1
+            self.payload_bytes_by_category[category] += payload_bytes
 
     def note_delivery(self, packet: Packet) -> None:
         """Record a packet accepted (post-dedup) by the receiving side."""

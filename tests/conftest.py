@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import pytest
 
 from repro.core.config import SystemConfig
@@ -50,3 +53,32 @@ def spawn_and_drain(system: System, program, machine: int = 0, name: str = ""):
     pid = system.spawn(program, machine=machine, name=name)
     drain(system)
     return pid
+
+
+def count_calls(run) -> int:
+    """Function calls the interpreter enters while ``run()`` executes.
+
+    ``sys.setprofile`` sees every Python frame and every C builtin, so
+    the count is a work ratio that reads the same on any host — the
+    per-layer call budgets gate on it.  The cyclic collector is off
+    meanwhile: collecting an earlier test's abandoned generator runs
+    its frame, which would be counted here.
+    """
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
+    return calls

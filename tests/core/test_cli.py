@@ -1,11 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+import repro
+from repro.__main__ import EXIT_BROKEN_PIPE, main
 from repro.obs.exporters import METRICS_SCHEMA, TRACE_SCHEMA
 
 
@@ -122,6 +126,47 @@ class TestCli:
         assert captured.err == (
             f"repro: error: repro file {path} cannot run: {complaint}\n"
         )
+
+
+    def test_closed_pipe_exits_quietly_with_the_sigpipe_status(
+        self, monkeypatch, capsys, tmp_path,
+    ):
+        with open(tmp_path / "stdout", "w") as backing:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(backing.fileno()))
+            assert main(["shell", "help"]) == EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_real_process(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}",
+        }
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "shell", "help", "ps"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        child.stdout.close()  # the reader is gone before the first write
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (EXIT_BROKEN_PIPE, b"")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away: every write and flush
+    fails the way a closed pipe does."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
 
 
 class TestReportSharded:

@@ -3,6 +3,8 @@
 from repro.errors import InvalidLinkError, KernelError
 from repro.kernel.ids import ProcessAddress
 from repro.kernel.links import DataArea, LinkAttribute
+from repro.kernel.ops import OP_MIGRATE_PROCESS, OP_STOP_PROCESS
+from repro.kernel.process_state import ProcessStatus
 from tests.conftest import drain, make_bare_system
 
 
@@ -311,3 +313,40 @@ class TestGetInfoAndYield:
         system.spawn(other, machine=0)
         drain(system)
         assert order.index("other") < order.index("polite-end")
+
+
+class TestSelfDirectedControl:
+    """A DELIVERTOKERNEL message a process sends to itself is executed
+    while its Send is being serviced; the status it leaves must stand,
+    not be overwritten by the Send's requeue."""
+
+    def test_a_process_can_stop_itself(self):
+        system = make_bare_system()
+        after = []
+
+        def program(ctx):
+            control = yield ctx.create_link(LinkAttribute.DELIVER_TO_KERNEL)
+            yield ctx.send(control, op=OP_STOP_PROCESS)
+            after.append(ctx.now)
+            yield ctx.exit()
+
+        pid = system.spawn(program, machine=0)
+        drain(system)
+        assert after == []
+        assert system.process_state(pid).status is ProcessStatus.SUSPENDED
+
+    def test_a_process_can_migrate_itself(self):
+        system = make_bare_system()
+        seen = []
+
+        def program(ctx):
+            control = yield ctx.create_link(LinkAttribute.DELIVER_TO_KERNEL)
+            yield ctx.send(control, op=OP_MIGRATE_PROCESS, payload={"dest": 2})
+            yield ctx.compute(100)
+            seen.append(ctx.machine)
+            yield ctx.exit()
+
+        system.spawn(program, machine=0)
+        drain(system)
+        assert seen == [2]
+        assert [r.success for r in system.migration_records()] == [True]

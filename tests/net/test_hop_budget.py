@@ -16,6 +16,7 @@ import pytest
 from repro.net.network import Network, ShardNetwork
 from repro.net.topology import Topology
 from repro.sim.loop import EventLoop, KeyedEventLoop
+from tests.conftest import count_calls
 
 MACHINES = 9
 QUIET_RTO = 1_000_000
@@ -44,20 +45,13 @@ def calls_for(build, packets):
     last = MACHINES - 1
     network.register_receiver(0, lambda src, payload: None)
     network.register_receiver(last, lambda src, payload: None)
-    calls = 0
 
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" or event == "c_call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
+    def run():
         for i in range(packets):
             network.send(0, last, i, 32)
         loop.run()
-    finally:
-        sys.setprofile(None)
+
+    calls = count_calls(run)
     assert network.stats.packets_delivered == packets
     assert network.stats.retransmissions == 0
     assert network.quiescent()
