@@ -2,7 +2,6 @@
 
 Commands:
 
-- ``demo``        — run the quickstart scenario and print the narrative;
 - ``migrate``     — migrate one process and print the §6 cost ledger;
 - ``shell "..."`` — execute command-interpreter lines against a fresh
                     system (e.g. ``python -m repro shell "run compute" ps``);
@@ -49,13 +48,6 @@ from repro.stats.collector import collect_report
 EXIT_BROKEN_PIPE = 141
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from examples import quickstart  # pragma: no cover - optional path
-
-    quickstart.main()
-    return 0
-
-
 def _cmd_migrate(args: argparse.Namespace) -> int:
     system = System(SystemConfig(machines=args.machines))
 
@@ -74,7 +66,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     from repro.stats.timeline import migration_timeline, render_timeline
 
     print("\nprotocol timeline (Figure 3-1):")
-    print(render_timeline(migration_timeline(system.tracer)))
+    print(render_timeline(migration_timeline(system.spans())))
     return 0
 
 
@@ -416,17 +408,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         system.run(max_events=1_000_000)
 
+    spans = system.spans()
     span_records = ("migrate", "forward", "linkupd")
     path = write_chrome_trace(
         args.out,
-        system.spans.all_spans(),
+        spans,
         records=(
             r for r in system.tracer if r.category not in span_records
         ),
         metadata={"machines": args.machines, "pid": str(pid)},
         metrics=system.metrics.snapshot(),
     )
-    for span in system.spans.all_spans():
+    for span in spans:
         print(
             f"{span.name}: {span.status}, steps {span.steps()}, "
             f"{len(span.child_events())} child events, "

@@ -34,6 +34,7 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     merge_snapshots,
 )
+from repro.obs.spans import Span, migration_spans
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
@@ -372,6 +373,14 @@ class Cluster:
         """Every completed migration's cost record, by start time."""
         records = [r for k in self.kernels for r in k.migration.completed]
         return sorted(records, key=lambda r: r.started_at)
+
+    def spans(self) -> list[Span]:
+        """Every migration, finished or in flight, as a span of its cost
+        record; each shard's tracer adds forwarding and link updates."""
+        return migration_spans(
+            (r for k in self.kernels for r in k.migration.records()),
+            (r for shard in self.shards for r in shard.tracer),
+        )
 
     def total_forwarding_entries(self) -> int:
         """Forwarding addresses currently installed system-wide."""

@@ -28,7 +28,6 @@ from repro.core.config import SystemConfig
 from repro.kernel.ids import ProcessAddress, ProcessId, kernel_address
 from repro.net.topology import MachineId
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanCollector
 from repro.sim.loop import EventLoop
 
 
@@ -95,8 +94,6 @@ class System(Cluster):
         #: the system-wide metrics registry every component publishes into
         self.metrics = shard.metrics
         self.network = shard.network
-        #: migration spans assembled live from the tracer stream
-        self.spans = SpanCollector(self.tracer)
         if self.config.boot_servers:
             boot_standard_servers(self)
         self._load_reporting = False
@@ -178,7 +175,8 @@ class System(Cluster):
         registry.counter("sim.events_fired").set_total(self.loop.events_fired)
         registry.gauge("sim.trace_records").set(len(self.tracer))
         registry.counter("sim.trace_dropped").set_total(self.tracer.dropped)
-        registry.gauge("sim.migration_spans").set(len(self.spans))
+        spans = sum(len(k.migration.records()) for k in self.kernels)
+        registry.gauge("sim.migration_spans").set(spans)
 
     def __repr__(self) -> str:
         return (

@@ -18,7 +18,7 @@ Two attributes matter for this paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Flag, auto
 from typing import Iterator
 
@@ -213,14 +213,6 @@ def with_data_area(
     if writable:
         attrs |= LinkAttribute.DATA_WRITE
     return Link(owner, attrs, DataArea(offset, length))
-
-
-def _ensure_same_process(a: Link, b: Link) -> None:
-    """Internal consistency check used by tests."""
-    if a.target_pid != b.target_pid:
-        raise InvalidLinkError(
-            f"links address different processes: {a.target_pid} vs {b.target_pid}"
-        )
 
 
 # re-exported for convenience in tests

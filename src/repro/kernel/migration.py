@@ -51,6 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover
 DoneCallback = Callable[[bool, MigrationCostRecord], None]
 
 
+def _segment_sizes(state: ProcessState) -> dict[str, int]:
+    """Bytes of each of the three data moves, keyed by segment."""
+    return {
+        "resident": state.resident_state_bytes,
+        "swappable": state.swappable_state_bytes,
+        "program": state.program_bytes,
+    }
+
+
 @dataclass
 class _SourceMigration:
     """Source-side record of one outbound migration."""
@@ -59,7 +68,6 @@ class _SourceMigration:
     dest: MachineId
     record: MigrationCostRecord
     callbacks: list[DoneCallback] = field(default_factory=list)
-    phase: str = "requested"
 
 
 @dataclass
@@ -72,8 +80,6 @@ class _DestMigration:
     segment_index: int = 0
     received: int = 0
     state: ProcessState | None = None
-    pending_expected: int | None = None
-    phase: str = "allocated"
 
 
 class MigrationEngine:
@@ -136,9 +142,14 @@ class MigrationEngine:
         state.begin_migration()
         kernel.scheduler.remove(pid)
         kernel.freeze_timers_for_migration(state)
+        sizes = _segment_sizes(state)
         record = MigrationCostRecord(
             pid=pid, source=kernel.machine, dest=dest,
             started_at=kernel.loop.now,
+            saved_status=(
+                state.saved_status.value if state.saved_status else "?"
+            ),
+            requested_bytes=sum(sizes.values()),
         )
         entry = _SourceMigration(pid, dest, record)
         if on_done is not None:
@@ -146,21 +157,12 @@ class MigrationEngine:
         self._outgoing[pid] = entry
         kernel.tracer.record(
             "migrate", "step1-freeze", pid=str(pid),
-            machine=kernel.machine, dest=dest,
-            saved=state.saved_status.value if state.saved_status else "?",
+            machine=kernel.machine, dest=dest, saved=record.saved_status,
         )
 
         # -- Step 2: ask the destination kernel to move the process ----
         self._send_admin(
-            entry, dest, OP_MIGRATE_REQUEST,
-            {
-                "pid": pid,
-                "sizes": {
-                    "resident": state.resident_state_bytes,
-                    "swappable": state.swappable_state_bytes,
-                    "program": state.program_bytes,
-                },
-            },
+            entry, dest, OP_MIGRATE_REQUEST, {"pid": pid, "sizes": sizes},
         )
         kernel.tracer.record(
             "migrate", "step2-request", pid=str(pid), dest=dest
@@ -191,20 +193,27 @@ class MigrationEngine:
         entry = self._outgoing.get(pid)
         if entry is None:
             return
-        state = self.kernel.processes.get(pid)
         if payload["ok"]:
-            entry.phase = "accepted"
+            entry.record.allocated_at = payload["at"]
+            entry.record.accepted_at = self.kernel.loop.now
             self.kernel.tracer.record("migrate", "accepted", pid=str(pid))
             return
         # §3.2: "If the destination machine refuses, the process cannot
         # be migrated."  Restore it and report failure.
-        entry.record.success = False
-        entry.record.refusal_reason = payload.get("reason", "refused")
-        entry.record.completed_at = self.kernel.loop.now
+        reason = payload.get("reason", "refused")
         self.kernel.tracer.record(
-            "migrate", "refused", pid=str(pid),
-            reason=entry.record.refusal_reason,
+            "migrate", "refused", pid=str(pid), reason=reason,
         )
+        self.abort(pid, reason)
+
+    def abort(self, pid: ProcessId, reason: str) -> None:
+        """Give up the outbound migration of *pid*: restore the process
+        here and report failure with *reason*."""
+        entry = self._outgoing[pid]
+        entry.record.success = False
+        entry.record.refusal_reason = reason
+        entry.record.completed_at = self.kernel.loop.now
+        state = self.kernel.processes.get(pid)
         if state is not None:
             self.kernel.restore_aborted_migration(state)
         self._finish_source(entry, success=False)
@@ -219,16 +228,15 @@ class MigrationEngine:
         state = self.kernel.processes.get(pid)
         if entry is None or state is None:
             return
-        sizes = {
-            "resident": state.resident_state_bytes,
-            "swappable": state.swappable_state_bytes,
-            "program": state.program_bytes,
-        }
-        nbytes = sizes[segment]
-        entry.record.segment_bytes[segment] = nbytes
+        record = entry.record
+        nbytes = _segment_sizes(state)[segment]
         chunk = self.kernel.config.max_data_packet
         count = max(1, math.ceil(nbytes / chunk))
-        entry.record.datamove_chunks += count
+        record.segment_bytes[segment] = nbytes
+        record.datamove_chunks += count
+        record.segment_chunks += (count,)
+        record.requested_at += (payload["at"],)
+        record.streamed_at += (self.kernel.loop.now,)
         self.kernel.tracer.record(
             "migrate", "segment-stream", pid=str(pid), segment=segment,
             bytes=nbytes, chunks=count,
@@ -264,6 +272,9 @@ class MigrationEngine:
         if entry is None or state is None:
             return
         kernel = self.kernel
+        record = entry.record
+        record.transferred_at = payload["at"]
+        record.cleaned_up_at = kernel.loop.now
 
         # -- Step 6: forward pending messages ---------------------------
         pending = list(state.message_queue)
@@ -271,7 +282,7 @@ class MigrationEngine:
         for queued in pending:
             queued.redirect(entry.dest)
             kernel.route_message(queued)
-        entry.record.pending_forwarded = len(pending)
+        record.pending_forwarded = len(pending)
         kernel.tracer.record(
             "migrate", "step6-forward-pending", pid=str(pid),
             count=len(pending),
@@ -286,16 +297,16 @@ class MigrationEngine:
         kernel._cancel_timer(pid)
         kernel.memory.detach(pid)
         del kernel.processes[pid]
-        if kernel.config.leave_forwarding_address:
+        record.forwarding = kernel.config.leave_forwarding_address
+        if record.forwarding:
             kernel.forwarding.install(pid, entry.dest, kernel.loop.now)
         kernel.tracer.record(
             "migrate", "step7-cleanup", pid=str(pid),
-            forwarding=kernel.config.leave_forwarding_address,
+            forwarding=record.forwarding,
         )
         self._send_admin(
             entry, entry.dest, OP_CLEANUP_COMPLETE, {"pid": pid},
         )
-        entry.phase = "cleaned-up"
 
     def _on_restart_ack(self, message: Message) -> None:
         payload = message.payload
@@ -306,6 +317,7 @@ class MigrationEngine:
             return
         entry.record.success = True
         entry.record.restarted_at = payload["restarted_at"]
+        entry.record.restart_status = payload["status"]
         entry.record.completed_at = self.kernel.loop.now
         self.kernel.tracer.record(
             "migrate", "done", pid=str(pid),
@@ -372,29 +384,24 @@ class MigrationEngine:
         source = message.sender.last_known_machine
         total = sum(sizes.values())
 
+        predicate = kernel.config.accept_migration
         if kernel.draining:
             # Maintenance mode (evacuation): the machine is being emptied
             # and must not accept new residents.
+            refusal = ("draining", "refuse-draining")
+        elif predicate is not None and not predicate(pid, total):
+            refusal = ("destination policy", "refuse-policy")
+        elif not kernel.memory.reserve(pid, total):
+            refusal = ("no memory", "refuse-memory")
+        else:
+            refusal = None
+        if refusal is not None:
+            reason, event = refusal
             self._send_admin(
                 None, source, OP_MIGRATE_ACCEPT,
-                {"pid": pid, "ok": False, "reason": "draining"},
+                {"pid": pid, "ok": False, "reason": reason},
             )
-            kernel.tracer.record("migrate", "refuse-draining", pid=str(pid))
-            return
-        predicate = kernel.config.accept_migration
-        if predicate is not None and not predicate(pid, total):
-            self._send_admin(
-                None, source, OP_MIGRATE_ACCEPT,
-                {"pid": pid, "ok": False, "reason": "destination policy"},
-            )
-            kernel.tracer.record("migrate", "refuse-policy", pid=str(pid))
-            return
-        if not kernel.memory.reserve(pid, total):
-            self._send_admin(
-                None, source, OP_MIGRATE_ACCEPT,
-                {"pid": pid, "ok": False, "reason": "no memory"},
-            )
-            kernel.tracer.record("migrate", "refuse-memory", pid=str(pid))
+            kernel.tracer.record("migrate", event, pid=str(pid))
             return
 
         # -- Step 3: allocate a process state with the same identifier --
@@ -403,7 +410,8 @@ class MigrationEngine:
             "migrate", "step3-allocate", pid=str(pid), bytes=total,
         )
         self._send_admin(
-            None, source, OP_MIGRATE_ACCEPT, {"pid": pid, "ok": True}
+            None, source, OP_MIGRATE_ACCEPT,
+            {"pid": pid, "ok": True, "at": kernel.loop.now},
         )
         # -- Step 4 begins: pull the first segment ----------------------
         self._request_segment(self._incoming[pid])
@@ -421,6 +429,7 @@ class MigrationEngine:
                 "pid": entry.pid,
                 "segment": segment,
                 "length": entry.sizes[segment],
+                "at": self.kernel.loop.now,
             },
         )
 
@@ -445,20 +454,17 @@ class MigrationEngine:
         assert entry.state is not None, "state must ride the final chunk"
         self.kernel.memory.commit_reservation(pid, entry.state.memory)
         self.kernel.adopt(entry.state)
-        entry.phase = "installed"
         self.kernel.tracer.record(
             "migrate", "transfer-complete", pid=str(pid),
             bytes=sum(entry.sizes.values()), machine=self.kernel.machine,
         )
         self._send_admin(
-            None, entry.source, OP_TRANSFER_COMPLETE, {"pid": pid},
+            None, entry.source, OP_TRANSFER_COMPLETE,
+            {"pid": pid, "at": self.kernel.loop.now},
         )
 
     def _on_pending_forwarded(self, message: Message) -> None:
-        payload = message.payload
-        entry = self._incoming.get(payload["pid"])
-        if entry is not None:
-            entry.pending_expected = payload["count"]
+        """Step 6's notice: the forwarded messages follow on their own."""
 
     def _on_cleanup_complete(self, message: Message) -> None:
         """Step 8: restart the process and acknowledge."""
@@ -471,13 +477,14 @@ class MigrationEngine:
         if state is None:  # pragma: no cover - defensive
             return
         self.kernel.restart_migrated_process(state)
+        status = state.status.value
         self.kernel.tracer.record(
-            "migrate", "step8-restart", pid=str(pid),
-            status=state.status.value,
+            "migrate", "step8-restart", pid=str(pid), status=status,
         )
         self._send_admin(
             None, entry.source, OP_RESTART_ACK,
-            {"pid": pid, "restarted_at": self.kernel.loop.now},
+            {"pid": pid, "restarted_at": self.kernel.loop.now,
+             "status": status},
         )
         if self.kernel.config.notify_process_manager:
             self.kernel._notify_process_manager(
@@ -498,3 +505,7 @@ class MigrationEngine:
     def outgoing_pids(self) -> list[ProcessId]:
         """Pids currently migrating away from this machine."""
         return sorted(self._outgoing, key=str)
+
+    def records(self) -> list[MigrationCostRecord]:
+        """Every outbound migration's record: finished, then in flight."""
+        return self.completed + [e.record for e in self._outgoing.values()]

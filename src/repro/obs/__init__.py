@@ -6,9 +6,9 @@ gives the reproduction the same power as a first-class layer:
 
 - :mod:`repro.obs.metrics` — a registry of named counters, gauges and
   histograms that ``net/``, ``kernel/`` and ``policy/`` publish into;
-- :mod:`repro.obs.spans` — migration *spans* built from the tracer's
-  records: one span per 8-step migration, with forwarding hops and
-  link-update messages attached as child events;
+- :mod:`repro.obs.spans` — migration *spans*, a view of the kernels'
+  migration cost records: one span per 8-step migration, with
+  forwarding hops and link-update messages attached as child events;
 - :mod:`repro.obs.exporters` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) and flat JSON metrics snapshots.
 """
@@ -29,16 +29,10 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
-from repro.obs.spans import (
-    MIGRATION_STEPS,
-    Span,
-    SpanCollector,
-    SpanEvent,
-)
+from repro.obs.spans import Span, SpanEvent, migration_spans
 
 __all__ = [
     "LATENCY_BUCKETS_US",
-    "MIGRATION_STEPS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -47,10 +41,10 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "Span",
-    "SpanCollector",
     "SpanEvent",
     "chrome_trace",
     "metrics_snapshot_dict",
+    "migration_spans",
     "span_to_trace_events",
     "write_chrome_trace",
 ]

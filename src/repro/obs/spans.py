@@ -1,40 +1,28 @@
-"""Migration spans, assembled from tracer records.
+"""Migration spans: a view of the kernels' migration cost records.
 
-A *span* is one 8-step migration (paper Figure 3-1) seen end to end:
-opened when the source freezes the process (step 1), closed when the
-source sees the restart acknowledgement (or a refusal).  Every protocol
-step lands inside it as a timestamped :class:`SpanEvent`; forwarding hops
-and link-update messages that involve the migrated process attach to its
-most recent span as child events — the attribution the paper's §6 cost
-analysis relies on.
-
-:class:`SpanCollector` is a tracer listener (:meth:`Tracer.subscribe`),
-so span assembly costs nothing when no collector is attached and never
-perturbs simulated time.
+A *span* is one 8-step migration (paper Figure 3-1) seen end to end,
+from the freeze (step 1) to the restart acknowledgement or a refusal.
+Its protocol events are the sim times the source kernel stamped on its
+:class:`~repro.stats.migration_cost.MigrationCostRecord`, so spans exist
+on every engine, traced or not.  Forwarding hops and link updates that
+involve the migrated process attach to its most recent span as child
+events — the attribution the paper's §6 cost analysis relies on; those
+come from the tracer, when it kept them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import TraceRecord
+from repro.stats.migration_cost import PROTOCOL_EVENTS, MigrationCostRecord
 
-#: trace event -> (span event name, protocol step number or None)
-MIGRATION_STEPS: dict[str, tuple[str, int | None]] = {
-    "step1-freeze": ("FREEZE", 1),
-    "step2-request": ("REQUEST", 2),
-    "accepted": ("ACCEPT", None),
-    "step3-allocate": ("ALLOCATE", 3),
-    "step4-state": ("SEGMENT_MOVE", 4),
-    "step5-program": ("SEGMENT_MOVE", 5),
-    "segment-stream": ("SEGMENT_STREAM", None),
-    "transfer-complete": ("TRANSFER_COMPLETE", None),
-    "step6-forward-pending": ("FORWARD_PENDING", 6),
-    "step7-cleanup": ("CLEANUP", 7),
-    "step8-restart": ("RESTART", 8),
-    "done": ("RESTART_ACK", None),
-    "refused": ("REFUSED", None),
+#: tracer (category, event) -> (child event name, field naming the pid)
+_CHILD_EVENTS = {
+    ("forward", "hit"): ("FORWARD_HOP", "pid"),
+    ("linkupd", "sent"): ("LINK_UPDATE_SENT", "target"),
+    ("linkupd", "applied"): ("LINK_UPDATE_APPLIED", "target"),
 }
 
 
@@ -75,10 +63,8 @@ class Span:
         """Microseconds from freeze until the span closed."""
         return None if self.end is None else self.end - self.start
 
-    def add(self, time: int, name: str, **fields: Any) -> SpanEvent:
-        event = SpanEvent(time, name, fields)
-        self.events.append(event)
-        return event
+    def add(self, time: int, name: str, **fields: Any) -> None:
+        self.events.append(SpanEvent(time, name, fields))
 
     def steps(self) -> list[int]:
         """Protocol step numbers present, in event (i.e. time) order."""
@@ -89,95 +75,48 @@ class Span:
 
     def child_events(self) -> list[SpanEvent]:
         """Forwarding hops / link updates attached after the protocol."""
-        return [
-            e for e in self.events
-            if e.name in ("FORWARD_HOP", "LINK_UPDATE_SENT",
-                          "LINK_UPDATE_APPLIED")
-        ]
+        names = {name for name, _key in _CHILD_EVENTS.values()}
+        return [e for e in self.events if e.name in names]
 
 
-class SpanCollector:
-    """Builds migration spans from a tracer's record stream."""
-
-    def __init__(self, tracer: Tracer | None = None) -> None:
-        self._open: dict[str, Span] = {}
-        #: latest span per pid (open or closed) — forwarding hops arrive
-        #: after the migration finished and still belong to it
-        self._latest: dict[str, Span] = {}
-        self.finished: list[Span] = []
-        if tracer is not None:
-            tracer.subscribe(self.observe)
-
-    # -- listener -------------------------------------------------------
-
-    def observe(self, record: TraceRecord) -> None:
-        """Tracer listener entry point."""
-        if record.category == "migrate":
-            self._on_migrate(record)
-        elif record.category == "forward" and record.event == "hit":
-            self._attach(record.fields.get("pid"), record, "FORWARD_HOP")
-        elif record.category == "linkupd" and record.event in (
-            "sent", "applied",
-        ):
-            self._attach(
-                record.fields.get("target"), record,
-                f"LINK_UPDATE_{record.event.upper()}",
-            )
-
-    def _on_migrate(self, record: TraceRecord) -> None:
-        mapped = MIGRATION_STEPS.get(record.event)
-        if mapped is None:
-            return  # not-here / already-moving / noop never open a span
-        name, step = mapped
-        pid = record.fields.get("pid")
-        if pid is None:
-            return
-        span = self._open.get(pid)
-        if record.event == "step1-freeze":
-            span = Span(
-                pid=pid,
-                start=record.time,
-                source=record.fields.get("machine"),
-                dest=record.fields.get("dest"),
-            )
-            self._open[pid] = span
-            self._latest[pid] = span
-        elif span is None:
-            return  # partial trace (collector attached mid-migration)
-        fields = {k: v for k, v in record.fields.items() if k != "pid"}
-        if step is not None:
-            fields["step"] = step
-        span.add(record.time, name, **fields)
-        if record.event == "step2-request" and span.dest is None:
-            span.dest = record.fields.get("dest")
-        if record.event in ("done", "refused"):
-            span.end = record.time
-            span.status = "ok" if record.event == "done" else "refused"
-            self.finished.append(span)
-            del self._open[pid]
-
-    def _attach(
-        self, pid: str | None, record: TraceRecord, name: str
-    ) -> None:
-        if pid is None:
-            return
-        span = self._latest.get(pid)
-        if span is None:
-            return
-        fields = {k: v for k, v in record.fields.items() if k != "pid"}
-        span.add(record.time, name, **fields)
-
-    # -- access ---------------------------------------------------------
-
-    def all_spans(self) -> list[Span]:
-        """Finished spans plus any still in flight, by start time."""
-        return sorted(
-            self.finished + list(self._open.values()),
-            key=lambda s: (s.start, s.pid),
+def migration_spans(
+    records: Iterable[MigrationCostRecord],
+    traces: Iterable[TraceRecord] = (),
+) -> list[Span]:
+    """One span per cost record, by start time, holding its stamped
+    protocol events; the forwarding hops and link updates in *traces*
+    attach to the latest span of their pid that had started by then."""
+    spans = []
+    for record in records:
+        span = Span(
+            pid=str(record.pid), start=record.started_at,
+            source=record.source, dest=record.dest,
         )
-
-    def spans_for(self, pid: str) -> list[Span]:
-        return [s for s in self.all_spans() if s.pid == pid]
-
-    def __len__(self) -> int:
-        return len(self.finished) + len(self._open)
+        if record.completed_at is not None:
+            span.end = record.completed_at
+            span.status = "ok" if record.success else "refused"
+        for time, event, fields in record.protocol_events():
+            name, step, _label = PROTOCOL_EVENTS[event]
+            if step is not None:
+                fields["step"] = step
+            span.add(time, name, **fields)
+        spans.append(span)
+    spans.sort(key=lambda s: (s.start, s.pid))
+    by_pid: dict[str, list[Span]] = {}
+    for span in spans:
+        by_pid.setdefault(span.pid, []).append(span)
+    for trace in traces:
+        child = _CHILD_EVENTS.get((trace.category, trace.event))
+        if child is None:
+            continue
+        name, key = child
+        started = [
+            s for s in by_pid.get(trace.fields.get(key), ())
+            if s.start <= trace.time
+        ]
+        if started:
+            fields = {k: v for k, v in trace.fields.items() if k != "pid"}
+            started[-1].add(trace.time, name, **fields)
+    for span in spans:
+        span.events.sort(key=lambda e: e.time)  # stable: protocol first
+    return spans

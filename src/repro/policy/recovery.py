@@ -106,13 +106,7 @@ class CrashRecoveryManager:
                 entry = kernel.migration._outgoing.get(pid)
                 if entry is None or entry.dest != machine:
                     continue
-                state = kernel.processes.get(pid)
-                entry.record.success = False
-                entry.record.refusal_reason = "destination crashed"
-                entry.record.completed_at = system.now()
-                if state is not None:
-                    kernel.restore_aborted_migration(state)
-                kernel.migration._finish_source(entry, success=False)
+                kernel.migration.abort(pid, "destination crashed")
                 report.migrations_aborted += 1
 
         # Resolve inbound migrations *from* the dead machine anywhere in
@@ -128,10 +122,7 @@ class CrashRecoveryManager:
             for pid, entry in list(kernel.migration._incoming.items()):
                 if entry.source != machine:
                     continue
-                installed = (
-                    entry.phase == "installed"
-                    and pid in kernel.processes
-                )
+                installed = pid in kernel.processes
                 del kernel.migration._incoming[pid]
                 if installed:
                     # The same state object is still referenced by the

@@ -1,27 +1,18 @@
-"""Render migration traces as text timelines.
+"""Render migration spans as text timelines.
 
-Turns the tracer's ``migrate``/``forward``/``linkupd`` records into the
-kind of annotated timeline the paper draws in Figure 3-1 — useful in
-examples and when debugging protocol changes.
+Turns the protocol steps of migration spans (a view of the kernels' cost
+records, :mod:`repro.obs.spans`) into the kind of annotated timeline the
+paper draws in Figure 3-1 — useful in examples and when debugging
+protocol changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.sim.trace import Tracer
-
-#: Events rendered, with their display labels.
-_LABELS = {
-    "step1-freeze": "1 freeze (source)",
-    "step2-request": "2 request -> destination",
-    "step3-allocate": "3 allocate state (destination)",
-    "step4-state": "4 transfer state",
-    "step5-program": "5 transfer program",
-    "step6-forward-pending": "6 forward pending messages (source)",
-    "step7-cleanup": "7 cleanup + forwarding address (source)",
-    "step8-restart": "8 restart (destination)",
-}
+from repro.obs.spans import Span
+from repro.stats.migration_cost import PROTOCOL_EVENTS
 
 
 @dataclass(frozen=True)
@@ -34,23 +25,24 @@ class TimelineEntry:
 
 
 def migration_timeline(
-    tracer: Tracer, pid: str | None = None
+    spans: Iterable[Span], pid: str | None = None
 ) -> list[TimelineEntry]:
-    """Extract the migration steps (optionally for one pid) in order."""
-    entries = []
-    for record in tracer.records("migrate"):
-        if pid is not None and record.fields.get("pid") != pid:
-            continue
-        label = _LABELS.get(record.event)
-        if label is None:
-            continue
-        detail = " ".join(
+    """The eight protocol steps of *spans* (optionally for one pid), in
+    time order."""
+    label_of = {
+        step: label for _name, step, label in PROTOCOL_EVENTS.values() if step
+    }
+    entries = [
+        TimelineEntry(event.time, label_of[event.step], " ".join(
             f"{key}={value}"
-            for key, value in record.fields.items()
-            if key != "pid"
-        )
-        entries.append(TimelineEntry(record.time, label, detail))
-    return entries
+            for key, value in event.fields.items() if key != "step"
+        ))
+        for span in spans
+        if pid is None or span.pid == pid
+        for event in span.events
+        if event.step is not None
+    ]
+    return sorted(entries, key=lambda entry: entry.time)
 
 
 def render_timeline(
@@ -59,10 +51,7 @@ def render_timeline(
 ) -> str:
     """An ASCII timeline with proportional spacing.
 
-    >>> from repro.sim.trace import Tracer
-    >>> tracer = Tracer(lambda: 0)
-    >>> tracer.record("migrate", "step1-freeze", pid="p0.1")
-    >>> print(render_timeline(migration_timeline(tracer)))
+    >>> print(render_timeline([TimelineEntry(0, "1 freeze (source)", "")]))
     t=         0us |> 1 freeze (source)
     """
     if not entries:
@@ -80,24 +69,23 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def forwarding_story(tracer: Tracer, pid: str) -> list[str]:
-    """Narrate every forwarding hit and link update for *pid*."""
-    story = []
-    for record in tracer:
-        if record.category == "forward" and record.event == "hit":
-            if record.fields.get("pid") == pid:
-                story.append(
-                    f"t={record.time}us: message #"
-                    f"{record.fields.get('serial')} redirected to machine "
-                    f"{record.fields.get('to')} (hop "
-                    f"{record.fields.get('hop')})"
-                )
-        elif record.category == "linkupd" and record.event == "applied":
-            if record.fields.get("target") == pid:
-                story.append(
-                    f"t={record.time}us: {record.fields.get('sender')}'s "
-                    f"links retargeted to machine "
-                    f"{record.fields.get('new_machine')} "
-                    f"({record.fields.get('changed')} changed)"
-                )
-    return story
+#: child event -> its line in the forwarding story
+_STORY = {
+    "FORWARD_HOP": "message #{serial} redirected to machine {to} (hop {hop})",
+    "LINK_UPDATE_APPLIED": (
+        "{sender}'s links retargeted to machine {new_machine} "
+        "({changed} changed)"
+    ),
+}
+
+
+def forwarding_story(spans: Iterable[Span], pid: str) -> list[str]:
+    """Narrate every forwarding hit and link update attached to *pid*'s
+    spans."""
+    return [
+        f"t={event.time}us: " + _STORY[event.name].format_map(event.fields)
+        for span in spans
+        if span.pid == pid
+        for event in span.child_events()
+        if event.name in _STORY
+    ]

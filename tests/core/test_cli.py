@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.__main__ as cli
 from repro.__main__ import EXIT_BROKEN_PIPE, main
 from repro.obs.exporters import METRICS_SCHEMA, TRACE_SCHEMA
 
@@ -54,6 +56,14 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_docstring_lists_exactly_the_registered_commands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        usage = capsys.readouterr().out
+        registered = re.search(r"\{([a-z,]+)\}", usage).group(1).split(",")
+        documented = re.findall(r"^- ``(\w+)", cli.__doc__, re.MULTILINE)
+        assert sorted(documented) == sorted(registered)
 
     @pytest.mark.parametrize("argv, complaint", [
         (["report", "--shards", "3", "--machines", "8"],

@@ -129,6 +129,27 @@ def drive_everything(engine):
     }
 
 
+FULL_STEPS = [1, 2, 3, 4, 4, 5, 6, 7, 8]
+
+
+def span_view(span):
+    """A span as comparable data.  Child events are sorted, because
+    shards trace them on separate tracers, and lose the message serial,
+    a process-global diagnostic id."""
+    children = span.child_events()
+    return (
+        span.name,
+        span.status,
+        span.steps(),
+        [e.time for e in span.events if e not in children],
+        sorted(
+            (e.time, e.name,
+             sorted((k, v) for k, v in e.fields.items() if k != "serial"))
+            for e in children
+        ),
+    )
+
+
 def fingerprint(cluster, extras):
     """Everything that must not depend on the engine."""
     report = collect_report(cluster).to_dict()
@@ -141,6 +162,7 @@ def fingerprint(cluster, extras):
             (r.started_at, r.source, r.dest, r.success, r.downtime)
             for r in cluster.migration_records()
         ],
+        "spans": [span_view(span) for span in cluster.spans()],
         "forwarding_entries": cluster.total_forwarding_entries(),
         "delivered": sum(extras["per_shard"]),
         "balancer_moves": extras["balancer"].stats.migrations_started,
@@ -185,6 +207,14 @@ class TestClusterContract:
         assert cluster.process_state(extras["subject"]).name == "subject"
         assert cluster.kernel_hosting(extras["subject"]).machine == 5
         assert cluster.where_is(extras["servers"][1]) == 3
+        # The subject's move crosses shards at shards=2: still one span.
+        (span,) = [
+            s for s in cluster.spans() if s.pid == str(extras["subject"])
+        ]
+        assert (span.source, span.dest, span.status) == (2, 5, "ok")
+        assert span.steps() == FULL_STEPS
+        crosses = cluster.shard_for(2) is not cluster.shard_for(5)
+        assert crosses == (engine == "shards=2")
         assert isinstance(extras["view"], DomainView)
         assert extras["balancer"].stats.migrations_started > 0
         (crash,) = extras["recovery"].reports
@@ -213,6 +243,10 @@ class TestClusterContract:
     def test_every_engine_lands_on_the_same_counters(self, runs):
         reference = fingerprint(*runs["system"])
         assert reference["protocol"]["messages_forwarded"] > 0
+        assert len(reference["spans"]) == len(
+            runs["system"][0].migration_records()
+        )
+        assert any(children for *_, children in reference["spans"])
         assert reference["report"]["network"]["retransmissions"] == 0
         for engine in ("shards=1", "shards=2"):
             assert fingerprint(*runs[engine]) == reference, engine

@@ -124,8 +124,8 @@ class TestRingBuffer:
         assert tracer.dropped == 0
 
     def test_listeners_see_records_evicted_from_the_ring(self):
-        # A SpanCollector must be able to assemble spans even when the
-        # buffer is tighter than one migration's worth of records.
+        # A listener (the affinity policy's CommunicationMatrix) must see
+        # every record even when the ring is tighter than the burst.
         tracer, _ = make_tracer(max_records=1)
         seen = []
         tracer.subscribe(seen.append)
