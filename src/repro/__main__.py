@@ -101,43 +101,47 @@ def _cmd_report(args: argparse.Namespace) -> int:
     request/wait/think loop, with the server they talk to force-migrated
     mid-conversation, so the report's request-latency percentiles carry
     the cost of migration and forwarding — not just the counter totals.
+    ``--shards N`` (N > 1) runs the same scenario on the sharded engine
+    over a torus; the report is the merged per-shard snapshot.
     """
+    from repro.sim.shard import ShardedSystem
     from repro.workloads.closed_loop import ClientPool, ClosedLoopConfig
     from repro.workloads.compute import compute_bound
     from repro.workloads.pingpong import echo_server
 
+    headline: tuple[str, ...] = ()
+    extra = {}
     if args.shards > 1:
-        return _report_sharded(args)
-    system = System(SystemConfig(machines=args.machines))
-    server = system.spawn(lambda ctx: echo_server(ctx), machine=1,
-                          name="echo")
+        cluster = ShardedSystem(SystemConfig(
+            machines=args.machines, topology="torus", shards=args.shards,
+            backbone_latency=args.backbone_latency,
+        ))
+        headline = (
+            f"sharded execution: {len(cluster.shards)} shards, "
+            f"lookahead {cluster.barrier_grid}us",
+        )
+        extra = {"shards": len(cluster.shards)}
+    else:
+        cluster = System(SystemConfig(machines=args.machines))
+    server = cluster.spawn(lambda ctx: echo_server(ctx), machine=1,
+                           name="echo")
     pool = ClientPool(
-        system,
+        cluster,
         ClosedLoopConfig(clients=args.clients,
                          requests_per_client=args.requests),
     )
     pool.install()
     jobs = [
-        system.spawn(lambda ctx: compute_bound(ctx, total=30_000),
-                     machine=0, name=f"job-{i}")
+        cluster.spawn(lambda ctx: compute_bound(ctx, total=30_000),
+                      machine=0, name=f"job-{i}")
         for i in range(3)
     ]
-    system.loop.call_at(10_000, lambda: system.migrate(jobs[0], 3))
+    cluster.call_at(10_000, 0, cluster.migrate, jobs[0], 3)
     # Move the server while the pool is mid-conversation: the latency
     # tail in the report is the §6 migration cost as a user sees it.
-    system.loop.call_at(
-        30_000, lambda: system.migrate(server, args.machines - 1),
-    )
-    system.run(until=2_000_000)
-    return _print_report(system, args)
-
-
-def _print_report(
-    cluster, args: argparse.Namespace, *headline: str, **extra
-) -> int:
-    """The ``report`` tail for either scenario body: the cluster's
-    report as lines (after any *headline*) or as a JSON document
-    (with any *extra* keys)."""
+    cluster.call_at(30_000, 1, cluster.migrate, server, args.machines - 1)
+    cluster.run(until=2_000_000)
+    cluster.drain()
     report = collect_report(cluster)
     if args.json:
         document = metrics_snapshot_dict(
@@ -150,50 +154,6 @@ def _print_report(
     for line in (*headline, *report.lines()):
         print(line)
     return 0
-
-
-def _report_sharded(args: argparse.Namespace) -> int:
-    """The ``report`` scenario on the sharded engine (``--shards N``).
-
-    Machines pair up as echo servers and pingers on a torus; the
-    cluster executes across N shards and the printed report is the
-    merged per-shard snapshot — identical numbers for every shard
-    count.  (A second scenario body only until ``ClientPool`` is
-    shard-aware.)
-    """
-    from repro.sim.shard import ShardedSystem
-    from repro.workloads.pingpong import echo_server, pinger
-    from repro.workloads.results import ResultsBoard
-
-    system = ShardedSystem(SystemConfig(
-        machines=args.machines, topology="torus", shards=args.shards,
-        backbone_latency=args.backbone_latency,
-    ))
-    boards = [ResultsBoard() for _ in system.shards]
-    count = args.machines
-    for m in system.topology.machines:
-        system.spawn(
-            lambda ctx, _m=m: echo_server(ctx, service_name=f"echo-{_m}"),
-            machine=m, name=f"echo-{m}",
-        )
-        client = (m + 3) % count
-        board = boards[system.plan.shard_of(client)]
-        system.schedule_spawn(
-            30_000 + 500 * m, client,
-            lambda ctx, _m=m, _b=board: pinger(
-                ctx, service_name=f"echo-{_m}", rounds=args.requests,
-                board=_b, key=f"pinger-{_m}",
-            ),
-            name=f"pinger-{m}",
-        )
-    system.run(until=2_000_000)
-    system.drain()
-    return _print_report(
-        system, args,
-        f"sharded execution: {len(system.shards)} shards, "
-        f"lookahead {system.plan.lookahead}us",
-        shards=len(system.shards),
-    )
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:

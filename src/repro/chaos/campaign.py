@@ -96,8 +96,9 @@ def _crash(at: int, machine: int, executor: int) -> ActionSpec:
 
 
 def _pool(name: str, **fields) -> Scenario:
-    """A closed-loop pool scenario on the classic engine, observed, with
-    the sweep-and-probe epilogue."""
+    """A closed-loop pool scenario, observed, with the sweep-and-probe
+    epilogue; the campaign runs it on the classic engine, and it runs
+    unchanged on every other."""
     return Scenario(
         name=name, latency=100, observe=True, probe=True, **fields
     )

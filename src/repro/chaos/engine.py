@@ -10,27 +10,29 @@ the property the campaign gates and the Hypothesis suite fuzzes.
 
 The engine is written against :class:`~repro.core.cluster.Cluster`:
 every action is scheduled through ``call_at`` (anchored to a machine)
-or ``call_at_barrier``.  Crashes and maintenance kills are *global*
-actions — the recovery sequence mutates several shards at once — so on
-a sharded cluster they fire between windows in pure-data key order
-(kind, machine, executor), with every shard clock frozen at the crash
-instant; on the single loop the same call is an ordinary event.
+or ``call_at_barrier``.  Crashes, maintenance kills and wire surgery
+(partition, heal, flaky start and end) are *global* actions — crash
+recovery mutates several shards at once, and a fault plan lands on
+wires owned by every shard — so on a sharded cluster they fire between
+windows in pure-data key order, with every shard clock frozen at the
+action's instant; on the single loop the same call is an ordinary
+event.  Wire surgery reaches every shard's network through one
+fan-out, and each network rewrites only the wires it owns.
 
 The one thing the engine still asks the cluster is its
 ``barrier_grid``, once, at build time, and hands it to the scenario's
 own validation: where there is a grid (a sharded cluster),
 :meth:`~repro.chaos.scenario.ChaosScenario.check_barrier_schedule`
-refuses partitions and flaky windows and requires barrier-action times
-on the grid and unique — the same pure check the fuzzer's validator
-runs.  The ledger is kept in the driving process, so sharded scenarios
-must run under the serial executor (the same constraint as cross-shard
-live migration).
+requires barrier-action times on the grid and unique — the same pure
+check the fuzzer's validator runs.  The ledger is kept in the driving
+process, so sharded scenarios must run under the serial executor (the
+same constraint as cross-shard live migration).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.chaos.scenario import (
     ChaosScenario,
@@ -42,6 +44,7 @@ from repro.chaos.scenario import (
 )
 from repro.errors import SimulationError
 from repro.net.channel import FaultPlan
+from repro.net.topology import MachineId
 from repro.policy.metrics import migratable_processes
 from repro.policy.recovery import CrashRecoveryManager, CrashReport
 
@@ -105,11 +108,20 @@ class ChaosEngine:
                     self._crash, action,
                 )
             elif isinstance(action, Partition):
-                at(action.at, 0, self._partition, action)
-                at(action.heal_at, 0, self._heal, action)
+                where = action.where
+                at_barrier(
+                    action.at, ("partition", where), self._partition, action
+                )
+                at_barrier(action.heal_at, ("heal", where), self._heal, action)
             elif isinstance(action, FlakyLinks):
-                at(action.at, 0, self._flaky_start, action)
-                at(action.until, 0, self._flaky_end, action)
+                where = action.where
+                at_barrier(
+                    action.at, ("flaky", where), self._flaky_start, action
+                )
+                at_barrier(
+                    action.until, ("flaky-end", where), self._flaky_end,
+                    action,
+                )
             elif isinstance(action, MigrationStorm):
                 for move in action.moves:
                     at(
@@ -162,44 +174,56 @@ class ChaosEngine:
             + ("" if action.protect else " (unprotected)"),
         )
 
+    def _rewire(
+        self,
+        pairs: Sequence[tuple[MachineId, MachineId]] | None,
+        faults: FaultPlan | None = None,
+    ) -> None:
+        """Open a wire-surgery window — *faults* on wire *pairs* (None:
+        every wire) — or, without *faults*, close it by restoring the
+        plan in force when it opened.  The one fan-out: every shard's
+        network gets the plan and rewrites only the wires it owns.
+        Validation refuses overlapping windows, so one baseline serves.
+        """
+        if faults is None:
+            faults = self._baseline
+        else:
+            self._baseline = self.system.shards[0].network._default_faults
+        for shard in self.system.shards:
+            network = shard.network
+            if pairs is None:
+                network.set_faults(faults)
+            else:
+                for a, b in pairs:
+                    network.set_faults(faults, a, b)
+
+    def _cut(self, action: Partition) -> list[tuple[MachineId, MachineId]]:
+        """The adjacent wire pairs straddling the partition: routing
+        keeps its shortest paths, so faulting exactly these wires stops
+        all traffic that must cross the cut."""
+        group_b = set(action.group_b)
+        return [
+            (a, b)
+            for a in sorted(action.group_a)
+            for b in self.system.topology.neighbors(a)
+            if b in group_b
+        ]
+
     def _partition(self, action: Partition) -> None:
-        self.system.network.partition(action.group_a, action.group_b)
-        self._record(
-            action.at, "partition",
-            f"{sorted(action.group_a)} | {sorted(action.group_b)}",
-        )
+        self._rewire(self._cut(action), FaultPlan(drop_probability=1.0))
+        self._record(action.at, "partition", action.where)
 
     def _heal(self, action: Partition) -> None:
-        self.system.network.heal(action.group_a, action.group_b)
-        self._record(
-            action.heal_at, "heal",
-            f"{sorted(action.group_a)} | {sorted(action.group_b)}",
-        )
+        self._rewire(self._cut(action))
+        self._record(action.heal_at, "heal", action.where)
 
     def _flaky_start(self, action: FlakyLinks) -> None:
-        network = self.system.network
-        if action.pairs is None:
-            self._flaky_baseline = network._default_faults
-            network.set_faults(action.faults)
-            where = "all wires"
-        else:
-            self._flaky_baseline = network._default_faults
-            for a, b in action.pairs:
-                network.set_faults(action.faults, a, b)
-            where = f"{len(action.pairs)} wire pair(s)"
-        self._record(action.at, "flaky", where)
+        self._rewire(action.pairs, action.faults)
+        self._record(action.at, "flaky", action.where)
 
     def _flaky_end(self, action: FlakyLinks) -> None:
-        network = self.system.network
-        baseline = getattr(self, "_flaky_baseline", None) or FaultPlan()
-        if action.pairs is None:
-            network.set_faults(baseline)
-            where = "all wires"
-        else:
-            for a, b in action.pairs:
-                network.set_faults(baseline, a, b)
-            where = f"{len(action.pairs)} wire pair(s)"
-        self._record(action.until, "flaky-end", where)
+        self._rewire(action.pairs)
+        self._record(action.until, "flaky-end", action.where)
 
     def _storm_move(self, at: int, move) -> None:
         kernel = self.system.kernel(move.home)

@@ -10,10 +10,12 @@ came before it.
 
 A draw runs like any campaign scenario
 (:func:`~repro.chaos.runner.run_scenario`).  Draws made *sharded* carry
-only shard-safe actions on grid-aligned times and name three engines —
-classic, ``shards=1`` and ``shards=2`` — so the conservative-PDES
-parity argument is an oracle checked on every draw, not just on the
-scripted parity scenarios.
+storms, crashes and evacuations on grid-aligned times (partitions and
+flaky windows run sharded too, but drawing them would change the draw
+stream and every pinned digest) and name three engines — classic,
+``shards=1`` and ``shards=2`` — so the conservative-PDES parity
+argument is an oracle checked on every draw, not just on the scripted
+parity scenarios.
 
 A violating record is minimized by :func:`shrink` (greedy delta
 debugging over the record's pure data: drop actions, drop storm moves,

@@ -51,8 +51,7 @@ def check_exactly_once(pool: "ClientPool") -> list[str]:
             f"{pool.mismatches} repl(y/ies) did not echo the request "
             f"awaiting them"
         )
-    snapshot = pool.system.metrics.snapshot()
-    histogram = snapshot.histogram(pool.config.metric)
+    histogram = pool.system.snapshot().histogram(pool.config.metric)
     expected = pool.config.clients * quota
     observed = histogram.count if histogram is not None else 0
     if observed != expected:

@@ -17,9 +17,9 @@ simulated times, explicit machines, explicit victims), so the fault
 schedule is a pure function of the scenario — the determinism property
 the Hypothesis suite gates.  The :class:`~repro.chaos.engine.ChaosEngine`
 interprets a ``ChaosScenario`` against a live
-:class:`~repro.core.cluster.Cluster`: all actions on the single-loop
-:class:`~repro.core.system.System`, the shard-safe subset on a
-:class:`~repro.sim.shard.ShardedSystem`.
+:class:`~repro.core.cluster.Cluster` — every action on every engine; a
+sharded cluster only adds the barrier-schedule rules
+(:meth:`ChaosScenario.check_barrier_schedule`).
 
 Action vocabulary:
 
@@ -40,6 +40,7 @@ Action vocabulary:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator, Union
 
@@ -103,6 +104,11 @@ class Partition:
                 f"or negative"
             )
 
+    @property
+    def where(self) -> str:
+        """The cut, as the schedule and the ledger name it."""
+        return f"{sorted(self.group_a)} | {sorted(self.group_b)}"
+
 
 @dataclass(frozen=True)
 class FlakyLinks:
@@ -128,6 +134,13 @@ class FlakyLinks:
                 raise ConfigError(f"flaky pair ({a}, {b}) out of range")
             if a == b:
                 raise ConfigError(f"machine {a} has no wire to itself")
+
+    @property
+    def where(self) -> str:
+        """The wires, as the schedule and the ledger name them."""
+        if self.pairs is None:
+            return "all wires"
+        return f"{len(self.pairs)} wire pair(s)"
 
 
 @dataclass(frozen=True)
@@ -218,13 +231,14 @@ class Evacuation:
 Action = Union[CrashMachine, Partition, FlakyLinks, MigrationStorm,
                Evacuation]
 
-#: actions safe under sharded execution.  Storms are per-machine
-#: anchored loop events; crashes and evacuation kills run as
-#: barrier-aligned global actions (grid-aligned times, key-ordered —
-#: see :meth:`~repro.core.cluster.Cluster.call_at_barrier`).
-#: Partitions and flaky windows stay classic-only: they rewrite wire
-#: fault plans retroactively, which the sharded network refuses.
-SHARD_SAFE_ACTIONS = (MigrationStorm, CrashMachine, Evacuation)
+#: fault-schedule kinds that fire as *global* actions
+#: (:meth:`~repro.core.cluster.Cluster.call_at_barrier`): a crash
+#: mutates several shards at once, and wire surgery rewrites the fault
+#: plan of wires owned by every shard.  Storm moves and drains are loop
+#: events anchored to one machine.
+BARRIER_KINDS = frozenset({
+    "crash", "maintenance-kill", "partition", "heal", "flaky", "flaky-end",
+})
 
 
 @dataclass(frozen=True)
@@ -272,67 +286,51 @@ class ChaosScenario:
                     f"executor {executor} is already dead "
                     f"(crashed at {died_at}) when needed at {at}"
                 )
+        # Each window rewrites wire fault plans and its end restores
+        # them, so a window opening inside another would be undone (or
+        # would undo the other) early.
+        windows = sorted(_wire_windows(self.actions))
+        for (_, end, first), (start, _, second) in zip(
+            windows, windows[1:]
+        ):
+            if start <= end:
+                raise ConfigError(
+                    f"{first} and {second} overlap; a wire-surgery "
+                    f"window must start after the previous one has ended"
+                )
         if grid is not None:
             self.check_barrier_schedule(grid)
 
     def check_barrier_schedule(self, grid: int) -> None:
         """The rules a sharded cluster (window grid *grid*) adds.
 
-        Wire surgery is refused: partitions and flaky windows rewrite
-        wire fault plans retroactively, which the sharded network
-        refuses.  Barrier actions (crashes, maintenance kills) must sit
-        on the grid and be unique among the scenario's action times: the
-        single loop runs a crash first at its tick because it is
-        scheduled at install time, the barrier engine runs it before the
-        window that contains it, and distinct times keep the two
+        Barrier actions (:data:`BARRIER_KINDS`: crashes, maintenance
+        kills and both edges of every partition and flaky window) must
+        sit on the grid and be unique among the scenario's action times:
+        the single loop runs such an action first at its tick because it
+        is scheduled at install time, the barrier engine runs it before
+        the window that contains it, and distinct times keep the two
         orderings identical.
         """
-        if not self.shard_safe:
-            raise ConfigError(
-                f"scenario {self.name!r} uses wire-surgery actions "
-                f"(partition/flaky links) that rewrite wire fault plans, "
-                f"which the sharded network refuses; storms, crashes and "
-                f"evacuations run under sharding"
-            )
-        loop_times: set[int] = set()
-        barrier_times: list[tuple[int, str]] = []
-        for action in self.actions:
-            if isinstance(action, CrashMachine):
-                barrier_times.append(
-                    (action.at, f"crash of machine {action.machine}")
-                )
-            elif isinstance(action, Evacuation):
-                barrier_times.append((
-                    action.kill_at,
-                    f"maintenance kill of machine {action.machine}",
-                ))
-                loop_times.add(action.drain_at)
-            elif isinstance(action, MigrationStorm):
-                loop_times.add(action.at)
-        seen: set[int] = set()
-        for at, what in barrier_times:
+        entries = list(self._schedule_entries())
+        times = Counter(at for at, _, _ in entries)
+        for at, kind, detail in entries:
+            if kind not in BARRIER_KINDS:
+                continue
             if at % grid:
                 raise ConfigError(
-                    f"{what} at t={at} is off the {grid}us grid; sharded "
-                    f"crashes fire at barriers between windows, so their "
-                    f"times must sit on the window grid"
+                    f"{kind} ({detail}) at t={at} is off the {grid}us "
+                    f"grid; sharded crashes and wire surgery fire at "
+                    f"barriers between windows, so their times must sit "
+                    f"on the window grid"
                 )
-            if at in seen or at in loop_times:
+            if times[at] > 1:
                 raise ConfigError(
-                    f"{what} at t={at} collides with another action's "
-                    f"time; sharded crash times must be unique so the "
-                    f"classic and barrier engines order same-tick work "
-                    f"identically"
+                    f"{kind} ({detail}) at t={at} collides with another "
+                    f"action's time; sharded barrier-action times must be "
+                    f"unique so the classic and barrier engines order "
+                    f"same-tick work identically"
                 )
-            seen.add(at)
-
-    @property
-    def shard_safe(self) -> bool:
-        """Whether every action can run on a sharded system."""
-        return all(
-            isinstance(action, SHARD_SAFE_ACTIONS)
-            for action in self.actions
-        )
 
     def fault_schedule(self) -> list[tuple[int, str, str]]:
         """The static ``(time, kind, detail)`` schedule this scenario
@@ -353,17 +351,11 @@ class ChaosScenario:
                     + ("" if action.protect else " (unprotected)"),
                 )
             elif isinstance(action, Partition):
-                cut = (f"{sorted(action.group_a)} | "
-                       f"{sorted(action.group_b)}")
-                yield action.at, "partition", cut
-                yield action.heal_at, "heal", cut
+                yield action.at, "partition", action.where
+                yield action.heal_at, "heal", action.where
             elif isinstance(action, FlakyLinks):
-                where = (
-                    "all wires" if action.pairs is None
-                    else f"{len(action.pairs)} wire pair(s)"
-                )
-                yield action.at, "flaky", where
-                yield action.until, "flaky-end", where
+                yield action.at, "flaky", action.where
+                yield action.until, "flaky-end", action.where
             elif isinstance(action, MigrationStorm):
                 for move in action.moves:
                     yield (
@@ -380,6 +372,20 @@ class ChaosScenario:
                     f"machine {action.machine} -> executor "
                     f"{action.executor}",
                 )
+
+
+def _wire_windows(
+    actions: tuple[Action, ...],
+) -> Iterator[tuple[int, int, str]]:
+    """``(start, end, label)`` of every partition and flaky window."""
+    for action in actions:
+        if isinstance(action, Partition):
+            start, end, kind = action.at, action.heal_at, "partition"
+        elif isinstance(action, FlakyLinks):
+            start, end, kind = action.at, action.until, "flaky window"
+        else:
+            continue
+        yield start, end, f"{kind} [{start}, {end})"
 
 
 @dataclass(frozen=True)
@@ -509,8 +515,8 @@ class Scenario:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` if the record cannot run: machine
-        ranges, the engines its workload runs on, then the materialized
-        schedule's own checks (barrier rules included when sharded)."""
+        ranges, the engine list, then the materialized schedule's own
+        checks (barrier rules included when sharded)."""
         for home in self.servers:
             if not 0 <= home < self.machines:
                 raise ConfigError(f"server home {home} out of range")
@@ -533,11 +539,6 @@ class Scenario:
         if widest > 1 and self.machines % widest:
             raise ConfigError(
                 f"{self.machines} machines do not split into {widest} shards"
-            )
-        if (self.clients or self.probe) and self.engines != (0,):
-            raise ConfigError(
-                "a closed-loop pool and the sweep-and-probe epilogue run "
-                "on the classic engine alone"
             )
         for key, op, _ in self.expect:
             if op not in (">=", "=="):

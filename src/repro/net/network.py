@@ -14,7 +14,7 @@ Kernels use exactly two operations:
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError, UnknownMachineError
 from repro.net.channel import Channel, FaultPlan
@@ -114,7 +114,13 @@ class Network:
         b: MachineId | None = None,
     ) -> None:
         """Apply a fault plan to one wire pair (both directions) or, with no
-        machines given, to every current and future channel."""
+        machines given, to every current and future channel.
+
+        Only wires leaving a machine this network owns are touched: a
+        wire's state lives with its source machine's network, so a
+        sharded cluster rewrites a wire by handing the same plan to
+        every shard's network (:class:`ShardNetwork`).
+        """
         if a is None and b is None:
             self._default_faults = faults
             for channel in self._channels.values():
@@ -125,54 +131,8 @@ class Network:
                 "set_faults needs both machines or neither"
             )
         for pair in ((a, b), (b, a)):
-            self._channel(*pair).faults = faults
-
-    def cut_pairs(
-        self, group_a: Iterable[MachineId], group_b: Iterable[MachineId]
-    ) -> list[tuple[MachineId, MachineId]]:
-        """The wire pairs whose endpoints straddle the two groups.
-
-        Only physically adjacent pairs count: routing still follows the
-        (unchanged) shortest paths, so faulting exactly these wires is
-        what stops — or degrades — all traffic that must cross the cut.
-        """
-        b_set = set(group_b)
-        return [
-            (a, b)
-            for a in sorted(group_a)
-            for b in self.topology.neighbors(a)
-            if b in b_set
-        ]
-
-    def partition(
-        self,
-        group_a: Iterable[MachineId],
-        group_b: Iterable[MachineId],
-        plan: FaultPlan | None = None,
-    ) -> int:
-        """Sever (or degrade) every wire between the two machine groups.
-
-        With no *plan*, the cut wires drop everything — a clean network
-        partition.  The reliable transport keeps retransmitting across
-        the cut, so traffic resumes exactly-once after :meth:`heal`.
-        Returns the number of wire pairs affected.
-        """
-        plan = plan if plan is not None else FaultPlan(drop_probability=1.0)
-        pairs = self.cut_pairs(group_a, group_b)
-        for a, b in pairs:
-            self.set_faults(plan, a, b)
-        return len(pairs)
-
-    def heal(
-        self,
-        group_a: Iterable[MachineId],
-        group_b: Iterable[MachineId],
-    ) -> int:
-        """Restore the cut wires to the network's default fault plan."""
-        pairs = self.cut_pairs(group_a, group_b)
-        for a, b in pairs:
-            self.set_faults(self._default_faults, a, b)
-        return len(pairs)
+            if pair[0] in self._transports:
+                self._channel(*pair).faults = faults
 
     def install_redirect(
         self, dead: MachineId, executor: MachineId
@@ -304,18 +264,19 @@ class ShardNetwork(Network):
     :mod:`repro.sim.barrier`).  Either way the order of deliveries on
     any one machine is identical for every shard count.
 
-    Per-wire state — the serialisation horizon, the hop counter and the
-    fault-injection stream — lives in the wire's
+    Per-wire state — the serialisation horizon, the hop counter, the
+    fault plan and the fault-injection stream — lives in the wire's
     :class:`~repro.net.channel.Channel`, which belongs to the wire's
     *source* shard, so it is touched by exactly one worker and its
     evolution is shard-layout independent.
 
-    Fail-stop takeover goes through
+    Both cross-shard mutations run at a global barrier and reach every
+    shard's network: fail-stop takeover through
     :meth:`~repro.core.cluster.Cluster.crash_transport`, which
-    replicates the redirect onto every shard's routing view at a global
-    barrier (one shard flipping alone would desynchronise routing).
-    Retroactive ``set_faults`` stays unsupported (the default plan from
-    the config applies to every wire from the start).
+    replicates the redirect onto every routing view (one shard flipping
+    alone would desynchronise routing), and chaos wire surgery, which
+    hands one plan to every network's :meth:`set_faults` — each
+    rewrites only the wires it owns, so every wire changes exactly once.
     """
 
     def __init__(
@@ -417,16 +378,3 @@ class ShardNetwork(Network):
         """Hops waiting in outboxes plus injected-but-not-arrived ones."""
         queued = sum(len(box) for box in self._outboxes.values())
         return queued + self._inbound_pending
-
-    # -- unsupported under sharding --------------------------------------
-
-    def set_faults(
-        self,
-        faults: FaultPlan,
-        a: MachineId | None = None,
-        b: MachineId | None = None,
-    ) -> None:
-        raise SimulationError(
-            "set_faults is not supported on a sharded network; configure "
-            "SystemConfig.faults before building the system"
-        )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.system import System
+    from repro.core.cluster import Cluster
 
 
 @dataclass
@@ -33,11 +33,15 @@ class SweeperStats:
 
 
 class ForwardingSweeper:
-    """Periodically collect forwarding addresses older than *max_age*."""
+    """Periodically collect forwarding addresses older than *max_age*.
+
+    :meth:`sweep_now` works on any cluster; the periodic sweep
+    (:meth:`install`) ticks on the single-loop ``System``'s loop.
+    """
 
     def __init__(
         self,
-        system: "System",
+        system: "Cluster",
         interval: int = 1_000_000,
         max_age: int = 5_000_000,
     ) -> None:
@@ -56,14 +60,18 @@ class ForwardingSweeper:
         self._stopped = True
 
     def sweep_now(self) -> int:
-        """Run one sweep immediately; returns entries collected."""
-        now = self.system.loop.now
+        """Run one sweep immediately; returns entries collected.
+
+        Reads ``cluster.now()`` and traces through each kernel's own
+        tracer; on a sharded cluster, sweep where the shards agree on
+        time (at quiescence, or from a barrier action)."""
+        now = self.system.now()
         collected = 0
         for kernel in self.system.kernels:
             victims = kernel.forwarding.sweep(now, self.max_age)
             for victim in victims:
                 self.stats.collected_pids.append(str(victim.pid))
-                self.system.tracer.record(
+                kernel.tracer.record(
                     "forward", "swept", pid=str(victim.pid),
                     machine=kernel.machine,
                     age=now - victim.created_at,

@@ -233,8 +233,8 @@ class ShardedSystem(Cluster):
                 shard_index=index,
                 shard_of=self.plan.shard_of,
             )
-        #: global (cross-shard) actions fired between meetings — the
-        #: fail-stop crash hook; empty unless chaos registers actions
+        #: global (cross-shard) actions fired between meetings — chaos
+        #: crashes and wire surgery; empty unless chaos registers actions
         self._barrier_actions = BarrierActionQueue(self.plan.lookahead)
         self._runner = SerialRunner(
             [ShardRuntime(shard) for shard in self.shards],
@@ -335,7 +335,7 @@ class ShardedSystem(Cluster):
         self._require_not_forked()
         if self._barrier_actions.pending():
             raise SimulationError(
-                "barrier actions (fail-stop crashes under sharding) "
+                "barrier actions (chaos crashes and wire surgery) "
                 "need the serial executor; forked workers have no "
                 "global barrier hook"
             )

@@ -22,11 +22,12 @@ becomes a request-latency distribution, the metric interactive services
 are actually judged on (means hide the damage; percentiles don't).
 
 Latencies land in a :class:`~repro.obs.metrics.LatencyHistogram` in the
-system's metrics registry, so ``report --json``, the metrics exporters
-and the benchmark artifacts all see p50/p95/p99 without extra plumbing.
-Open-loop pools can additionally partition latencies into per-domain
-histograms (``domain=<label>``) whose bitwise merge equals the global
-digest — the per-domain series an SLO balancer consumes.
+registry of the shard owning each client's machine, so ``report
+--json``, the metrics exporters and the benchmark artifacts all see
+p50/p95/p99 in the cluster's merged snapshot without extra plumbing, on
+any engine.  Open-loop pools can additionally partition latencies into
+per-domain histograms (``domain=<label>``) whose bitwise merge equals
+the global digest — the per-domain series an SLO balancer consumes.
 
 Determinism: think times and arrival schedules are pre-drawn from one
 named random stream at install time, in client-index order, so the same
@@ -46,7 +47,8 @@ from repro.servers.common import lookup_service, rpc
 from repro.workloads.results import ResultsBoard
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.system import System
+    from repro.core.cluster import Cluster
+    from repro.obs.metrics import MetricsRegistry
 
 #: registry name for the pool's end-to-end request latency histogram
 REQUEST_LATENCY_METRIC = "workload.request_latency_us"
@@ -217,6 +219,39 @@ def open_loop_schedules(
     return schedules
 
 
+class _Meters:
+    """A pool's instruments in one shard's registry."""
+
+    __slots__ = (
+        "latency", "completed", "forwarded", "mismatched", "sent",
+        "slo_ok", "slo_late", "domain_latency", "spot_latency",
+    )
+
+    def __init__(
+        self,
+        metrics: "MetricsRegistry",
+        metric: str,
+        domains: Mapping[str, str],
+        spotlight: tuple[str, int, int] | None,
+    ) -> None:
+        self.latency = metrics.latency_histogram(metric)
+        self.completed = metrics.counter("workload.requests_completed")
+        self.forwarded = metrics.counter("workload.replies_forwarded")
+        self.mismatched = metrics.counter("workload.reply_mismatches")
+        self.sent = metrics.counter("workload.requests_sent")
+        self.slo_ok = metrics.counter("workload.replies_in_slo")
+        self.slo_late = metrics.counter("workload.replies_late")
+        self.domain_latency = {
+            domain: metrics.latency_histogram(metric, domain=domain)
+            for domain in sorted(set(domains.values()))
+        }
+        self.spot_latency = (
+            metrics.latency_histogram(metric, window=spotlight[0])
+            if spotlight is not None
+            else None
+        )
+
+
 class ClientPool:
     """N simulated users driving request/reply services.
 
@@ -243,11 +278,19 @@ class ClientPool:
     - *spotlight* ``(label, start, end)`` additionally records requests
       *sent* inside ``[start, end)`` into ``metric{window=<label>}`` —
       how the e13 benchmark isolates the burst window's percentiles.
+
+    The pool runs on any :class:`~repro.core.cluster.Cluster`: each
+    client spawns through ``cluster.call_at`` on its own machine and
+    observes into that machine's shard registry, so totals are read
+    from ``cluster.snapshot()``.  Its tallies (:attr:`request_counts`,
+    :attr:`mismatches`, the SLO verdicts) live in the driving process,
+    like the chaos ledger, so a sharded pool runs on the serial
+    executor only.
     """
 
     def __init__(
         self,
-        system: "System",
+        system: "Cluster",
         config: ClosedLoopConfig | OpenLoopConfig | None = None,
         *,
         services: Sequence[str] = ("echo",),
@@ -285,27 +328,17 @@ class ClientPool:
         #: open-loop requests still unanswered when their client gave up
         self.unanswered = 0
         self.finished_clients = 0
-        metrics = system.metrics
-        self._latency = metrics.latency_histogram(self.config.metric)
-        self._completed = metrics.counter("workload.requests_completed")
-        self._forwarded = metrics.counter("workload.replies_forwarded")
-        self._mismatched = metrics.counter("workload.reply_mismatches")
-        self._sent = metrics.counter("workload.requests_sent")
-        self._slo_ok = metrics.counter("workload.replies_in_slo")
-        self._slo_late = metrics.counter("workload.replies_late")
-        self._domain_latency = {
-            domain: metrics.latency_histogram(
-                self.config.metric, domain=domain
-            )
-            for domain in sorted(set(self.domains.values()))
-        }
-        self._spot_latency = (
-            metrics.latency_histogram(
-                self.config.metric, window=spotlight[0]
-            )
-            if spotlight is not None
-            else None
-        )
+        if not self.machines:
+            raise ValueError("need at least one client machine")
+        meters = [
+            _Meters(shard.metrics, self.config.metric, self.domains, spotlight)
+            for shard in system.shards
+        ]
+        #: per client, the instruments of its machine's shard
+        self._meters = [
+            meters[system.shard_for(self._machine(index)).index]
+            for index in range(self.config.clients)
+        ]
         self._think_times: list[list[int]] = []
         self._schedules: list[list[int]] = []
 
@@ -340,15 +373,19 @@ class ClientPool:
             ]
         start = 0 if self.open_loop else cfg.start_at
         for index in range(cfg.clients):
-            machine = self.machines[index % len(self.machines)]
-            service = assignments[index]
-            at = start + index * cfg.stagger_us
-            self.system.loop.call_at(
-                at,
-                lambda _i=index, _m=machine, _s=service: self._spawn_client(
-                    _i, _m, _s
-                ),
+            machine = self._machine(index)
+            self.system.call_at(
+                start + index * cfg.stagger_us,
+                machine,
+                self._spawn_client,
+                index,
+                machine,
+                assignments[index],
             )
+
+    def _machine(self, index: int) -> int:
+        """The machine client *index* lives on."""
+        return self.machines[index % len(self.machines)]
 
     def _assign_services(self, rng: random.Random) -> list[str]:
         """One service per client: round-robin when demand is uniform,
@@ -394,6 +431,7 @@ class ClientPool:
         self, ctx: ProcessContext, index: int, service_name: str
     ) -> Generator[Any, Any, None]:
         cfg = self.config
+        meters = self._meters[index]
         service = yield from lookup_service(ctx, service_name)
         thinks = self._think_times[index]
         server_machines: list[int] = []
@@ -412,11 +450,11 @@ class ClientPool:
                 # The reply answering this request is not an echo of it:
                 # exactly-once delivery was violated somewhere.
                 self.mismatches += 1
-                self._mismatched.inc()
-            self._latency.observe(ctx.now - sent_at)
-            self._completed.inc()
+                meters.mismatched.inc()
+            meters.latency.observe(ctx.now - sent_at)
+            meters.completed.inc()
             if reply.payload.get("forwarded"):
-                self._forwarded.inc()
+                meters.forwarded.inc()
             self.request_counts[index] += 1
             machine = reply.payload.get("machine")
             if not server_machines or machine != server_machines[-1]:
@@ -460,6 +498,7 @@ class ClientPool:
             service = yield from lookup_service(ctx, service_name)
         domain = self.domains.get(service_name)
         schedule = self._schedules[index]
+        meters = self._meters[index]
         #: req id -> (sent_at, reply link id)
         pending: dict[int, tuple[int, int]] = {}
         next_req = 0
@@ -478,7 +517,7 @@ class ClientPool:
                     )
                     pending[next_req] = (ctx.now, reply_link)
                     self.request_counts[index] += 1
-                    self._sent.inc()
+                    meters.sent.inc()
                     next_req += 1
                     continue
                 message = yield ctx.receive(timeout=due - ctx.now)
@@ -513,6 +552,7 @@ class ClientPool:
         pending: dict[int, tuple[int, int]],
     ) -> Generator[Any, Any, None]:
         """Record one reply: latency, SLO verdict, bookkeeping."""
+        meters = self._meters[index]
         payload = message.payload if isinstance(message.payload, dict) else {}
         echo = payload.get("echo")
         req = echo.get("req") if isinstance(echo, dict) else None
@@ -521,26 +561,26 @@ class ClientPool:
             # Not an echo of anything this client is waiting for:
             # exactly-once delivery was violated somewhere.
             self.mismatches += 1
-            self._mismatched.inc()
+            meters.mismatched.inc()
             return
         sent_at, reply_link = entry
         latency = ctx.now - sent_at
-        self._latency.observe(latency)
+        meters.latency.observe(latency)
         if domain is not None:
-            self._domain_latency[domain].observe(latency)
+            meters.domain_latency[domain].observe(latency)
         if self.spotlight is not None:
             _, spot_start, spot_end = self.spotlight
             if spot_start <= sent_at < spot_end:
-                self._spot_latency.observe(latency)
-        self._completed.inc()
+                meters.spot_latency.observe(latency)
+        meters.completed.inc()
         if payload.get("forwarded"):
-            self._forwarded.inc()
+            meters.forwarded.inc()
         # The deadline verdict: replies beyond the window are late, so
         # in_slo counts only requests the user would call answered.
         if latency <= self.config.deadline_us:
             self.in_slo += 1
-            self._slo_ok.inc()
+            meters.slo_ok.inc()
         else:
             self.late += 1
-            self._slo_late.inc()
+            meters.slo_late.inc()
         yield ctx.destroy_link(reply_link)

@@ -3,9 +3,10 @@
 Benchmarks that study load balancing need processes arriving over time,
 unevenly across machines — "a balanced execution mix can be disturbed ...
 by the creation of a new process with unexpected resource requirements"
-(§1).  An :class:`ArrivalGenerator` schedules spawns on the event loop
-according to a plan; plans can be built deterministically or drawn from a
-Poisson process on a named random stream.
+(§1).  An :class:`ArrivalGenerator` schedules each spawn on its own
+machine's loop according to a plan, on any engine; plans can be built
+deterministically or drawn from a Poisson process on a named random
+stream.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.kernel.ids import ProcessId
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.system import System
+    from repro.core.cluster import Cluster
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,17 @@ class Arrival:
 class ArrivalGenerator:
     """Spawns processes according to a plan of :class:`Arrival` entries."""
 
-    def __init__(self, system: "System", plan: list[Arrival]) -> None:
+    def __init__(self, system: "Cluster", plan: list[Arrival]) -> None:
         self.system = system
         self.plan = sorted(plan, key=lambda a: a.at)
         self.spawned: list[ProcessId] = []
 
     def install(self) -> None:
-        """Schedule every planned arrival on the system's event loop."""
+        """Schedule every planned arrival on its machine's loop."""
         for arrival in self.plan:
-            self.system.loop.call_at(arrival.at, self._spawn, arrival)
+            self.system.call_at(
+                arrival.at, arrival.machine, self._spawn, arrival
+            )
 
     def _spawn(self, arrival: Arrival) -> None:
         pid = self.system.spawn(
@@ -50,7 +53,7 @@ class ArrivalGenerator:
 
 
 def poisson_plan(
-    system: "System",
+    system: "Cluster",
     program: Callable,
     rate_per_ms: float,
     duration: int,

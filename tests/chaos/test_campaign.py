@@ -1,6 +1,7 @@
 """Campaign runners, result shaping, and the ``repro chaos`` CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.chaos import (
     ScenarioOutcome,
     ledger_digest,
     run_campaign,
+    run_scenario,
 )
 from repro.chaos.engine import FaultEvent
 from repro.errors import ConfigError
@@ -104,6 +106,27 @@ class TestCampaignRunner:
         assert outcome.counters["probe_round2_forwards"] <= len(
             [e for e in outcome.ledger if e.kind == "storm-move"]
         )
+
+
+class TestEngineParity:
+    """The pool scenarios — closed-loop pool, sweep-and-probe epilogue,
+    partitions, flaky windows, crashes, evacuations, file streams —
+    run unchanged on every engine, and every variant's counters and
+    fault ledger match the first's."""
+
+    @pytest.mark.parametrize(
+        "engines", [(1, 2), (0, 1, 2)], ids=["sharded", "every-engine"],
+    )
+    @pytest.mark.parametrize(
+        "name", ["partition", "crash", "evacuate", "fileserver_crash"],
+    )
+    def test_pool_scenario_runs_on_every_engine(self, name, engines):
+        outcome = run_scenario(
+            replace(SCENARIOS[name]["smoke"], engines=engines)
+        )
+        assert outcome.ok, "\n".join(outcome.problems)
+        assert outcome.counters["variants"] == len(engines)
+        assert outcome.counters["requests_completed"] > 0
 
 
 class TestChaosCli:

@@ -180,19 +180,67 @@ class TestEngineDiscipline:
             engine.install()
 
     def test_sharded_system_rejects_wire_surgery_actions(self):
+        # Wire surgery is a barrier action: off the window grid it has
+        # no barrier to fire at, so the sharded engine refuses it.
         system = ShardedSystem(SystemConfig(
             machines=4, topology="torus", latency=1_000, shards=2,
         ))
-        with pytest.raises(ConfigError, match="fault plans"):
+        with pytest.raises(ConfigError, match="off the 1000us grid"):
             ChaosEngine(system, ChaosScenario(
                 "t",
                 (
                     Partition(
-                        at=1_000, heal_at=2_000,
+                        at=1_000, heal_at=2_500,
                         group_a=(0, 1), group_b=(2, 3),
                     ),
                 ),
             ))
+
+    def test_sharded_wire_surgery_rewrites_each_wire_once(self):
+        # Partition and flaky edges fire at barriers; every shard's
+        # network gets the plan and rewrites only the wires it owns.
+        system = ShardedSystem(SystemConfig(
+            machines=4, topology="torus", latency=1_000, shards=2,
+        ))
+        baseline = system.shards[0].network._default_faults
+        plan = FaultPlan(drop_probability=0.5)
+        engine = ChaosEngine(system, ChaosScenario(
+            "t",
+            (
+                Partition(
+                    at=5_000, heal_at=8_000,
+                    group_a=(0, 1), group_b=(2, 3),
+                ),
+                FlakyLinks(at=10_000, until=12_000, faults=plan),
+            ),
+        ))
+        engine.install()
+        seen = {}
+
+        def look(label):
+            seen[label] = sorted(
+                (pair, shard.index, channel.faults.drop_probability)
+                for shard in system.shards
+                for pair, channel in shard.network._channels.items()
+            )
+            seen[f"{label}-defaults"] = [
+                shard.network._default_faults for shard in system.shards
+            ]
+
+        system.call_at_barrier(6_000, ("look",), look, "cut")
+        system.call_at_barrier(11_000, ("look",), look, "flaky")
+        system.drain()
+        cut = [(0, 2), (1, 3), (2, 0), (3, 1)]
+        assert seen["cut"] == [
+            (pair, system.plan.shard_of(pair[0]), 1.0) for pair in cut
+        ]
+        assert seen["flaky-defaults"] == [plan, plan]
+        look("end")
+        assert seen["end-defaults"] == [baseline, baseline]
+        assert {drop for _, _, drop in seen["end"]} == {0.0}
+        assert [e.kind for e in engine.ledger()] == [
+            "partition", "heal", "flaky", "flaky-end",
+        ]
 
     def test_sharded_crash_needs_grid_aligned_time(self):
         system = ShardedSystem(SystemConfig(

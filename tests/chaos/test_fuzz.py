@@ -7,6 +7,7 @@ test replays every file and asserts the bug stays fixed.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -130,14 +131,19 @@ class TestValidation:
             ))
 
     def test_sharded_rejects_wire_surgery(self):
-        with pytest.raises(ConfigError, match="wire-surgery"):
+        # ...off the grid; the same window on it validates.
+        offgrid = ActionSpec(
+            kind="flaky", at=20_037, until=29_000,
+            drop_permille=100, jitter=10,
+        )
+        with pytest.raises(ConfigError, match="off the 1000us grid"):
             validate_schedule(self.base(
-                engines=(0, 1, 2), topology="torus",
-                actions=(ActionSpec(
-                    kind="flaky", at=20_000, until=29_000,
-                    drop_permille=100, jitter=10,
-                ),),
+                engines=(0, 1, 2), topology="torus", actions=(offgrid,),
             ))
+        validate_schedule(self.base(
+            engines=(0, 1, 2), topology="torus",
+            actions=(replace(offgrid, at=20_000),),
+        ))
 
     def test_sharded_crash_must_sit_on_the_grid(self):
         with pytest.raises(ConfigError, match="off the 1000us grid"):

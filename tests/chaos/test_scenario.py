@@ -221,28 +221,88 @@ class TestValidation:
 
 
 class TestShardSafety:
+    """Every action runs sharded; a grid only constrains barrier times."""
+
     def test_storm_only_scenario_is_shard_safe(self):
-        assert scenario(
+        # Storm moves are loop events: any tick will do.
+        scenario(
             MigrationStorm(at=1, moves=(Move(PID, 2, 3),))
-        ).shard_safe
+        ).validate(machines=4, grid=1_000)
 
     def test_crash_and_evacuation_are_shard_safe(self):
-        assert scenario(
+        scenario(
             MigrationStorm(at=1, moves=(Move(PID, 2, 3),)),
-            CrashMachine(at=5, machine=3, executor=0),
+            CrashMachine(at=5_000, machine=3, executor=0),
             Evacuation(
-                drain_at=7, machine=1, kill_at=9, executor=0,
+                drain_at=7, machine=1, kill_at=9_000, executor=0,
                 dests=(0,),
             ),
-        ).shard_safe
+        ).validate(machines=4, grid=1_000)
 
     def test_wire_surgery_is_not_shard_safe(self):
-        assert not scenario(
+        # ...off the grid: every partition and flaky edge is a barrier
+        # action, so on the grid both run sharded.
+        for surgery in (
             Partition(at=1, heal_at=5, group_a=(0, 1), group_b=(2, 3)),
-        ).shard_safe
-        assert not scenario(
             FlakyLinks(at=1, until=5),
-        ).shard_safe
+        ):
+            with pytest.raises(ConfigError, match="off the 1000us grid"):
+                scenario(surgery).validate(machines=4, grid=1_000)
+        scenario(
+            Partition(
+                at=1_000, heal_at=5_000, group_a=(0, 1), group_b=(2, 3),
+            ),
+            FlakyLinks(at=6_000, until=9_000),
+        ).validate(machines=4, grid=1_000)
+
+    def test_wire_surgery_edges_must_not_collide(self):
+        with pytest.raises(ConfigError, match="heal .* collides"):
+            scenario(
+                Partition(
+                    at=1_000, heal_at=5_000, group_a=(0, 1), group_b=(2, 3),
+                ),
+                MigrationStorm(at=5_000, moves=(Move(PID, 2, 3),)),
+            ).validate(machines=4, grid=1_000)
+
+
+class TestWireWindows:
+    """Two wire-surgery windows may not overlap: each window's end
+    restores the plan in force when it opened, so an overlap would
+    leave wires lossy for good or heal a cut early."""
+
+    def test_nested_flaky_windows_rejected(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"flaky window \[10, 50\) and flaky window \[20, 30\) "
+                  r"overlap",
+        ):
+            scenario(
+                FlakyLinks(at=10, until=50), FlakyLinks(at=20, until=30),
+            ).validate(machines=4)
+
+    def test_flaky_window_inside_a_partition_rejected(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"partition \[10, 50\) and flaky window \[20, 60\) "
+                  r"overlap",
+        ):
+            scenario(
+                FlakyLinks(at=20, until=60),
+                Partition(at=10, heal_at=50, group_a=(0,), group_b=(1,)),
+            ).validate(machines=4)
+
+    def test_touching_windows_rejected_disjoint_windows_pass(self):
+        # Sharing an edge tick would leave the outcome to same-tick
+        # order.
+        with pytest.raises(ConfigError, match="overlap"):
+            scenario(
+                FlakyLinks(at=10, until=20), FlakyLinks(at=20, until=30),
+            ).validate(machines=4)
+        scenario(
+            FlakyLinks(at=10, until=20),
+            Partition(at=21, heal_at=30, group_a=(0,), group_b=(1,)),
+            FlakyLinks(at=31, until=40, pairs=((0, 1),)),
+        ).validate(machines=4)
 
 
 class TestFaultSchedule:

@@ -200,6 +200,29 @@ class TestReportSharded:
         assert document["shards"] == 2
         assert document["report"]["machines"] == 4
 
+    def test_json_mode_runs_the_pool_scenario(self, capsys):
+        # The same closed-loop pool and two migrations as the
+        # single-loop report: 4 clients x 10 requests.
+        assert main(["report", "--shards", "2", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["report"]["request_latency"]["count"] == 40
+        assert document["report"]["migrations_completed"] == 2
+        histogram = document["histograms"]["workload.request_latency_us"]
+        assert histogram["count"] == 40
+
+    def test_text_mode_is_the_same_for_every_shard_count(self, capsys):
+        def report(shards):
+            assert main([
+                "report", "--machines", "16", "--shards", str(shards),
+                "--backbone-latency", "4000",
+            ]) == 0
+            return [
+                line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith(("sharded execution:", "shard sync:"))
+            ]
+
+        assert report(2) == report(4)
+
 
 class TestReportJson:
     def test_emits_valid_metrics_document(self, capsys):

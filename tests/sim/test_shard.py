@@ -395,12 +395,23 @@ class TestForkExecution:
             )
 
 
-class TestShardNetworkRestrictions:
-    def test_fault_reconfig_and_crash_rejected(self):
+class TestShardNetworkOwnership:
+    def test_fault_plans_touch_only_owned_wires(self):
         system = sharded()
-        network = system.shards[0].network
-        with pytest.raises(SimulationError, match="not supported"):
-            network.set_faults(FaultPlan(drop_probability=0.5))
+        first, second = (shard.network for shard in system.shards)
+        plan = FaultPlan(drop_probability=0.5)
+        # Wire pair 0-4 straddles the boundary: handed the same plan,
+        # each network rewrites its own outbound wire and nothing else.
+        for network in (first, second):
+            network.set_faults(plan, 0, 4)
+        assert list(first._channels) == [(0, 4)]
+        assert list(second._channels) == [(4, 0)]
+        assert first._channels[(0, 4)].faults is plan
+        assert second._channels[(4, 0)].faults is plan
+        # The all-wires form moves only this network's default.
+        first.set_faults(plan)
+        assert first._default_faults is plan
+        assert second._default_faults is not plan
         # One network flipping its routing alone would desynchronise
         # the shards: the crash entry point is the cluster's, which
         # fans the redirect out to every shard.

@@ -1,7 +1,11 @@
 """Tests for the synthetic workload programs and generators."""
 
 from repro.workloads.compute import compute_bound, migratory_compute
-from repro.workloads.generators import Arrival, ArrivalGenerator, burst_plan, poisson_plan
+from repro.workloads.generators import (
+    ArrivalGenerator,
+    burst_plan,
+    poisson_plan,
+)
 from repro.workloads.pingpong import echo_server, make_pair_programs, pinger
 from repro.workloads.results import ResultsBoard
 from tests.conftest import drain, make_bare_system, make_system
