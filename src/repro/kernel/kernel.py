@@ -78,7 +78,7 @@ from repro.kernel.syscalls import (
 )
 from repro.net.network import Network
 from repro.net.topology import MachineId
-from repro.sim.events import ScheduledEvent
+from repro.sim.events import Event
 from repro.sim.loop import EventLoop
 from repro.sim.trace import Tracer
 
@@ -241,7 +241,7 @@ class Kernel:
         #: offers (§3.2 autonomy), so an evacuation cannot race policy
         #: moves pushing work back onto the machine being emptied
         self.draining = False
-        self._timers: dict[ProcessId, ScheduledEvent] = {}
+        self._timers: dict[ProcessId, Event] = {}
         #: a _flush_wakeups scheduler grant is already queued this tick;
         #: a burst of N message wakeups costs one dispatch probe, not N
         self._wakeup_flush_scheduled = False
@@ -899,23 +899,31 @@ class Kernel:
         self.scheduler.enqueue(state.pid, state.priority)
         self._maybe_dispatch()
 
-    def _maybe_dispatch(self) -> None:
-        """Give the CPU to the next ready process, if it is free."""
-        if self._cpu_busy or self.crashed or not self._run_queue:
-            return
-        scheduler = self.scheduler
-        processes_get = self._processes_get
-        while True:
-            pid = scheduler.pick_next()
-            if pid is None:
+    def _maybe_dispatch(self, holder: ProcessState | None = None) -> None:
+        """Give the CPU to the next ready process, if it is free.
+
+        With *holder*, the process already on the CPU keeps it (the
+        run-queue bypass of :meth:`_resume_program`): nothing is picked,
+        and the event scheduled is the one a pick would schedule.
+        """
+        if holder is not None:
+            state = holder
+        else:
+            if self._cpu_busy or self.crashed or not self._run_queue:
                 return
-            state = processes_get(pid)
-            if state is None or state.status is not _READY:
-                scheduler.release_cpu(pid)
-                continue
-            break
-        state.status = _RUNNING
-        self._cpu_busy = True
+            scheduler = self.scheduler
+            processes_get = self._processes_get
+            while True:
+                pid = scheduler.pick_next()
+                if pid is None:
+                    return
+                state = processes_get(pid)
+                if state is None or state.status is not _READY:
+                    scheduler.release_cpu(pid)
+                    continue
+                break
+            state.status = _RUNNING
+            self._cpu_busy = True
         remaining = state.compute_remaining
         if remaining > 0:
             quantum = self.config.quantum
@@ -1014,8 +1022,15 @@ class Kernel:
             state.resume_error = exc
             self._requeue(state)
         else:
-            # A call that did not block goes to the back of the queue.
             if state.status is _RUNNING:
+                if not self._run_queue and not self.crashed:
+                    # A call that did not block, with nobody else ready:
+                    # the requeue and pick_next round trip would hand
+                    # the CPU straight back, so the process keeps it.
+                    scheduler.running = state.pid
+                    self._maybe_dispatch(state)
+                    return
+                # Otherwise it goes to the back of the queue.
                 state.status = _READY
                 scheduler.enqueue(state.pid, state.priority)
         self._cpu_busy = False

@@ -23,7 +23,7 @@ from repro.net.reliable import DEFAULT_RTO, ReliableTransport
 from repro.net.stats import NetworkStats
 from repro.net.topology import MachineId, Topology
 from repro.sim.barrier import HopRecord, SyncStats
-from repro.sim.loop import EventLoop
+from repro.sim.loop import EventLoop, check_machine_ids
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -56,11 +56,18 @@ class Network:
         self._rngs = rngs or RandomStreams(0)
         self._default_faults = faults or FaultPlan()
         self._channels: dict[tuple[MachineId, MachineId], Channel] = {}
+        #: the forwarding table: (here, effective destination) -> the
+        #: channel to the next hop, filled on a miss from
+        #: Topology.next_hop (the only routing function).  It cannot go
+        #: stale: the topology is frozen below, a fault plan changes a
+        #: channel in place, and redirects resolve before the lookup.
+        self._forward: dict[tuple[MachineId, MachineId], Channel] = {}
         self._transports: dict[MachineId, ReliableTransport] = {}
         #: fail-stop takeover: traffic addressed to a crashed machine is
         #: carried to (and accepted by) its executor, modelling the
         #: published-communications recovery the paper defers to (§4)
         self._redirects: dict[MachineId, MachineId] = {}
+        topology.freeze()
         # A sharded system builds one facade per shard, with transports
         # only for the machines that shard owns (packets to everyone
         # else leave as hop records, see ShardNetwork below).
@@ -220,10 +227,12 @@ class Network:
             transport = self._transports.get(here) or self._transport(here)
             transport.on_packet(packet)
             return
-        next_hop = self.topology.next_hop(here, destination)
-        channel = self._channels.get((here, next_hop))
-        if channel is None:
-            channel = self._channel(here, next_hop)
+        try:
+            channel = self._forward[here, destination]
+        except KeyError:
+            channel = self._forward[here, destination] = self._channel(
+                here, self.topology.next_hop(here, destination)
+            )
         channel.transmit(packet)
 
     def _note_drop(self, packet: Packet) -> None:
@@ -253,14 +262,15 @@ class ShardNetwork(Network):
     """The network facade for one shard of a sharded system.
 
     Same kernel-facing API as :class:`Network`, but it owns transports
-    only for the shard's machines, and every wire transmit becomes a
-    :class:`~repro.sim.barrier.HopRecord` tagged with the grid window
-    it was produced in.  The loop is a
-    :class:`~repro.sim.loop.KeyedEventLoop`, which files each record
-    under its canonical key, so when a record is injected is invisible
-    in the event order: a hop whose next stop is in this shard is
-    scheduled at once, and one bound for another shard waits in that
-    shard's outbox for the pair's next rendezvous (see
+    only for the shard's machines, and every wire transmit is a hop
+    tagged with the grid window it was produced in.  The loop is a
+    :class:`~repro.sim.loop.KeyedEventLoop`, which files each hop under
+    its canonical key, so when a hop is handed over is invisible in the
+    event order: a hop whose next stop is in this shard is scheduled at
+    once (no record: the key is built from the hop's fields), and one
+    bound for another shard becomes a
+    :class:`~repro.sim.barrier.HopRecord` that waits in that shard's
+    outbox for the pair's next rendezvous (see
     :mod:`repro.sim.barrier`).  Either way the order of deliveries on
     any one machine is identical for every shard count.
 
@@ -302,17 +312,19 @@ class ShardNetwork(Network):
             metrics=metrics,
             machines=machines,
         )
-        if not hasattr(loop, "schedule_record"):
+        if not hasattr(loop, "schedule_hop"):
             raise SimulationError(
-                "a shard network needs a KeyedEventLoop (record keys "
+                "a shard network needs a KeyedEventLoop (hop keys "
                 "are the loop's tie-break)"
             )
+        check_machine_ids(topology.machines)
         self.shard_index = shard_index
         self.shard_of = shard_of
         self.machines = list(machines)
         #: sync-overhead counters the barrier runner fills in
         self.sync = SyncStats()
-        #: test hook: called with each delivered HopRecord (or None)
+        #: test hook: called with a HopRecord for each delivered hop
+        #: (minted for a shard-internal hop only while a hook is set)
         self.on_record_delivered: Callable[[HopRecord], None] | None = None
         self._outboxes: dict[int, list[HopRecord]] = {}
         self._inbound_pending = 0
@@ -344,33 +356,54 @@ class ShardNetwork(Network):
             self.on_record_delivered(record)
         self._forward_from(record.dst, record.packet)
 
+    def _hop_arrived(
+        self, src: MachineId, dst: MachineId, wire_seq: int,
+        packet: Packet, gen: int,
+    ) -> None:
+        self._inbound_pending -= 1
+        if self.on_record_delivered is not None:
+            self.on_record_delivered(
+                HopRecord(self.loop.now, src, dst, wire_seq, packet, gen)
+            )
+        self._forward_from(dst, packet)
+
     def _lander(
         self, a: MachineId, b: MachineId
     ) -> Callable[[int, Packet], None]:
-        """Wire ``a -> b`` lands its copies as hop records, numbered by
-        a per-wire counter (duplicates get their own number)."""
+        """Wire ``a -> b`` lands its copies as hops numbered by a
+        per-wire counter (duplicates get their own number): scheduled
+        straight onto this loop when ``b`` is in this shard, as hop
+        records in ``b``'s shard's outbox otherwise."""
         clock = self.loop.clock
         grid = self.loop.grid
-        schedule_record = self.loop.schedule_record
-        arrived = self._record_arrived
         dest_shard = self.shard_of(b)
-        direct = dest_shard == self.shard_index
         wire_seq = 0
+        if dest_shard == self.shard_index:
+            schedule_hop = self.loop.schedule_hop
+            arrived = self._hop_arrived
 
-        def land(delay: int, packet: Packet) -> None:
+            def land(delay: int, packet: Packet) -> None:
+                nonlocal wire_seq
+                wire_seq += 1
+                now = clock._now
+                gen = now // grid
+                self._inbound_pending += 1
+                schedule_hop(
+                    now + delay, gen, a, b, wire_seq,
+                    arrived, a, b, wire_seq, packet, gen,
+                )
+
+            return land
+
+        def ship(delay: int, packet: Packet) -> None:
             nonlocal wire_seq
             wire_seq += 1
             now = clock._now
-            record = HopRecord(
-                now + delay, a, b, wire_seq, packet, now // grid
+            self._outboxes.setdefault(dest_shard, []).append(
+                HopRecord(now + delay, a, b, wire_seq, packet, now // grid)
             )
-            if direct:
-                self._inbound_pending += 1
-                schedule_record(record, arrived, record)
-            else:
-                self._outboxes.setdefault(dest_shard, []).append(record)
 
-        return land
+        return ship
 
     # -- diagnostics -----------------------------------------------------
 

@@ -31,7 +31,7 @@ from typing import Any, Callable
 from repro.net.packet import ACK_PAYLOAD_BYTES, Packet, PacketKind
 from repro.net.stats import NetworkStats
 from repro.net.topology import MachineId
-from repro.sim.events import ScheduledEvent
+from repro.sim.events import Event
 from repro.sim.loop import EventLoop
 from repro.sim.trace import Tracer
 
@@ -74,7 +74,7 @@ class _SendState:
     next_seq: int = 0
     unacked: dict[int, _Outstanding] = field(default_factory=dict)
     #: the one armed timer for this destination (None when idle)
-    timer: ScheduledEvent | None = None
+    timer: Event | None = None
     #: simulated time the armed timer fires at
     timer_deadline: int = 0
 
@@ -138,9 +138,10 @@ class ReliableTransport:
         deadline = self._clock._now + self._base_rto
         sender.unacked[seq] = _Outstanding(packet, deadline, self._base_rto)
         timer = sender.timer
+        # timer[2] is the entry's callback slot, None once cancelled.
         if (
             timer is None
-            or timer.cancelled
+            or timer[2] is None
             or sender.timer_deadline > deadline
         ):
             self._arm_timer(dst, sender, deadline)
@@ -155,7 +156,7 @@ class ReliableTransport:
         alone (its wakeup re-arms for whatever is still pending); one
         that fires later is cancelled and brought forward.
         """
-        if sender.timer is not None and not sender.timer.cancelled:
+        if sender.timer is not None and sender.timer[2] is not None:
             if sender.timer_deadline <= deadline:
                 return
             self._loop.cancel(sender.timer)

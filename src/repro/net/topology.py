@@ -29,7 +29,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.errors import NoRouteError, UnknownMachineError
+from repro.errors import NetworkError, NoRouteError, UnknownMachineError
 
 #: Machines are identified by small integers, like DEMOS/MP processor ids.
 MachineId = int
@@ -82,14 +82,31 @@ class Topology:
             MachineId, dict[MachineId, MachineId]
         ] = OrderedDict()
         self._route_cache_limit: int | None = route_cache_limit
+        #: set once a network is built on this topology (see freeze)
+        self._frozen = False
 
     @property
     def machines(self) -> list[MachineId]:
         """All machine ids, sorted."""
         return sorted(self._machines)
 
+    def freeze(self) -> None:
+        """Refuse every later :meth:`add_machine` and :meth:`connect`.
+
+        A :class:`~repro.net.network.Network` calls this when it is
+        built on the topology: its channel and forwarding tables are
+        filled from the wires and routes of that moment and would
+        silently keep stale routes if a wire changed later.
+        """
+        self._frozen = True
+
     def add_machine(self, machine: MachineId) -> None:
         """Register a machine.  Idempotent."""
+        if self._frozen:
+            raise NetworkError(
+                "topology is frozen: a network is built on it, so its "
+                "machines and wires can no longer change"
+            )
         if machine not in self._machines:
             self._machines.add(machine)
             self._adjacency[machine] = []

@@ -16,7 +16,7 @@ from repro.sim.clock import (
     sec,
     usec,
 )
-from repro.sim.events import EventQueue, ScheduledEvent
+from repro.sim.events import Event, EventQueue
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
@@ -25,10 +25,10 @@ __all__ = [
     "MSEC",
     "SEC",
     "USEC",
+    "Event",
     "EventLoop",
     "EventQueue",
     "RandomStreams",
-    "ScheduledEvent",
     "SimClock",
     "TraceRecord",
     "Tracer",

@@ -12,10 +12,11 @@ for every shard count (the repo's determinism gate diffs ``shards=1``
 against ``shards=4``):
 
 - **Every** inter-machine hop — including hops whose source and
-  destination land in the same shard — is a :class:`HopRecord`, and
-  the keyed event loop (:class:`~repro.sim.loop.KeyedEventLoop`) files
-  it under the pure-data key ``(gen, 1, src, dst, wire_seq)``, where
-  ``gen`` is the window of the ``L`` grid the hop was *produced* in.
+  destination land in the same shard — is filed by the keyed event
+  loop (:class:`~repro.sim.loop.KeyedEventLoop`) under the pure-data
+  key ``(gen, 1, src, dst, wire_seq)``, where ``gen`` is the window of
+  the ``L`` grid the hop was *produced* in; a hop that crosses a shard
+  boundary travels as a :class:`HopRecord` carrying those fields.
   The ``(time, key)`` order of deliveries on any one machine's loop is
   therefore a function of the simulation state alone, not of how
   machines were grouped into shards or of when a record was handed
@@ -449,6 +450,13 @@ class ShardPeer(Protocol):
         """Execute all events with ``time <= deadline``."""
         ...  # pragma: no cover
 
+    def run_events(self, deadline: int | None, max_events: int | None) -> None:
+        """Execute pending events in order — through *deadline*, then
+        moving the clock there, when one is given — at most
+        *max_events* of them.  A run that leaves nothing pending ends
+        with the clock at the end of its last event's grid window."""
+        ...  # pragma: no cover
+
     def advance_to(self, time: int) -> None:
         """Move the clock to *time* (no events there by contract)."""
         ...  # pragma: no cover
@@ -756,6 +764,9 @@ class SerialRunner(_Rendezvous):
         phase.  Barrier actions registered past the horizon fire here,
         between rounds; the rounds stop early once the shards' fired
         events reach *budget*."""
+        if len(self.peers) == 1:
+            self._drain_alone(budget)
+            return
         peers = self.peers
         syncs = self.syncs
         count = len(peers)
@@ -798,6 +809,28 @@ class SerialRunner(_Rendezvous):
                 if at is not None:
                     deadline = min(deadline, at - 1)
                 peer.run_window(deadline)
+
+    def _drain_alone(self, budget: int | None) -> None:
+        """The drain of a lone shard, which has no pair to meet: no
+        exchange can wake it, so in place of one round per grid window
+        it is one loop run up to each barrier action, stopped exactly
+        at *budget*.  A run to quiescence leaves the clock at the end
+        of its last event's window, where the rounds left it."""
+        peer = self.peers[0]
+        while True:
+            head = peer.next_event_time()
+            at = self._next_action_time()
+            if at is not None and (head is None or head >= at):
+                self._fire_actions(at)
+                continue
+            if head is None:
+                return
+            left = None
+            if budget is not None:
+                left = budget - peer.events_fired()
+                if left <= 0:
+                    return
+            peer.run_events(None if at is None else at - 1, left)
 
 
 class WorkerBarrier(_Rendezvous):

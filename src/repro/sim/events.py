@@ -1,92 +1,38 @@
 """The event queue underlying the discrete-event engine.
 
-Events are ordered by (time, sequence-number): two events scheduled for the
-same instant fire in the order they were scheduled, which keeps every run
-of the simulator bit-for-bit reproducible.
+An event is one heap entry, the list ``[time, key, callback, args]``,
+and the list itself is the handle a scheduler returns.  Entries are
+ordered by ``(time, key)``: the key is unique per loop (a monotone
+sequence number here, a packed tie-break int on the keyed loop), so
+two events scheduled for the same instant fire in the order their keys
+say and list comparison never reaches the callback — sift comparisons
+resolve on two ints in C, which keeps every run bit-for-bit
+reproducible and never calls back into Python.
 
-:class:`ScheduledEvent` is a hand-rolled ``__slots__`` class rather than a
-dataclass: the heap compares events millions of times per benchmark run and
-the dataclass-generated ``__lt__`` allocates a ``(time, seq)`` tuple per
-comparison, which dominated the profile at cluster scale.
+Cancelling writes ``None`` into the callback slot; the queue skips such
+entries when popping instead of paying O(n) removal.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import ClockError
 
-
-class ScheduledEvent:
-    """A callback registered to fire at a simulated instant.
-
-    Comparison uses only ``(time, seq)`` so the heap never tries to compare
-    callbacks.  Cancelling marks the event dead; the queue skips dead events
-    when popping instead of paying O(n) removal.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        cancelled: bool = False,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = cancelled
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __le__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq <= other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScheduledEvent):
-            return NotImplemented
-        return self.time == other.time and self.seq == other.seq
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.seq))
-
-    def __repr__(self) -> str:
-        return (
-            f"ScheduledEvent(time={self.time}, seq={self.seq},"
-            f" cancelled={self.cancelled})"
-        )
-
-    def cancel(self) -> None:
-        """Prevent this event from firing.  Idempotent."""
-        self.cancelled = True
-
-    def fire(self) -> None:
-        """Invoke the callback (the loop calls this, not user code)."""
-        self.callback(*self.args)
+#: A scheduled event: ``[time, key, callback, args]``, callback ``None``
+#: once cancelled.  Hot paths index the slots by number (``entry[2]``
+#: is the callback).
+Event = list
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`ScheduledEvent`.
-
-    The heap holds ``(time, seq, event)`` tuples rather than the events
-    themselves: ``(time, seq)`` is unique, so sift comparisons resolve on
-    the integer pair in C and never call back into Python.
-    """
+    """A deterministic priority queue of :data:`Event` entries."""
 
     __slots__ = ("_heap", "_next_seq", "_live")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, ScheduledEvent]] = []
+        self._heap: list[Event] = []
         self._next_seq = 0
         self._live = 0
 
@@ -99,37 +45,38 @@ class EventQueue:
         time: int,
         callback: Callable[..., None],
         args: tuple[Any, ...] = (),
-    ) -> ScheduledEvent:
+    ) -> Event:
         """Schedule *callback(*args)* at simulated time *time*."""
         if time < 0:
             raise ClockError(f"cannot schedule event at negative time {time}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = ScheduledEvent(time, seq, callback, args)
-        heapq.heappush(self._heap, (time, seq, event))
+        entry = [time, seq, callback, args]
+        heappush(self._heap, entry)
         self._live += 1
-        return event
+        return entry
 
-    def note_cancelled(self) -> None:
-        """Tell the queue one of its events was cancelled externally."""
-        self._live -= 1
+    def cancel(self, entry: Event) -> None:
+        """Prevent *entry* from firing.  Idempotent."""
+        if entry[2] is not None:
+            entry[2] = None
+            self._live -= 1
 
     def peek_time(self) -> int | None:
         """Time of the next live event, or ``None`` if the queue is empty."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][2] is None:
+            heappop(heap)
         if not heap:
             return None
         return heap[0][0]
 
-    def pop(self) -> ScheduledEvent | None:
+    def pop(self) -> Event | None:
         """Remove and return the next live event, or ``None`` if empty."""
         heap = self._heap
-        pop = heapq.heappop
         while heap:
-            event = pop(heap)[2]
-            if not event.cancelled:
+            entry = heappop(heap)
+            if entry[2] is not None:
                 self._live -= 1
-                return event
+                return entry
         return None

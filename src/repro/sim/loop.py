@@ -3,18 +3,20 @@
 A single :class:`EventLoop` hosts the whole distributed system: kernels,
 network channels, and workload generators all schedule callbacks here.
 Determinism is guaranteed by the integer clock and FIFO tie-breaking in
-:class:`~repro.sim.events.EventQueue`.
+:class:`~repro.sim.events.EventQueue`.  Every ``call_*`` returns the
+event's heap entry (:data:`~repro.sim.events.Event`), which is also the
+handle :meth:`EventLoop.cancel` takes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from heapq import heappop, heappush
 
-from repro.errors import ClockError, SimulationError
+from repro.errors import ClockError, ConfigError, SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.events import EventQueue, ScheduledEvent
+from repro.sim.events import Event, EventQueue
 
 
 class EventLoop:
@@ -66,7 +68,7 @@ class EventLoop:
         time: int,
         callback: Callable[..., None],
         *args: Any,
-    ) -> ScheduledEvent:
+    ) -> Event:
         """Schedule *callback* at absolute simulated time *time*."""
         if time < self.clock.now:
             raise ClockError(
@@ -79,52 +81,53 @@ class EventLoop:
         delay: int,
         callback: Callable[..., None],
         *args: Any,
-    ) -> ScheduledEvent:
+    ) -> Event:
         """Schedule *callback* *delay* microseconds from now."""
         if delay < 0:
             raise ClockError(f"negative delay {delay}")
         # now + delay can never be in the past (nor negative), so build
-        # and push the event inline instead of chaining through call_at
+        # and push the entry inline instead of chaining through call_at
         # and EventQueue.push — this is the hottest scheduling entry
         # point in the simulator, called once per future event.
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        time = self.clock._now + delay
-        event = ScheduledEvent(time, seq, callback, args)
-        heappush(queue._heap, (time, seq, event))
+        entry = [self.clock._now + delay, seq, callback, args]
+        heappush(queue._heap, entry)
         queue._live += 1
-        return event
+        return entry
 
     def call_soon(
         self,
         callback: Callable[..., None],
         *args: Any,
-    ) -> ScheduledEvent:
+    ) -> Event:
         """Schedule *callback* at the current instant (after queued peers)."""
         queue = self._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        time = self.clock._now
-        event = ScheduledEvent(time, seq, callback, args)
-        heappush(queue._heap, (time, seq, event))
+        entry = [self.clock._now, seq, callback, args]
+        heappush(queue._heap, entry)
         queue._live += 1
-        return event
+        return entry
 
-    def cancel(self, event: ScheduledEvent) -> None:
+    def cancel(self, event: Event) -> None:
         """Cancel a scheduled event.  Idempotent."""
-        if not event.cancelled:
-            event.cancel()
-            self._queue.note_cancelled()
+        # EventQueue.cancel inlined: every settled retransmission timer
+        # is cancelled here, twice per remote round trip.
+        if event[2] is not None:
+            event[2] = None
+            self._queue._live -= 1
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
+        entry = self._queue.pop()
+        if entry is None:
             return False
-        self.clock.advance_to(event.time)
+        time, _, callback, args = entry
+        self.clock.advance_to(time)
         self._events_fired += 1
-        event.fire()
+        callback(*args)
         return True
 
     def run(self, max_events: int | None = None) -> int:
@@ -151,14 +154,14 @@ class EventLoop:
         clock = self.clock
         try:
             while heap and fired != limit:
-                time, _, event = heappop(heap)
-                if event.cancelled:
+                time, _, callback, args = heappop(heap)
+                if callback is None:
                     continue
                 queue._live -= 1
                 clock._now = time
                 fired += 1
                 self._events_fired += 1
-                event.callback(*event.args)
+                callback(*args)
         finally:
             self._running = False
         return fired
@@ -167,7 +170,11 @@ class EventLoop:
         """Run events with time <= *deadline*, then set the clock there.
 
         Events scheduled beyond the deadline stay queued, so simulation can
-        be resumed with further ``run_until`` calls.
+        be resumed with further ``run_until`` calls.  A run that spends
+        *max_events* while an event at or before the deadline is still
+        due leaves the clock at the last event it fired: moving it to
+        the deadline would put the clock past that event, which a
+        resumed run must still fire at its own time.
         """
         if deadline < self.clock.now:
             raise ClockError(
@@ -182,20 +189,22 @@ class EventLoop:
         heap = queue._heap
         clock = self.clock
         try:
-            while heap and fired != limit:
-                time, _, event = heap[0]
-                if event.cancelled:
+            while heap:
+                time, _, callback, args = heap[0]
+                if callback is None:
                     heappop(heap)
                     continue
                 if time > deadline:
                     break
+                if fired == limit:
+                    return fired
                 heappop(heap)
                 queue._live -= 1
                 clock._now = time
                 fired += 1
                 self._events_fired += 1
-                event.callback(*event.args)
-            self.clock.advance_to(deadline)
+                callback(*args)
+            clock.advance_to(deadline)
         finally:
             self._running = False
         return fired
@@ -205,6 +214,23 @@ class EventLoop:
             f"EventLoop(now={self.clock.now}, pending={self.pending_events},"
             f" fired={self._events_fired})"
         )
+
+
+#: Bits a machine id may use in a keyed loop's packed hop key.
+MACHINE_ID_BITS = 20
+
+
+def check_machine_ids(machines: Iterable[int]) -> None:
+    """Refuse, before anything runs, a machine id that the packed hop
+    key of :class:`KeyedEventLoop` cannot hold (it would wrap into the
+    neighbouring field and silently reorder events mid-run)."""
+    limit = 1 << MACHINE_ID_BITS
+    for machine in machines:
+        if not 0 <= machine < limit:
+            raise ConfigError(
+                f"machine id {machine} does not fit the keyed loop's "
+                f"{MACHINE_ID_BITS}-bit hop-key field (0..{limit - 1})"
+            )
 
 
 class KeyedEventLoop(EventLoop):
@@ -218,9 +244,9 @@ class KeyedEventLoop(EventLoop):
     is a pure function of the simulation state instead:
 
     - a **local** event scheduled while the clock sits in grid window
-      ``g`` gets key ``(g, 0, n)`` with ``n`` a per-loop monotone
+      ``g`` ranks as ``(g, 0, n)`` with ``n`` a per-loop monotone
       counter — same relative order the classic loop would assign;
-    - a **hop record** produced in grid window ``g`` gets key
+    - a **hop** produced in grid window ``g`` ranks as
       ``(g, 1, src, dst, wire_seq)``, slotted after window-``g``
       locals and before window-``g + 1`` events — where a barrier at
       the end of every window would have injected it.
@@ -230,6 +256,13 @@ class KeyedEventLoop(EventLoop):
     still lands in the same slot), which is what lets shard pairs meet
     as rarely as causality allows without perturbing a single
     tie-break.
+
+    Each rank is packed into one int that sorts exactly like the tuple:
+    ``(g << 1 | tag) << 80`` above 80 low bits that hold ``n`` for a
+    local event and ``src << 60 | dst << 40 | wire_seq`` for a hop.
+    Machine ids get 20 bits, refused at build time beyond that
+    (:func:`check_machine_ids`); ``n`` gets 80 and ``wire_seq`` 40 bits
+    (a trillion transmits on one wire).
     """
 
     def __init__(self, grid: int, start: int = 0) -> None:
@@ -248,74 +281,101 @@ class KeyedEventLoop(EventLoop):
         time: int,
         callback: Callable[..., None],
         *args: Any,
-    ) -> ScheduledEvent:
-        if time < self.clock.now:
+    ) -> Event:
+        now = self.clock._now
+        if time < now:
             raise ClockError(
-                f"cannot schedule at {time}, clock already at {self.clock.now}"
+                f"cannot schedule at {time}, clock already at {now}"
             )
         queue = self._queue
         n = queue._next_seq
         queue._next_seq = n + 1
-        seq = (self.clock._now // self._grid, 0, n)
-        event = ScheduledEvent(time, seq, callback, args)
-        heappush(queue._heap, (time, seq, event))
+        entry = [time, (now // self._grid) << 81 | n, callback, args]
+        heappush(queue._heap, entry)
         queue._live += 1
-        return event
+        return entry
 
     def call_after(
         self,
         delay: int,
         callback: Callable[..., None],
         *args: Any,
-    ) -> ScheduledEvent:
+    ) -> Event:
         if delay < 0:
             raise ClockError(f"negative delay {delay}")
         queue = self._queue
         n = queue._next_seq
         queue._next_seq = n + 1
         now = self.clock._now
-        seq = (now // self._grid, 0, n)
-        event = ScheduledEvent(now + delay, seq, callback, args)
-        heappush(queue._heap, (now + delay, seq, event))
+        entry = [now + delay, (now // self._grid) << 81 | n, callback, args]
+        heappush(queue._heap, entry)
         queue._live += 1
-        return event
+        return entry
 
     def call_soon(
         self,
         callback: Callable[..., None],
         *args: Any,
-    ) -> ScheduledEvent:
+    ) -> Event:
         queue = self._queue
         n = queue._next_seq
         queue._next_seq = n + 1
         now = self.clock._now
-        seq = (now // self._grid, 0, n)
-        event = ScheduledEvent(now, seq, callback, args)
-        heappush(queue._heap, (now, seq, event))
+        entry = [now, (now // self._grid) << 81 | n, callback, args]
+        heappush(queue._heap, entry)
         queue._live += 1
-        return event
+        return entry
+
+    def schedule_hop(
+        self,
+        time: int,
+        gen: int,
+        src: int,
+        dst: int,
+        wire_seq: int,
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> Event:
+        """Schedule one hop's arrival at *time* under its canonical key.
+
+        The key is derived entirely from the hop's data — the grid
+        window *gen* it was produced in, its wire ``src -> dst`` and
+        the wire's transmit counter — so scheduling the same hops in
+        any order, or at any barrier, yields the same heap order.  The
+        only place hop keys are built.
+        """
+        if time < self.clock._now:
+            raise ClockError(
+                f"cannot schedule at {time}, clock already at {self.clock.now}"
+            )
+        queue = self._queue
+        entry = [
+            time,
+            (gen << 1 | 1) << 80 | src << 60 | dst << 40 | wire_seq,
+            callback,
+            args,
+        ]
+        heappush(queue._heap, entry)
+        queue._live += 1
+        return entry
 
     def schedule_record(
         self,
         record: Any,
         callback: Callable[..., None],
         *args: Any,
-    ) -> ScheduledEvent:
+    ) -> Event:
         """Schedule a hop-record delivery under its canonical key.
 
         *record* is a :class:`~repro.sim.barrier.HopRecord` (duck-typed
-        to avoid the import cycle); the key is derived entirely from
-        its fields, so injecting the same records in any order — or at
-        any barrier — yields the same heap order.
+        to avoid the import cycle); see :meth:`schedule_hop`.
         """
-        time = record.arrival
-        if time < self.clock._now:
-            raise ClockError(
-                f"cannot schedule at {time}, clock already at {self.clock.now}"
-            )
-        queue = self._queue
-        seq = (record.gen, 1, record.src, record.dst, record.wire_seq)
-        event = ScheduledEvent(time, seq, callback, args)
-        heappush(queue._heap, (time, seq, event))
-        queue._live += 1
-        return event
+        return self.schedule_hop(
+            record.arrival,
+            record.gen,
+            record.src,
+            record.dst,
+            record.wire_seq,
+            callback,
+            *args,
+        )

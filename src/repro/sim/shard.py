@@ -34,10 +34,11 @@ bulk local traffic stay inside one shard.
 
 Determinism: every gated counter is byte-identical for every shard
 count.  The argument lives in :mod:`repro.sim.barrier`; the engine-side
-obligations are (a) every hop is a keyed hop record, (b) per-wire
-state lives with the wire's source shard, (c) build-time event order is
-the single global order of this module's constructors, and (d) scenario
-drivers anchor decisions to per-machine state (see
+obligations are (a) every hop is filed under its data key (and is a
+hop record when it crosses shards), (b) per-wire state lives with the
+wire's source shard, (c) build-time event order is the single global
+order of this module's constructors, and (d) scenario code anchors
+decisions to per-machine state (see
 :meth:`~repro.core.cluster.Cluster.schedule_migration` and
 :class:`repro.policy.load_balancer.DomainLoadBalancer`) rather than to
 a cross-shard global view.
@@ -57,8 +58,13 @@ from repro.errors import ConfigError, SimulationError
 from repro.net.network import ShardNetwork
 from repro.net.topology import MachineId, Topology
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.barrier import BarrierActionQueue, SerialRunner, WorkerBarrier
-from repro.sim.loop import KeyedEventLoop
+from repro.sim.barrier import (
+    BarrierActionQueue,
+    SerialRunner,
+    WorkerBarrier,
+    window_end,
+)
+from repro.sim.loop import KeyedEventLoop, check_machine_ids
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.barrier import HopRecord
@@ -132,6 +138,7 @@ class ShardPlan:
 
     @classmethod
     def build(cls, config: SystemConfig, topology: Topology) -> "ShardPlan":
+        check_machine_ids(topology.machines)
         groups = partition_machines(
             topology.machines, config.shards, shard_alignment(config)
         )
@@ -194,6 +201,15 @@ class ShardRuntime:
         # executed past; behind-the-clock deadlines are no-ops.
         if deadline >= self.shard.loop.now:
             self.shard.loop.run_until(deadline)
+
+    def run_events(self, deadline: int | None, max_events: int | None) -> None:
+        loop = self.shard.loop
+        if deadline is not None:
+            loop.run_until(deadline, max_events)
+            return
+        loop.run(max_events)
+        if loop.next_event_time() is None:
+            loop.clock.advance_to(window_end(loop.now, loop.grid) - 1)
 
     def advance_to(self, time: int) -> None:
         if time > self.shard.loop.now:
@@ -292,11 +308,13 @@ class ShardedSystem(Cluster):
         """Serial execution: with *until*, stop the clocks there;
         without, drain to global quiescence.  Returns the events fired.
 
-        *max_events* is the hang guard :meth:`System.run` has, checked
-        only between drain rounds and at meetings, so a run may
-        overshoot it by what one round executes — one window of the
-        grid where wire latency is uniform; before a horizon with no
-        shard pairs to meet (one shard), the range is never checked.
+        *max_events* is the hang guard :meth:`System.run` has.  With
+        several shards it is checked only between drain rounds and at
+        meetings, so a run may overshoot it by what one round executes
+        — one window of the grid where wire latency is uniform.  One
+        shard drains in one loop run that stops exactly at the budget;
+        before a horizon with no shard pairs to meet, the range is
+        never checked.
         """
         self._require_not_forked()
         before = self.events_fired()

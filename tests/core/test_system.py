@@ -5,6 +5,8 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import System
 from repro.errors import ConfigError, UnknownProcessError
+from repro.kernel.ids import ProcessAddress
+from repro.servers.common import rpc
 from tests.conftest import drain, make_bare_system, make_system
 
 
@@ -127,6 +129,65 @@ class TestOperations:
         system.migrate(pid, 1)
         drain(system)
         assert system.total_forwarding_entries() == 1
+
+
+def replier(ctx):
+    while True:
+        message = yield ctx.receive()
+        reply_link = message.delivered_link_ids[0]
+        yield ctx.send(reply_link, op="pong")
+        yield ctx.destroy_link(reply_link)
+
+
+class TestBudgetedRun:
+    UNTIL = 60_000
+    #: an action the caller schedules between the two runs, at a tick
+    #: no event shares
+    MARK_AT = 30_001
+
+    def run(self, budget):
+        """Round trips across one wire to UNTIL; a *budget* cuts the
+        first run short, and the caller schedules its mark in between
+        (ahead of time otherwise)."""
+        system = make_bare_system(machines=2)
+        server = system.spawn(replier, machine=0, name="replier")
+
+        def caller(ctx):
+            while True:
+                yield from rpc(ctx, ctx.bootstrap["peer"], "ping")
+
+        system.kernel(1).spawn(
+            caller,
+            name="caller",
+            extra_links={"peer": ProcessAddress(server, 0)},
+        )
+        marks = []
+
+        def mark():
+            system.call_at(self.MARK_AT, 0, lambda: marks.append(system.now()))
+
+        if budget is None:
+            mark()
+        else:
+            fired = system.run(until=self.UNTIL, max_events=budget)
+            assert fired == budget
+            # An event due before UNTIL is still pending, so the clock
+            # stays at the last event fired and the mark is not late.
+            assert system.now() < self.MARK_AT
+            mark()
+        system.run(until=self.UNTIL)
+        return (
+            system.events_fired(),
+            system.now(),
+            marks,
+            [kernel.stats for kernel in system.kernels],
+            system.network.stats,
+        )
+
+    def test_a_budget_cut_run_resumes_to_an_uninterrupted_runs_counters(
+        self,
+    ):
+        assert self.run(budget=25) == self.run(budget=None)
 
 
 class TestRegistry:

@@ -20,6 +20,11 @@ from tests.conftest import count_calls
 
 MACHINES = 9
 QUIET_RTO = 1_000_000
+#: exact ceiling, calls per hop on both networks (67 calls per 8 hops):
+#: seven a hop — forward, transmit, land, schedule, heappush, heappop,
+#: arrive (the forwarding-table probe is a subscript, not a call) —
+#: plus each hop's share of the transport's send, ack and delivery
+CALLS_PER_HOP = 8.375
 
 
 def classic_network():
@@ -72,7 +77,8 @@ class TestHopBudget:
     def test_a_hop_costs_at_most_sixteen_calls_on_both_networks(self):
         classic, hops = calls_and_hops(classic_network)
         sharded, _ = calls_and_hops(shard_network)
-        assert classic <= 16 * hops, classic / hops
-        assert sharded <= 16 * hops, sharded / hops
-        # A shard network mints one HopRecord per hop; nothing else.
-        assert abs(sharded - classic) <= hops, (classic, sharded, hops)
+        assert classic <= CALLS_PER_HOP * hops, classic / hops
+        assert sharded <= CALLS_PER_HOP * hops, sharded / hops
+        # A shard-internal hop mints no record: the keyed loop files it
+        # under a key built from its fields, at the classic hop's cost.
+        assert sharded <= classic, (classic, sharded, hops)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import NoRouteError, UnknownMachineError
+from repro.errors import NetworkError, NoRouteError, UnknownMachineError
+from repro.net.network import Network
 from repro.net.topology import Topology, Wire
+from repro.sim.loop import EventLoop
 
 
 class TestWire:
@@ -93,6 +95,18 @@ class TestRouting:
         assert topo.next_hop(0, 2) == 1
         topo.connect(0, 2, latency=1)
         assert topo.next_hop(0, 2) == 2
+
+    def test_topology_freezes_once_a_network_is_built_on_it(self):
+        topo = Topology.line(3)
+        network = Network(EventLoop(), topo)
+        with pytest.raises(NetworkError, match="frozen"):
+            topo.connect(0, 2, latency=1)
+        with pytest.raises(NetworkError, match="frozen"):
+            topo.add_machine(3)
+        # Nothing half-applied: the routes the network uses still hold.
+        assert topo.path(0, 2) == [0, 1, 2]
+        assert not topo.has_machine(3)
+        assert network.topology is topo
 
 
 class TestRouteCacheLru:

@@ -1,4 +1,4 @@
-"""Tests for the deterministic event queue."""
+"""Tests for the deterministic event queue and its flat heap entries."""
 
 import pytest
 
@@ -6,14 +6,20 @@ from repro.errors import ClockError
 from repro.sim.events import EventQueue
 
 
+def fire(entry):
+    """Run one popped ``[time, key, callback, args]`` entry."""
+    _, _, callback, args = entry
+    callback(*args)
+
+
 def collect(queue):
     order = []
     while True:
-        event = queue.pop()
-        if event is None:
+        entry = queue.pop()
+        if entry is None:
             return order
-        event.fire()
-    return order
+        order.append(entry[0])
+        fire(entry)
 
 
 class TestOrdering:
@@ -23,24 +29,25 @@ class TestOrdering:
         queue.push(20, seen.append, ("b",))
         queue.push(10, seen.append, ("a",))
         queue.push(30, seen.append, ("c",))
-        collect(queue)
+        assert collect(queue) == [10, 20, 30]
         assert seen == ["a", "b", "c"]
 
     def test_fifo_at_same_time(self):
         queue = EventQueue()
         seen = []
-        for tag in range(10):
-            queue.push(5, seen.append, (tag,))
+        entries = [queue.push(5, seen.append, (tag,)) for tag in range(10)]
         collect(queue)
         assert seen == list(range(10))
+        # The key is the FIFO sequence number: unique, increasing.
+        assert [entry[1] for entry in entries] == list(range(10))
 
     def test_interleaved_push_pop(self):
         queue = EventQueue()
         seen = []
         queue.push(1, seen.append, (1,))
-        queue.pop().fire()
+        fire(queue.pop())
         queue.push(2, seen.append, (2,))
-        queue.pop().fire()
+        fire(queue.pop())
         assert seen == [1, 2]
 
 
@@ -48,26 +55,27 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         queue = EventQueue()
         seen = []
-        event = queue.push(5, seen.append, ("x",))
-        event.cancel()
-        queue.note_cancelled()
+        entry = queue.push(5, seen.append, ("x",))
+        queue.cancel(entry)
+        assert entry[2] is None
         assert queue.pop() is None
         assert seen == []
 
     def test_cancel_is_idempotent(self):
         queue = EventQueue()
-        event = queue.push(5, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert event.cancelled
+        entry = queue.push(5, lambda: None)
+        queue.push(6, lambda: None)
+        queue.cancel(entry)
+        queue.cancel(entry)
+        assert entry[2] is None
+        assert len(queue) == 1
 
     def test_len_reflects_live_events(self):
         queue = EventQueue()
         queue.push(1, lambda: None)
-        event = queue.push(2, lambda: None)
+        entry = queue.push(2, lambda: None)
         assert len(queue) == 2
-        event.cancel()
-        queue.note_cancelled()
+        queue.cancel(entry)
         assert len(queue) == 1
 
 
@@ -81,43 +89,12 @@ class TestPeek:
         queue = EventQueue()
         early = queue.push(1, lambda: None)
         queue.push(2, lambda: None)
-        early.cancel()
-        queue.note_cancelled()
+        queue.cancel(early)
         assert queue.peek_time() == 2
+        assert queue.pop()[0] == 2
 
     def test_peek_empty_is_none(self):
         assert EventQueue().peek_time() is None
-
-
-class TestEventOrderingProtocol:
-    """ScheduledEvent's rich comparisons: time first, then seq."""
-
-    def make(self, time, seq):
-        event = EventQueue().push(time, lambda: None)
-        event.seq = seq
-        return event
-
-    def test_lt_orders_by_time_then_seq(self):
-        assert self.make(1, (0,)) < self.make(2, (0,))
-        assert self.make(5, (1,)) < self.make(5, (2,))
-        assert not self.make(5, (2,)) < self.make(5, (1,))
-
-    def test_le_admits_equal_events(self):
-        assert self.make(1, (0,)) <= self.make(2, (0,))
-        assert self.make(5, (3,)) <= self.make(5, (3,))
-        assert not self.make(6, (0,)) <= self.make(5, (0,))
-
-    def test_eq_and_hash_agree(self):
-        a, b = self.make(7, (1,)), self.make(7, (1,))
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != self.make(7, (2,))
-        assert a != "not an event"
-
-    def test_repr_mentions_time_and_cancelled(self):
-        event = self.make(9, (0,))
-        assert "time=9" in repr(event)
-        assert "cancelled=False" in repr(event)
 
 
 class TestValidation:
@@ -128,6 +105,11 @@ class TestValidation:
     def test_args_are_passed(self):
         queue = EventQueue()
         seen = []
-        queue.push(0, lambda a, b: seen.append((a, b)), (1, 2))
-        queue.pop().fire()
+
+        def callback(a, b):
+            seen.append((a, b))
+
+        entry = queue.push(0, callback, (1, 2))
+        assert entry == [0, 0, callback, (1, 2)]
+        fire(queue.pop())
         assert seen == [(1, 2)]

@@ -1,9 +1,16 @@
 """Tests for the discrete-event loop."""
 
+import sys
+
 import pytest
 
-from repro.errors import ClockError, SimulationError
-from repro.sim.loop import EventLoop, KeyedEventLoop
+from repro.core.config import SystemConfig
+from repro.errors import ClockError, ConfigError, SimulationError
+from repro.net.network import ShardNetwork
+from repro.net.topology import Topology
+from repro.sim.loop import EventLoop, KeyedEventLoop, MACHINE_ID_BITS
+from repro.sim.shard import ShardPlan
+from tests.conftest import count_calls
 
 
 class TestScheduling:
@@ -124,6 +131,25 @@ class TestRun:
         assert loop.run_until(100) == 3
         assert loop.now == 100
 
+    def test_budget_cut_run_until_leaves_the_clock_at_the_last_event(self):
+        loop = EventLoop()
+        seen = []
+        for t in (10, 20, 30):
+            loop.call_at(t, lambda: seen.append(loop.now))
+        assert loop.run_until(100, max_events=1) == 1
+        # t = 20 is still due, so the clock must not pass it.
+        assert loop.now == 10
+        loop.call_at(50, lambda: seen.append(loop.now))
+        loop.run()
+        assert seen == [10, 20, 30, 50]
+
+    def test_budget_spent_exactly_at_the_deadline_still_advances(self):
+        loop = EventLoop()
+        loop.call_at(10, lambda: None)
+        loop.call_at(200, lambda: None)
+        assert loop.run_until(100, max_events=1) == 1
+        assert loop.now == 100
+
     def test_run_until_max_events_still_respects_deadline(self):
         loop = EventLoop()
         for t in (10, 20, 30):
@@ -199,6 +225,21 @@ class TestKeyedEventLoop:
         with pytest.raises(ClockError):
             KeyedEventLoop(grid=1_000).call_after(-1, lambda: None)
 
+    def test_machine_ids_beyond_the_hop_key_field_are_refused_at_build(self):
+        too_big = 1 << MACHINE_ID_BITS
+        topology = Topology()
+        topology.connect(0, too_big)
+        with pytest.raises(ConfigError, match="hop-key field"):
+            ShardPlan.build(SystemConfig(machines=2), topology)
+        with pytest.raises(ConfigError, match="hop-key field"):
+            ShardNetwork(
+                KeyedEventLoop(100), topology, shard_index=0,
+                shard_of=lambda machine: 0, machines=[0, too_big],
+            )
+        fits = Topology()
+        fits.connect(0, too_big - 1)
+        ShardPlan.build(SystemConfig(machines=2), fits)
+
 
 class TestDeterminism:
     def test_identical_runs_fire_in_identical_order(self):
@@ -211,3 +252,41 @@ class TestDeterminism:
             return seen
 
         assert trace_run() == trace_run()
+
+
+def _noop():
+    pass
+
+
+def calls_per_event(make_loop, few=100, many=300):
+    """Calls that *many* no-op events add over *few*, per event: each
+    scheduled by ``call_after`` and fired by ``run``."""
+
+    def calls(events):
+        loop = make_loop()
+
+        def run():
+            call_after = loop.call_after
+            for i in range(events):
+                call_after(i % 7, _noop)
+            loop.run()
+
+        return count_calls(run)
+
+    return (calls(many) - calls(few)) / (many - few)
+
+
+@pytest.mark.skipif(
+    sys.getprofile() is not None, reason="another profiler is installed"
+)
+class TestEventBudget:
+    """One event is one heap entry: ``call_after``, its ``heappush``,
+    the ``heappop`` in ``run`` and the callback — nothing else."""
+
+    @pytest.mark.parametrize(
+        "make_loop",
+        [EventLoop, lambda: KeyedEventLoop(1_000)],
+        ids=["classic", "keyed"],
+    )
+    def test_an_event_costs_at_most_four_calls(self, make_loop):
+        assert calls_per_event(make_loop) <= 4

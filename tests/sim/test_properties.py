@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.events import EventQueue
-from repro.sim.loop import EventLoop
+from repro.sim.loop import EventLoop, KeyedEventLoop, MACHINE_ID_BITS
 from repro.sim.rng import RandomStreams
 
 
@@ -20,10 +20,12 @@ class TestEventQueueProperties:
             queue.push(time, lambda: None, (index,))
         popped = []
         while True:
-            event = queue.pop()
-            if event is None:
+            entry = queue.pop()
+            if entry is None:
                 break
-            popped.append((event.time, event.seq))
+            time, key, _, (index,) = entry
+            assert times[index] == time
+            popped.append((time, key))
         assert popped == sorted(popped)
         assert len(popped) == len(times)
 
@@ -36,19 +38,86 @@ class TestEventQueueProperties:
     )
     def test_cancelled_events_never_fire(self, times, cancel_mask):
         queue = EventQueue()
-        events = [queue.push(t, lambda: None) for t in times]
-        padded_mask = (cancel_mask * len(events))[:len(events)]
+        entries = [queue.push(t, lambda: None) for t in times]
+        padded_mask = (cancel_mask * len(entries))[: len(entries)]
         expected = 0
-        for event, cancel in zip(events, padded_mask):
+        for entry, cancel in zip(entries, padded_mask):
             if cancel:
-                event.cancel()
-                queue.note_cancelled()
+                queue.cancel(entry)
             else:
                 expected += 1
+        assert len(queue) == expected
         fired = 0
-        while queue.pop() is not None:
+        while (entry := queue.pop()) is not None:
+            assert entry[2] is not None
             fired += 1
         assert fired == expected
+
+
+GRID = 1_000
+MACHINE_MAX = (1 << MACHINE_ID_BITS) - 1
+COUNTER_MAX = (1 << 80) - 1
+WIRE_SEQ_MAX = (1 << 40) - 1
+
+
+def _noop():
+    pass
+
+
+def packed_key(rank):
+    """The heap key a keyed loop gives the event ranked *rank*: a
+    local ``(g, 0, n)`` or a hop ``(g, 1, src, dst, wire_seq)``."""
+    loop = KeyedEventLoop(GRID)
+    if rank[1] == 0:
+        g, _, n = rank
+        loop.clock.advance_to(g * GRID + GRID - 1)
+        loop._queue._next_seq = n
+        return loop.call_soon(_noop)[1]
+    g, _, src, dst, wire_seq = rank
+    return loop.schedule_hop(g * GRID, g, src, dst, wire_seq, _noop)[1]
+
+
+def ranks(window):
+    local = st.tuples(window, st.just(0), st.integers(0, COUNTER_MAX))
+    machine = st.integers(0, MACHINE_MAX)
+    hop = st.tuples(
+        window, st.just(1), machine, machine, st.integers(0, WIRE_SEQ_MAX)
+    )
+    return st.one_of(local, hop)
+
+
+class TestPackedKeyProperties:
+    """The keyed loop's int keys sort exactly like the rank tuples its
+    docstring defines, in one window and across adjacent ones."""
+
+    @given(
+        base=st.sampled_from([0, 1, 7, 10**9]),
+        offsets=st.lists(ranks(st.integers(0, 1)), min_size=2, max_size=12),
+    )
+    def test_packed_keys_sort_like_rank_tuples(self, base, offsets):
+        ranked = sorted(
+            {(base + rank[0], *rank[1:]) for rank in offsets}
+        )
+        keys = [packed_key(rank) for rank in ranked]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    def test_every_field_at_its_width_limit(self):
+        ranked = [
+            (0, 0, 0),
+            (0, 0, COUNTER_MAX),
+            (0, 1, 0, 0, 0),
+            (0, 1, 0, 0, WIRE_SEQ_MAX),
+            (0, 1, 0, MACHINE_MAX, WIRE_SEQ_MAX),
+            (0, 1, MACHINE_MAX, 0, 0),
+            (0, 1, MACHINE_MAX, MACHINE_MAX, WIRE_SEQ_MAX),
+            (1, 0, 0),
+            (1, 0, COUNTER_MAX),
+            (1, 1, MACHINE_MAX, MACHINE_MAX, WIRE_SEQ_MAX),
+        ]
+        keys = [packed_key(rank) for rank in ranked]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 class TestLoopProperties:

@@ -335,6 +335,22 @@ class TestEventBudget:
         assert all(s.loop.now == 120_000 for s in cut.shards)
         assert fingerprint(cut) == fingerprint(straight)
 
+    def test_one_shard_drains_in_one_run_stopped_exactly_at_the_budget(
+        self,
+    ):
+        system = sharded(shards=1, boot_servers=False)
+        system.spawn(forever, machine=5, name="forever")
+        assert system.run(max_events=1_000) == 1_000
+        assert system.run(max_events=1_000) == 1_000
+        assert system.events_fired() == 2_000
+
+    def test_one_shard_drain_leaves_the_clock_at_its_last_window_end(self):
+        system = sharded(shards=1, boot_servers=False)
+        grid = system.barrier_grid
+        system.call_at(123 * grid + 45, 3, lambda: None)
+        system.drain()
+        assert system.now() == 124 * grid - 1
+
 
 class TestForkExecution:
     def test_fork_matches_serial(self):
