@@ -34,6 +34,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from repro.chaos.campaign import SCALES, SCENARIOS, run_campaign
 from repro.core.config import SystemConfig
@@ -306,6 +307,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 print(f"  {problem}")
         return 0 if outcome.ok else 1
 
+    if args.out is not None:
+        _check_out_dir(args.out)
     report = run_fuzz(
         seed=args.seed, runs=args.runs, budget=args.budget,
         out_dir=args.out,
@@ -341,6 +344,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.kernel.ids import ProcessAddress
     from repro.kernel.messages import MessageKind
 
+    _check_out_file(args.out)
     system = System(SystemConfig(machines=args.machines,
                                  boot_servers=False))
 
@@ -388,6 +392,42 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"wrote Chrome trace to {path} "
           f"(load it at https://ui.perfetto.dev)")
     return 0
+
+
+def _check_out_file(path: str) -> None:
+    """Refuse, before anything runs, an ``--out`` file that cannot be
+    written: a directory, a path whose directory does not exist, or a
+    file (existing, or to be created) the user may not write."""
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigError(f"--out {path} is a directory, not a file")
+    if target.exists():
+        # Overwriting needs the file writable, not its directory
+        # (``--out /dev/null`` is fine).
+        if not os.access(target, os.W_OK):
+            raise ConfigError(f"--out {path} is not writable")
+        return
+    if not target.parent.is_dir():
+        raise ConfigError(
+            f"--out {path}: no directory {target.parent} to write it in"
+        )
+    if not os.access(target.parent, os.W_OK):
+        raise ConfigError(f"--out {path}: {target.parent} is not writable")
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse, before anything runs, an ``--out`` directory that neither
+    exists nor can be created (nothing is created here: repro files and
+    their directory are written only on a violation)."""
+    target = Path(path)
+    ancestor = target
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not ancestor.is_dir():
+        where = "" if ancestor == target else f": {ancestor} is a file"
+        raise ConfigError(f"--out {path} is not a directory{where}")
+    if not os.access(ancestor, os.W_OK):
+        raise ConfigError(f"--out {path}: {ancestor} is not writable")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -521,6 +561,13 @@ def main(argv: list[str] | None = None) -> int:
                     f"--{flag} {machine} is not one of the "
                     f"{args.machines} machines (0..{args.machines - 1})"
                 )
+        if getattr(args, "source", None) is not None and (
+            args.source == args.dest
+        ):
+            raise ConfigError(
+                f"--dest {args.dest} is the --source machine: a migration "
+                "moves a process to another machine"
+            )
         code = args.func(args)
         # A reader that went away surfaces here, not in the exit flush.
         sys.stdout.flush()

@@ -125,3 +125,17 @@ class ProcessAddress:
 def kernel_address(machine: MachineId) -> ProcessAddress:
     """The address of *machine*'s kernel (kernels never migrate)."""
     return ProcessAddress(kernel_pid(machine), machine)
+
+
+class KernelAddresses(dict):
+    """``machine -> kernel address``, each minted on its first use.
+
+    A kernel keeps one for the peers it sends control traffic to, so a
+    control message reuses its destination address instead of minting
+    a pid and an address per send.  Addresses are immutable, so sharing
+    one between messages is safe; a hit is one subscript, no call.
+    """
+
+    def __missing__(self, machine: MachineId) -> ProcessAddress:
+        address = self[machine] = kernel_address(machine)
+        return address

@@ -34,6 +34,7 @@ from repro.errors import (
 from repro.kernel.context import ProcessContext
 from repro.kernel.forwarding import ForwardingTable
 from repro.kernel.ids import (
+    KernelAddresses,
     ProcessAddress,
     ProcessId,
     kernel_address,
@@ -46,7 +47,7 @@ from repro.kernel.linkupdate import (
     sender_machine_of,
 )
 from repro.kernel.memory import MemoryImage, MemoryManager
-from repro.kernel.messages import Message, MessageKind, control_message
+from repro.kernel.messages import Message, MessageKind
 from repro.kernel.ops import (
     CONTROL_PAYLOAD_BYTES,
     OP_FORWARD_GC,
@@ -98,6 +99,7 @@ _RUNNING = ProcessStatus.RUNNING
 _WAITING_MESSAGE = ProcessStatus.WAITING_MESSAGE
 _IN_MIGRATION = ProcessStatus.IN_MIGRATION
 _USER = MessageKind.USER
+_CONTROL = MessageKind.CONTROL
 
 
 class UndeliverablePolicy(Enum):
@@ -209,6 +211,9 @@ class Kernel:
             well_known if well_known is not None else {}
         )
         self.address = kernel_address(machine)
+        #: the kernel addresses of the machines this one sends control
+        #: traffic to (at most one entry per machine)
+        self._peers = KernelAddresses()
 
         self.processes: dict[ProcessId, ProcessState] = {}
         self.dead: set[ProcessId] = set()
@@ -290,7 +295,11 @@ class Kernel:
         self.transfers: "TransferManager" = TransferManager(self)
         self.migration: "MigrationEngine" = MigrationEngine(self)
 
-        network.register_receiver(machine, self._on_network_payload)
+        #: the machine's transport send, bound once: a remote message
+        #: goes kernel -> transport, with no network facade in between
+        self._send_remote = network.register_receiver(
+            machine, self._on_network_payload
+        ).send
 
     # ==================================================================
     # Process lifecycle
@@ -446,15 +455,21 @@ class Kernel:
         category: str = "admin",
     ) -> None:
         """Send a kernel-to-kernel control message."""
-        message = control_message(
-            dest=kernel_address(dest_machine),
-            sender=self.address,
-            op=op,
-            payload=payload,
-            payload_bytes=payload_bytes,
-            category=category,
+        # Positional, in field order (see send_from_process).
+        self.route_message(
+            Message(
+                self._peers[dest_machine],
+                self.address,
+                _CONTROL,
+                op,
+                payload,
+                payload_bytes,
+                (),
+                False,
+                0,
+                category,
+            )
         )
-        self.route_message(message)
 
     def send_to_process(
         self,
@@ -510,9 +525,8 @@ class Kernel:
             self.deliver_local(message)
         else:
             self.stats.messages_sent_remote += 1
-            self.network.send(
-                self.machine, target, message, message.wire_bytes,
-                message.category,
+            self._send_remote(
+                target, message, message.wire_bytes, message.category
             )
 
     def _on_network_payload(self, src: MachineId, payload: Any) -> None:
@@ -620,7 +634,7 @@ class Kernel:
                 new_machine=forward_to,
             )
             update_msg = build_link_update(
-                self.machine, update, sender_machine_of(message)
+                self.address, update, self._peers[sender_machine_of(message)]
             )
             self.stats.link_updates_sent += 1
             if self._trace_wants("linkupd"):
@@ -662,7 +676,7 @@ class Kernel:
         """Return a message to its sender's kernel as not deliverable."""
         self.stats.nacks_sent += 1
         nack = Message(
-            dest=kernel_address(message.sender.last_known_machine),
+            dest=self._peers[message.sender.last_known_machine],
             sender=self.address,
             kind=MessageKind.NACK,
             op=OP_NACK,
@@ -756,8 +770,9 @@ class Kernel:
         )
 
     def _handle_kernel_message(self, message: Message) -> None:
-        handler = self._control_handlers.get(message.op)
-        if handler is None:
+        try:
+            handler = self._control_handlers[message.op]
+        except KeyError:
             self.tracer.record(
                 "kernel", "unknown-control", op=message.op,
                 sender=str(message.sender),

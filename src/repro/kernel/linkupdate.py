@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernel.ids import (
-    PROCESS_ID_BYTES,
-    ProcessAddress,
-    ProcessId,
-    kernel_address,
-)
+from repro.kernel.ids import PROCESS_ID_BYTES, ProcessAddress, ProcessId
 from repro.kernel.messages import Message, MessageKind
 from repro.net.topology import MachineId
 
@@ -43,23 +38,29 @@ class LinkUpdate:
 
 
 def build_link_update(
-    forwarder_machine: MachineId,
+    forwarder: ProcessAddress,
     update: LinkUpdate,
-    sender_machine: MachineId,
+    sender_kernel: ProcessAddress,
 ) -> Message:
     """The special message the forwarding machine sends (Figure 5-1).
 
-    It is addressed to the kernel of the machine the original message came
-    from — the sender's machine as recorded in the forwarded message.
+    It goes from the forwarding kernel's address *forwarder* to
+    *sender_kernel*, the kernel of the machine the original message
+    came from — the sender's machine as recorded in the forwarded
+    message (:func:`sender_machine_of`).
     """
+    # Positional, in field order (see Kernel.send_from_process).
     return Message(
-        dest=kernel_address(sender_machine),
-        sender=kernel_address(forwarder_machine),
-        kind=MessageKind.LINK_UPDATE,
-        op=OP_LINK_UPDATE,
-        payload=update,
-        payload_bytes=LINK_UPDATE_PAYLOAD_BYTES,
-        category="linkupdate",
+        sender_kernel,
+        forwarder,
+        MessageKind.LINK_UPDATE,
+        OP_LINK_UPDATE,
+        update,
+        LINK_UPDATE_PAYLOAD_BYTES,
+        (),
+        False,
+        0,
+        "linkupdate",
     )
 
 

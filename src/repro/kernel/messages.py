@@ -114,22 +114,3 @@ class Message:
             f"{flags}{fwd})"
         )
 
-
-def control_message(
-    dest: ProcessAddress,
-    sender: ProcessAddress,
-    op: str,
-    payload: Any,
-    payload_bytes: int,
-    category: str = "admin",
-) -> Message:
-    """Build a kernel-to-kernel control message."""
-    return Message(
-        dest=dest,
-        sender=sender,
-        kind=MessageKind.CONTROL,
-        op=op,
-        payload=payload,
-        payload_bytes=payload_bytes,
-        category=category,
-    )

@@ -51,12 +51,20 @@ if TYPE_CHECKING:  # pragma: no cover
 DoneCallback = Callable[[bool, MigrationCostRecord], None]
 
 
+#: the process-state property holding each data move's size, in
+#: :data:`~repro.stats.migration_cost.SEGMENTS` order
+_SEGMENT_BYTES = {
+    "resident": "resident_state_bytes",
+    "swappable": "swappable_state_bytes",
+    "program": "program_bytes",
+}
+
+
 def _segment_sizes(state: ProcessState) -> dict[str, int]:
     """Bytes of each of the three data moves, keyed by segment."""
     return {
-        "resident": state.resident_state_bytes,
-        "swappable": state.swappable_state_bytes,
-        "program": state.program_bytes,
+        segment: getattr(state, attr)
+        for segment, attr in _SEGMENT_BYTES.items()
     }
 
 
@@ -125,15 +133,19 @@ class MigrationEngine:
             raise MigrationError("kernels cannot be migrated")
         state = kernel.processes.get(pid)
         if state is None:
-            kernel.tracer.record(
-                "migrate", "not-here", pid=str(pid), machine=kernel.machine,
-            )
+            if kernel._trace_wants("migrate"):
+                kernel.tracer.record(
+                    "migrate", "not-here", pid=str(pid),
+                    machine=kernel.machine,
+                )
             return False
         if state.status is ProcessStatus.IN_MIGRATION:
-            kernel.tracer.record("migrate", "already-moving", pid=str(pid))
+            if kernel._trace_wants("migrate"):
+                kernel.tracer.record("migrate", "already-moving", pid=str(pid))
             return False
         if dest == kernel.machine:
-            kernel.tracer.record("migrate", "noop", pid=str(pid))
+            if kernel._trace_wants("migrate"):
+                kernel.tracer.record("migrate", "noop", pid=str(pid))
             return False
         if not kernel.network.topology.has_machine(dest):
             raise MigrationError(f"no such machine {dest}")
@@ -155,18 +167,20 @@ class MigrationEngine:
         if on_done is not None:
             entry.callbacks.append(on_done)
         self._outgoing[pid] = entry
-        kernel.tracer.record(
-            "migrate", "step1-freeze", pid=str(pid),
-            machine=kernel.machine, dest=dest, saved=record.saved_status,
-        )
+        if kernel._trace_wants("migrate"):
+            kernel.tracer.record(
+                "migrate", "step1-freeze", pid=str(pid),
+                machine=kernel.machine, dest=dest, saved=record.saved_status,
+            )
 
         # -- Step 2: ask the destination kernel to move the process ----
         self._send_admin(
             entry, dest, OP_MIGRATE_REQUEST, {"pid": pid, "sizes": sizes},
         )
-        kernel.tracer.record(
-            "migrate", "step2-request", pid=str(pid), dest=dest
-        )
+        if kernel._trace_wants("migrate"):
+            kernel.tracer.record(
+                "migrate", "step2-request", pid=str(pid), dest=dest
+            )
         return True
 
     def _send_admin(
@@ -196,14 +210,16 @@ class MigrationEngine:
         if payload["ok"]:
             entry.record.allocated_at = payload["at"]
             entry.record.accepted_at = self.kernel.loop.now
-            self.kernel.tracer.record("migrate", "accepted", pid=str(pid))
+            if self.kernel._trace_wants("migrate"):
+                self.kernel.tracer.record("migrate", "accepted", pid=str(pid))
             return
         # §3.2: "If the destination machine refuses, the process cannot
         # be migrated."  Restore it and report failure.
         reason = payload.get("reason", "refused")
-        self.kernel.tracer.record(
-            "migrate", "refused", pid=str(pid), reason=reason,
-        )
+        if self.kernel._trace_wants("migrate"):
+            self.kernel.tracer.record(
+                "migrate", "refused", pid=str(pid), reason=reason,
+            )
         self.abort(pid, reason)
 
     def abort(self, pid: ProcessId, reason: str) -> None:
@@ -229,7 +245,7 @@ class MigrationEngine:
         if entry is None or state is None:
             return
         record = entry.record
-        nbytes = _segment_sizes(state)[segment]
+        nbytes = getattr(state, _SEGMENT_BYTES[segment])
         chunk = self.kernel.config.max_data_packet
         count = max(1, math.ceil(nbytes / chunk))
         record.segment_bytes[segment] = nbytes
@@ -237,10 +253,11 @@ class MigrationEngine:
         record.segment_chunks += (count,)
         record.requested_at += (payload["at"],)
         record.streamed_at += (self.kernel.loop.now,)
-        self.kernel.tracer.record(
-            "migrate", "segment-stream", pid=str(pid), segment=segment,
-            bytes=nbytes, chunks=count,
-        )
+        if self.kernel._trace_wants("migrate"):
+            self.kernel.tracer.record(
+                "migrate", "segment-stream", pid=str(pid), segment=segment,
+                bytes=nbytes, chunks=count,
+            )
         sent = 0
         for i in range(count):
             size = min(chunk, nbytes - sent)
@@ -283,10 +300,11 @@ class MigrationEngine:
             queued.redirect(entry.dest)
             kernel.route_message(queued)
         record.pending_forwarded = len(pending)
-        kernel.tracer.record(
-            "migrate", "step6-forward-pending", pid=str(pid),
-            count=len(pending),
-        )
+        if kernel._trace_wants("migrate"):
+            kernel.tracer.record(
+                "migrate", "step6-forward-pending", pid=str(pid),
+                count=len(pending),
+            )
         self._send_admin(
             entry, entry.dest, OP_PENDING_FORWARDED,
             {"pid": pid, "count": len(pending)},
@@ -300,10 +318,11 @@ class MigrationEngine:
         record.forwarding = kernel.config.leave_forwarding_address
         if record.forwarding:
             kernel.forwarding.install(pid, entry.dest, kernel.loop.now)
-        kernel.tracer.record(
-            "migrate", "step7-cleanup", pid=str(pid),
-            forwarding=record.forwarding,
-        )
+        if kernel._trace_wants("migrate"):
+            kernel.tracer.record(
+                "migrate", "step7-cleanup", pid=str(pid),
+                forwarding=record.forwarding,
+            )
         self._send_admin(
             entry, entry.dest, OP_CLEANUP_COMPLETE, {"pid": pid},
         )
@@ -319,11 +338,12 @@ class MigrationEngine:
         entry.record.restarted_at = payload["restarted_at"]
         entry.record.restart_status = payload["status"]
         entry.record.completed_at = self.kernel.loop.now
-        self.kernel.tracer.record(
-            "migrate", "done", pid=str(pid),
-            admin=entry.record.admin_message_count,
-            downtime=entry.record.downtime,
-        )
+        if self.kernel._trace_wants("migrate"):
+            self.kernel.tracer.record(
+                "migrate", "done", pid=str(pid),
+                admin=entry.record.admin_message_count,
+                downtime=entry.record.downtime,
+            )
         self._finish_source(entry, success=True)
 
     def _finish_source(self, entry: _SourceMigration, success: bool) -> None:
@@ -401,14 +421,16 @@ class MigrationEngine:
                 None, source, OP_MIGRATE_ACCEPT,
                 {"pid": pid, "ok": False, "reason": reason},
             )
-            kernel.tracer.record("migrate", event, pid=str(pid))
+            if kernel._trace_wants("migrate"):
+                kernel.tracer.record("migrate", event, pid=str(pid))
             return
 
         # -- Step 3: allocate a process state with the same identifier --
         self._incoming[pid] = _DestMigration(pid, source, sizes)
-        kernel.tracer.record(
-            "migrate", "step3-allocate", pid=str(pid), bytes=total,
-        )
+        if kernel._trace_wants("migrate"):
+            kernel.tracer.record(
+                "migrate", "step3-allocate", pid=str(pid), bytes=total,
+            )
         self._send_admin(
             None, source, OP_MIGRATE_ACCEPT,
             {"pid": pid, "ok": True, "at": kernel.loop.now},
@@ -420,9 +442,10 @@ class MigrationEngine:
         segment = SEGMENTS[entry.segment_index]
         entry.received = 0
         step = "step4-state" if segment != "program" else "step5-program"
-        self.kernel.tracer.record(
-            "migrate", step, pid=str(entry.pid), segment=segment,
-        )
+        if self.kernel._trace_wants("migrate"):
+            self.kernel.tracer.record(
+                "migrate", step, pid=str(entry.pid), segment=segment,
+            )
         self._send_admin(
             None, entry.source, OP_SEG_REQUEST,
             {
@@ -454,10 +477,11 @@ class MigrationEngine:
         assert entry.state is not None, "state must ride the final chunk"
         self.kernel.memory.commit_reservation(pid, entry.state.memory)
         self.kernel.adopt(entry.state)
-        self.kernel.tracer.record(
-            "migrate", "transfer-complete", pid=str(pid),
-            bytes=sum(entry.sizes.values()), machine=self.kernel.machine,
-        )
+        if self.kernel._trace_wants("migrate"):
+            self.kernel.tracer.record(
+                "migrate", "transfer-complete", pid=str(pid),
+                bytes=sum(entry.sizes.values()), machine=self.kernel.machine,
+            )
         self._send_admin(
             None, entry.source, OP_TRANSFER_COMPLETE,
             {"pid": pid, "at": self.kernel.loop.now},
@@ -478,9 +502,10 @@ class MigrationEngine:
             return
         self.kernel.restart_migrated_process(state)
         status = state.status.value
-        self.kernel.tracer.record(
-            "migrate", "step8-restart", pid=str(pid), status=status,
-        )
+        if self.kernel._trace_wants("migrate"):
+            self.kernel.tracer.record(
+                "migrate", "step8-restart", pid=str(pid), status=status,
+            )
         self._send_admin(
             None, entry.source, OP_RESTART_ACK,
             {"pid": pid, "restarted_at": self.kernel.loop.now,

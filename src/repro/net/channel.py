@@ -45,7 +45,8 @@ class Channel:
     network's business: by default an arrival event on *loop* that
     hands the packet to *deliver*; a network that passes *land* gets
     ``land(delay, packet)`` at transmit time instead and owns the
-    arrival from there (the sharded network mints a hop record).
+    arrival from there (the sharded network files it under a hop key,
+    or mints a hop record for another shard).
 
     *make_rng* supplies the fault stream and is called at the first
     draw, so a wire that never draws never builds one.
@@ -74,8 +75,7 @@ class Channel:
         self._rng: random.Random | None = None
         self._on_drop = on_drop
         self._on_duplicate = on_duplicate
-        self._land = land or self._schedule_arrival
-        self.in_flight = 0
+        self._land = land or loop.arrival_pusher(self._arrive)
         #: the wire is serial: a packet cannot start serialising before
         #: the previous one has finished (this is what makes bulk state
         #: transfer cost scale with process size, paper §6)
@@ -120,10 +120,12 @@ class Channel:
                 return
             copies = 1  # the duplicate serialises behind the first copy
 
-    def _schedule_arrival(self, delay: int, packet: Packet) -> None:
-        self.in_flight += 1
-        self._loop.call_after(delay, self._arrive, packet)
+    @property
+    def in_flight(self) -> int:
+        """Copies waiting for this channel's own arrival event (a
+        network that passes *land* counts its arrivals itself)."""
+        return self._loop.pending_calls((self._arrive,))
 
     def _arrive(self, packet: Packet) -> None:
-        self.in_flight -= 1
+        # The arrival event's callback: in_flight finds them by it.
         self._deliver(packet)

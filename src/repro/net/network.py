@@ -5,10 +5,10 @@
 Packets are routed hop-by-hop along latency-weighted shortest paths; fault
 injection (if configured) applies independently on every hop.
 
-Kernels use exactly two operations:
-
-- :meth:`Network.send` — reliably deliver an opaque payload to a machine;
-- :meth:`Network.register_receiver` — claim a machine's inbound payloads.
+A kernel uses one operation, :meth:`Network.register_receiver`: it
+claims a machine's inbound payloads and returns the machine's transport,
+whose ``send`` reliably delivers an opaque payload to another machine.
+Any other caller sends through :meth:`Network.send`.
 """
 
 from __future__ import annotations
@@ -92,10 +92,16 @@ class Network:
 
     def register_receiver(
         self, machine: MachineId, receiver: Receiver
-    ) -> None:
-        """Deliver in-order payloads arriving at *machine* to *receiver*."""
+    ) -> ReliableTransport:
+        """Deliver in-order payloads arriving at *machine* to *receiver*.
+
+        Returns the machine's transport: a kernel binds its ``send``
+        once, so a remote message goes kernel -> transport with no
+        facade frame in between.
+        """
         transport = self._transport(machine)
         transport.deliver_fn = receiver
+        return transport
 
     def send(
         self,
@@ -224,7 +230,10 @@ class Network:
         if self._redirects:
             destination = self._redirects.get(destination, destination)
         if here == destination:
-            transport = self._transports.get(here) or self._transport(here)
+            try:
+                transport = self._transports[here]
+            except KeyError:
+                transport = self._transport(here)  # raises: not ours
             transport.on_packet(packet)
             return
         try:
@@ -327,7 +336,6 @@ class ShardNetwork(Network):
         #: (minted for a shard-internal hop only while a hook is set)
         self.on_record_delivered: Callable[[HopRecord], None] | None = None
         self._outboxes: dict[int, list[HopRecord]] = {}
-        self._inbound_pending = 0
 
     # -- barrier handoff ------------------------------------------------
 
@@ -347,11 +355,9 @@ class ShardNetwork(Network):
     def receive_record(self, record: HopRecord) -> None:
         """Schedule one hop at its arrival tick, under its own key —
         the call order does not matter."""
-        self._inbound_pending += 1
         self.loop.schedule_record(record, self._record_arrived, record)
 
     def _record_arrived(self, record: HopRecord) -> None:
-        self._inbound_pending -= 1
         if self.on_record_delivered is not None:
             self.on_record_delivered(record)
         self._forward_from(record.dst, record.packet)
@@ -360,7 +366,6 @@ class ShardNetwork(Network):
         self, src: MachineId, dst: MachineId, wire_seq: int,
         packet: Packet, gen: int,
     ) -> None:
-        self._inbound_pending -= 1
         if self.on_record_delivered is not None:
             self.on_record_delivered(
                 HopRecord(self.loop.now, src, dst, wire_seq, packet, gen)
@@ -374,26 +379,12 @@ class ShardNetwork(Network):
         per-wire counter (duplicates get their own number): scheduled
         straight onto this loop when ``b`` is in this shard, as hop
         records in ``b``'s shard's outbox otherwise."""
+        dest_shard = self.shard_of(b)
+        if dest_shard == self.shard_index:
+            return self.loop.hop_lander(a, b, self._hop_arrived)
         clock = self.loop.clock
         grid = self.loop.grid
-        dest_shard = self.shard_of(b)
         wire_seq = 0
-        if dest_shard == self.shard_index:
-            schedule_hop = self.loop.schedule_hop
-            arrived = self._hop_arrived
-
-            def land(delay: int, packet: Packet) -> None:
-                nonlocal wire_seq
-                wire_seq += 1
-                now = clock._now
-                gen = now // grid
-                self._inbound_pending += 1
-                schedule_hop(
-                    now + delay, gen, a, b, wire_seq,
-                    arrived, a, b, wire_seq, packet, gen,
-                )
-
-            return land
 
         def ship(delay: int, packet: Packet) -> None:
             nonlocal wire_seq
@@ -408,6 +399,8 @@ class ShardNetwork(Network):
     # -- diagnostics -----------------------------------------------------
 
     def in_flight(self) -> int:
-        """Hops waiting in outboxes plus injected-but-not-arrived ones."""
+        """Hops waiting in outboxes plus scheduled-but-not-arrived ones."""
         queued = sum(len(box) for box in self._outboxes.values())
-        return queued + self._inbound_pending
+        return queued + self.loop.pending_calls(
+            (self._hop_arrived, self._record_arrived)
+        )

@@ -108,6 +108,11 @@ class ReliableTransport:
         self._clock = loop.clock
         self._transmit = transmit_fn
         self._stats = stats
+        # The category counters, bumped inline on every first send and
+        # delivery (the totals are derived from them, see NetworkStats).
+        self._sends = stats.sends_by_category
+        self._payload_bytes = stats.payload_bytes_by_category
+        self._delivered = stats.delivered_by_category
         self._tracer = tracer
         self._base_rto = rto
         self._send_states: dict[MachineId, _SendState] = {}
@@ -126,15 +131,19 @@ class ReliableTransport:
         category: str = "user",
     ) -> None:
         """Reliably send *payload* to machine *dst*."""
-        sender = self._send_states.get(dst)
-        if sender is None:
+        # A subscript, not .get(): a hit (every send but a stream's
+        # first) then costs no call.
+        try:
+            sender = self._send_states[dst]
+        except KeyError:
             sender = self._send_states[dst] = _SendState()
         seq = sender.next_seq
         sender.next_seq = seq + 1
         packet = Packet(
             self.machine, dst, _DATA, seq, payload, payload_bytes, category
         )
-        self._stats.note_send(packet)
+        self._sends[category] += 1
+        self._payload_bytes[category] += payload_bytes
         deadline = self._clock._now + self._base_rto
         sender.unacked[seq] = _Outstanding(packet, deadline, self._base_rto)
         timer = sender.timer
@@ -193,7 +202,7 @@ class ReliableTransport:
             entry.attempts += 1
             entry.rto = min(entry.rto * RTO_BACKOFF, MAX_RTO)
             entry.deadline = now + entry.rto
-            self._stats.note_send(entry.packet, retransmit=True)
+            self._stats.note_retransmit(entry.packet)
             if self._tracer is not None:
                 self._tracer.record(
                     "net",
@@ -258,43 +267,57 @@ class ReliableTransport:
     # ------------------------------------------------------------------
 
     def on_packet(self, packet: Packet) -> None:
-        """Handle a raw packet arriving at (or executed by) this machine."""
-        if packet.kind is not _ACK:
-            self._on_data(packet)
-            return
-        # The ack's source is the machine the data was *addressed* to
-        # (its executor echoes that address), matching our send state.
-        sender = self._send_states.get(packet.src)
-        if sender is None:
-            return  # nothing was ever sent there: nothing to settle
-        sender.unacked.pop(packet.payload, None)
-        if not sender.unacked and sender.timer is not None:
-            self._loop.cancel(sender.timer)
-            sender.timer = None
+        """Handle a raw packet arriving at (or executed by) this machine.
 
-    def _on_data(self, packet: Packet) -> None:
-        key = (packet.src, packet.dst)
-        stream = self._recv_states.get(key)
-        if stream is None:
+        A data packet is acked, then delivered if it is the next one its
+        stream expects and nothing waits in the reorder buffer — the
+        in-order case, every packet of a loss-free run.  Anything else
+        (a duplicate, or a packet ahead of a gap) goes through the
+        buffer, which releases each run of consecutive packets in order.
+        """
+        src = packet.src
+        if packet.kind is _ACK:
+            # The ack's source is the machine the data was *addressed*
+            # to (its executor echoes that address), matching our send
+            # state.
+            try:
+                sender = self._send_states[src]
+            except KeyError:
+                return  # nothing was ever sent there: nothing to settle
+            sender.unacked.pop(packet.payload, None)
+            if not sender.unacked and sender.timer is not None:
+                self._loop.cancel(sender.timer)
+                sender.timer = None
+            return
+        dst = packet.dst
+        key = (src, dst)
+        try:
+            stream = self._recv_states[key]
+        except KeyError:
             stream = self._recv_states[key] = _RecvState()
         # Ack every copy.  Acks carry the *addressed* destination as
         # their source so the original sender finds its send state even
         # when an executor is answering for a crashed machine.
         seq = packet.seq
-        ack = Packet(
-            packet.dst, packet.src, _ACK, seq, seq, ACK_PAYLOAD_BYTES, "ack"
-        )
-        self._stats.note_send(ack)
+        ack = Packet(dst, src, _ACK, seq, seq, ACK_PAYLOAD_BYTES, "ack")
+        self._sends["ack"] += 1
+        self._payload_bytes["ack"] += ACK_PAYLOAD_BYTES
         self._transmit(ack)
+        buffer = stream.reorder_buffer
+        if seq == stream.next_deliver_seq and not buffer:
+            stream.next_deliver_seq = seq + 1
+            self._delivered[packet.category] += 1
+            if self.deliver_fn is not None:
+                self.deliver_fn(src, packet.payload)
+            return
         if seq < stream.next_deliver_seq:
             return  # duplicate of something already delivered
-        buffer = stream.reorder_buffer
         if seq in buffer:
             return  # duplicate of something already buffered
         buffer[seq] = packet
         while stream.next_deliver_seq in buffer:
             ready = buffer.pop(stream.next_deliver_seq)
             stream.next_deliver_seq += 1
-            self._stats.note_delivery(ready)
+            self._delivered[ready.category] += 1
             if self.deliver_fn is not None:
                 self.deliver_fn(ready.src, ready.payload)

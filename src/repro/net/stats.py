@@ -4,6 +4,11 @@ Counters are kept per packet kind and per category so benchmarks can report
 exactly what the paper reports: how many administrative messages a
 migration used, how many bytes of process state moved, how many forwarded
 messages a stale link generated.
+
+Only the per-category counters and the retransmission counters are
+stored; the totals (packets and bytes sent, packets delivered) are
+derived from them, so the transport's per-packet work is two counter
+bumps on a send and one on a delivery.
 """
 
 from __future__ import annotations
@@ -22,34 +27,49 @@ if TYPE_CHECKING:  # pragma: no cover
 class NetworkStats:
     """Mutable counters updated by the transport layer."""
 
-    packets_sent: int = 0
-    packets_delivered: int = 0
     packets_dropped: int = 0
     packets_duplicated: int = 0
     retransmissions: int = 0
-    bytes_sent: int = 0
-    payload_bytes_sent: int = 0
+    #: payload bytes of the retransmitted copies
+    retransmitted_payload_bytes: int = 0
+    #: first transmissions (retransmits not included), per category
     sends_by_category: Counter = field(default_factory=Counter)
     payload_bytes_by_category: Counter = field(default_factory=Counter)
     delivered_by_category: Counter = field(default_factory=Counter)
 
-    def note_send(self, packet: Packet, retransmit: bool = False) -> None:
-        """Record a packet leaving a transport (including retransmits)."""
-        payload_bytes = packet.payload_bytes
-        self.packets_sent += 1
-        self.bytes_sent += PACKET_HEADER_BYTES + payload_bytes
-        self.payload_bytes_sent += payload_bytes
-        if retransmit:
-            self.retransmissions += 1
-        else:
-            category = packet.category
-            self.sends_by_category[category] += 1
-            self.payload_bytes_by_category[category] += payload_bytes
+    @property
+    def packets_sent(self) -> int:
+        """Packets that left a transport, retransmits included."""
+        return sum(self.sends_by_category.values()) + self.retransmissions
 
-    def note_delivery(self, packet: Packet) -> None:
-        """Record a packet accepted (post-dedup) by the receiving side."""
-        self.packets_delivered += 1
-        self.delivered_by_category[packet.category] += 1
+    @property
+    def payload_bytes_sent(self) -> int:
+        """Payload bytes of every packet sent, retransmits included."""
+        return (
+            sum(self.payload_bytes_by_category.values())
+            + self.retransmitted_payload_bytes
+        )
+
+    @property
+    def bytes_sent(self) -> int:
+        """Wire bytes of every packet sent: payload plus headers."""
+        return (
+            self.payload_bytes_sent + PACKET_HEADER_BYTES * self.packets_sent
+        )
+
+    @property
+    def packets_delivered(self) -> int:
+        """Packets accepted (post-dedup) by a receiving transport."""
+        return sum(self.delivered_by_category.values())
+
+    def note_retransmit(self, packet: Packet) -> None:
+        """Record a retransmitted copy leaving a transport.
+
+        A first transmission is two category-counter bumps, made inline
+        at the transport's data-send and ack-send sites.
+        """
+        self.retransmissions += 1
+        self.retransmitted_payload_bytes += packet.payload_bytes
 
     def note_drop(self) -> None:
         """Record a packet lost by fault injection."""

@@ -10,7 +10,7 @@ handle :meth:`EventLoop.cancel` takes.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Container, Iterable
 
 from heapq import heappop, heappush
 
@@ -110,6 +110,36 @@ class EventLoop:
         heappush(queue._heap, entry)
         queue._live += 1
         return entry
+
+    def arrival_pusher(
+        self, callback: Callable[[Any], None]
+    ) -> Callable[[int, Any], None]:
+        """A one-frame scheduler for ``callback(arg)``.
+
+        ``push(delay, arg)`` files the entry ``call_after(delay,
+        callback, arg)`` would, under the same key, without the extra
+        frame: a channel pushes one per hop.  *delay* is never negative
+        there (a wire delay), so it is not checked.
+        """
+        queue = self._queue
+        heap = queue._heap
+        clock = self.clock
+
+        def push(delay: int, arg: Any) -> None:
+            seq = queue._next_seq
+            queue._next_seq = seq + 1
+            heappush(heap, [clock._now + delay, seq, callback, (arg,)])
+            queue._live += 1
+
+        return push
+
+    def pending_calls(self, callbacks: Container[Any]) -> int:
+        """Live events whose callback is one of *callbacks*.
+
+        A diagnostic scan of the whole queue (the networks' in-flight
+        counts), so the hop path keeps no counter of its own.
+        """
+        return sum(1 for entry in self._queue._heap if entry[2] in callbacks)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event.  Idempotent."""
@@ -326,6 +356,63 @@ class KeyedEventLoop(EventLoop):
         queue._live += 1
         return entry
 
+    def arrival_pusher(
+        self, callback: Callable[[Any], None]
+    ) -> Callable[[int, Any], None]:
+        """As :meth:`EventLoop.arrival_pusher`, under the local key
+        :meth:`call_after` gives."""
+        queue = self._queue
+        heap = queue._heap
+        clock = self.clock
+        grid = self._grid
+
+        def push(delay: int, arg: Any) -> None:
+            n = queue._next_seq
+            queue._next_seq = n + 1
+            now = clock._now
+            heappush(
+                heap, [now + delay, (now // grid) << 81 | n, callback, (arg,)]
+            )
+            queue._live += 1
+
+        return push
+
+    def hop_lander(
+        self, src: int, dst: int, callback: Callable[..., None]
+    ) -> Callable[[int, Any], None]:
+        """A one-frame scheduler for the hops of wire ``src -> dst``.
+
+        ``land(delay, packet)`` numbers the hop with the wire's own
+        counter (from 1) and files ``callback(src, dst, wire_seq,
+        packet, gen)`` *delay* from now, under the key
+        :meth:`schedule_hop` gives that hop (*gen* is the grid window
+        it was produced in).
+        """
+        queue = self._queue
+        heap = queue._heap
+        clock = self.clock
+        grid = self._grid
+        wire = src << 60 | dst << 40
+        wire_seq = 0
+
+        def land(delay: int, packet: Any) -> None:
+            nonlocal wire_seq
+            wire_seq += 1
+            now = clock._now
+            gen = now // grid
+            heappush(
+                heap,
+                [
+                    now + delay,
+                    (gen << 1 | 1) << 80 | wire | wire_seq,
+                    callback,
+                    (src, dst, wire_seq, packet, gen),
+                ],
+            )
+            queue._live += 1
+
+        return land
+
     def schedule_hop(
         self,
         time: int,
@@ -341,8 +428,8 @@ class KeyedEventLoop(EventLoop):
         The key is derived entirely from the hop's data — the grid
         window *gen* it was produced in, its wire ``src -> dst`` and
         the wire's transmit counter — so scheduling the same hops in
-        any order, or at any barrier, yields the same heap order.  The
-        only place hop keys are built.
+        any order, or at any barrier, yields the same heap order.  Hop
+        keys are built here and in :meth:`hop_lander`, nowhere else.
         """
         if time < self.clock._now:
             raise ClockError(

@@ -12,6 +12,7 @@ import pytest
 import repro
 import repro.__main__ as cli
 from repro.__main__ import EXIT_BROKEN_PIPE, main
+from repro.errors import ConfigError
 from repro.obs.exporters import METRICS_SCHEMA, TRACE_SCHEMA
 
 
@@ -160,6 +161,84 @@ class TestCli:
         child.stdout.close()  # the reader is gone before the first write
         _, err = child.communicate(timeout=120)
         assert (child.returncode, err) == (EXIT_BROKEN_PIPE, b"")
+
+
+class TestRefusedBeforeRunning:
+    """Input a run would trip over only at its end is refused up front:
+    one ``repro: error:`` line, exit 2, nothing run or printed."""
+
+    def refused(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["migrate", "--source", "1", "--dest", "1"],
+        ["trace", "--dest", "0"],
+    ], ids=["migrate", "trace"])
+    def test_dest_equal_to_source(self, capsys, argv):
+        err = self.refused(capsys, argv)
+        assert "is the --source machine" in err
+
+    def test_trace_out_in_a_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "no" / "such" / "t.json"
+        err = self.refused(capsys, ["trace", "--out", str(out)])
+        assert f"no directory {out.parent}" in err
+        assert not out.parent.exists()
+
+    def test_trace_out_naming_a_directory(self, capsys, tmp_path):
+        err = self.refused(capsys, ["trace", "--out", str(tmp_path)])
+        assert "is a directory, not a file" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--out", "t.json"],
+        ["fuzz", "--runs", "1", "--out", "repros"],
+    ], ids=["trace", "fuzz"])
+    def test_out_in_an_unwritable_directory(
+        self, capsys, tmp_path, monkeypatch, argv,
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        err = self.refused(capsys, argv)
+        assert "is not writable" in err
+
+    def test_trace_out_to_an_existing_file_needs_only_the_file_writable(
+        self, tmp_path, monkeypatch,
+    ):
+        out = tmp_path / "t.json"
+        out.write_text("")
+        writable = {str(out)}
+        monkeypatch.setattr(
+            cli.os, "access", lambda path, mode: str(path) in writable,
+        )
+        cli._check_out_file(str(out))  # the directory is not writable
+        writable.clear()
+        with pytest.raises(ConfigError, match=re.escape(f"{out} is not")):
+            cli._check_out_file(str(out))
+
+    def test_fuzz_out_naming_a_file(self, capsys, tmp_path):
+        out = tmp_path / "repros"
+        out.write_text("")
+        err = self.refused(capsys, ["fuzz", "--runs", "1", "--out", str(out)])
+        assert f"--out {out} is not a directory" in err
+
+    def test_fuzz_out_below_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "repros"
+        err = self.refused(capsys, ["fuzz", "--runs", "1", "--out", str(out)])
+        assert f"{blocker} is a file" in err
+
+    def test_fuzz_out_that_can_be_created_is_accepted(self, capsys, tmp_path):
+        out = tmp_path / "new" / "repros"
+        assert main(["fuzz", "--seed", "1983", "--runs", "1",
+                     "--out", str(out)]) == 0
+        assert "1 schedules, 0 violation(s)" in capsys.readouterr().out
+        # Created only when a violation writes a repro file.
+        assert not out.exists()
 
 
 class _ClosedPipe:

@@ -1,10 +1,9 @@
 """Tests for the message representation."""
 
-from repro.kernel.ids import ProcessAddress, ProcessId, kernel_address
+from repro.kernel.ids import ProcessAddress, ProcessId
 from repro.kernel.links import LINK_WIRE_BYTES, Link, LinkSnapshot
-from repro.kernel.messages import (
-    MESSAGE_HEADER_BYTES, Message, MessageKind, control_message
-)
+from repro.kernel.messages import MESSAGE_HEADER_BYTES, Message, MessageKind
+from tests.conftest import drain, make_bare_system
 
 
 def addr(machine=0, local=1):
@@ -66,13 +65,18 @@ class TestMessage:
         assert "D2K" in text and "fwd=1" in text
 
     def test_control_message_builder(self):
-        msg = control_message(
-            dest=kernel_address(2),
-            sender=kernel_address(0),
-            op="mig-request",
-            payload={"pid": 1},
-            payload_bytes=12,
-        )
-        assert msg.kind is MessageKind.CONTROL
-        assert msg.category == "admin"
-        assert msg.dest.pid.is_kernel
+        # Kernel.send_control builds every kernel-to-kernel message.
+        system = make_bare_system()
+        received = []
+        system.kernel(2).register_control("probe", received.append)
+        for _ in range(2):
+            system.kernel(0).send_control(2, "probe", {"pid": 1}, 12)
+        drain(system)
+        first, second = received
+        assert first.kind is MessageKind.CONTROL
+        assert first.category == "admin"
+        assert first.dest.pid.is_kernel and first.dest.last_known_machine == 2
+        assert first.sender is system.kernel(0).address
+        assert first.payload_bytes == 12
+        # One address per peer machine, minted once and then reused.
+        assert second.dest is first.dest

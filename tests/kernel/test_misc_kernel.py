@@ -37,9 +37,9 @@ class TestUnknownOps:
 
         system = make_bare_system()
         update = build_link_update(
-            forwarder_machine=0,
+            forwarder=kernel_address(0),
             update=LinkUpdate(ProcessId(1, 99), ProcessId(0, 5), 2),
-            sender_machine=1,
+            sender_kernel=kernel_address(1),
         )
         system.kernel(0).route_message(update)
         drain(system)

@@ -5,7 +5,7 @@ import random
 from repro.net.channel import Channel, FaultPlan
 from repro.net.packet import PACKET_HEADER_BYTES, Packet, PacketKind
 from repro.net.topology import Wire
-from repro.sim.loop import EventLoop
+from repro.sim.loop import EventLoop, KeyedEventLoop
 
 
 def make_packet(size=100, seq=0):
@@ -44,6 +44,21 @@ class TestPerfectChannel:
         assert channel.in_flight == 1
         loop.run()
         assert channel.in_flight == 0
+
+    def test_arrivals_on_a_keyed_loop_take_the_local_key(self):
+        # With no network lander, an arrival is filed where call_after
+        # would file it: a local event, keyed by the loop's counter.
+        loop = KeyedEventLoop(100)
+        loop.clock.advance_to(250)
+        seen = []
+        channel = Channel(loop, Wire(0, 1, 10, 1_000), deliver=seen.append)
+        packet = make_packet()
+        channel.transmit(packet)
+        later = loop.call_after(0, lambda: None)
+        (arrival,) = [e for e in loop._queue._heap if e is not later]
+        assert arrival[1] == later[1] - 1
+        loop.run()
+        assert seen == [packet]
 
     def test_fault_plan_is_perfect_by_default(self):
         assert FaultPlan().is_perfect

@@ -20,11 +20,12 @@ from tests.conftest import count_calls
 
 MACHINES = 9
 QUIET_RTO = 1_000_000
-#: exact ceiling, calls per hop on both networks (67 calls per 8 hops):
-#: seven a hop — forward, transmit, land, schedule, heappush, heappop,
-#: arrive (the forwarding-table probe is a subscript, not a call) —
-#: plus each hop's share of the transport's send, ack and delivery
-CALLS_PER_HOP = 8.375
+#: exact ceiling, calls per hop on both networks (54 calls per 8 hops):
+#: six a hop — forward, transmit, land, heappush, heappop, arrive (the
+#: forwarding-table and transport probes are subscripts, not calls; the
+#: landing frame pushes its heap entry itself) — plus each hop's share
+#: of the transport's send, ack and delivery
+CALLS_PER_HOP = 6.75
 
 
 def classic_network():

@@ -14,11 +14,18 @@ def make_packet(size=100, seq=0, category="user"):
     )
 
 
+def first_send(stats, packet):
+    """The two counter bumps a transport's send site makes for a first
+    transmission."""
+    stats.sends_by_category[packet.category] += 1
+    stats.payload_bytes_by_category[packet.category] += packet.payload_bytes
+
+
 class TestNetworkStats:
     def test_note_send_accumulates(self):
         stats = NetworkStats()
-        stats.note_send(make_packet(100, category="admin"))
-        stats.note_send(make_packet(50, category="admin"))
+        first_send(stats, make_packet(100, category="admin"))
+        first_send(stats, make_packet(50, category="admin"))
         assert stats.packets_sent == 2
         assert stats.payload_bytes_sent == 150
         assert stats.bytes_sent == 150 + 2 * PACKET_HEADER_BYTES
@@ -28,16 +35,17 @@ class TestNetworkStats:
     def test_retransmits_not_double_counted_per_category(self):
         stats = NetworkStats()
         packet = make_packet(100, category="user")
-        stats.note_send(packet)
-        stats.note_send(packet, retransmit=True)
+        first_send(stats, packet)
+        stats.note_retransmit(packet)
         assert stats.packets_sent == 2
+        assert stats.payload_bytes_sent == 200
         assert stats.retransmissions == 1
         assert stats.sends_by_category["user"] == 1
 
     def test_snapshot_shapes(self):
         stats = NetworkStats()
-        stats.note_send(make_packet())
-        stats.note_delivery(make_packet())
+        first_send(stats, make_packet())
+        stats.delivered_by_category["user"] += 1  # the receiver's bump
         snapshot = stats.snapshot()
         assert snapshot["packets_sent"] == 1
         assert snapshot["packets_delivered"] == 1

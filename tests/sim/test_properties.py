@@ -3,6 +3,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.net.network import ShardNetwork
+from repro.net.packet import Packet, PacketKind
+from repro.net.topology import Topology
 from repro.sim.events import EventQueue
 from repro.sim.loop import EventLoop, KeyedEventLoop, MACHINE_ID_BITS
 from repro.sim.rng import RandomStreams
@@ -118,6 +121,27 @@ class TestPackedKeyProperties:
         keys = [packed_key(rank) for rank in ranked]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+    def test_a_shard_internal_hop_lands_under_its_hop_key(self):
+        # ShardNetwork lands through hop_lander: schedule_hop's key.
+        loop = KeyedEventLoop(GRID)
+        network = ShardNetwork(
+            loop, Topology.line(3), shard_index=0,
+            shard_of=lambda machine: 0, machines=[0, 1, 2],
+        )
+        loop.clock.advance_to(2 * GRID + 17)
+        for src, dst in ((0, 1), (2, 1), (0, 1)):
+            network._channel(src, dst).transmit(
+                Packet(src, dst, PacketKind.DATA, 0, None, 8)
+            )
+        # An arrival's args start with its wire and the wire's counter.
+        landed = {entry[3][:3]: entry[1] for entry in loop._queue._heap}
+        assert sorted(landed) == [(0, 1, 1), (0, 1, 2), (2, 1, 1)]
+        reference = KeyedEventLoop(GRID)
+        for (src, dst, wire_seq), key in landed.items():
+            hop = reference.schedule_hop(0, 2, src, dst, wire_seq, _noop)
+            assert key == hop[1]
 
 
 class TestLoopProperties:
