@@ -339,7 +339,17 @@ def load_repro(path: str | Path) -> Scenario:
 
 def replay(path: str | Path, budget: int = 2_000_000) -> ScenarioOutcome:
     """Re-run a repro file's record and return the fresh outcome."""
+    _check_at_least_one(budget=budget)
     return run_scenario(load_repro(path), budget=budget)
+
+
+def _check_at_least_one(**counts: int) -> None:
+    """Refuse a run or event count below one before anything is drawn:
+    a zero budget would report every draw as a violation, and no runs
+    would report a clean session that tested nothing."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count}")
 
 
 # ---------------------------------------------------------------------
@@ -361,6 +371,7 @@ def run_fuzz(
     report's digest list is the determinism witness: the same seed and
     runs always reproduce the same digests.
     """
+    _check_at_least_one(runs=runs, budget=budget)
     report = FuzzReport(seed=seed, runs=runs)
     for index in range(runs):
         scenario = generate_schedule(seed, index)

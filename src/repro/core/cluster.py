@@ -132,7 +132,6 @@ class Cluster:
         self,
         machines: list[MachineId],
         loop: EventLoop,
-        network_class: type[Network] = Network,
         **network_args: Any,
     ) -> Shard:
         """Wire the next shard on *loop*: tracer, registry, network and
@@ -145,7 +144,7 @@ class Cluster:
             enabled_categories=config.trace_categories,
         )
         metrics = MetricsRegistry(enabled=config.metrics_enabled)
-        network = network_class(
+        network = Network(
             loop,
             self.topology,
             tracer=tracer,

@@ -42,11 +42,9 @@ class Channel:
     :meth:`transmit` is the wire model: fault draws, the duplicate
     copy, serialisation behind whatever the wire is already carrying,
     jitter.  What becomes of each copy that survives is the owning
-    network's business: by default an arrival event on *loop* that
-    hands the packet to *deliver*; a network that passes *land* gets
-    ``land(delay, packet)`` at transmit time instead and owns the
-    arrival from there (the sharded network files it under a hop key,
-    or mints a hop record for another shard).
+    network's business: the channel calls ``land(delay, packet)`` at
+    transmit time and the network owns the arrival from there (it files
+    a hop on its loop, or mints a hop record for another shard).
 
     *make_rng* supplies the fault stream and is called at the first
     draw, so a wire that never draws never builds one.
@@ -56,26 +54,23 @@ class Channel:
         self,
         loop: EventLoop,
         wire: Wire,
-        deliver: Callable[[Packet], None],
+        land: Callable[[int, Packet], None],
         faults: FaultPlan | None = None,
         make_rng: Callable[[], random.Random] | None = None,
         on_drop: Callable[[Packet], None] | None = None,
         on_duplicate: Callable[[Packet], None] | None = None,
-        land: Callable[[int, Packet], None] | None = None,
     ) -> None:
-        self._loop = loop
         self._clock = loop.clock
         self._wire = wire
         # A Wire is frozen, so its two numbers can be read once.
         self._latency = wire.latency
         self._bandwidth = max(wire.bandwidth, 1)
-        self._deliver = deliver
         self.faults = faults or FaultPlan()
         self._make_rng = make_rng or (lambda: random.Random(0))
         self._rng: random.Random | None = None
         self._on_drop = on_drop
         self._on_duplicate = on_duplicate
-        self._land = land or loop.arrival_pusher(self._arrive)
+        self._land = land
         #: the wire is serial: a packet cannot start serialising before
         #: the previous one has finished (this is what makes bulk state
         #: transfer cost scale with process size, paper §6)
@@ -119,13 +114,3 @@ class Channel:
             if copies == 1:
                 return
             copies = 1  # the duplicate serialises behind the first copy
-
-    @property
-    def in_flight(self) -> int:
-        """Copies waiting for this channel's own arrival event (a
-        network that passes *land* counts its arrivals itself)."""
-        return self._loop.pending_calls((self._arrive,))
-
-    def _arrive(self, packet: Packet) -> None:
-        # The arrival event's callback: in_flight finds them by it.
-        self._deliver(packet)

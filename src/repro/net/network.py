@@ -9,6 +9,13 @@ A kernel uses one operation, :meth:`Network.register_receiver`: it
 claims a machine's inbound payloads and returns the machine's transport,
 whose ``send`` reliably delivers an opaque payload to another machine.
 Any other caller sends through :meth:`Network.send`.
+
+One class serves both engines.  A single-loop ``System`` builds one
+network that owns every machine; a sharded system builds one per shard,
+each owning its shard's machines.  Every copy that survives a wire lands
+the same way: through its loop's ``hop_lander`` when the next stop is in
+this shard, as a :class:`~repro.sim.barrier.HopRecord` in the other
+shard's outbox otherwise (see :mod:`repro.sim.barrier`).
 """
 
 from __future__ import annotations
@@ -16,14 +23,14 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import SimulationError, UnknownMachineError
+from repro.errors import UnknownMachineError
 from repro.net.channel import Channel, FaultPlan
 from repro.net.packet import Packet
 from repro.net.reliable import DEFAULT_RTO, ReliableTransport
 from repro.net.stats import NetworkStats
 from repro.net.topology import MachineId, Topology
 from repro.sim.barrier import HopRecord, SyncStats
-from repro.sim.loop import EventLoop, check_machine_ids
+from repro.sim.loop import EventLoop
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -33,8 +40,29 @@ if TYPE_CHECKING:  # pragma: no cover
 Receiver = Callable[[MachineId, Any], None]
 
 
+def _one_shard(machine: MachineId) -> int:
+    """The default shard map: one shard owns every machine."""
+    return 0
+
+
 class Network:
-    """All inter-machine communication for one simulated system."""
+    """All inter-machine communication for one shard of a system (by
+    default, the only shard: it owns every machine).
+
+    Per-wire state — the serialisation horizon, the hop counter, the
+    fault plan and the fault-injection stream — lives in the wire's
+    :class:`~repro.net.channel.Channel`, which belongs to the network
+    owning the wire's *source* machine, so its evolution does not
+    depend on how machines are split into shards.
+
+    Both cross-shard mutations run at a global barrier and reach every
+    network of a cluster: fail-stop takeover through
+    :meth:`~repro.core.cluster.Cluster.crash_transport`, which
+    replicates the redirect onto every routing view, and chaos wire
+    surgery, which hands one plan to every network's :meth:`set_faults`
+    — each rewrites only the wires it owns, so every wire changes
+    exactly once.
+    """
 
     def __init__(
         self,
@@ -46,6 +74,8 @@ class Network:
         rto: int = DEFAULT_RTO,
         metrics: "MetricsRegistry | None" = None,
         machines: list[MachineId] | None = None,
+        shard_index: int = 0,
+        shard_of: Callable[[MachineId], int] = _one_shard,
     ) -> None:
         self.loop = loop
         self.topology = topology
@@ -68,12 +98,19 @@ class Network:
         #: published-communications recovery the paper defers to (§4)
         self._redirects: dict[MachineId, MachineId] = {}
         topology.freeze()
-        # A sharded system builds one facade per shard, with transports
-        # only for the machines that shard owns (packets to everyone
-        # else leave as hop records, see ShardNetwork below).
-        for machine in (
+        self.shard_index = shard_index
+        self.shard_of = shard_of
+        #: the machines this network owns a transport for
+        self.machines = list(
             topology.machines if machines is None else machines
-        ):
+        )
+        #: sync-overhead counters the barrier runner fills in
+        self.sync = SyncStats()
+        #: test hook: called with a HopRecord for each delivered hop
+        #: (minted for a shard-internal hop only while a hook is set)
+        self.on_record_delivered: Callable[[HopRecord], None] | None = None
+        self._outboxes: dict[int, list[HopRecord]] = {}
+        for machine in self.machines:
             self._transports[machine] = ReliableTransport(
                 machine,
                 loop,
@@ -132,7 +169,7 @@ class Network:
         Only wires leaving a machine this network owns are touched: a
         wire's state lives with its source machine's network, so a
         sharded cluster rewrites a wire by handing the same plan to
-        every shard's network (:class:`ShardNetwork`).
+        every shard's network.
         """
         if a is None and b is None:
             self._default_faults = faults
@@ -175,8 +212,12 @@ class Network:
         return self._redirects.get(machine, machine)
 
     def in_flight(self) -> int:
-        """Packets currently on some wire (diagnostics)."""
-        return sum(c.in_flight for c in self._channels.values())
+        """Hops waiting in outboxes plus scheduled-but-not-arrived ones
+        (diagnostics)."""
+        queued = sum(len(box) for box in self._outboxes.values())
+        return queued + self.loop.pending_calls(
+            (self._hop_arrived, self._record_arrived)
+        )
 
     def unacked(self) -> int:
         """Packets awaiting acknowledgement across all machines."""
@@ -185,6 +226,28 @@ class Network:
     def quiescent(self) -> bool:
         """True when nothing is in flight and nothing awaits an ack."""
         return self.in_flight() == 0 and self.unacked() == 0
+
+    # ------------------------------------------------------------------
+    # Barrier handoff
+    # ------------------------------------------------------------------
+
+    def take_outboxes(self) -> dict[int, list[HopRecord]]:
+        """Pending hop records keyed by destination shard (clears
+        them), in production order: the keyed loop files each under its
+        own key, so hand-over order is invisible."""
+        outboxes = self._outboxes
+        self._outboxes = {}
+        return outboxes
+
+    def take_outbox(self, dest: int) -> list[HopRecord]:
+        """Pending hop records for one destination shard (clears just
+        that outbox) — the pairwise-rendezvous drain."""
+        return self._outboxes.pop(dest, [])
+
+    def receive_record(self, record: HopRecord) -> None:
+        """Schedule one hop at its arrival tick, under its own key —
+        the call order does not matter."""
+        self.loop.schedule_record(record, self._record_arrived, record)
 
     # ------------------------------------------------------------------
     # Internals
@@ -199,28 +262,63 @@ class Network:
     def _channel(self, a: MachineId, b: MachineId) -> Channel:
         channel = self._channels.get((a, b))
         if channel is None:
-            wire = self.topology.wire(a, b)
+            # Each copy that survives the wire is a hop: filed straight
+            # onto this loop when b is in this shard, shipped to b's
+            # shard as a hop record otherwise.
+            dest_shard = self.shard_of(b)
+            if dest_shard == self.shard_index:
+                land = self.loop.hop_lander(a, b, self._hop_arrived)
+            else:
+                land = self._record_shipper(a, b, dest_shard)
             channel = Channel(
                 self.loop,
-                wire,
-                deliver=partial(self._forward_from, b),
+                self.topology.wire(a, b),
+                land,
                 faults=self._default_faults,
                 # A stream is a function of its name alone, so taking it
                 # at the first draw gives the sequence taking it here would.
                 make_rng=partial(self._rngs.stream, f"channel/{a}->{b}"),
                 on_drop=self._note_drop,
                 on_duplicate=self._note_duplicate,
-                land=self._lander(a, b),
             )
             self._channels[(a, b)] = channel
         return channel
 
-    def _lander(
-        self, a: MachineId, b: MachineId
-    ) -> Callable[[int, Packet], None] | None:
-        """What becomes of each copy that survives wire ``a -> b``;
-        None keeps the channel's own arrival event on this loop."""
-        return None
+    def _record_shipper(
+        self, a: MachineId, b: MachineId, dest_shard: int
+    ) -> Callable[[int, Packet], None]:
+        """Land the copies of wire ``a -> b`` as hop records in
+        *dest_shard*'s outbox, numbered by the wire's own counter
+        (duplicates get their own number) as ``hop_lander`` numbers
+        them, and tagged with the grid window they were produced in."""
+        clock = self.loop.clock
+        grid = self.loop.grid
+        wire_seq = 0
+
+        def ship(delay: int, packet: Packet) -> None:
+            nonlocal wire_seq
+            wire_seq += 1
+            now = clock._now
+            self._outboxes.setdefault(dest_shard, []).append(
+                HopRecord(now + delay, a, b, wire_seq, packet, now // grid)
+            )
+
+        return ship
+
+    def _hop_arrived(
+        self, src: MachineId, dst: MachineId, wire_seq: int,
+        packet: Packet, gen: int,
+    ) -> None:
+        if self.on_record_delivered is not None:
+            self.on_record_delivered(
+                HopRecord(self.loop.now, src, dst, wire_seq, packet, gen)
+            )
+        self._forward_from(dst, packet)
+
+    def _record_arrived(self, record: HopRecord) -> None:
+        if self.on_record_delivered is not None:
+            self.on_record_delivered(record)
+        self._forward_from(record.dst, record.packet)
 
     def _forward_from(self, here: MachineId, packet: Packet) -> None:
         """A packet is at *here* (just sent, or off a wire): hand it to
@@ -265,142 +363,3 @@ class Network:
                 dst=packet.dst,
                 seq=packet.seq,
             )
-
-
-class ShardNetwork(Network):
-    """The network facade for one shard of a sharded system.
-
-    Same kernel-facing API as :class:`Network`, but it owns transports
-    only for the shard's machines, and every wire transmit is a hop
-    tagged with the grid window it was produced in.  The loop is a
-    :class:`~repro.sim.loop.KeyedEventLoop`, which files each hop under
-    its canonical key, so when a hop is handed over is invisible in the
-    event order: a hop whose next stop is in this shard is scheduled at
-    once (no record: the key is built from the hop's fields), and one
-    bound for another shard becomes a
-    :class:`~repro.sim.barrier.HopRecord` that waits in that shard's
-    outbox for the pair's next rendezvous (see
-    :mod:`repro.sim.barrier`).  Either way the order of deliveries on
-    any one machine is identical for every shard count.
-
-    Per-wire state — the serialisation horizon, the hop counter, the
-    fault plan and the fault-injection stream — lives in the wire's
-    :class:`~repro.net.channel.Channel`, which belongs to the wire's
-    *source* shard, so it is touched by exactly one worker and its
-    evolution is shard-layout independent.
-
-    Both cross-shard mutations run at a global barrier and reach every
-    shard's network: fail-stop takeover through
-    :meth:`~repro.core.cluster.Cluster.crash_transport`, which
-    replicates the redirect onto every routing view (one shard flipping
-    alone would desynchronise routing), and chaos wire surgery, which
-    hands one plan to every network's :meth:`set_faults` — each
-    rewrites only the wires it owns, so every wire changes exactly once.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        topology: Topology,
-        shard_index: int,
-        shard_of: Callable[[MachineId], int],
-        machines: list[MachineId],
-        tracer: Tracer | None = None,
-        rngs: RandomStreams | None = None,
-        faults: FaultPlan | None = None,
-        rto: int = DEFAULT_RTO,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> None:
-        super().__init__(
-            loop,
-            topology,
-            tracer=tracer,
-            rngs=rngs,
-            faults=faults,
-            rto=rto,
-            metrics=metrics,
-            machines=machines,
-        )
-        if not hasattr(loop, "schedule_hop"):
-            raise SimulationError(
-                "a shard network needs a KeyedEventLoop (hop keys "
-                "are the loop's tie-break)"
-            )
-        check_machine_ids(topology.machines)
-        self.shard_index = shard_index
-        self.shard_of = shard_of
-        self.machines = list(machines)
-        #: sync-overhead counters the barrier runner fills in
-        self.sync = SyncStats()
-        #: test hook: called with a HopRecord for each delivered hop
-        #: (minted for a shard-internal hop only while a hook is set)
-        self.on_record_delivered: Callable[[HopRecord], None] | None = None
-        self._outboxes: dict[int, list[HopRecord]] = {}
-
-    # -- barrier handoff ------------------------------------------------
-
-    def take_outboxes(self) -> dict[int, list[HopRecord]]:
-        """Pending hop records keyed by destination shard (clears
-        them), in production order: the keyed loop files each under its
-        own key, so hand-over order is invisible."""
-        outboxes = self._outboxes
-        self._outboxes = {}
-        return outboxes
-
-    def take_outbox(self, dest: int) -> list[HopRecord]:
-        """Pending hop records for one destination shard (clears just
-        that outbox) — the pairwise-rendezvous drain."""
-        return self._outboxes.pop(dest, [])
-
-    def receive_record(self, record: HopRecord) -> None:
-        """Schedule one hop at its arrival tick, under its own key —
-        the call order does not matter."""
-        self.loop.schedule_record(record, self._record_arrived, record)
-
-    def _record_arrived(self, record: HopRecord) -> None:
-        if self.on_record_delivered is not None:
-            self.on_record_delivered(record)
-        self._forward_from(record.dst, record.packet)
-
-    def _hop_arrived(
-        self, src: MachineId, dst: MachineId, wire_seq: int,
-        packet: Packet, gen: int,
-    ) -> None:
-        if self.on_record_delivered is not None:
-            self.on_record_delivered(
-                HopRecord(self.loop.now, src, dst, wire_seq, packet, gen)
-            )
-        self._forward_from(dst, packet)
-
-    def _lander(
-        self, a: MachineId, b: MachineId
-    ) -> Callable[[int, Packet], None]:
-        """Wire ``a -> b`` lands its copies as hops numbered by a
-        per-wire counter (duplicates get their own number): scheduled
-        straight onto this loop when ``b`` is in this shard, as hop
-        records in ``b``'s shard's outbox otherwise."""
-        dest_shard = self.shard_of(b)
-        if dest_shard == self.shard_index:
-            return self.loop.hop_lander(a, b, self._hop_arrived)
-        clock = self.loop.clock
-        grid = self.loop.grid
-        wire_seq = 0
-
-        def ship(delay: int, packet: Packet) -> None:
-            nonlocal wire_seq
-            wire_seq += 1
-            now = clock._now
-            self._outboxes.setdefault(dest_shard, []).append(
-                HopRecord(now + delay, a, b, wire_seq, packet, now // grid)
-            )
-
-        return ship
-
-    # -- diagnostics -----------------------------------------------------
-
-    def in_flight(self) -> int:
-        """Hops waiting in outboxes plus scheduled-but-not-arrived ones."""
-        queued = sum(len(box) for box in self._outboxes.values())
-        return queued + self.loop.pending_calls(
-            (self._hop_arrived, self._record_arrived)
-        )

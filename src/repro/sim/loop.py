@@ -111,27 +111,34 @@ class EventLoop:
         queue._live += 1
         return entry
 
-    def arrival_pusher(
-        self, callback: Callable[[Any], None]
+    def hop_lander(
+        self, src: int, dst: int, callback: Callable[..., None]
     ) -> Callable[[int, Any], None]:
-        """A one-frame scheduler for ``callback(arg)``.
+        """A one-frame scheduler for the hops of wire ``src -> dst``.
 
-        ``push(delay, arg)`` files the entry ``call_after(delay,
-        callback, arg)`` would, under the same key, without the extra
-        frame: a channel pushes one per hop.  *delay* is never negative
-        there (a wire delay), so it is not checked.
+        ``land(delay, packet)`` numbers the hop with the wire's own
+        counter (from 1) and files ``callback(src, dst, wire_seq,
+        packet, gen)`` *delay* from now, where ``call_after`` would
+        file it: under the next FIFO sequence number.  This loop has no
+        window grid, so *gen* is the tick the hop was produced at.
+        *delay* is never negative (a wire delay), so it is not checked.
         """
         queue = self._queue
         heap = queue._heap
         clock = self.clock
+        wire_seq = 0
 
-        def push(delay: int, arg: Any) -> None:
+        def land(delay: int, packet: Any) -> None:
+            nonlocal wire_seq
+            wire_seq += 1
             seq = queue._next_seq
             queue._next_seq = seq + 1
-            heappush(heap, [clock._now + delay, seq, callback, (arg,)])
+            now = clock._now
+            args = (src, dst, wire_seq, packet, now)
+            heappush(heap, [now + delay, seq, callback, args])
             queue._live += 1
 
-        return push
+        return land
 
     def pending_calls(self, callbacks: Container[Any]) -> int:
         """Live events whose callback is one of *callbacks*.
@@ -356,27 +363,6 @@ class KeyedEventLoop(EventLoop):
         queue._live += 1
         return entry
 
-    def arrival_pusher(
-        self, callback: Callable[[Any], None]
-    ) -> Callable[[int, Any], None]:
-        """As :meth:`EventLoop.arrival_pusher`, under the local key
-        :meth:`call_after` gives."""
-        queue = self._queue
-        heap = queue._heap
-        clock = self.clock
-        grid = self._grid
-
-        def push(delay: int, arg: Any) -> None:
-            n = queue._next_seq
-            queue._next_seq = n + 1
-            now = clock._now
-            heappush(
-                heap, [now + delay, (now // grid) << 81 | n, callback, (arg,)]
-            )
-            queue._live += 1
-
-        return push
-
     def hop_lander(
         self, src: int, dst: int, callback: Callable[..., None]
     ) -> Callable[[int, Any], None]:
@@ -385,8 +371,8 @@ class KeyedEventLoop(EventLoop):
         ``land(delay, packet)`` numbers the hop with the wire's own
         counter (from 1) and files ``callback(src, dst, wire_seq,
         packet, gen)`` *delay* from now, under the key
-        :meth:`schedule_hop` gives that hop (*gen* is the grid window
-        it was produced in).
+        :meth:`schedule_record` gives that hop (*gen* is the grid
+        window it was produced in).
         """
         queue = self._queue
         heap = queue._heap
@@ -413,24 +399,24 @@ class KeyedEventLoop(EventLoop):
 
         return land
 
-    def schedule_hop(
+    def schedule_record(
         self,
-        time: int,
-        gen: int,
-        src: int,
-        dst: int,
-        wire_seq: int,
+        record: Any,
         callback: Callable[..., None],
         *args: Any,
     ) -> Event:
-        """Schedule one hop's arrival at *time* under its canonical key.
+        """Schedule a hop record's delivery at its arrival tick under
+        the hop's canonical key.
 
-        The key is derived entirely from the hop's data — the grid
-        window *gen* it was produced in, its wire ``src -> dst`` and
-        the wire's transmit counter — so scheduling the same hops in
-        any order, or at any barrier, yields the same heap order.  Hop
-        keys are built here and in :meth:`hop_lander`, nowhere else.
+        *record* is a :class:`~repro.sim.barrier.HopRecord` (duck-typed
+        to avoid the import cycle).  The key is derived entirely from
+        the hop's data — the grid window it was produced in, its wire
+        ``src -> dst`` and the wire's transmit counter — so scheduling
+        the same hops in any order, or at any barrier, yields the same
+        heap order.  Hop keys are built here and in :meth:`hop_lander`,
+        nowhere else.
         """
+        time = record.arrival
         if time < self.clock._now:
             raise ClockError(
                 f"cannot schedule at {time}, clock already at {self.clock.now}"
@@ -438,31 +424,13 @@ class KeyedEventLoop(EventLoop):
         queue = self._queue
         entry = [
             time,
-            (gen << 1 | 1) << 80 | src << 60 | dst << 40 | wire_seq,
+            (record.gen << 1 | 1) << 80
+            | record.src << 60
+            | record.dst << 40
+            | record.wire_seq,
             callback,
             args,
         ]
         heappush(queue._heap, entry)
         queue._live += 1
         return entry
-
-    def schedule_record(
-        self,
-        record: Any,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> Event:
-        """Schedule a hop-record delivery under its canonical key.
-
-        *record* is a :class:`~repro.sim.barrier.HopRecord` (duck-typed
-        to avoid the import cycle); see :meth:`schedule_hop`.
-        """
-        return self.schedule_hop(
-            record.arrival,
-            record.gen,
-            record.src,
-            record.dst,
-            record.wire_seq,
-            callback,
-            *args,
-        )

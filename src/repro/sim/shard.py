@@ -4,7 +4,7 @@ A :class:`ShardedSystem` is the multi-loop
 :class:`~repro.core.cluster.Cluster` (the single-loop one is
 :class:`repro.core.system.System`): the machine set is partitioned into
 ``config.shards`` shards, each with its own event loop, tracer, metrics
-registry, :class:`~repro.net.network.ShardNetwork` and kernels.  This
+registry, :class:`~repro.net.network.Network` and kernels.  This
 module supplies only what the engine adds to the shared surface — the
 plan, the keyed loops, the runner, barrier actions and fork.  Each
 shard runs ahead through the time range no other shard can yet
@@ -55,7 +55,6 @@ from repro.core.cluster import DomainView  # noqa: F401 (old home)
 from repro.core.config import SystemConfig, near_square_factor
 from repro.core.system import boot_standard_servers
 from repro.errors import ConfigError, SimulationError
-from repro.net.network import ShardNetwork
 from repro.net.topology import MachineId, Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.barrier import (
@@ -245,7 +244,6 @@ class ShardedSystem(Cluster):
             self._build_shard(
                 list(machines),
                 KeyedEventLoop(self.plan.lookahead),
-                ShardNetwork,
                 shard_index=index,
                 shard_of=self.plan.shard_of,
             )

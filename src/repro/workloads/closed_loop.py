@@ -41,6 +41,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Mapping, Sequence
 
+from repro.errors import ConfigError
 from repro.kernel.context import ProcessContext
 from repro.kernel.ids import ProcessAddress, ProcessId
 from repro.servers.common import lookup_service, rpc
@@ -78,11 +79,11 @@ class ClosedLoopConfig:
 
     def validate(self) -> None:
         if self.clients < 1:
-            raise ValueError(f"need at least one client, got {self.clients}")
+            raise ConfigError(f"need at least one client, got {self.clients}")
         if self.requests_per_client < 1:
-            raise ValueError("requests_per_client must be positive")
+            raise ConfigError("requests_per_client must be positive")
         if self.mean_think_us < 0 or self.start_at < 0 or self.stagger_us < 0:
-            raise ValueError("times must be non-negative")
+            raise ConfigError("times must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -111,23 +112,23 @@ class LoadShape:
 
     def validate(self) -> None:
         if self.kind not in LOAD_SHAPE_KINDS:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown load shape {self.kind!r}; "
                 f"choose from {LOAD_SHAPE_KINDS}"
             )
         if not 0.0 <= self.hot_share <= 1.0:
-            raise ValueError("hot_share must be within [0, 1]")
+            raise ConfigError("hot_share must be within [0, 1]")
         if self.hot_services < 1:
-            raise ValueError("hot_services must be positive")
+            raise ConfigError("hot_services must be positive")
         if self.kind == "burst":
             if self.burst_end <= self.burst_start or self.burst_start < 0:
-                raise ValueError("burst window must be non-empty")
+                raise ConfigError("burst window must be non-empty")
             if self.burst_factor <= 0:
-                raise ValueError("burst_factor must be positive")
+                raise ConfigError("burst_factor must be positive")
         if self.kind == "diurnal" and self.ramp_factor <= 0:
-            raise ValueError("ramp_factor must be positive")
+            raise ConfigError("ramp_factor must be positive")
         if self.kind == "hot_key" and self.hot_share == 0.0:
-            raise ValueError("hot_key shape needs hot_share > 0")
+            raise ConfigError("hot_key shape needs hot_share > 0")
 
     def rate_factor(self, elapsed: int, duration: int) -> float:
         """Arrival-rate multiplier at *elapsed* us into the window."""
@@ -178,15 +179,15 @@ class OpenLoopConfig:
 
     def validate(self) -> None:
         if self.clients < 1:
-            raise ValueError(f"need at least one client, got {self.clients}")
+            raise ConfigError(f"need at least one client, got {self.clients}")
         if self.mean_interarrival_us < 1:
-            raise ValueError("mean_interarrival_us must be positive")
+            raise ConfigError("mean_interarrival_us must be positive")
         if self.duration < 1:
-            raise ValueError("duration must be positive")
+            raise ConfigError("duration must be positive")
         if self.deadline_us < 1:
-            raise ValueError("deadline_us must be positive")
+            raise ConfigError("deadline_us must be positive")
         if min(self.drain_grace_us, self.start_at, self.stagger_us) < 0:
-            raise ValueError("times must be non-negative")
+            raise ConfigError("times must be non-negative")
         self.shape.validate()
 
 
@@ -302,7 +303,7 @@ class ClientPool:
         spotlight: tuple[str, int, int] | None = None,
     ) -> None:
         if not services:
-            raise ValueError("need at least one service name")
+            raise ConfigError("need at least one service name")
         self.system = system
         self.config = config or ClosedLoopConfig()
         self.config.validate()
@@ -329,7 +330,7 @@ class ClientPool:
         self.unanswered = 0
         self.finished_clients = 0
         if not self.machines:
-            raise ValueError("need at least one client machine")
+            raise ConfigError("need at least one client machine")
         meters = [
             _Meters(shard.metrics, self.config.metric, self.domains, spotlight)
             for shard in system.shards

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from heapq import heappush
 
 import pytest
 
@@ -56,20 +57,30 @@ def spawn_and_drain(system: System, program, machine: int = 0, name: str = ""):
 
 
 def count_calls(run) -> int:
-    """Function calls the interpreter enters while ``run()`` executes.
+    """Function calls the interpreter enters while ``run()`` executes."""
+    return count_work(run)[0]
+
+
+def count_work(run) -> tuple[int, int]:
+    """Function calls the interpreter enters, and of those the
+    ``heappush`` calls (heap entries filed), while ``run()`` executes.
 
     ``sys.setprofile`` sees every Python frame and every C builtin, so
-    the count is a work ratio that reads the same on any host — the
-    per-layer call budgets gate on it.  The cyclic collector is off
+    both counts are work ratios that read the same on any host — the
+    per-layer budgets gate on them.  The cyclic collector is off
     meanwhile: collecting an earlier test's abandoned generator runs
     its frame, which would be counted here.
     """
-    calls = 0
+    calls = pushes = 0
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" or event == "c_call":
+        nonlocal calls, pushes
+        if event == "call":
             calls += 1
+        elif event == "c_call":
+            calls += 1
+            if arg is heappush:
+                pushes += 1
 
     gc.collect()
     was_enabled = gc.isenabled()
@@ -81,4 +92,4 @@ def count_calls(run) -> int:
         sys.setprofile(None)
         if was_enabled:
             gc.enable()
-    return calls
+    return calls, pushes

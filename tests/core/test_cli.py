@@ -74,6 +74,14 @@ class TestCli:
          "backbone_latency must be >= latency"),
         (["migrate", "--dest", "9"],
          "--dest 9 is not one of the 4 machines (0..3)"),
+        (["report", "--clients", "0"], "need at least one client, got 0"),
+        (["report", "--requests", "-1"],
+         "requests_per_client must be positive"),
+        (["slo", "--clients", "0"], "need at least one client, got 0"),
+        (["fuzz", "--budget", "0"], "budget must be >= 1, got 0"),
+        (["fuzz", "--runs", "-2", "--json"], "runs must be >= 1, got -2"),
+        (["fuzz", "--replay", "unread.json", "--budget", "0"],
+         "budget must be >= 1, got 0"),
     ])
     def test_bad_input_gets_one_line_not_a_traceback(
         self, capsys, argv, complaint,

@@ -22,7 +22,7 @@ from repro.core.system import System
 from repro.kernel.ids import ProcessAddress
 from repro.servers.common import rpc
 from repro.sim.shard import ShardedSystem
-from tests.conftest import count_calls
+from tests.conftest import count_work
 
 QUIET_RTO = 1_000_000
 CONFIG = SystemConfig(
@@ -38,6 +38,10 @@ BUDGET = {LOCAL: 194, REMOTE: 226}
 #: what one round trip is made of, on both engines
 SYSCALLS_PER_ROUND_TRIP = 7
 EVENTS_PER_ROUND_TRIP = {LOCAL: 7, REMOTE: 13}
+#: heap entries filed per round trip, on both engines: one per event
+#: (a hop is one entry) plus, remote, the two retransmission timers an
+#: ack settles before they fire
+HEAP_PUSHES_PER_ROUND_TRIP = {LOCAL: 7, REMOTE: 15}
 
 
 def replier(ctx):
@@ -49,7 +53,8 @@ def replier(ctx):
 
 
 def work_for(cluster_class, caller_machine, rounds):
-    """Calls, syscalls and events of *rounds* round trips, run dry."""
+    """Calls, syscalls, events and heap pushes of *rounds* round trips,
+    run dry."""
     if cluster_class is System:
         system = System(CONFIG)
     else:
@@ -65,12 +70,14 @@ def work_for(cluster_class, caller_machine, rounds):
         caller, name="caller",
         extra_links={"peer": ProcessAddress(server, 0)},
     )
-    calls = count_calls(system.run)
+    calls, pushes = count_work(system.run)
     stats = [kernel.stats for kernel in system.kernels]
     assert sum(s.processes_exited for s in stats) == 1
     assert sum(n.stats.retransmissions for n in _networks(system)) == 0
     assert system.quiescent()
-    return calls, sum(s.syscalls for s in stats), system.events_fired()
+    return (
+        calls, sum(s.syscalls for s in stats), system.events_fired(), pushes
+    )
 
 
 def _networks(system):
@@ -95,9 +102,12 @@ class TestIpcBudget:
     def test_a_round_trip_stays_within_its_call_budget(
         self, caller_machine
     ):
-        calls, syscalls, events = per_round_trip(System, caller_machine)
+        calls, syscalls, events, pushes = per_round_trip(
+            System, caller_machine
+        )
         assert syscalls == SYSCALLS_PER_ROUND_TRIP
         assert events == EVENTS_PER_ROUND_TRIP[caller_machine]
+        assert pushes == HEAP_PUSHES_PER_ROUND_TRIP[caller_machine]
         assert calls <= BUDGET[caller_machine], calls
 
     def test_one_shard_costs_what_the_single_loop_does(

@@ -6,7 +6,7 @@ runs inside one ``run()`` and is the whole paper Figure 3-1 protocol —
 the nine control messages, the three data moves and, on the wire, one
 data packet and one ack per message.  ``sys.setprofile`` counts every
 function entered while the moves run dry (``tests.conftest.
-count_calls``); the difference between two move counts is the cost of
+count_work``); the difference between two move counts is the cost of
 one move, start-up and the last stop cancelling out.  The kernel's
 migration twin of ``tests/kernel/test_ipc_budget.py``.
 """
@@ -19,7 +19,7 @@ import pytest
 from repro.core.system import System
 from repro.kernel.memory import MemoryImage
 from repro.sim.shard import ShardedSystem
-from tests.conftest import count_calls
+from tests.conftest import count_work
 from tests.kernel.test_ipc_budget import CONFIG
 
 KB = 1 << 10
@@ -31,6 +31,10 @@ ADMIN_MESSAGES_PER_MOVE = 9
 #: a data packet and an ack per message: nine control messages plus
 #: three data chunks (1 KB) or ten (8 KB: the program is eight)
 EVENTS_PER_MOVE = {KB: 24, 8 * KB: 38}
+#: heap entries filed per move, on both engines: one per event (a hop
+#: is one entry) plus nine retransmission timers that an ack settles
+#: before they fire
+HEAP_PUSHES_PER_MOVE = {KB: 33, 8 * KB: 47}
 
 
 def parked(ctx):
@@ -39,8 +43,9 @@ def parked(ctx):
 
 
 def work_for(cluster_class, size, moves):
-    """Calls and events of *moves* back-to-back migrations of a
-    *size*-byte subject, run dry; checks the records on the way."""
+    """Calls, events and heap pushes of *moves* back-to-back
+    migrations of a *size*-byte subject, run dry; checks the records on
+    the way."""
     if cluster_class is System:
         system = System(CONFIG)
     else:
@@ -61,7 +66,7 @@ def work_for(cluster_class, size, moves):
             system.migrate(pid, 1 - record.dest, on_done=bounce)
 
     system.migrate(pid, 1, on_done=bounce)
-    calls = count_calls(system.run)
+    calls, pushes = count_work(system.run)
     assert len(records) == moves
     assert all(
         r.admin_message_count == ADMIN_MESSAGES_PER_MOVE for r in records
@@ -69,7 +74,7 @@ def work_for(cluster_class, size, moves):
     networks = [shard.network for shard in system.shards]
     assert sum(n.stats.retransmissions for n in networks) == 0
     assert system.quiescent()
-    return calls, system.events_fired()
+    return calls, system.events_fired(), pushes
 
 
 def per_move(cluster_class, size, few=10, many=30):
@@ -85,8 +90,9 @@ def per_move(cluster_class, size, few=10, many=30):
 @pytest.mark.parametrize("size", [KB, 8 * KB], ids=["1k", "8k"])
 class TestMigrationBudget:
     def test_a_move_stays_within_its_call_budget(self, size):
-        calls, events = per_move(System, size)
+        calls, events, pushes = per_move(System, size)
         assert events == EVENTS_PER_MOVE[size]
+        assert pushes == HEAP_PUSHES_PER_MOVE[size]
         assert calls <= BUDGET[size], calls
 
     def test_one_shard_costs_what_the_single_loop_does(self, size):

@@ -3,15 +3,24 @@
 import random
 
 from repro.net.channel import Channel, FaultPlan
+from repro.net.network import Network
 from repro.net.packet import PACKET_HEADER_BYTES, Packet, PacketKind
-from repro.net.topology import Wire
-from repro.sim.loop import EventLoop, KeyedEventLoop
+from repro.net.topology import Topology, Wire
+from repro.sim.loop import EventLoop
 
 
 def make_packet(size=100, seq=0):
     return Packet(
         src=0, dst=1, kind=PacketKind.DATA, seq=seq,
         payload="x", payload_bytes=size,
+    )
+
+
+def landing(loop, deliver):
+    """The loop's lander for wire 0 -> 1, handing each packet that
+    arrives to *deliver*."""
+    return loop.hop_lander(
+        0, 1, lambda src, dst, wire_seq, packet, gen: deliver(packet)
     )
 
 
@@ -29,7 +38,7 @@ class TestPerfectChannel:
         loop = EventLoop()
         seen = []
         wire = Wire(0, 1, latency=100, bandwidth=1_000)
-        channel = Channel(loop, wire, deliver=seen.append)
+        channel = Channel(loop, wire, landing(loop, seen.append))
         packet = make_packet(size=1_000 - PACKET_HEADER_BYTES)
         channel.transmit(packet)
         loop.run()
@@ -37,28 +46,15 @@ class TestPerfectChannel:
         assert loop.now == 100 + 1_000  # latency + serialization
 
     def test_in_flight_counter(self):
+        # The network counts the copies on its wires: one packet over
+        # one wire is one hop in flight until it lands.
         loop = EventLoop()
-        wire = Wire(0, 1, latency=10, bandwidth=1_000)
-        channel = Channel(loop, wire, deliver=lambda p: None)
-        channel.transmit(make_packet())
-        assert channel.in_flight == 1
+        network = Network(loop, Topology.line(2, latency=10))
+        network.register_receiver(1, lambda src, payload: None)
+        network._channel(0, 1).transmit(make_packet())
+        assert network.in_flight() == 1
         loop.run()
-        assert channel.in_flight == 0
-
-    def test_arrivals_on_a_keyed_loop_take_the_local_key(self):
-        # With no network lander, an arrival is filed where call_after
-        # would file it: a local event, keyed by the loop's counter.
-        loop = KeyedEventLoop(100)
-        loop.clock.advance_to(250)
-        seen = []
-        channel = Channel(loop, Wire(0, 1, 10, 1_000), deliver=seen.append)
-        packet = make_packet()
-        channel.transmit(packet)
-        later = loop.call_after(0, lambda: None)
-        (arrival,) = [e for e in loop._queue._heap if e is not later]
-        assert arrival[1] == later[1] - 1
-        loop.run()
-        assert seen == [packet]
+        assert network.in_flight() == 0
 
     def test_fault_plan_is_perfect_by_default(self):
         assert FaultPlan().is_perfect
@@ -70,7 +66,7 @@ class TestFaultInjection:
         loop = EventLoop()
         seen, dropped = [], []
         channel = Channel(
-            loop, Wire(0, 1, 10, 1_000), deliver=seen.append,
+            loop, Wire(0, 1, 10, 1_000), landing(loop, seen.append),
             faults=FaultPlan(drop_probability=1.0),
             make_rng=lambda: random.Random(0), on_drop=dropped.append,
         )
@@ -83,7 +79,7 @@ class TestFaultInjection:
         loop = EventLoop()
         seen = []
         channel = Channel(
-            loop, Wire(0, 1, 10, 1_000), deliver=seen.append,
+            loop, Wire(0, 1, 10, 1_000), landing(loop, seen.append),
             faults=FaultPlan(duplicate_probability=1.0),
             make_rng=lambda: random.Random(0),
         )
@@ -95,7 +91,8 @@ class TestFaultInjection:
         loop = EventLoop()
         seen = []
         channel = Channel(
-            loop, Wire(0, 1, 10, 1_000_000), deliver=lambda p: seen.append(loop.now),
+            loop, Wire(0, 1, 10, 1_000_000),
+            landing(loop, lambda p: seen.append(loop.now)),
             faults=FaultPlan(max_jitter=500),
             make_rng=lambda: random.Random(1),
         )
@@ -108,7 +105,7 @@ class TestFaultInjection:
         loop = EventLoop()
         seen = []
         channel = Channel(
-            loop, Wire(0, 1, 1, 1_000_000), deliver=seen.append,
+            loop, Wire(0, 1, 1, 1_000_000), landing(loop, seen.append),
             faults=FaultPlan(drop_probability=0.5),
             make_rng=lambda: random.Random(7),
         )

@@ -13,14 +13,14 @@ import sys
 
 import pytest
 
-from repro.net.network import Network, ShardNetwork
+from repro.net.network import Network
 from repro.net.topology import Topology
 from repro.sim.loop import EventLoop, KeyedEventLoop
 from tests.conftest import count_calls
 
 MACHINES = 9
 QUIET_RTO = 1_000_000
-#: exact ceiling, calls per hop on both networks (54 calls per 8 hops):
+#: exact count, calls per hop on both loops (54 calls per 8 hops):
 #: six a hop — forward, transmit, land, heappush, heappop, arrive (the
 #: forwarding-table and transport probes are subscripts, not calls; the
 #: landing frame pushes its heap entry itself) — plus each hop's share
@@ -34,14 +34,10 @@ def classic_network():
     return loop, Network(loop, topology, rto=QUIET_RTO)
 
 
-def shard_network():
+def keyed_network():
     loop = KeyedEventLoop(1_000)
     topology = Topology.line(MACHINES, bandwidth=100_000)
-    network = ShardNetwork(
-        loop, topology, shard_index=0, shard_of=lambda machine: 0,
-        machines=list(range(MACHINES)), rto=QUIET_RTO,
-    )
-    return loop, network
+    return loop, Network(loop, topology, rto=QUIET_RTO)
 
 
 def calls_for(build, packets):
@@ -77,9 +73,8 @@ def calls_and_hops(build, few=100, many=300):
 class TestHopBudget:
     def test_a_hop_costs_at_most_sixteen_calls_on_both_networks(self):
         classic, hops = calls_and_hops(classic_network)
-        sharded, _ = calls_and_hops(shard_network)
-        assert classic <= CALLS_PER_HOP * hops, classic / hops
-        assert sharded <= CALLS_PER_HOP * hops, sharded / hops
-        # A shard-internal hop mints no record: the keyed loop files it
-        # under a key built from its fields, at the classic hop's cost.
-        assert sharded <= classic, (classic, sharded, hops)
+        keyed, _ = calls_and_hops(keyed_network)
+        # One network, one landing path: the two loops differ only in
+        # the key their hop_lander builds, which costs no call.
+        assert classic == CALLS_PER_HOP * hops, classic / hops
+        assert keyed == classic, (classic, keyed, hops)

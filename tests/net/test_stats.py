@@ -60,7 +60,10 @@ class TestWireOccupancy:
         loop = EventLoop()
         arrivals = []
         wire = Wire(0, 1, latency=100, bandwidth=1_000)  # 1B/us
-        channel = Channel(loop, wire, deliver=lambda p: arrivals.append(loop.now))
+        channel = Channel(
+            loop, wire,
+            loop.hop_lander(0, 1, lambda *hop: arrivals.append(loop.now)),
+        )
         size = 1_000 - PACKET_HEADER_BYTES  # 1ms serialization each
         for seq in range(3):
             channel.transmit(make_packet(size, seq=seq))
@@ -71,7 +74,10 @@ class TestWireOccupancy:
         loop = EventLoop()
         arrivals = []
         wire = Wire(0, 1, latency=100, bandwidth=1_000)
-        channel = Channel(loop, wire, deliver=lambda p: arrivals.append(loop.now))
+        channel = Channel(
+            loop, wire,
+            loop.hop_lander(0, 1, lambda *hop: arrivals.append(loop.now)),
+        )
         size = 1_000 - PACKET_HEADER_BYTES
         channel.transmit(make_packet(size, seq=0))
         loop.run()

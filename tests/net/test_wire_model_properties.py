@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.net.channel import Channel, FaultPlan
-from repro.net.network import Network, ShardNetwork
+from repro.net.network import Network
 from repro.net.packet import PACKET_HEADER_BYTES, Packet, PacketKind
 from repro.net.topology import Topology, Wire
 from repro.sim.loop import EventLoop, KeyedEventLoop
@@ -63,7 +63,12 @@ def run_channel(wire, gaps_and_bytes, faults, rng=None):
     arrivals = []
     channel = Channel(
         loop, wire,
-        deliver=lambda packet: arrivals.append((loop.now, packet.seq)),
+        loop.hop_lander(
+            wire.src, wire.dst,
+            lambda src, dst, wire_seq, packet, gen: arrivals.append(
+                (loop.now, packet.seq)
+            ),
+        ),
         faults=faults,
         make_rng=None if rng is None else (lambda: rng),
     )
@@ -74,7 +79,7 @@ def run_channel(wire, gaps_and_bytes, faults, rng=None):
         loop.call_at(now, channel.transmit, packet)
         timed_sizes.append((now, payload_bytes + PACKET_HEADER_BYTES))
     loop.run()
-    assert channel.in_flight == 0
+    assert loop.pending_events == 0
     return arrivals, channel._busy_until, timed_sizes
 
 
@@ -126,12 +131,7 @@ def classic_line():
 
 def sharded_line():
     loop = KeyedEventLoop(100)
-    network = ShardNetwork(
-        loop, Topology.line(LINE), shard_index=0,
-        shard_of=lambda machine: 0, machines=list(range(LINE)),
-        rto=1_000_000,
-    )
-    return loop, network
+    return loop, Network(loop, Topology.line(LINE), rto=1_000_000)
 
 
 class TestRedirectMidPath:

@@ -17,7 +17,6 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.system import System
 from repro.errors import ClockError, ConfigError, SimulationError
-from repro.net.topology import Topology
 from repro.policy.load_balancer import DomainLoadBalancer
 from repro.sim.barrier import (
     CapturedPayload,
@@ -30,7 +29,7 @@ from repro.sim.barrier import (
     rendezvous_schedule,
     unpack_record,
 )
-from repro.sim.loop import EventLoop, KeyedEventLoop
+from repro.sim.loop import KeyedEventLoop
 from repro.sim.shard import ShardedSystem, ShardPlan
 from repro.workloads.compute import compute_bound
 from repro.workloads.pingpong import echo_server, pinger
@@ -272,15 +271,6 @@ class TestConfigValidation:
                 backbone_latency=500,
             ).validate()
 
-    def test_elision_needs_a_keyed_loop(self):
-        from repro.net.network import ShardNetwork
-
-        with pytest.raises(SimulationError, match="KeyedEventLoop"):
-            ShardNetwork(
-                EventLoop(), Topology.line(2, latency=100),
-                shard_index=0, shard_of=lambda m: 0, machines=[0, 1],
-            )
-
 
 # ---------------------------------------------------------------------------
 # Satellite: WorkerBarrier error paths
@@ -497,14 +487,14 @@ class TestElisionParity:
         and a frame's size does not depend on the order of its blobs.
         Reversing every outbox changes no counter under the serial
         runner and no shipped byte under the fork executor."""
-        from repro.net.network import ShardNetwork
+        from repro.net.network import Network
 
         natural = {
             executor: _run(2, 4_000, executor=executor)
             for executor in ("serial", "fork")
         }
-        take_outbox = ShardNetwork.take_outbox
-        take_outboxes = ShardNetwork.take_outboxes
+        take_outbox = Network.take_outbox
+        take_outboxes = Network.take_outboxes
         longest = [0]
 
         def reversed_outbox(self, dest):
@@ -518,8 +508,8 @@ class TestElisionParity:
                 for dest, records in take_outboxes(self).items()
             }
 
-        monkeypatch.setattr(ShardNetwork, "take_outbox", reversed_outbox)
-        monkeypatch.setattr(ShardNetwork, "take_outboxes", reversed_outboxes)
+        monkeypatch.setattr(Network, "take_outbox", reversed_outbox)
+        monkeypatch.setattr(Network, "take_outboxes", reversed_outboxes)
         for executor in ("serial", "fork"):
             counters, sync = _run(2, 4_000, executor=executor)
             assert (counters, sync) == natural[executor], executor

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.errors import ClockError, ConfigError, SimulationError
-from repro.net.network import ShardNetwork
 from repro.net.topology import Topology
 from repro.sim.loop import EventLoop, KeyedEventLoop, MACHINE_ID_BITS
 from repro.sim.shard import ShardPlan
@@ -231,11 +230,6 @@ class TestKeyedEventLoop:
         topology.connect(0, too_big)
         with pytest.raises(ConfigError, match="hop-key field"):
             ShardPlan.build(SystemConfig(machines=2), topology)
-        with pytest.raises(ConfigError, match="hop-key field"):
-            ShardNetwork(
-                KeyedEventLoop(100), topology, shard_index=0,
-                shard_of=lambda machine: 0, machines=[0, too_big],
-            )
         fits = Topology()
         fits.connect(0, too_big - 1)
         ShardPlan.build(SystemConfig(machines=2), fits)

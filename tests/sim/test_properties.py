@@ -3,9 +3,10 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.network import ShardNetwork
+from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Topology
+from repro.sim.barrier import HopRecord
 from repro.sim.events import EventQueue
 from repro.sim.loop import EventLoop, KeyedEventLoop, MACHINE_ID_BITS
 from repro.sim.rng import RandomStreams
@@ -77,7 +78,8 @@ def packed_key(rank):
         loop._queue._next_seq = n
         return loop.call_soon(_noop)[1]
     g, _, src, dst, wire_seq = rank
-    return loop.schedule_hop(g * GRID, g, src, dst, wire_seq, _noop)[1]
+    record = HopRecord(g * GRID, src, dst, wire_seq, None, g)
+    return loop.schedule_record(record, _noop)[1]
 
 
 def ranks(window):
@@ -124,12 +126,10 @@ class TestPackedKeyProperties:
 
 
     def test_a_shard_internal_hop_lands_under_its_hop_key(self):
-        # ShardNetwork lands through hop_lander: schedule_hop's key.
+        # A hop born on this loop (hop_lander) and the same hop
+        # arriving as a record (schedule_record) get one key.
         loop = KeyedEventLoop(GRID)
-        network = ShardNetwork(
-            loop, Topology.line(3), shard_index=0,
-            shard_of=lambda machine: 0, machines=[0, 1, 2],
-        )
+        network = Network(loop, Topology.line(3))
         loop.clock.advance_to(2 * GRID + 17)
         for src, dst in ((0, 1), (2, 1), (0, 1)):
             network._channel(src, dst).transmit(
@@ -140,8 +140,8 @@ class TestPackedKeyProperties:
         assert sorted(landed) == [(0, 1, 1), (0, 1, 2), (2, 1, 1)]
         reference = KeyedEventLoop(GRID)
         for (src, dst, wire_seq), key in landed.items():
-            hop = reference.schedule_hop(0, 2, src, dst, wire_seq, _noop)
-            assert key == hop[1]
+            record = HopRecord(2 * GRID, src, dst, wire_seq, None, 2)
+            assert key == reference.schedule_record(record, _noop)[1]
 
 
 class TestLoopProperties:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.servers.common import lookup_service, rpc
 from repro.workloads.closed_loop import (
     REQUEST_LATENCY_METRIC,
@@ -112,16 +113,16 @@ class TestClientPool:
         ) is None
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ClosedLoopConfig(clients=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ClosedLoopConfig(requests_per_client=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ClosedLoopConfig(mean_think_us=-1).validate()
 
     def test_empty_service_list_rejected(self):
         system = make_system(machines=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ClientPool(system, services=())
 
 

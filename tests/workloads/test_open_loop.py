@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.obs.metrics import merge_histogram_snapshots
 from repro.workloads.closed_loop import (
     REQUEST_LATENCY_METRIC,
@@ -200,20 +201,20 @@ class TestDeadlineVerdicts:
 
 class TestLoadShape:
     def test_validation_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LoadShape(kind="tidal").validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LoadShape(kind="burst", burst_start=10, burst_end=10).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LoadShape(kind="burst", burst_start=0, burst_end=10,
                       burst_factor=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LoadShape(kind="diurnal", ramp_factor=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LoadShape(kind="hot_key").validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LoadShape(hot_share=1.5).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LoadShape(hot_services=0).validate()
 
     def test_burst_factor_applies_only_inside_window(self):
@@ -242,15 +243,15 @@ class TestLoadShape:
         assert LoadShape().service_weights(4) == [0.25] * 4
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             OpenLoopConfig(clients=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             OpenLoopConfig(mean_interarrival_us=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             OpenLoopConfig(duration=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             OpenLoopConfig(deadline_us=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             OpenLoopConfig(drain_grace_us=-1).validate()
 
 
