@@ -112,6 +112,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     headline: tuple[str, ...] = ()
     extra = {}
+    if args.backbone_latency is not None and args.shards <= 1:
+        raise ConfigError("--backbone-latency needs --shards N > 1")
     if args.shards > 1:
         cluster = ShardedSystem(SystemConfig(
             machines=args.machines, topology="torus", shards=args.shards,

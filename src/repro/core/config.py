@@ -122,13 +122,20 @@ class SystemConfig:
             raise ConfigError("quantum and syscall cost must be positive")
         if self.max_data_packet <= 0:
             raise ConfigError("max_data_packet must be positive")
+        machines = f"the {self.machines} machines (0..{self.machines - 1})"
         if not 0 <= self.control_machine < self.machines:
-            raise ConfigError("control_machine out of range")
+            raise ConfigError(
+                f"control_machine {self.control_machine} is not one of "
+                f"{machines}"
+            )
         if (
             self.boot_servers
             and not 0 <= self.file_system_machine < self.machines
         ):
-            raise ConfigError("file_system_machine out of range")
+            raise ConfigError(
+                f"file_system_machine {self.file_system_machine} is not one "
+                f"of {machines}"
+            )
         if (
             self.undeliverable_policy is UndeliverablePolicy.RETURN_TO_SENDER
             and self.leave_forwarding_address

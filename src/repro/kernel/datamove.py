@@ -71,7 +71,6 @@ class TransferManager:
         )
         kernel.register_process_control(OP_TRANSFER_DONE, self._on_done)
         kernel.register_process_control(OP_DMA_ERROR, self._on_error)
-        kernel.undeliverable_hooks.append(self._on_undeliverable)
 
     # ------------------------------------------------------------------
     # Holder side: the MoveData syscall
@@ -335,10 +334,12 @@ class TransferManager:
         )
 
     # ------------------------------------------------------------------
-    # Undeliverable hook: fail the holder instead of hanging it
+    # Undeliverable data moves: fail the holder instead of hanging it
     # ------------------------------------------------------------------
 
-    def _on_undeliverable(self, message: Message) -> bool:
+    def claim_undeliverable(self, message: Message) -> bool:
+        """Answer a data move to a missing owner with an error to its
+        holder; True claims the message from the §4 undeliverable rule."""
         if message.op not in (OP_DMA_READ_REQ, OP_DMA_WRITE_CHUNK):
             return False
         payload = message.payload or {}

@@ -11,7 +11,8 @@ The parts that matter for the paper:
   goes to its destination's last-known machine; the kernel there delivers
   it to the process, executes it (DELIVERTOKERNEL), redirects it through a
   forwarding address, or applies the undeliverable policy;
-- **forwarding addresses** (§4) and the piggy-backed **link updates** (§5);
+- **forwarding addresses** (§4) and the piggy-backed **link updates** (§5),
+  whose rules live in the modules named after them;
 - **the syscall engine**: programs are generators; the kernel resumes them
   on a round-robin CPU, so the process state object really does hold the
   complete execution state — which is what makes migration "copy one
@@ -20,8 +21,7 @@ The parts that matter for the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from enum import Enum
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
@@ -32,33 +32,28 @@ from repro.errors import (
     UnknownProcessError,
 )
 from repro.kernel.context import ProcessContext
-from repro.kernel.forwarding import ForwardingTable
+from repro.kernel.forwarding import (
+    Forwarder,
+    ForwardingTable,
+    UndeliverablePolicy,
+)
 from repro.kernel.ids import (
     KernelAddresses,
     ProcessAddress,
     ProcessId,
     kernel_address,
 )
-from repro.kernel.links import Link, LinkSnapshot
-from repro.kernel.linkupdate import (
-    LinkUpdate,
-    OP_LINK_UPDATE,
-    build_link_update,
-    sender_machine_of,
-)
+from repro.kernel.links import Link, LinkAttribute, LinkSnapshot
 from repro.kernel.memory import MemoryImage, MemoryManager
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.ops import (
     CONTROL_PAYLOAD_BYTES,
     OP_FORWARD_GC,
     OP_MIGRATE_PROCESS,
-    OP_NACK,
     OP_SPAWN,
     OP_SPAWN_REPLY,
     OP_START_PROCESS,
     OP_STOP_PROCESS,
-    OP_UNDELIVERABLE,
-    OP_WHERE_IS_REPLY,
 )
 from repro.kernel.process_state import ProcessState, ProcessStatus
 from repro.kernel.scheduler import RoundRobinScheduler
@@ -97,21 +92,10 @@ ProgramFactory = Callable[[ProcessContext], Any]
 _READY = ProcessStatus.READY
 _RUNNING = ProcessStatus.RUNNING
 _WAITING_MESSAGE = ProcessStatus.WAITING_MESSAGE
+_SLEEPING = ProcessStatus.SLEEPING
 _IN_MIGRATION = ProcessStatus.IN_MIGRATION
 _USER = MessageKind.USER
 _CONTROL = MessageKind.CONTROL
-
-
-class UndeliverablePolicy(Enum):
-    """What to do with a message whose destination is not here.
-
-    FORWARD is the paper's design: leave a forwarding address behind.
-    RETURN_TO_SENDER is the §4 alternative the paper rejects; it is
-    implemented as an ablation (experiment E7).
-    """
-
-    FORWARD = "forward"
-    RETURN_TO_SENDER = "return-to-sender"
 
 
 @dataclass
@@ -152,11 +136,6 @@ class KernelStats:
     processes_spawned: int = 0
     processes_exited: int = 0
     syscalls: int = 0
-    extra_by_op: dict[str, int] = dataclass_field(default_factory=dict)
-
-    def bump(self, op: str) -> None:
-        """Increment an ad-hoc named counter."""
-        self.extra_by_op[op] = self.extra_by_op.get(op, 0) + 1
 
     def publish(self, registry: "MetricsRegistry", machine: MachineId) -> None:
         """Mirror every counter into a metrics registry (as a collector),
@@ -171,10 +150,6 @@ class KernelStats:
             registry.counter(f"kernel.{name}", machine=machine).set_total(
                 getattr(self, name)
             )
-        for op, count in self.extra_by_op.items():
-            registry.counter(
-                "kernel.extra", machine=machine, op=op
-            ).set_total(count)
 
 
 class Kernel:
@@ -230,13 +205,6 @@ class Kernel:
         #: the scheduler's queued-pid table, read (never written) so a
         #: dispatch with nothing queued returns before pick_next
         self._run_queue = self.scheduler._queued
-        #: hop-count distribution of messages this kernel forwarded
-        #: (paper §4: chains are the cost of lazy link updating)
-        self._forward_hops = self.metrics.histogram(
-            "kernel.forward_hops",
-            buckets=(1, 2, 4, 8, 16, 32, 64),
-            machine=machine,
-        )
 
         self._local_id_counter = 0
         self._cpu_busy = False
@@ -250,8 +218,6 @@ class Kernel:
         #: a _flush_wakeups scheduler grant is already queued this tick;
         #: a burst of N message wakeups costs one dispatch probe, not N
         self._wakeup_flush_scheduled = False
-        #: return-to-sender mode: messages parked while we locate their target
-        self._awaiting_location: dict[ProcessId, list[Message]] = {}
         #: op -> handler for kernel-addressed control messages
         self._control_handlers: dict[str, Callable[[Message], None]] = {}
         #: op -> handler for DELIVERTOKERNEL messages targeted at a process
@@ -260,15 +226,9 @@ class Kernel:
         ] = {}
         #: program registry: name -> factory, for remote spawn requests
         self.program_registry: dict[str, ProgramFactory] = {}
-        #: listeners notified when a process exits: fn(pid, exit_code)
-        self.exit_listeners: list[Callable[[ProcessId, int], None]] = []
-        #: hooks consulted before normal undeliverable handling; a hook
-        #: returning True claims the message (used by the move-data engine
-        #: to fail a blocked holder instead of hanging it)
-        self.undeliverable_hooks: list[Callable[[Message], bool]] = []
 
-        #: exact-type syscall dispatch; insertion order mirrors the old
-        #: isinstance ladder so the subclass fallback scan behaves the same
+        #: exact-type syscall dispatch; a class missing here (a non-Syscall
+        #: or a bare Syscall) falls to _handle_syscall, which raises
         self._syscall_table: dict[
             type, Callable[[ProcessState, Any], None]
         ] = {
@@ -286,12 +246,21 @@ class Kernel:
             Yield: self._sys_yield,
         }
 
-        self._register_base_handlers()
+        self.register_control(OP_SPAWN, self._on_spawn_request)
+        self.register_process_control(OP_STOP_PROCESS, self._on_stop)
+        self.register_process_control(OP_START_PROCESS, self._on_start)
+        self.register_process_control(
+            OP_MIGRATE_PROCESS, self._on_migrate_directive
+        )
 
         # Components (each registers its own control handlers).
         from repro.kernel.datamove import TransferManager
         from repro.kernel.migration import MigrationEngine
 
+        #: the §4 rules, each bound once for the delivery path
+        self.forwarder = Forwarder(self)
+        self._forward = self.forwarder.forward
+        self._undeliverable = self.forwarder.undeliverable
         self.transfers: "TransferManager" = TransferManager(self)
         self.migration: "MigrationEngine" = MigrationEngine(self)
 
@@ -400,8 +369,6 @@ class Kernel:
                 previous, OP_FORWARD_GC, {"pid": pid},
                 CONTROL_PAYLOAD_BYTES[OP_FORWARD_GC], category="gc",
             )
-        for listener in self.exit_listeners:
-            listener(pid, code)
         if self.config.notify_process_manager:
             self._notify_process_manager(
                 "process-exited", {"pid": pid, "machine": self.machine},
@@ -505,8 +472,6 @@ class Kernel:
 
     def control_link_snapshot(self, pid: ProcessId) -> LinkSnapshot:
         """A DELIVERTOKERNEL link to local process *pid*, for enclosure."""
-        from repro.kernel.links import LinkAttribute
-
         return LinkSnapshot(
             ProcessAddress(pid, self.machine),
             LinkAttribute.DELIVER_TO_KERNEL,
@@ -606,141 +571,6 @@ class Kernel:
         self._wakeup_flush_scheduled = False
         self._maybe_dispatch()
 
-    def _forward(self, message: Message, forward_to: MachineId) -> None:
-        """Redirect through a forwarding address (paper Figure 4-1), and
-        send the link-update special message (Figure 5-1)."""
-        original_sender = message.sender
-        message.redirect(forward_to)
-        self.stats.messages_forwarded += 1
-        self._forward_hops.observe(message.forward_count)
-        if self._trace_wants("forward"):
-            self.tracer.record(
-                "forward", "hit", pid=str(message.dest.pid), op=message.op,
-                serial=message.serial, to=forward_to,
-                hop=message.forward_count,
-            )
-        self.route_message(message)
-        # "As a byproduct of forwarding, an attempt may be made to fix up
-        # the link of the sending process."  Only process senders hold
-        # link tables; kernel-originated traffic has nothing to patch.
-        if (
-            self.config.send_link_updates
-            and not original_sender.pid.is_kernel
-            and message.kind is not MessageKind.LINK_UPDATE
-        ):
-            update = LinkUpdate(
-                sender_pid=original_sender.pid,
-                target_pid=message.dest.pid,
-                new_machine=forward_to,
-            )
-            update_msg = build_link_update(
-                self.address, update, self._peers[sender_machine_of(message)]
-            )
-            self.stats.link_updates_sent += 1
-            if self._trace_wants("linkupd"):
-                self.tracer.record(
-                    "linkupd", "sent", sender=str(update.sender_pid),
-                    target=str(update.target_pid), new_machine=forward_to,
-                )
-            self.route_message(update_msg)
-
-    # ------------------------------------------------------------------
-    # Undeliverable handling (FORWARD vs RETURN_TO_SENDER)
-    # ------------------------------------------------------------------
-
-    def _undeliverable(self, message: Message) -> None:
-        self.stats.undeliverable += 1
-        pid = message.dest.pid
-        self.tracer.record(
-            "kernel", "undeliverable", pid=str(pid), op=message.op,
-            dead=pid in self.dead, serial=message.serial,
-        )
-        for hook in self.undeliverable_hooks:
-            if hook(message):
-                return
-        if message.kind in (MessageKind.LINK_UPDATE, MessageKind.NACK):
-            return  # best-effort traffic is silently dropped
-        policy = self.config.undeliverable_policy
-        if (
-            policy is UndeliverablePolicy.RETURN_TO_SENDER
-            and pid not in self.dead
-        ):
-            self._nack(message)
-            return
-        # FORWARD mode, or the process is genuinely dead: tell the sending
-        # process its link is no longer usable so it can take recovery
-        # action (paper §4).
-        self._notify_sender_undeliverable(message)
-
-    def _nack(self, message: Message) -> None:
-        """Return a message to its sender's kernel as not deliverable."""
-        self.stats.nacks_sent += 1
-        nack = Message(
-            dest=self._peers[message.sender.last_known_machine],
-            sender=self.address,
-            kind=MessageKind.NACK,
-            op=OP_NACK,
-            payload=message,
-            payload_bytes=message.wire_bytes,
-            category="nack",
-        )
-        self.route_message(nack)
-
-    def _notify_sender_undeliverable(self, message: Message) -> None:
-        if message.sender.pid.is_kernel:
-            return
-        notice = Message(
-            dest=message.sender,
-            sender=self.address,
-            kind=MessageKind.NACK,
-            op=OP_UNDELIVERABLE,
-            payload={
-                "op": message.op,
-                "dest": message.dest.pid,
-                "dead": message.dest.pid in self.dead,
-            },
-            payload_bytes=8,
-            category="nack",
-        )
-        self.route_message(notice)
-
-    def _on_nack(self, nack: Message) -> None:
-        """Return-to-sender mode: find the process's new home via the
-        process manager, then re-send the original message (paper §4's
-        rejected alternative, kept as the E7 ablation)."""
-        original: Message = nack.payload
-        pid = original.dest.pid
-        parked = self._awaiting_location.setdefault(pid, [])
-        parked.append(original)
-        if len(parked) > 1:
-            return  # a location query is already outstanding
-        pm = self.well_known.get("process_manager")
-        if pm is None:
-            self._notify_sender_undeliverable(original)
-            self._awaiting_location.pop(pid, None)
-            return
-        self.send_to_process(
-            pm, "where-is", {"pid": pid, "reply_machine": self.machine},
-            payload_bytes=8, category="locate", kind=MessageKind.USER,
-        )
-
-    def _on_where_is_reply(self, message: Message) -> None:
-        payload = message.payload
-        pid: ProcessId = payload["pid"]
-        machine: MachineId | None = payload.get("machine")
-        parked = self._awaiting_location.pop(pid, [])
-        for original in parked:
-            if machine is None:
-                self._notify_sender_undeliverable(original)
-                continue
-            original.redirect(machine)
-            sender_state = self.processes.get(original.sender.pid)
-            if sender_state is not None:
-                self.stats.links_retargeted += (
-                    sender_state.link_table.retarget_all(pid, machine)
-                )
-            self.route_message(original)
-
     # ------------------------------------------------------------------
     # Kernel-addressed and DELIVERTOKERNEL dispatch
     # ------------------------------------------------------------------
@@ -756,18 +586,6 @@ class Kernel:
     ) -> None:
         """Register a handler for a DELIVERTOKERNEL op aimed at a process."""
         self._process_control_handlers[op] = handler
-
-    def _register_base_handlers(self) -> None:
-        self.register_control(OP_LINK_UPDATE, self._apply_link_update)
-        self.register_control(OP_FORWARD_GC, self._on_forward_gc)
-        self.register_control(OP_NACK, self._on_nack)
-        self.register_control(OP_WHERE_IS_REPLY, self._on_where_is_reply)
-        self.register_control(OP_SPAWN, self._on_spawn_request)
-        self.register_process_control(OP_STOP_PROCESS, self._on_stop)
-        self.register_process_control(OP_START_PROCESS, self._on_start)
-        self.register_process_control(
-            OP_MIGRATE_PROCESS, self._on_migrate_directive
-        )
 
     def _handle_kernel_message(self, message: Message) -> None:
         try:
@@ -795,31 +613,6 @@ class Kernel:
             )
             return
         handler(state, message)
-
-    def _apply_link_update(self, message: Message) -> None:
-        update: LinkUpdate = message.payload
-        state = self.processes.get(update.sender_pid)
-        if state is None:
-            self.tracer.record(
-                "linkupd", "no-process", sender=str(update.sender_pid),
-            )
-            return
-        changed = state.link_table.retarget_all(
-            update.target_pid, update.new_machine
-        )
-        self.stats.link_updates_applied += 1
-        self.stats.links_retargeted += changed
-        if self._trace_wants("linkupd"):
-            self.tracer.record(
-                "linkupd", "applied", sender=str(update.sender_pid),
-                target=str(update.target_pid),
-                new_machine=update.new_machine, changed=changed,
-            )
-
-    def _on_forward_gc(self, message: Message) -> None:
-        pid: ProcessId = message.payload["pid"]
-        if self.forwarding.collect(pid):
-            self.tracer.record("forward", "collected", pid=str(pid))
 
     def _on_spawn_request(self, message: Message) -> None:
         payload = message.payload
@@ -872,11 +665,7 @@ class Kernel:
             if state.status is ProcessStatus.RUNNING
             else state.status
         )
-        self.scheduler.remove(state.pid)
-        self._cancel_timer(state.pid)
-        if state.wake_deadline is not None:
-            state.wake_remaining = max(0, state.wake_deadline - self.loop.now)
-            state.wake_deadline = None
+        self.freeze(state)
         state.status = ProcessStatus.SUSPENDED
         self.tracer.record("kernel", "suspended", pid=str(state.pid))
 
@@ -1027,7 +816,7 @@ class Kernel:
         else:
             scheduler.release_cpu(pid)
         # Every key of the table is a Syscall class, so an exact-type
-        # hit needs neither the isinstance check nor the subclass scan.
+        # hit needs no isinstance check; a miss raises.
         handler = self._syscall_table.get(syscall.__class__)
         if handler is None:
             handler = self._handle_syscall
@@ -1057,21 +846,6 @@ class Kernel:
             raise KernelError(
                 f"program yielded {syscall!r}, which is not a Syscall"
             )
-        self._dispatch_syscall(state, syscall)
-
-    def _dispatch_syscall(self, state: ProcessState, syscall: Syscall) -> None:
-        # Exact-type table dispatch: one dict probe replaces the former
-        # isinstance ladder for every built-in syscall.  Subclasses (rare,
-        # but allowed) fall through to the isinstance scan, which walks
-        # the same table in the ladder's original order.
-        handler = self._syscall_table.get(syscall.__class__)
-        if handler is not None:
-            handler(state, syscall)
-            return
-        for klass, fallback in self._syscall_table.items():
-            if isinstance(syscall, klass):
-                fallback(state, syscall)
-                return
         raise KernelError(f"unhandled syscall {syscall!r}")
 
     # Syscall handlers.  A handler that blocks the process sets its
@@ -1206,20 +980,17 @@ class Kernel:
         state = self.processes.get(pid)
         if state is None:
             return
-        if state.status is ProcessStatus.WAITING_MESSAGE:
-            state.wake_deadline = None
-            state.pending_syscall = None
-            state.resume_value = None  # Receive timed out
-            self._make_runnable(state)
-        elif state.status is ProcessStatus.SLEEPING:
+        if state.status is _WAITING_MESSAGE or state.status is _SLEEPING:
+            # A Sleep ended, or a Receive timed out: resume with None.
             state.wake_deadline = None
             state.pending_syscall = None
             state.resume_value = None
             self._make_runnable(state)
 
-    def freeze_timers_for_migration(self, state: ProcessState) -> None:
-        """Convert an absolute wake deadline to a remaining duration that
-        travels with the process (migration step 1)."""
+    def freeze(self, state: ProcessState) -> None:
+        """Take *state* off the CPU and turn its wake deadline into the
+        remaining time (suspension, migration step 1, crash recovery)."""
+        self.scheduler.remove(state.pid)
         self._cancel_timer(state.pid)
         if state.wake_deadline is not None:
             state.wake_remaining = max(0, state.wake_deadline - self.loop.now)
@@ -1238,30 +1009,6 @@ class Kernel:
                 self._arm_timer(state.pid, state.wake_remaining)
                 state.wake_remaining = None
             self._try_satisfy_receive(state)
-
-    def restart_migrated_process(self, state: ProcessState) -> None:
-        """Migration step 8: restart the process in its recorded state."""
-        state.complete_migration()
-        self._unfreeze(state)
-
-    def restore_aborted_migration(self, state: ProcessState) -> None:
-        """Put a process back in service after a destination refusal."""
-        state.abort_migration()
-        self._unfreeze(state)
-
-    def _unfreeze(self, state: ProcessState) -> None:
-        # DELIVERTOKERNEL messages held while in transit are executed now
-        # that "normal message receiving can continue" (paper §2.2).
-        held = [m for m in state.message_queue if m.deliver_to_kernel]
-        if held:
-            remaining = [
-                m for m in state.message_queue if not m.deliver_to_kernel
-            ]
-            state.message_queue.clear()
-            state.message_queue.extend(remaining)
-        self._rearm_after_unfreeze(state)
-        for message in held:
-            self._handle_process_control(state, message)
 
     # ==================================================================
     # Introspection
@@ -1309,10 +1056,6 @@ class Kernel:
             "memory_free": self.memory.free_bytes,
             "forwarding_entries": len(self.forwarding),
         }
-
-    def find_process(self, pid: ProcessId) -> ProcessState | None:
-        """The local state for *pid*, if it lives here."""
-        return self.processes.get(pid)
 
     def _notify_process_manager(
         self,

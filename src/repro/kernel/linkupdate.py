@@ -16,10 +16,14 @@ message range) and the receiving-kernel application logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.kernel.ids import PROCESS_ID_BYTES, ProcessAddress, ProcessId
 from repro.kernel.messages import Message, MessageKind
 from repro.net.topology import MachineId
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.kernel import Kernel
 
 #: sender pid (4) + receiver pid (4) + new machine (2).
 LINK_UPDATE_PAYLOAD_BYTES = 2 * PROCESS_ID_BYTES + 2
@@ -68,3 +72,26 @@ def sender_machine_of(message: Message) -> MachineId:
     """Which machine the stale-link sender was on when it sent *message*."""
     sender: ProcessAddress = message.sender
     return sender.last_known_machine
+
+
+def apply_link_update(kernel: "Kernel", message: Message) -> None:
+    """The sender's kernel patches every link of the sending process that
+    points at the migrated one (the receiving end of Figure 5-1)."""
+    update: LinkUpdate = message.payload
+    state = kernel.processes.get(update.sender_pid)
+    if state is None:
+        kernel.tracer.record(
+            "linkupd", "no-process", sender=str(update.sender_pid),
+        )
+        return
+    changed = state.link_table.retarget_all(
+        update.target_pid, update.new_machine
+    )
+    kernel.stats.link_updates_applied += 1
+    kernel.stats.links_retargeted += changed
+    if kernel._trace_wants("linkupd"):
+        kernel.tracer.record(
+            "linkupd", "applied", sender=str(update.sender_pid),
+            target=str(update.target_pid),
+            new_machine=update.new_machine, changed=changed,
+        )

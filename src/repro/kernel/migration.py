@@ -152,8 +152,7 @@ class MigrationEngine:
 
         # -- Step 1: remove the process from execution -----------------
         state.begin_migration()
-        kernel.scheduler.remove(pid)
-        kernel.freeze_timers_for_migration(state)
+        kernel.freeze(state)
         sizes = _segment_sizes(state)
         record = MigrationCostRecord(
             pid=pid, source=kernel.machine, dest=dest,
@@ -231,7 +230,7 @@ class MigrationEngine:
         entry.record.completed_at = self.kernel.loop.now
         state = self.kernel.processes.get(pid)
         if state is not None:
-            self.kernel.restore_aborted_migration(state)
+            self.restore_aborted_migration(state)
         self._finish_source(entry, success=False)
 
     def _on_segment_request(self, message: Message) -> None:
@@ -500,7 +499,7 @@ class MigrationEngine:
         state = self.kernel.processes.get(pid)
         if state is None:  # pragma: no cover - defensive
             return
-        self.kernel.restart_migrated_process(state)
+        self.restart_migrated_process(state)
         status = state.status.value
         if self.kernel._trace_wants("migrate"):
             self.kernel.tracer.record(
@@ -517,6 +516,31 @@ class MigrationEngine:
                 {"pid": pid, "from": entry.source, "to": self.kernel.machine},
                 links=(self.kernel.control_link_snapshot(pid),),
             )
+
+    def restart_migrated_process(self, state: ProcessState) -> None:
+        """Migration step 8: restart the process in its recorded state."""
+        state.complete_migration()
+        self.unfreeze(state)
+
+    def restore_aborted_migration(self, state: ProcessState) -> None:
+        """Put a process back in service after a destination refusal."""
+        state.abort_migration()
+        self.unfreeze(state)
+
+    def unfreeze(self, state: ProcessState) -> None:
+        """Rearm a thawed process here, then execute the DELIVERTOKERNEL
+        messages held in transit, now that "normal message receiving can
+        continue" (paper §2.2)."""
+        held = [m for m in state.message_queue if m.deliver_to_kernel]
+        if held:
+            remaining = [
+                m for m in state.message_queue if not m.deliver_to_kernel
+            ]
+            state.message_queue.clear()
+            state.message_queue.extend(remaining)
+        self.kernel._rearm_after_unfreeze(state)
+        for message in held:
+            self.kernel._handle_process_control(state, message)
 
     # ==================================================================
     # Introspection

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro.errors import ConfigError
 from repro.kernel.ids import ProcessId
 from repro.net.topology import MachineId
 
@@ -75,7 +76,7 @@ class DomainRegistry:
         for existing in self.domains:
             overlap = existing.machines & domain.machines
             if overlap:
-                raise ValueError(
+                raise ConfigError(
                     f"machines {sorted(overlap)} already in domain "
                     f"{existing.name!r}"
                 )

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.errors import ConfigError
 from repro.kernel.ids import ProcessId
 from repro.obs.metrics import HistogramSnapshot
 from repro.policy.metrics import imbalance, machine_loads, migratable_processes
@@ -74,15 +75,15 @@ class SloPolicy:
 
     def validate(self) -> None:
         if self.p99_slo_us <= 0:
-            raise ValueError("p99_slo_us must be positive")
+            raise ConfigError("p99_slo_us must be positive")
         if self.sustain < 1:
-            raise ValueError("sustain must be >= 1")
+            raise ConfigError("sustain must be >= 1")
         if self.cooldown < 0:
-            raise ValueError("cooldown must be non-negative")
+            raise ConfigError("cooldown must be non-negative")
         if not 0.0 < self.clear_factor <= 1.0:
-            raise ValueError("clear_factor must be in (0, 1]")
+            raise ConfigError("clear_factor must be in (0, 1]")
         if self.min_window_count < 1:
-            raise ValueError("min_window_count must be >= 1")
+            raise ConfigError("min_window_count must be >= 1")
 
 
 class SloTrigger:
@@ -191,7 +192,7 @@ class ThresholdLoadBalancer:
         #: balancer narrows this to its own ``domain=<label>`` series
         self._slo_labels: dict[str, str] = {}
         if victim_strategy not in ("first", "hungriest", "cheapest"):
-            raise ValueError(
+            raise ConfigError(
                 f"unknown victim strategy {victim_strategy!r}"
             )
         #: how to choose which process leaves the hot machine (§3.1:

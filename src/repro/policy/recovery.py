@@ -128,7 +128,9 @@ class CrashRecoveryManager:
                     # The same state object is still referenced by the
                     # dead source's table; claim it exclusively first.
                     dead.processes.pop(pid, None)
-                    kernel.restart_migrated_process(kernel.processes[pid])
+                    kernel.migration.restart_migrated_process(
+                        kernel.processes[pid]
+                    )
                     # The dead source died before its step-7 cleanup, so
                     # the forwarding address it owed was lost with it.
                     # The executor answers for the dead machine's routing
@@ -275,15 +277,7 @@ class CrashRecoveryManager:
             # Mid-outbound-migration at the crash: restore its recorded
             # state; the (aborted) protocol record was handled above.
             state.abort_migration()
-        dead.scheduler.remove(pid)
-        dead_timer = dead._timers.pop(pid, None)
-        if dead_timer is not None:
-            dead.loop.cancel(dead_timer)
-        if state.wake_deadline is not None:
-            state.wake_remaining = max(
-                0, state.wake_deadline - self.system.now(),
-            )
-            state.wake_deadline = None
+        dead.freeze(state)
 
         alive.memory.attach(pid, state.memory)
         alive.processes[pid] = state
@@ -292,7 +286,7 @@ class CrashRecoveryManager:
         if state.context is not None:
             state.context.rebind(alive)
         state.accounting.migrations += 1  # a recovery is a forced move
-        alive._unfreeze(state)
+        alive.migration.unfreeze(state)
         alive.tracer.record(
             "recover", "recovered", pid=str(pid), to=alive.machine,
         )

@@ -82,6 +82,14 @@ class TestCli:
         (["fuzz", "--runs", "-2", "--json"], "runs must be >= 1, got -2"),
         (["fuzz", "--replay", "unread.json", "--budget", "0"],
          "budget must be >= 1, got 0"),
+        (["report", "--backbone-latency", "4000"],
+         "--backbone-latency needs --shards N > 1"),
+        (["report", "--shards", "1", "--backbone-latency", "4000"],
+         "--backbone-latency needs --shards N > 1"),
+        (["report", "--machines", "1"],
+         "file_system_machine 1 is not one of the 1 machines (0..0)"),
+        (["shell", "--machines", "1", "ps"],
+         "file_system_machine 1 is not one of the 1 machines (0..0)"),
     ])
     def test_bad_input_gets_one_line_not_a_traceback(
         self, capsys, argv, complaint,

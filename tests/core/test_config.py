@@ -47,11 +47,17 @@ class TestValidation:
             SystemConfig(max_data_packet=0).validate()
 
     def test_control_machine_bounds(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError,
+            match=r"control_machine 2 is not one of the 2 machines \(0\.\.1\)",
+        ):
             SystemConfig(machines=2, control_machine=2).validate()
 
     def test_fs_machine_bounds_only_when_booting_servers(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(
+            ConfigError,
+            match=r"file_system_machine 1 is not one of the 1 machines",
+        ):
             SystemConfig(machines=1, file_system_machine=1).validate()
         SystemConfig(
             machines=1, file_system_machine=1, boot_servers=False,

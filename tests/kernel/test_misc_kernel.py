@@ -66,13 +66,6 @@ class TestTraceFiltering:
 
 
 class TestStatsAndRepr:
-    def test_kernel_stats_bump(self):
-        system = make_bare_system()
-        kernel = system.kernel(0)
-        kernel.stats.bump("custom")
-        kernel.stats.bump("custom")
-        assert kernel.stats.extra_by_op["custom"] == 2
-
     def test_kernel_repr(self):
         system = make_bare_system()
         assert "machine=0" in repr(system.kernel(0))
@@ -92,12 +85,6 @@ class TestStatsAndRepr:
         drain(system)
         assert kernel.stats.messages_sent_local >= 1
         assert kernel.stats.messages_sent_remote >= 1
-
-    def test_find_process(self):
-        system = make_bare_system()
-        pid = system.spawn(parked, machine=0)
-        assert system.kernel(0).find_process(pid) is not None
-        assert system.kernel(1).find_process(pid) is None
 
 
 class TestDefensivePaths:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.policy.domains import (
     Domain,
     DomainRegistry,
@@ -128,7 +129,7 @@ class TestDomains:
     def test_overlapping_domains_rejected(self):
         registry = DomainRegistry()
         registry.add(Domain("a", {0, 1}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             registry.add(Domain("b", {1, 2}))
 
     def test_domain_of(self):

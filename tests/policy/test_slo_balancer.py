@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.policy.load_balancer import (
     DomainLoadBalancer,
     SloPolicy,
@@ -35,21 +36,21 @@ BOUNDED = settings(
 
 class TestSloPolicyValidation:
     def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SloPolicy(p99_slo_us=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SloPolicy(p99_slo_us=1_000, sustain=0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SloPolicy(p99_slo_us=1_000, cooldown=-1).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SloPolicy(p99_slo_us=1_000, clear_factor=0.0).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SloPolicy(p99_slo_us=1_000, clear_factor=1.1).validate()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SloPolicy(p99_slo_us=1_000, min_window_count=0).validate()
 
     def test_trigger_validates_on_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SloTrigger(SloPolicy(p99_slo_us=-5))
 
 

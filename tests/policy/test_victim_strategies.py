@@ -3,6 +3,7 @@ patterns)."""
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.kernel.memory import MemoryImage
 from repro.policy.load_balancer import ThresholdLoadBalancer
 from repro.workloads.compute import compute_bound
@@ -17,7 +18,7 @@ def parked(ctx):
 class TestVictimStrategies:
     def test_unknown_strategy_rejected(self):
         system = make_bare_system()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ThresholdLoadBalancer(system, victim_strategy="vibes")
 
     def test_cheapest_moves_the_smallest_process(self):
