@@ -126,6 +126,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         extra = {"shards": len(cluster.shards)}
     else:
         cluster = System(SystemConfig(machines=args.machines))
+    if args.machines < 4:
+        raise ConfigError(
+            f"report needs --machines >= 4 (it migrates a job to machine "
+            f"3), got {args.machines}"
+        )
     server = cluster.spawn(lambda ctx: echo_server(ctx), machine=1,
                            name="echo")
     pool = ClientPool(

@@ -40,32 +40,15 @@ from repro.chaos.invariants import (
     survivor_invariants,
 )
 from repro.chaos.runner import ScenarioOutcome, ledger_digest, run_scenario
-from repro.chaos.scenario import (
-    ActionSpec,
-    ChaosScenario,
-    CrashMachine,
-    Evacuation,
-    FlakyLinks,
-    MigrationStorm,
-    Move,
-    Partition,
-    Scenario,
-)
+from repro.chaos.scenario import ActionSpec, Scenario
 
 __all__ = [
     "SCENARIOS",
     "ActionSpec",
     "CampaignResult",
     "ChaosEngine",
-    "ChaosScenario",
-    "CrashMachine",
-    "Evacuation",
     "FaultEvent",
-    "FlakyLinks",
     "FuzzReport",
-    "MigrationStorm",
-    "Move",
-    "Partition",
     "Scenario",
     "ScenarioOutcome",
     "check_chain_collapse",

@@ -2,11 +2,12 @@
 
 The engine owns nothing clever — every decision (what fails, when,
 where the survivors go) was pinned when the scenario was built.  Its
-job is to schedule the actions on the simulation clock, drive the
-repo's failure primitives when they fire, and keep a deterministic
-ledger of what actually happened (:class:`FaultEvent`).  Identical
-scenario + identical system config ⇒ identical ledger, byte for byte —
-the property the campaign gates and the Hypothesis suite fuzzes.
+job is to schedule the record's :class:`~repro.chaos.scenario.ActionSpec`
+actions on the simulation clock, drive the repo's failure primitives
+when they fire, and keep a deterministic ledger of what actually
+happened (:class:`FaultEvent`).  Identical scenario + identical system
+config ⇒ identical ledger, byte for byte — the property the campaign
+gates and the Hypothesis suite fuzzes.
 
 The engine is written against :class:`~repro.core.cluster.Cluster`:
 every action is scheduled through ``call_at`` (anchored to a machine)
@@ -20,13 +21,13 @@ event.  Wire surgery reaches every shard's network through one
 fan-out, and each network rewrites only the wires it owns.
 
 The one thing the engine still asks the cluster is its
-``barrier_grid``, once, at build time, and hands it to the scenario's
-own validation: where there is a grid (a sharded cluster),
-:meth:`~repro.chaos.scenario.ChaosScenario.check_barrier_schedule`
-requires barrier-action times on the grid and unique — the same pure
-check the fuzzer's validator runs.  The ledger is kept in the driving
-process, so sharded scenarios must run under the serial executor (the
-same constraint as cross-shard live migration).
+``barrier_grid``, once, at build time, and hands it with the machine
+count to the record's own validation
+(:meth:`~repro.chaos.scenario.Scenario.check_schedule`): where there is
+a grid (a sharded cluster), barrier-action times must sit on it and be
+unique — the same pure check the fuzzer's validator runs.  The ledger
+is kept in the driving process, so sharded scenarios must run under the
+serial executor (the same constraint as cross-shard live migration).
 """
 
 from __future__ import annotations
@@ -34,15 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.chaos.scenario import (
-    ChaosScenario,
-    CrashMachine,
-    Evacuation,
-    FlakyLinks,
-    MigrationStorm,
-    Partition,
-)
-from repro.errors import SimulationError
+from repro.chaos.scenario import ActionSpec, Scenario
+from repro.errors import ConfigError, SimulationError
+from repro.kernel.ids import ProcessId
 from repro.net.channel import FaultPlan
 from repro.net.topology import MachineId
 from repro.policy.metrics import migratable_processes
@@ -62,11 +57,12 @@ class FaultEvent:
 
 
 class ChaosEngine:
-    """Runs one :class:`ChaosScenario` against one system.
+    """Runs one :class:`~repro.chaos.scenario.Scenario`'s actions
+    against one system, server *i* being the process ``pids[i]``.
 
     Usage::
 
-        engine = ChaosEngine(system, scenario)
+        engine = ChaosEngine(system, scenario, pids)
         engine.install()        # before (or alongside) the workload
         system.run(...)         # faults fire on the simulation clock
         engine.ledger()         # sorted FaultEvents, deterministic
@@ -75,15 +71,18 @@ class ChaosEngine:
     def __init__(
         self,
         system: "Cluster",
-        scenario: ChaosScenario,
-        recovery: CrashRecoveryManager | None = None,
+        scenario: Scenario,
+        pids: Sequence[ProcessId],
     ) -> None:
+        if len(pids) != len(scenario.servers):
+            raise ConfigError(
+                f"{len(pids)} pids for {len(scenario.servers)} servers"
+            )
+        scenario.check_schedule(len(system.kernels), system.barrier_grid)
         self.system = system
         self.scenario = scenario
-        scenario.validate(len(system.kernels), system.barrier_grid)
-        if recovery is None:
-            recovery = CrashRecoveryManager(system)
-        self.recovery = recovery
+        self.pids = pids
+        self.recovery = CrashRecoveryManager(system)
         self.events: list[FaultEvent] = []
         self.counts: dict[str, int] = {}
         self.crash_reports: list[CrashReport] = []
@@ -100,40 +99,33 @@ class ChaosEngine:
         self.installed = True
         at = self.system.call_at
         at_barrier = self.system.call_at_barrier
-        for action in self.scenario.actions:
-            if isinstance(action, CrashMachine):
+        for time, kind, detail, spec, move in self.scenario.edges(self.pids):
+            if move is not None:
+                sidx, home, dest = move
+                at(time, home, self._storm_move,
+                   time, self.pids[sidx], home, dest, detail)
+            elif kind == "drain":
+                at(time, spec.machine, self._drain, spec, detail)
+            elif kind in ("crash", "maintenance-kill"):
                 at_barrier(
-                    action.at,
-                    ("crash", action.machine, action.executor),
-                    self._crash, action,
+                    time, (kind, spec.machine, spec.executor),
+                    self._crash, time, kind, detail, spec,
                 )
-            elif isinstance(action, Partition):
-                where = action.where
-                at_barrier(
-                    action.at, ("partition", where), self._partition, action
-                )
-                at_barrier(action.heal_at, ("heal", where), self._heal, action)
-            elif isinstance(action, FlakyLinks):
-                where = action.where
-                at_barrier(
-                    action.at, ("flaky", where), self._flaky_start, action
-                )
-                at_barrier(
-                    action.until, ("flaky-end", where), self._flaky_end,
-                    action,
-                )
-            elif isinstance(action, MigrationStorm):
-                for move in action.moves:
-                    at(
-                        action.at, move.home, self._storm_move,
-                        action.at, move,
+            else:
+                # Each window's plan is built once, here; its closing
+                # edge restores the plan in force when it opened.
+                if kind == "partition":
+                    plan = FaultPlan(drop_probability=1.0)
+                elif kind == "flaky":
+                    plan = FaultPlan(
+                        drop_probability=spec.drop_permille / 1000,
+                        max_jitter=spec.jitter,
                     )
-            elif isinstance(action, Evacuation):
-                at(action.drain_at, action.machine, self._drain, action)
+                else:
+                    plan = None
                 at_barrier(
-                    action.kill_at,
-                    ("maintenance-kill", action.machine, action.executor),
-                    self._kill, action,
+                    time, (kind, detail), self._rewire,
+                    time, kind, detail, spec, plan,
                 )
 
     # ------------------------------------------------------------------
@@ -163,32 +155,37 @@ class ChaosEngine:
     # Actions
     # ------------------------------------------------------------------
 
-    def _crash(self, action: CrashMachine) -> None:
-        if action.protect:
-            self.recovery.protect_all(action.machine)
-        report = self.recovery.crash(action.machine, action.executor)
+    def _crash(
+        self, at: int, kind: str, detail: str, spec: ActionSpec
+    ) -> None:
+        """A crash or a maintenance kill: everything resident is saved
+        to stable storage first (after a clean evacuation there is
+        nothing left to save), so neither has casualties."""
+        self.recovery.protect_all(spec.machine)
+        report = self.recovery.crash(spec.machine, spec.executor)
         self.crash_reports.append(report)
-        self._record(
-            action.at, "crash",
-            f"machine {action.machine} -> executor {action.executor}"
-            + ("" if action.protect else " (unprotected)"),
-        )
+        self._record(at, kind, detail)
 
     def _rewire(
         self,
-        pairs: Sequence[tuple[MachineId, MachineId]] | None,
-        faults: FaultPlan | None = None,
+        at: int,
+        kind: str,
+        detail: str,
+        spec: ActionSpec,
+        faults: FaultPlan | None,
     ) -> None:
-        """Open a wire-surgery window — *faults* on wire *pairs* (None:
-        every wire) — or, without *faults*, close it by restoring the
-        plan in force when it opened.  The one fan-out: every shard's
-        network gets the plan and rewrites only the wires it owns.
-        Validation refuses overlapping windows, so one baseline serves.
+        """Open a wire-surgery window — *faults* on the partition's cut,
+        or on every wire for a flaky window — or, without *faults*,
+        close it by restoring the plan in force when it opened.  The
+        one fan-out: every shard's network gets the plan and rewrites
+        only the wires it owns.  Validation refuses overlapping
+        windows, so one baseline serves.
         """
         if faults is None:
             faults = self._baseline
         else:
             self._baseline = self.system.shards[0].network._default_faults
+        pairs = self._cut(spec) if spec.kind == "partition" else None
         for shard in self.system.shards:
             network = shard.network
             if pairs is None:
@@ -196,74 +193,48 @@ class ChaosEngine:
             else:
                 for a, b in pairs:
                     network.set_faults(faults, a, b)
+        self._record(at, kind, detail)
 
-    def _cut(self, action: Partition) -> list[tuple[MachineId, MachineId]]:
+    def _cut(self, spec: ActionSpec) -> list[tuple[MachineId, MachineId]]:
         """The adjacent wire pairs straddling the partition: routing
         keeps its shortest paths, so faulting exactly these wires stops
         all traffic that must cross the cut."""
-        group_b = set(action.group_b)
+        group_b = set(spec.group_b)
         return [
             (a, b)
-            for a in sorted(action.group_a)
+            for a in sorted(spec.group_a)
             for b in self.system.topology.neighbors(a)
             if b in group_b
         ]
 
-    def _partition(self, action: Partition) -> None:
-        self._rewire(self._cut(action), FaultPlan(drop_probability=1.0))
-        self._record(action.at, "partition", action.where)
-
-    def _heal(self, action: Partition) -> None:
-        self._rewire(self._cut(action))
-        self._record(action.heal_at, "heal", action.where)
-
-    def _flaky_start(self, action: FlakyLinks) -> None:
-        self._rewire(action.pairs, action.faults)
-        self._record(action.at, "flaky", action.where)
-
-    def _flaky_end(self, action: FlakyLinks) -> None:
-        self._rewire(action.pairs)
-        self._record(action.until, "flaky-end", action.where)
-
-    def _storm_move(self, at: int, move) -> None:
-        kernel = self.system.kernel(move.home)
+    def _storm_move(
+        self,
+        at: int,
+        pid: ProcessId,
+        home: MachineId,
+        dest: MachineId,
+        detail: str,
+    ) -> None:
+        kernel = self.system.kernel(home)
         started = (
-            move.pid in kernel.processes
+            pid in kernel.processes
             and not kernel.crashed
-            and kernel.migration.start(move.pid, move.dest)
+            and kernel.migration.start(pid, dest)
         )
-        detail = f"{move.pid} {move.home} -> {move.dest}"
-        if started:
-            self._record(at, "storm-move", detail)
-        else:
-            self._record(at, "storm-skip", detail)
+        self._record(at, "storm-move" if started else "storm-skip", detail)
 
-    def _drain(self, action: Evacuation) -> None:
+    def _drain(self, spec: ActionSpec, detail: str) -> None:
         """Evacuate: refuse inbound migrations, push residents out."""
-        kernel = self.system.kernel(action.machine)
+        kernel = self.system.kernel(spec.machine)
         kernel.draining = True
         moved = 0
         for index, pid in enumerate(
-            migratable_processes(self.system, action.machine)
+            migratable_processes(self.system, spec.machine)
         ):
-            dest = action.dests[index % len(action.dests)]
+            dest = spec.dests[index % len(spec.dests)]
             if kernel.migration.start(pid, dest):
                 moved += 1
         self.counts["drain-migrations"] = (
             self.counts.get("drain-migrations", 0) + moved
         )
-        self._record(
-            action.drain_at, "drain",
-            f"machine {action.machine} -> {list(action.dests)}",
-        )
-
-    def _kill(self, action: Evacuation) -> None:
-        # A clean evacuation leaves the machine empty; protect whatever
-        # straggled so the maintenance kill still has no casualties.
-        self.recovery.protect_all(action.machine)
-        report = self.recovery.crash(action.machine, action.executor)
-        self.crash_reports.append(report)
-        self._record(
-            action.kill_at, "maintenance-kill",
-            f"machine {action.machine} -> executor {action.executor}",
-        )
+        self._record(spec.at, "drain", detail)

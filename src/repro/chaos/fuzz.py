@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.chaos.runner import ScenarioOutcome, run_scenario
-from repro.chaos.scenario import ActionSpec, Scenario
+from repro.chaos.scenario import ActionSpec, Scenario, advance_homes
 from repro.errors import ConfigError
 from repro.sim.rng import RandomStreams
 
@@ -127,11 +127,10 @@ def generate_schedule(seed: int, index: int) -> Scenario:
             victims_allowed.discard(executor)
             dead.add(machine)
             if kind == "crash":
-                specs.append(ActionSpec(
+                spec = ActionSpec(
                     kind="crash", at=base, machine=machine,
                     executor=executor,
-                ))
-                takeover = executor
+                )
             else:
                 # The pool can be a single machine (small system, prior
                 # deaths), so the draw is clamped to what is available.
@@ -143,15 +142,11 @@ def generate_schedule(seed: int, index: int) -> Scenario:
                     dest_pool,
                     min(rng.randint(1, 2), len(dest_pool)),
                 ))) or (executor,)
-                specs.append(ActionSpec(
+                spec = ActionSpec(
                     kind="evacuate", at=base + OFFGRID,
                     machine=machine, executor=executor,
                     until=base + 10_000, dests=dests,
-                ))
-                # Drained residents round-robin onto dests; track the
-                # first destination (materialization uses the same rule).
-                takeover = dests[0]
-            homes = [takeover if h == machine else h for h in homes]
+                )
         elif kind == "storm":
             indices = rng.sample(
                 range(server_count), rng.randint(1, server_count)
@@ -163,29 +158,29 @@ def generate_schedule(seed: int, index: int) -> Scenario:
                 ]
                 if not choices:
                     continue
-                dest = rng.choice(choices)
-                moves.append((sidx, dest))
-                homes[sidx] = dest
+                moves.append((sidx, rng.choice(choices)))
             if not moves:
                 continue
-            specs.append(ActionSpec(
+            spec = ActionSpec(
                 kind="storm", at=base + OFFGRID, moves=tuple(moves),
-            ))
+            )
         elif kind == "partition":
             split = rng.sample(alive, len(alive))
             cut = rng.randint(1, len(split) - 1)
-            specs.append(ActionSpec(
+            spec = ActionSpec(
                 kind="partition", at=base + OFFGRID,
                 until=base + 8_000,
                 group_a=tuple(sorted(split[:cut])),
                 group_b=tuple(sorted(split[cut:])),
-            ))
+            )
         else:  # flaky
-            specs.append(ActionSpec(
+            spec = ActionSpec(
                 kind="flaky", at=base + OFFGRID, until=base + 9_000,
                 drop_permille=rng.choice((20, 50)),
                 jitter=rng.choice((0, 300)),
-            ))
+            )
+        specs.append(spec)
+        advance_homes(homes, spec)
     return Scenario(
         name=f"fuzz-{seed}-{index}",
         machines=machines,

@@ -20,9 +20,7 @@ from repro.chaos.engine import ChaosEngine, FaultEvent
 from repro.chaos.invariants import survivor_invariants
 from repro.chaos.scenario import Scenario
 from repro.core.cluster import Cluster
-from repro.core.config import SystemConfig
 from repro.core.system import System
-from repro.net.channel import FaultPlan
 from repro.policy.gc import ForwardingSweeper
 from repro.sim.shard import ShardedSystem
 from repro.workloads.closed_loop import ClientPool, ClosedLoopConfig
@@ -84,19 +82,7 @@ def _label(shards: int) -> str:
 def build_cluster(scenario: Scenario, shards: int) -> Cluster:
     """A fresh system shaped like *scenario* on engine variant *shards*
     (0: the classic single loop)."""
-    config = SystemConfig(
-        machines=scenario.machines,
-        topology=scenario.topology,
-        latency=scenario.latency,
-        seed=scenario.seed,
-        shards=max(shards, 1),
-        faults=FaultPlan(
-            drop_probability=scenario.drop_permille / 1000,
-            max_jitter=scenario.jitter,
-        ),
-        trace_categories=None if scenario.observe else (),
-        metrics_enabled=scenario.observe,
-    )
+    config = scenario.config(shards)
     return System(config) if not shards else ShardedSystem(config)
 
 
@@ -225,7 +211,7 @@ def _run_engine(
             ),
             name=f"pinger-{j}",
         )
-    engine = ChaosEngine(cluster, scenario.chaos(pids))
+    engine = ChaosEngine(cluster, scenario, pids)
     engine.install()
 
     counters: dict[str, int] = {}

@@ -212,6 +212,8 @@ class MigrationEngine:
             if self.kernel._trace_wants("migrate"):
                 self.kernel.tracer.record("migrate", "accepted", pid=str(pid))
             return
+        if payload["dest"] != entry.dest:
+            return  # a stale refusal of a move already given up
         # §3.2: "If the destination machine refuses, the process cannot
         # be migrated."  Restore it and report failure.
         reason = payload.get("reason", "refused")
@@ -404,7 +406,15 @@ class MigrationEngine:
         total = sum(sizes.values())
 
         predicate = kernel.config.accept_migration
-        if kernel.draining:
+        addressed = message.dest.last_known_machine
+        if addressed != kernel.machine:
+            # Addressed to a crashed machine this kernel executes for:
+            # its state is gone, so the move cannot land there.  The
+            # reply names that machine, so a source that already gave
+            # the move up at the crash ignores it, even once it has
+            # started moving the process somewhere else.
+            refusal = ("destination crashed", "refuse-crashed")
+        elif kernel.draining:
             # Maintenance mode (evacuation): the machine is being emptied
             # and must not accept new residents.
             refusal = ("draining", "refuse-draining")
@@ -418,7 +428,8 @@ class MigrationEngine:
             reason, event = refusal
             self._send_admin(
                 None, source, OP_MIGRATE_ACCEPT,
-                {"pid": pid, "ok": False, "reason": reason},
+                {"pid": pid, "ok": False, "reason": reason,
+                 "dest": addressed},
             )
             if kernel._trace_wants("migrate"):
                 kernel.tracer.record("migrate", event, pid=str(pid))

@@ -8,15 +8,7 @@ gated counters, on repeated runs and across shard counts.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import (
-    ChaosEngine,
-    ChaosScenario,
-    CrashMachine,
-    FaultEvent,
-    MigrationStorm,
-    Move,
-    Partition,
-)
+from repro.chaos import ActionSpec, ChaosEngine, FaultEvent, Scenario
 from repro.core.config import SystemConfig
 from repro.sim.shard import ShardedSystem
 from repro.workloads.pingpong import echo_server, pinger
@@ -37,17 +29,18 @@ def run_classic(seed: int, crash_at: int, partition_at: int):
     system = make_system(machines=MACHINES, seed=seed)
     for m in (1, 2):
         system.spawn(parked, machine=m, name=f"sleeper-{m}")
-    scenario = ChaosScenario(
-        "prop-classic",
-        (
-            CrashMachine(at=crash_at, machine=1, executor=3),
-            Partition(
-                at=partition_at, heal_at=partition_at + 15_000,
+    scenario = Scenario(
+        name="prop-classic", machines=MACHINES, seed=seed,
+        actions=(
+            ActionSpec(kind="crash", at=crash_at, machine=1, executor=3),
+            ActionSpec(
+                kind="partition", at=partition_at,
+                until=partition_at + 15_000,
                 group_a=(0, 1), group_b=(2, 3),
             ),
         ),
     )
-    engine = ChaosEngine(system, scenario)
+    engine = ChaosEngine(system, scenario, [])
     engine.install()
     system.run(max_events=2_000_000)
     counters = dict(engine.counts)
@@ -67,13 +60,13 @@ def run_storm(seed: int, wave_times: tuple[int, ...], shards: int):
         trace_categories=(), metrics_enabled=False,
     ))
     boards = [ResultsBoard() for _ in system.shards]
-    pids = {}
+    pids = []
     for m in range(MACHINES):
         name = f"prop-echo-{m}"
-        pids[m] = system.spawn(
+        pids.append(system.spawn(
             lambda ctx, _n=name: echo_server(ctx, service_name=_n),
             machine=m, name=name,
-        )
+        ))
     for m in range(MACHINES):
         client = (m + 1) % MACHINES
         board = boards[system.plan.shard_of(client)]
@@ -86,21 +79,23 @@ def run_storm(seed: int, wave_times: tuple[int, ...], shards: int):
             name="pinger",
         )
     half = MACHINES // 2
+    # Server m starts on machine m; each wave moves it half the torus
+    # on, so it leaves the home the previous wave gave it.
     storms = tuple(
-        MigrationStorm(
-            at=at,
+        ActionSpec(
+            kind="storm", at=at,
             moves=tuple(
-                Move(
-                    pid=pids[m],
-                    home=(m + wave * half) % MACHINES,
-                    dest=(m + (wave + 1) * half) % MACHINES,
-                )
+                (m, (m + (wave + 1) * half) % MACHINES)
                 for m in range(MACHINES)
             ),
         )
         for wave, at in enumerate(wave_times)
     )
-    engine = ChaosEngine(system, ChaosScenario("prop-storm", storms))
+    scenario = Scenario(
+        name="prop-storm", machines=MACHINES, seed=seed,
+        servers=tuple(range(MACHINES)), actions=storms,
+    )
+    engine = ChaosEngine(system, scenario, pids)
     engine.install()
     system.drain()
     kernels = system.kernels
@@ -133,7 +128,7 @@ def test_classic_ledger_is_the_schedule_and_repeats(
     # No storms → nothing can skip: the runtime ledger IS the static
     # schedule, verbatim.
     assert ledger == [
-        FaultEvent(*entry) for entry in scenario.fault_schedule()
+        FaultEvent(*entry) for entry in scenario.fault_schedule([])
     ]
     _, ledger2, counters2 = run_classic(seed, crash_at, partition_at)
     assert ledger2 == ledger

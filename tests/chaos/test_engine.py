@@ -2,17 +2,7 @@
 
 import pytest
 
-from repro.chaos import (
-    ChaosEngine,
-    ChaosScenario,
-    CrashMachine,
-    Evacuation,
-    FaultEvent,
-    FlakyLinks,
-    MigrationStorm,
-    Move,
-    Partition,
-)
+from repro.chaos import ActionSpec, ChaosEngine, FaultEvent, Scenario
 from repro.core.config import SystemConfig
 from repro.errors import ConfigError, SimulationError
 from repro.net.channel import FaultPlan
@@ -26,13 +16,29 @@ def parked(ctx):
         yield ctx.receive()
 
 
+def record(*actions, servers=()):
+    """A four-machine record of *actions* over echo *servers* homes."""
+    return Scenario(
+        name="t", machines=4, seed=0, servers=servers, actions=actions,
+    )
+
+
+def crash(at, machine, executor):
+    return ActionSpec(kind="crash", at=at, machine=machine, executor=executor)
+
+
+def partition(at, until):
+    return ActionSpec(
+        kind="partition", at=at, until=until, group_a=(0, 1),
+        group_b=(2, 3),
+    )
+
+
 class TestCrashAction:
     def test_protected_crash_recovers_onto_executor(self):
         system = make_system(machines=4)
         pid = system.spawn(parked, machine=2, name="victim")
-        engine = ChaosEngine(system, ChaosScenario(
-            "t", (CrashMachine(at=10_000, machine=2, executor=3),),
-        ))
+        engine = ChaosEngine(system, record(crash(10_000, 2, 3)), [])
         engine.install()
         system.run(until=50_000)
         assert system.kernel(2).crashed
@@ -42,35 +48,11 @@ class TestCrashAction:
         assert report.recovered == [pid]
         assert report.casualties == []
 
-    def test_unprotected_crash_leaves_casualties(self):
-        system = make_system(machines=4)
-        pid = system.spawn(parked, machine=2, name="victim")
-        engine = ChaosEngine(system, ChaosScenario(
-            "t",
-            (
-                CrashMachine(
-                    at=10_000, machine=2, executor=3, protect=False,
-                ),
-            ),
-        ))
-        engine.install()
-        system.run(until=50_000)
-        assert not system.is_alive(pid)
-        assert engine.crash_reports[0].casualties == [pid]
-
 
 class TestPartitionAction:
     def test_partition_stalls_and_heal_releases(self):
         system = make_system(machines=4)
-        engine = ChaosEngine(system, ChaosScenario(
-            "t",
-            (
-                Partition(
-                    at=5_000, heal_at=40_000,
-                    group_a=(0, 1), group_b=(2, 3),
-                ),
-            ),
-        ))
+        engine = ChaosEngine(system, record(partition(5_000, 40_000)), [])
         engine.install()
 
         delivered = []
@@ -102,14 +84,16 @@ class TestPartitionAction:
 class TestFlakyAction:
     def test_flaky_window_restores_baseline(self):
         system = make_system(machines=4)
-        plan = FaultPlan(drop_probability=0.5, max_jitter=100)
-        engine = ChaosEngine(system, ChaosScenario(
-            "t", (FlakyLinks(at=1_000, until=2_000, faults=plan),),
-        ))
+        engine = ChaosEngine(system, record(ActionSpec(
+            kind="flaky", at=1_000, until=2_000, drop_permille=500,
+            jitter=100,
+        )), [])
         engine.install()
         baseline = system.network._default_faults
         system.run(until=1_500)
-        assert system.network._default_faults is plan
+        assert system.network._default_faults == FaultPlan(
+            drop_probability=0.5, max_jitter=100,
+        )
         system.run(until=5_000)
         assert system.network._default_faults is baseline
         assert engine.counts == {"flaky": 1, "flaky-end": 1}
@@ -124,12 +108,10 @@ class TestStormAction:
         system.loop.call_at(
             5_000, lambda: system.kernel(3).terminate(ghost_pid)
         )
-        engine = ChaosEngine(system, ChaosScenario(
-            "t",
-            (MigrationStorm(at=10_000, moves=(
-                Move(pid, 2, 0), Move(ghost_pid, 3, 0),
-            )),),
-        ))
+        engine = ChaosEngine(system, record(
+            ActionSpec(kind="storm", at=10_000, moves=((0, 0), (1, 0))),
+            servers=(2, 3),
+        ), [pid, ghost_pid])
         engine.install()
         system.run(until=200_000)
         assert pid in system.kernel(0).processes
@@ -143,19 +125,15 @@ class TestEvacuationAction:
         system = make_system(machines=4)
         resident = system.spawn(parked, machine=2, name="resident")
         outsider = system.spawn(parked, machine=0, name="outsider")
-        engine = ChaosEngine(system, ChaosScenario(
-            "t",
-            (
-                Evacuation(
-                    drain_at=10_000, machine=2, kill_at=300_000,
-                    executor=3, dests=(3,),
-                ),
-                # Inbound move against the draining machine: refused.
-                MigrationStorm(
-                    at=20_000, moves=(Move(outsider, 0, 2),),
-                ),
+        engine = ChaosEngine(system, record(
+            ActionSpec(
+                kind="evacuate", at=10_000, machine=2, until=300_000,
+                executor=3, dests=(3,),
             ),
-        ))
+            # Inbound move against the draining machine: refused.
+            ActionSpec(kind="storm", at=20_000, moves=((0, 2),)),
+            servers=(0,),
+        ), [outsider])
         engine.install()
         system.run(until=400_000)
         assert system.kernel(2).draining
@@ -172,12 +150,15 @@ class TestEvacuationAction:
 class TestEngineDiscipline:
     def test_double_install_rejected(self):
         system = make_system(machines=4)
-        engine = ChaosEngine(system, ChaosScenario(
-            "t", (CrashMachine(at=1_000, machine=2, executor=3),),
-        ))
+        engine = ChaosEngine(system, record(crash(1_000, 2, 3)), [])
         engine.install()
         with pytest.raises(SimulationError, match="already installed"):
             engine.install()
+
+    def test_pids_name_every_server(self):
+        system = make_system(machines=4)
+        with pytest.raises(ConfigError, match="0 pids for 1 servers"):
+            ChaosEngine(system, record(servers=(1,)), [])
 
     def test_sharded_system_rejects_wire_surgery_actions(self):
         # Wire surgery is a barrier action: off the window grid it has
@@ -186,15 +167,7 @@ class TestEngineDiscipline:
             machines=4, topology="torus", latency=1_000, shards=2,
         ))
         with pytest.raises(ConfigError, match="off the 1000us grid"):
-            ChaosEngine(system, ChaosScenario(
-                "t",
-                (
-                    Partition(
-                        at=1_000, heal_at=2_500,
-                        group_a=(0, 1), group_b=(2, 3),
-                    ),
-                ),
-            ))
+            ChaosEngine(system, record(partition(1_000, 2_500)), [])
 
     def test_sharded_wire_surgery_rewrites_each_wire_once(self):
         # Partition and flaky edges fire at barriers; every shard's
@@ -204,16 +177,12 @@ class TestEngineDiscipline:
         ))
         baseline = system.shards[0].network._default_faults
         plan = FaultPlan(drop_probability=0.5)
-        engine = ChaosEngine(system, ChaosScenario(
-            "t",
-            (
-                Partition(
-                    at=5_000, heal_at=8_000,
-                    group_a=(0, 1), group_b=(2, 3),
-                ),
-                FlakyLinks(at=10_000, until=12_000, faults=plan),
+        engine = ChaosEngine(system, record(
+            partition(5_000, 8_000),
+            ActionSpec(
+                kind="flaky", at=10_000, until=12_000, drop_permille=500,
             ),
-        ))
+        ), [])
         engine.install()
         seen = {}
 
@@ -247,9 +216,7 @@ class TestEngineDiscipline:
             machines=4, topology="torus", latency=1_000, shards=2,
         ))
         with pytest.raises(ConfigError, match="window grid"):
-            ChaosEngine(system, ChaosScenario(
-                "t", (CrashMachine(at=1_500, machine=2, executor=3),),
-            ))
+            ChaosEngine(system, record(crash(1_500, 2, 3)), [])
 
     def test_sharded_crash_time_must_not_collide_with_storm(self):
         system = ShardedSystem(SystemConfig(
@@ -257,13 +224,11 @@ class TestEngineDiscipline:
         ))
         pid = system.spawn(parked, machine=1, name="mover")
         with pytest.raises(ConfigError, match="collides"):
-            ChaosEngine(system, ChaosScenario(
-                "t",
-                (
-                    MigrationStorm(at=10_000, moves=(Move(pid, 1, 3),)),
-                    CrashMachine(at=10_000, machine=2, executor=3),
-                ),
-            ))
+            ChaosEngine(system, record(
+                ActionSpec(kind="storm", at=10_000, moves=((0, 3),)),
+                crash(10_000, 2, 3),
+                servers=(1,),
+            ), [pid])
 
     def test_sharded_crash_recovers_across_shards(self):
         # Machine 3 lives in shard 1, executor 1 in shard 0: the runner
@@ -275,9 +240,7 @@ class TestEngineDiscipline:
             machines=4, topology="torus", latency=1_000, shards=2,
         ))
         pid = system.spawn(parked, machine=3, name="victim")
-        engine = ChaosEngine(system, ChaosScenario(
-            "t", (CrashMachine(at=10_000, machine=3, executor=1),),
-        ))
+        engine = ChaosEngine(system, record(crash(10_000, 3, 1)), [])
         engine.install()
         system.drain()
         assert system.kernel(3).crashed
@@ -295,9 +258,10 @@ class TestEngineDiscipline:
             machines=4, topology="torus", latency=1_000, shards=2,
         ))
         pid = system.spawn(parked, machine=1, name="mover")
-        engine = ChaosEngine(system, ChaosScenario(
-            "t", (MigrationStorm(at=10_000, moves=(Move(pid, 1, 3),)),),
-        ))
+        engine = ChaosEngine(system, record(
+            ActionSpec(kind="storm", at=10_000, moves=((0, 3),)),
+            servers=(1,),
+        ), [pid])
         engine.install()
         system.drain()
         assert pid in system.kernel(3).processes

@@ -130,6 +130,14 @@ class TestValidation:
                 servers=(1,), pingers=((0, 2),),
             ))
 
+    def test_every_engine_must_build_its_system(self):
+        # 6 torus machines are two rows of 3; rows stay whole, so three
+        # shards do not fit, though 6 divides by 3.
+        with pytest.raises(ConfigError, match="cannot split 2 aligned"):
+            validate_schedule(self.base(
+                engines=(0, 3), topology="torus", machines=6,
+            ))
+
     def test_sharded_rejects_wire_surgery(self):
         # ...off the grid; the same window on it validates.
         offgrid = ActionSpec(
@@ -309,6 +317,41 @@ class TestReproFiles:
         path.write_text(json.dumps({"version": 99, "schedule": {}}))
         with pytest.raises(ConfigError, match="version"):
             load_repro(path)
+
+    @pytest.mark.parametrize("edit, complaint", [
+        ({"topology": "bogus"}, "unknown topology 'bogus'"),
+        ({"topology": "hypercube", "machines": 6},
+         "hypercube needs a power-of-two machine count, got 6"),
+        ({"latency": -5}, "latency must be >= 0"),
+        ({"pinger_start": -1e9}, "pinger_start -1000000000.0 is negative"),
+        ({"jitter": -1}, "background jitter -1 is negative"),
+        ({"drop_permille": 2000},
+         "background drop_permille 2000 is not in 0..1000"),
+        ({"actions": [{"kind": "flaky", "at": 50_037, "until": 59_000,
+                       "drop_permille": -3}]},
+         "flaky window drop_permille -3 is not in 0..1000"),
+    ], ids=[
+        "unknown-topology", "hypercube-of-6", "negative-latency",
+        "negative-pinger-start", "negative-jitter", "drop-over-1000",
+        "flaky-drop-negative",
+    ])
+    def test_record_that_cannot_build_its_system_is_a_usage_error(
+        self, capsys, tmp_path, edit, complaint,
+    ):
+        (regression,) = [
+            p for p in REGRESSIONS if p.stem == "mid_migration_crash"
+        ]
+        payload = json.loads(regression.read_text())
+        payload["schedule"].update(edit)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(payload))
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"repro: error: repro file {path} cannot run: {complaint}"
+        )
+        assert captured.err.count("\n") == 1
 
     def test_violations_are_shrunk_and_written(self, tmp_path):
         # Force a violation with an impossible event budget: every

@@ -90,6 +90,8 @@ class TestCli:
          "file_system_machine 1 is not one of the 1 machines (0..0)"),
         (["shell", "--machines", "1", "ps"],
          "file_system_machine 1 is not one of the 1 machines (0..0)"),
+        (["report", "--machines", "2"], "report needs --machines >= 4"),
+        (["report", "--machines", "3"], "report needs --machines >= 4"),
     ])
     def test_bad_input_gets_one_line_not_a_traceback(
         self, capsys, argv, complaint,

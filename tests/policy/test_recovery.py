@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.chaos.invariants import check_memory_accounting
 from repro.errors import KernelError
 from repro.kernel.ids import ProcessAddress
 from repro.kernel.messages import MessageKind
 from repro.kernel.ops import OP_UNDELIVERABLE
+from repro.kernel.process_state import ProcessStatus
 from repro.policy.recovery import CrashRecoveryManager
 from tests.conftest import drain, make_bare_system
 
@@ -128,6 +130,39 @@ class TestCrashRecovery:
         poke()
         drain(system)
         assert system.process_state(pid).accounting.messages_received == 1
+        # The request, redirected to the executor, reserved nothing.
+        assert check_memory_accounting(system) == []
+        assert system.kernel(2).migration._incoming == {}
+
+    def test_migration_started_after_crash_is_refused(self):
+        system = make_bare_system()
+        pid = system.spawn(parked, machine=0)
+        drain(system)
+        CrashRecoveryManager(system).crash(1, 2)
+        ticket = system.migrate(pid, 1)  # the machine is already dead
+        drain(system)
+        assert ticket.done and ticket.success is False
+        assert ticket.record.refusal_reason == "destination crashed"
+        assert system.where_is(pid) == 0
+        assert (system.process_state(pid).status
+                is ProcessStatus.WAITING_MESSAGE)
+        assert check_memory_accounting(system) == []
+        assert system.kernel(2).migration._incoming == {}
+
+    def test_stale_refusal_leaves_the_next_move_alone(self):
+        system = make_bare_system(machines=4)
+        pid = system.spawn(parked, machine=0)
+        drain(system)
+        first = system.migrate(pid, 1)
+        CrashRecoveryManager(system).crash(1, 2)
+        # Moved on at once: the refusal of the given-up move to 1
+        # arrives while this one is under way.
+        second = system.migrate(pid, 3)
+        drain(system)
+        assert first.done and first.success is False
+        assert second.done and second.success is True
+        assert system.where_is(pid) == 3
+        assert check_memory_accounting(system) == []
 
     def test_sleeping_process_wakes_on_executor(self):
         system = make_bare_system()
