@@ -25,6 +25,7 @@ from typing import Any, Callable
 from repro.core.cluster import Cluster, Program, Shard
 from repro.core.cluster import MigrationTicket  # noqa: F401 (old home)
 from repro.core.config import SystemConfig
+from repro.errors import ConfigError
 from repro.kernel.ids import ProcessAddress, ProcessId, kernel_address
 from repro.net.topology import MachineId
 from repro.obs.metrics import MetricsRegistry
@@ -88,6 +89,11 @@ class System(Cluster):
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         super().__init__(config)
+        if self.config.shards > 1:
+            raise ConfigError(
+                f"System runs one shard; shards={self.config.shards}"
+                " needs ShardedSystem"
+            )
         self.loop = EventLoop()
         shard = self._build_shard(self.topology.machines, self.loop)
         self.tracer = shard.tracer

@@ -14,6 +14,7 @@ for that machine's kernel, matching "a link may also point to a kernel".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.net.topology import MachineId
@@ -85,6 +86,19 @@ def _process_id_eq(self: ProcessId, other: object) -> bool:
 # ``order=True`` requires the generated ``__eq__`` at class-creation time,
 # so the fast replacement is swapped in afterwards.
 ProcessId.__eq__ = _process_id_eq  # type: ignore[method-assign]
+
+
+_PID_TEXT = re.compile(r"p?([0-9]+)\.([0-9]+)")
+
+
+def parse_pid(text: str) -> ProcessId | None:
+    """Inverse of ``str(ProcessId)`` for a process: ``'p2.5'``, or the
+    bare ``'2.5'``; ``None`` for anything else (``'kernel[2]'``
+    included)."""
+    match = _PID_TEXT.fullmatch(text)
+    if match is None:
+        return None
+    return ProcessId(int(match[1]), int(match[2]))
 
 
 def kernel_pid(machine: MachineId) -> ProcessId:

@@ -74,8 +74,7 @@ from repro.kernel.syscalls import (
 )
 from repro.net.network import Network
 from repro.net.topology import MachineId
-from repro.sim.events import Event
-from repro.sim.loop import EventLoop
+from repro.sim.loop import Event, EventLoop
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard

@@ -60,7 +60,7 @@ class Channel:
         on_drop: Callable[[Packet], None] | None = None,
         on_duplicate: Callable[[Packet], None] | None = None,
     ) -> None:
-        self._clock = loop.clock
+        self._loop = loop
         self._wire = wire
         # A Wire is frozen, so its two numbers can be read once.
         self._latency = wire.latency
@@ -100,7 +100,7 @@ class Channel:
                 copies = 2
                 if self._on_duplicate is not None:
                     self._on_duplicate(packet)
-        now = self._clock._now
+        now = self._loop._now
         size = PACKET_HEADER_BYTES + packet.payload_bytes
         serialization = size * 1_000 // self._bandwidth
         while True:

@@ -291,14 +291,14 @@ class Network:
         *dest_shard*'s outbox, numbered by the wire's own counter
         (duplicates get their own number) as ``hop_lander`` numbers
         them, and tagged with the grid window they were produced in."""
-        clock = self.loop.clock
-        grid = self.loop.grid
+        loop = self.loop
+        grid = loop.grid
         wire_seq = 0
 
         def ship(delay: int, packet: Packet) -> None:
             nonlocal wire_seq
             wire_seq += 1
-            now = clock._now
+            now = loop._now
             self._outboxes.setdefault(dest_shard, []).append(
                 HopRecord(now + delay, a, b, wire_seq, packet, now // grid)
             )

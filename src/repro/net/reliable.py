@@ -31,8 +31,7 @@ from typing import Any, Callable
 from repro.net.packet import ACK_PAYLOAD_BYTES, Packet, PacketKind
 from repro.net.stats import NetworkStats
 from repro.net.topology import MachineId
-from repro.sim.events import Event
-from repro.sim.loop import EventLoop
+from repro.sim.loop import Event, EventLoop
 from repro.sim.trace import Tracer
 
 #: Default initial retransmission timeout, microseconds.
@@ -105,7 +104,6 @@ class ReliableTransport:
     ) -> None:
         self.machine = machine
         self._loop = loop
-        self._clock = loop.clock
         self._transmit = transmit_fn
         self._stats = stats
         # The category counters, bumped inline on every first send and
@@ -144,7 +142,7 @@ class ReliableTransport:
         )
         self._sends[category] += 1
         self._payload_bytes[category] += payload_bytes
-        deadline = self._clock._now + self._base_rto
+        deadline = self._loop._now + self._base_rto
         sender.unacked[seq] = _Outstanding(packet, deadline, self._base_rto)
         timer = sender.timer
         # timer[2] is the entry's callback slot, None once cancelled.
@@ -172,7 +170,7 @@ class ReliableTransport:
         # call_after is call_at's inlined twin: the same time and the
         # same tie-break key, without the checks a deadline never fails.
         sender.timer = self._loop.call_after(
-            deadline - self._clock._now, self._on_timer, dst
+            deadline - self._loop._now, self._on_timer, dst
         )
         sender.timer_deadline = deadline
 
@@ -190,7 +188,7 @@ class ReliableTransport:
         sender.timer = None
         if not sender.unacked:
             return
-        now = self._clock._now
+        now = self._loop._now
         expired = [
             (seq, entry)
             for seq, entry in sender.unacked.items()

@@ -16,24 +16,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.kernel.ids import ProcessId
+from repro.kernel.ids import ProcessId, parse_pid
 from repro.policy.load_balancer import DEFAULT_EXCLUDE, BalancerStats
 from repro.policy.metrics import CommunicationMatrix, machine_loads
 from repro.stats.migration_cost import MigrationCostRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import System
-
-
-def _parse_pid(text: str) -> ProcessId | None:
-    """Inverse of ``str(ProcessId)`` for non-kernel pids ('p2.5')."""
-    if not text.startswith("p"):
-        return None
-    creating, _, local = text[1:].partition(".")
-    try:
-        return ProcessId(int(creating), int(local))
-    except ValueError:
-        return None
 
 
 class AffinityPolicy:
@@ -80,8 +69,8 @@ class AffinityPolicy:
         ):
             if count < self.message_threshold:
                 break
-            sender = _parse_pid(sender_text)
-            receiver = _parse_pid(receiver_text)
+            sender = parse_pid(sender_text)
+            receiver = parse_pid(receiver_text)
             if sender is None or receiver is None:
                 continue
             placement = self._plan_move(sender, receiver, loads)

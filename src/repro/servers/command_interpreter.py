@@ -5,11 +5,14 @@ manager (and friends) to execute it, and replies with a text result.
 Examples:
 
 - ``run pingpong on 2 name=experiment``  — create a process
-- ``migrate 2.5 3``                      — move process p2.5 to machine 3
-- ``stop 2.5`` / ``start 2.5``           — suspend / resume
+- ``migrate p2.5 3``                     — move process p2.5 to machine 3
+- ``stop p2.5`` / ``start p2.5``         — suspend / resume
 - ``ps``                                 — list known processes
-- ``where 2.5``                          — locate a process
+- ``where p2.5``                         — locate a process
 - ``help``
+
+A pid is written as ``run`` and ``ps`` print it (``p2.5``) or bare
+(``2.5``); see :func:`~repro.kernel.ids.parse_pid`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import deque
 from typing import Any, Generator
 
 from repro.kernel.context import ProcessContext
-from repro.kernel.ids import ProcessId
+from repro.kernel.ids import parse_pid
 from repro.kernel.messages import Message
 from repro.servers.common import serve_reply
 from repro.servers.filesystem import _serial_rpc
@@ -28,17 +31,6 @@ HELP_TEXT = (
     "migrate <pid> <machine> | stop <pid> | start <pid> | "
     "where <pid> | ps | help"
 )
-
-
-def _parse_pid(token: str) -> ProcessId | None:
-    """Parse 'creating.local' into a ProcessId."""
-    parts = token.split(".")
-    if len(parts) != 2:
-        return None
-    try:
-        return ProcessId(int(parts[0]), int(parts[1]))
-    except ValueError:
-        return None
 
 
 def _parse_value(text: str) -> Any:
@@ -112,7 +104,7 @@ def command_interpreter_program(
                           "text": f"run failed: {body.get('error')}"}
 
         elif tokens[0] == "migrate" and len(tokens) == 3:
-            pid = _parse_pid(tokens[1])
+            pid = parse_pid(tokens[1])
             if pid is None:
                 result = {"ok": False, "text": f"bad pid {tokens[1]!r}"}
             else:
@@ -129,7 +121,7 @@ def command_interpreter_program(
                 }
 
         elif tokens[0] in ("stop", "start") and len(tokens) == 2:
-            pid = _parse_pid(tokens[1])
+            pid = parse_pid(tokens[1])
             if pid is None:
                 result = {"ok": False, "text": f"bad pid {tokens[1]!r}"}
             else:
@@ -142,7 +134,7 @@ def command_interpreter_program(
                                   f"{'ok' if ok else 'failed'}"}
 
         elif tokens[0] == "where" and len(tokens) == 2:
-            pid = _parse_pid(tokens[1])
+            pid = parse_pid(tokens[1])
             if pid is None:
                 result = {"ok": False, "text": f"bad pid {tokens[1]!r}"}
             else:

@@ -1,9 +1,10 @@
-"""Simulated time.
+"""Simulated time units.
 
 All simulated time in this library is an integer count of *microseconds*.
-Integers keep the event queue deterministic (no float rounding) and make
+Integers keep the event heap deterministic (no float rounding) and make
 trace output exact.  The helpers here convert between human units and the
-internal representation.
+internal representation; the clock itself is
+:class:`~repro.sim.loop.EventLoop`'s own state.
 """
 
 from __future__ import annotations
@@ -49,37 +50,3 @@ def format_time(t: int) -> str:
         return f"{t / MSEC:.3f}ms"
     return f"{t / SEC:.3f}s"
 
-
-class SimClock:
-    """A monotonically advancing simulated clock.
-
-    The clock is owned by the :class:`~repro.sim.loop.EventLoop`; everything
-    else reads it through :meth:`now`.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: int = 0) -> None:
-        if start < 0:
-            raise ClockError(f"clock cannot start at negative time {start}")
-        self._now = start
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in microseconds."""
-        return self._now
-
-    def advance_to(self, t: int) -> None:
-        """Move the clock forward to time *t*.
-
-        Raises :class:`ClockError` if *t* is in the past; simulated time
-        never runs backwards.
-        """
-        if t < self._now:
-            raise ClockError(
-                f"cannot move clock backwards from {self._now} to {t}"
-            )
-        self._now = t
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={format_time(self._now)})"

@@ -2,10 +2,21 @@
 
 A single :class:`EventLoop` hosts the whole distributed system: kernels,
 network channels, and workload generators all schedule callbacks here.
-Determinism is guaranteed by the integer clock and FIFO tie-breaking in
-:class:`~repro.sim.events.EventQueue`.  Every ``call_*`` returns the
-event's heap entry (:data:`~repro.sim.events.Event`), which is also the
-handle :meth:`EventLoop.cancel` takes.
+The loop owns the integer clock (``_now``) and the event heap
+(``_heap``) as plain state; collaborators on hot paths read
+``loop._now`` directly.
+
+An event is one heap entry, the list ``[time, key, callback, args]``,
+and the list itself is the handle every ``call_*`` returns and
+:meth:`EventLoop.cancel` takes.  Entries are ordered by
+``(time, key)``: the key is unique per loop (the FIFO sequence number
+``_seq`` here, a packed tie-break int on the keyed loop), so two events
+scheduled for the same instant fire in the order their keys say and
+list comparison never reaches the callback — sift comparisons resolve
+on two ints in C, which keeps every run bit-for-bit reproducible and
+never calls back into Python.  Cancelling writes ``None`` into the
+callback slot; the loop skips such entries when popping instead of
+paying O(n) removal, and ``_live`` counts the entries not cancelled.
 """
 
 from __future__ import annotations
@@ -15,8 +26,11 @@ from typing import Any, Callable, Container, Iterable
 from heapq import heappop, heappush
 
 from repro.errors import ClockError, ConfigError, SimulationError
-from repro.sim.clock import SimClock
-from repro.sim.events import Event, EventQueue
+
+#: A scheduled event: ``[time, key, callback, args]``, callback ``None``
+#: once cancelled.  Hot paths index the slots by number (``entry[2]``
+#: is the callback).
+Event = list
 
 
 class EventLoop:
@@ -30,18 +44,31 @@ class EventLoop:
     """
 
     def __init__(self, start: int = 0) -> None:
-        self.clock = SimClock(start)
-        self._queue = EventQueue()
+        if start < 0:
+            raise ClockError(f"clock cannot start at negative time {start}")
+        self._now = start
+        self._heap: list[Event] = []
+        self._seq = 0
+        self._live = 0
         self._running = False
         self._events_fired = 0
 
     @property
     def now(self) -> int:
         """Current simulated time in microseconds."""
-        # Reads the clock's slot directly: this property is called from
-        # every hot path and the extra SimClock.now property hop showed
-        # up in cluster-scale profiles.
-        return self.clock._now
+        return self._now
+
+    def advance_to(self, t: int) -> None:
+        """Move the clock forward to time *t* without firing anything.
+
+        Raises :class:`ClockError` if *t* is in the past; simulated time
+        never runs backwards.
+        """
+        if t < self._now:
+            raise ClockError(
+                f"cannot move clock backwards from {self._now} to {t}"
+            )
+        self._now = t
 
     @property
     def events_fired(self) -> int:
@@ -51,7 +78,7 @@ class EventLoop:
     @property
     def pending_events(self) -> int:
         """Number of live events still scheduled."""
-        return len(self._queue)
+        return self._live
 
     def next_event_time(self) -> int | None:
         """Time of the earliest live event, or None when the queue is
@@ -59,9 +86,12 @@ class EventLoop:
 
         The sharded executor uses this between ``run_until`` calls to
         agree on how far a shard may safely run; pure peek, no state
-        change.
+        change (beyond dropping cancelled entries off the top).
         """
-        return self._queue.peek_time()
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def call_at(
         self,
@@ -70,11 +100,16 @@ class EventLoop:
         *args: Any,
     ) -> Event:
         """Schedule *callback* at absolute simulated time *time*."""
-        if time < self.clock.now:
+        if time < self._now:
             raise ClockError(
-                f"cannot schedule at {time}, clock already at {self.clock.now}"
+                f"cannot schedule at {time}, clock already at {self._now}"
             )
-        return self._queue.push(time, callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [time, seq, callback, args]
+        heappush(self._heap, entry)
+        self._live += 1
+        return entry
 
     def call_after(
         self,
@@ -85,16 +120,15 @@ class EventLoop:
         """Schedule *callback* *delay* microseconds from now."""
         if delay < 0:
             raise ClockError(f"negative delay {delay}")
-        # now + delay can never be in the past (nor negative), so build
-        # and push the entry inline instead of chaining through call_at
-        # and EventQueue.push — this is the hottest scheduling entry
-        # point in the simulator, called once per future event.
-        queue = self._queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        entry = [self.clock._now + delay, seq, callback, args]
-        heappush(queue._heap, entry)
-        queue._live += 1
+        # now + delay can never be in the past, so build and push the
+        # entry inline instead of chaining through call_at — this is
+        # the hottest scheduling entry point in the simulator, called
+        # once per future event.
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [self._now + delay, seq, callback, args]
+        heappush(self._heap, entry)
+        self._live += 1
         return entry
 
     def call_soon(
@@ -103,12 +137,11 @@ class EventLoop:
         *args: Any,
     ) -> Event:
         """Schedule *callback* at the current instant (after queued peers)."""
-        queue = self._queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        entry = [self.clock._now, seq, callback, args]
-        heappush(queue._heap, entry)
-        queue._live += 1
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [self._now, seq, callback, args]
+        heappush(self._heap, entry)
+        self._live += 1
         return entry
 
     def hop_lander(
@@ -123,20 +156,18 @@ class EventLoop:
         window grid, so *gen* is the tick the hop was produced at.
         *delay* is never negative (a wire delay), so it is not checked.
         """
-        queue = self._queue
-        heap = queue._heap
-        clock = self.clock
+        heap = self._heap
         wire_seq = 0
 
         def land(delay: int, packet: Any) -> None:
             nonlocal wire_seq
             wire_seq += 1
-            seq = queue._next_seq
-            queue._next_seq = seq + 1
-            now = clock._now
+            seq = self._seq
+            self._seq = seq + 1
+            now = self._now
             args = (src, dst, wire_seq, packet, now)
             heappush(heap, [now + delay, seq, callback, args])
-            queue._live += 1
+            self._live += 1
 
         return land
 
@@ -146,26 +177,27 @@ class EventLoop:
         A diagnostic scan of the whole queue (the networks' in-flight
         counts), so the hop path keeps no counter of its own.
         """
-        return sum(1 for entry in self._queue._heap if entry[2] in callbacks)
+        return sum(1 for entry in self._heap if entry[2] in callbacks)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event.  Idempotent."""
-        # EventQueue.cancel inlined: every settled retransmission timer
-        # is cancelled here, twice per remote round trip.
         if event[2] is not None:
             event[2] = None
-            self._queue._live -= 1
+            self._live -= 1
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        entry = self._queue.pop()
-        if entry is None:
-            return False
-        time, _, callback, args = entry
-        self.clock.advance_to(time)
-        self._events_fired += 1
-        callback(*args)
-        return True
+        heap = self._heap
+        while heap:
+            time, _, callback, args = heappop(heap)
+            if callback is None:
+                continue
+            self._live -= 1
+            self.advance_to(time)
+            self._events_fired += 1
+            callback(*args)
+            return True
+        return False
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the queue drains (or *max_events* fire).
@@ -174,11 +206,10 @@ class EventLoop:
         *max_events* bound is the standard guard against accidental
         infinite event cascades in tests.
 
-        The heap is popped here, not through :class:`EventQueue` (and
-        not through :meth:`step`): this loop executes every event of
-        every benchmark, and the heap already yields events in
-        non-decreasing time order, so the clock write needs no
-        backwards-motion check.  A cancelled entry was uncounted from
+        The heap is popped here, not through :meth:`step`: this loop
+        executes every event of every benchmark, and the heap already
+        yields events in non-decreasing time order, so the clock write
+        needs no backwards-motion check.  A cancelled entry was uncounted from
         ``_live`` when it was cancelled; it is dropped unfired.
         """
         if self._running:
@@ -186,16 +217,14 @@ class EventLoop:
         self._running = True
         fired = 0
         limit = None if max_events is None else max(max_events, 0)
-        queue = self._queue
-        heap = queue._heap
-        clock = self.clock
+        heap = self._heap
         try:
             while heap and fired != limit:
                 time, _, callback, args = heappop(heap)
                 if callback is None:
                     continue
-                queue._live -= 1
-                clock._now = time
+                self._live -= 1
+                self._now = time
                 fired += 1
                 self._events_fired += 1
                 callback(*args)
@@ -213,18 +242,16 @@ class EventLoop:
         the deadline would put the clock past that event, which a
         resumed run must still fire at its own time.
         """
-        if deadline < self.clock.now:
+        if deadline < self._now:
             raise ClockError(
-                f"deadline {deadline} is before current time {self.clock.now}"
+                f"deadline {deadline} is before current time {self._now}"
             )
         if self._running:
             raise SimulationError("event loop is already running")
         self._running = True
         fired = 0
         limit = None if max_events is None else max(max_events, 0)
-        queue = self._queue
-        heap = queue._heap
-        clock = self.clock
+        heap = self._heap
         try:
             while heap:
                 time, _, callback, args = heap[0]
@@ -236,19 +263,21 @@ class EventLoop:
                 if fired == limit:
                     return fired
                 heappop(heap)
-                queue._live -= 1
-                clock._now = time
+                self._live -= 1
+                self._now = time
                 fired += 1
                 self._events_fired += 1
                 callback(*args)
-            clock.advance_to(deadline)
+            # Checked above: the deadline is not behind the clock, and
+            # every event fired here was at or before it.
+            self._now = deadline
         finally:
             self._running = False
         return fired
 
     def __repr__(self) -> str:
         return (
-            f"EventLoop(now={self.clock.now}, pending={self.pending_events},"
+            f"EventLoop(now={self._now}, pending={self._live},"
             f" fired={self._events_fired})"
         )
 
@@ -319,17 +348,16 @@ class KeyedEventLoop(EventLoop):
         callback: Callable[..., None],
         *args: Any,
     ) -> Event:
-        now = self.clock._now
+        now = self._now
         if time < now:
             raise ClockError(
                 f"cannot schedule at {time}, clock already at {now}"
             )
-        queue = self._queue
-        n = queue._next_seq
-        queue._next_seq = n + 1
+        n = self._seq
+        self._seq = n + 1
         entry = [time, (now // self._grid) << 81 | n, callback, args]
-        heappush(queue._heap, entry)
-        queue._live += 1
+        heappush(self._heap, entry)
+        self._live += 1
         return entry
 
     def call_after(
@@ -340,13 +368,12 @@ class KeyedEventLoop(EventLoop):
     ) -> Event:
         if delay < 0:
             raise ClockError(f"negative delay {delay}")
-        queue = self._queue
-        n = queue._next_seq
-        queue._next_seq = n + 1
-        now = self.clock._now
+        n = self._seq
+        self._seq = n + 1
+        now = self._now
         entry = [now + delay, (now // self._grid) << 81 | n, callback, args]
-        heappush(queue._heap, entry)
-        queue._live += 1
+        heappush(self._heap, entry)
+        self._live += 1
         return entry
 
     def call_soon(
@@ -354,13 +381,12 @@ class KeyedEventLoop(EventLoop):
         callback: Callable[..., None],
         *args: Any,
     ) -> Event:
-        queue = self._queue
-        n = queue._next_seq
-        queue._next_seq = n + 1
-        now = self.clock._now
+        n = self._seq
+        self._seq = n + 1
+        now = self._now
         entry = [now, (now // self._grid) << 81 | n, callback, args]
-        heappush(queue._heap, entry)
-        queue._live += 1
+        heappush(self._heap, entry)
+        self._live += 1
         return entry
 
     def hop_lander(
@@ -374,9 +400,7 @@ class KeyedEventLoop(EventLoop):
         :meth:`schedule_record` gives that hop (*gen* is the grid
         window it was produced in).
         """
-        queue = self._queue
-        heap = queue._heap
-        clock = self.clock
+        heap = self._heap
         grid = self._grid
         wire = src << 60 | dst << 40
         wire_seq = 0
@@ -384,7 +408,7 @@ class KeyedEventLoop(EventLoop):
         def land(delay: int, packet: Any) -> None:
             nonlocal wire_seq
             wire_seq += 1
-            now = clock._now
+            now = self._now
             gen = now // grid
             heappush(
                 heap,
@@ -395,7 +419,7 @@ class KeyedEventLoop(EventLoop):
                     (src, dst, wire_seq, packet, gen),
                 ],
             )
-            queue._live += 1
+            self._live += 1
 
         return land
 
@@ -417,11 +441,10 @@ class KeyedEventLoop(EventLoop):
         nowhere else.
         """
         time = record.arrival
-        if time < self.clock._now:
+        if time < self._now:
             raise ClockError(
-                f"cannot schedule at {time}, clock already at {self.clock.now}"
+                f"cannot schedule at {time}, clock already at {self._now}"
             )
-        queue = self._queue
         entry = [
             time,
             (record.gen << 1 | 1) << 80
@@ -431,6 +454,6 @@ class KeyedEventLoop(EventLoop):
             callback,
             args,
         ]
-        heappush(queue._heap, entry)
-        queue._live += 1
+        heappush(self._heap, entry)
+        self._live += 1
         return entry

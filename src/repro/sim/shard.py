@@ -208,7 +208,7 @@ class ShardRuntime:
             return
         loop.run(max_events)
         if loop.next_event_time() is None:
-            loop.clock.advance_to(window_end(loop.now, loop.grid) - 1)
+            loop.advance_to(window_end(loop.now, loop.grid) - 1)
 
     def advance_to(self, time: int) -> None:
         if time > self.shard.loop.now:
@@ -218,9 +218,9 @@ class ShardRuntime:
         # Barrier actions fire *before* the window containing their
         # tick: move the clock only, never execute events at `time`
         # (run_until is inclusive and would).
-        clock = self.shard.loop.clock
-        if time > clock.now:
-            clock.advance_to(time)
+        loop = self.shard.loop
+        if time > loop.now:
+            loop.advance_to(time)
 
     def drain_outboxes(self) -> dict[int, list["HopRecord"]]:
         return self.shard.network.take_outboxes()
@@ -239,6 +239,14 @@ class ShardedSystem(Cluster):
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         super().__init__(config)
+        if self.config.load_report_interval > 0:
+            # Load reporting is System's alone; refused here rather
+            # than silently sending no reports.
+            raise ConfigError(
+                "ShardedSystem sends no load reports;"
+                f" load_report_interval={self.config.load_report_interval}"
+                " needs System"
+            )
         self.plan = ShardPlan.build(self.config, self.topology)
         for index, machines in enumerate(self.plan.shards):
             self._build_shard(

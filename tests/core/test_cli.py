@@ -37,6 +37,16 @@ class TestCli:
         assert "demos$ help" in out
         assert "commands:" in out
 
+    def test_shell_accepts_the_pid_run_printed(self, capsys):
+        assert main(["shell", "run compute"]) == 0
+        started = capsys.readouterr().out.split("started ")[1]
+        pid = started.split()[0]
+        assert pid.startswith("p")
+        assert main(["shell", "run compute", f"where {pid}"]) == 0
+        out = capsys.readouterr().out
+        assert f"{pid} is on machine 0" in out
+        assert "bad pid" not in out
+
     def test_report_prints_headlines(self, capsys):
         assert main(["report"]) == 0
         out = capsys.readouterr().out

@@ -39,6 +39,12 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             System(SystemConfig(machines=0))
 
+    def test_more_than_one_shard_rejected(self):
+        # System is the one-shard engine: it used to build one shard
+        # silently.
+        with pytest.raises(ConfigError, match="needs ShardedSystem"):
+            System(SystemConfig(machines=4, shards=4))
+
     def test_kernel_accessor_bounds(self):
         system = make_bare_system(machines=2)
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Tests for migration decision policies (§3.1 / §7 continuing work)."""
 
-from repro.policy.affinity import AffinityPolicy, _parse_pid
+from repro.kernel.ids import parse_pid
+from repro.policy.affinity import AffinityPolicy
 from repro.policy.load_balancer import ThresholdLoadBalancer
 from repro.policy.metrics import (
     CommunicationMatrix,
@@ -164,9 +165,9 @@ class TestAffinityPolicy:
     def test_parse_pid_round_trip(self):
         from repro.kernel.ids import ProcessId
 
-        assert _parse_pid("p2.5") == ProcessId(2, 5)
-        assert _parse_pid("kernel[2]") is None
-        assert _parse_pid("px.y") is None
+        assert parse_pid("p2.5") == ProcessId(2, 5)
+        assert parse_pid("kernel[2]") is None
+        assert parse_pid("px.y") is None
 
     def test_chatty_pair_colocated(self, board):
         system = make_system()

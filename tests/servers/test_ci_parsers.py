@@ -1,20 +1,26 @@
 """Unit tests for the command interpreter's parsers."""
 
-from repro.kernel.ids import ProcessId
-from repro.servers.command_interpreter import _parse_pid, _parse_value
+from repro.kernel.ids import ProcessId, parse_pid
+from repro.servers.command_interpreter import _parse_value
 
 
 class TestParsePid:
     def test_valid(self):
-        assert _parse_pid("2.5") == ProcessId(2, 5)
-        assert _parse_pid("0.1") == ProcessId(0, 1)
+        assert parse_pid("2.5") == ProcessId(2, 5)
+        assert parse_pid("0.1") == ProcessId(0, 1)
+        # the pid as `run` and `ps` print it
+        assert parse_pid("p0.6") == ProcessId(0, 6)
+        assert parse_pid(str(ProcessId(12, 34))) == ProcessId(12, 34)
 
     def test_invalid_shapes(self):
-        assert _parse_pid("banana") is None
-        assert _parse_pid("1") is None
-        assert _parse_pid("1.2.3") is None
-        assert _parse_pid("a.b") is None
-        assert _parse_pid("") is None
+        assert parse_pid("banana") is None
+        assert parse_pid("1") is None
+        assert parse_pid("1.2.3") is None
+        assert parse_pid("a.b") is None
+        assert parse_pid("") is None
+        assert parse_pid("kernel[2]") is None
+        assert parse_pid("px.y") is None
+        assert parse_pid("p-1.2") is None
 
 
 class TestParseValue:

@@ -1,4 +1,4 @@
-"""Tests for the simulated clock and time helpers."""
+"""Tests for the time helpers and the event loop's clock."""
 
 import pytest
 
@@ -7,12 +7,12 @@ from repro.sim.clock import (
     MSEC,
     SEC,
     USEC,
-    SimClock,
     format_time,
     msec,
     sec,
     usec,
 )
+from repro.sim.loop import EventLoop
 
 
 class TestUnits:
@@ -54,29 +54,31 @@ class TestFormatTime:
 
 class TestSimClock:
     def test_starts_at_zero(self):
-        assert SimClock().now == 0
+        assert EventLoop().now == 0
 
     def test_starts_at_given_time(self):
-        assert SimClock(42).now == 42
+        assert EventLoop(42).now == 42
 
     def test_negative_start_rejected(self):
         with pytest.raises(ClockError):
-            SimClock(-1)
+            EventLoop(-1)
 
     def test_advances(self):
-        clock = SimClock()
-        clock.advance_to(100)
-        assert clock.now == 100
+        loop = EventLoop()
+        loop.advance_to(100)
+        assert loop.now == 100
 
     def test_advance_to_same_time_is_noop(self):
-        clock = SimClock(50)
-        clock.advance_to(50)
-        assert clock.now == 50
+        loop = EventLoop(50)
+        loop.advance_to(50)
+        assert loop.now == 50
 
     def test_never_runs_backwards(self):
-        clock = SimClock(100)
+        loop = EventLoop(100)
         with pytest.raises(ClockError):
-            clock.advance_to(99)
+            loop.advance_to(99)
 
     def test_repr_mentions_time(self):
-        assert "1.000ms" in repr(SimClock(1_000))
+        assert repr(EventLoop(1_000)) == (
+            "EventLoop(now=1000, pending=0, fired=0)"
+        )

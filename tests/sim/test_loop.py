@@ -284,3 +284,26 @@ class TestEventBudget:
     )
     def test_an_event_costs_at_most_four_calls(self, make_loop):
         assert calls_per_event(make_loop) <= 4
+
+    @pytest.mark.parametrize(
+        "make_loop",
+        [EventLoop, lambda: KeyedEventLoop(1_000)],
+        ids=["classic", "keyed"],
+    )
+    def test_entry_points_call_no_helper_of_their_own(self, make_loop):
+        # The clock and the heap are the loop's own state: past the
+        # heapq builtins and the callback, no entry point enters a
+        # second Python frame (step's advance_to is its clock check).
+        loop = make_loop()
+        base = count_calls(lambda: None)
+
+        def cost(run):
+            return count_calls(run) - base
+
+        assert cost(lambda: loop.call_at(5, _noop)) == 2  # + heappush
+        assert cost(lambda: loop.next_event_time()) == 1
+        assert cost(lambda: loop.pending_events) == 1
+        # + heappop, advance_to and the callback
+        assert cost(lambda: loop.step()) == 4
+        loop.call_at(10, _noop)
+        assert cost(lambda: loop.run_until(20)) == 3  # + heappop, callback

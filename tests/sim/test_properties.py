@@ -7,7 +7,6 @@ from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import Topology
 from repro.sim.barrier import HopRecord
-from repro.sim.events import EventQueue
 from repro.sim.loop import EventLoop, KeyedEventLoop, MACHINE_ID_BITS
 from repro.sim.rng import RandomStreams
 
@@ -19,17 +18,16 @@ class TestEventQueueProperties:
         ),
     )
     def test_pop_order_is_time_then_fifo(self, times):
-        queue = EventQueue()
-        for index, time in enumerate(times):
-            queue.push(time, lambda: None, (index,))
+        loop = EventLoop()
         popped = []
-        while True:
-            entry = queue.pop()
-            if entry is None:
-                break
-            time, key, _, (index,) = entry
-            assert times[index] == time
-            popped.append((time, key))
+        for index, time in enumerate(times):
+            # the FIFO key call_at files under is the call's index
+            entry = loop.call_at(
+                time, lambda i: popped.append((loop.now, i)), index
+            )
+            assert entry[:2] == [time, index]
+        loop.run()
+        assert all(times[index] == now for now, index in popped)
         assert popped == sorted(popped)
         assert len(popped) == len(times)
 
@@ -41,21 +39,22 @@ class TestEventQueueProperties:
         cancel_mask=st.lists(st.booleans(), min_size=1, max_size=40),
     )
     def test_cancelled_events_never_fire(self, times, cancel_mask):
-        queue = EventQueue()
-        entries = [queue.push(t, lambda: None) for t in times]
+        loop = EventLoop()
+        fired = []
+        entries = [
+            loop.call_at(t, fired.append, i) for i, t in enumerate(times)
+        ]
         padded_mask = (cancel_mask * len(entries))[: len(entries)]
-        expected = 0
-        for entry, cancel in zip(entries, padded_mask):
+        expected = []
+        for index, (entry, cancel) in enumerate(zip(entries, padded_mask)):
             if cancel:
-                queue.cancel(entry)
+                loop.cancel(entry)
             else:
-                expected += 1
-        assert len(queue) == expected
-        fired = 0
-        while (entry := queue.pop()) is not None:
-            assert entry[2] is not None
-            fired += 1
-        assert fired == expected
+                expected.append(index)
+        assert loop.pending_events == len(expected)
+        assert loop.run() == len(expected)
+        assert sorted(fired) == expected
+        assert loop.pending_events == 0
 
 
 GRID = 1_000
@@ -74,8 +73,8 @@ def packed_key(rank):
     loop = KeyedEventLoop(GRID)
     if rank[1] == 0:
         g, _, n = rank
-        loop.clock.advance_to(g * GRID + GRID - 1)
-        loop._queue._next_seq = n
+        loop.advance_to(g * GRID + GRID - 1)
+        loop._seq = n
         return loop.call_soon(_noop)[1]
     g, _, src, dst, wire_seq = rank
     record = HopRecord(g * GRID, src, dst, wire_seq, None, g)
@@ -130,13 +129,13 @@ class TestPackedKeyProperties:
         # arriving as a record (schedule_record) get one key.
         loop = KeyedEventLoop(GRID)
         network = Network(loop, Topology.line(3))
-        loop.clock.advance_to(2 * GRID + 17)
+        loop.advance_to(2 * GRID + 17)
         for src, dst in ((0, 1), (2, 1), (0, 1)):
             network._channel(src, dst).transmit(
                 Packet(src, dst, PacketKind.DATA, 0, None, 8)
             )
         # An arrival's args start with its wire and the wire's counter.
-        landed = {entry[3][:3]: entry[1] for entry in loop._queue._heap}
+        landed = {entry[3][:3]: entry[1] for entry in loop._heap}
         assert sorted(landed) == [(0, 1, 1), (0, 1, 2), (2, 1, 1)]
         reference = KeyedEventLoop(GRID)
         for (src, dst, wire_seq), key in landed.items():

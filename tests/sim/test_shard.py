@@ -176,6 +176,14 @@ class TestShardedSystemBuild:
         with pytest.raises(ConfigError, match="at least one machine"):
             system.domain_view([])
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_load_reporting_rejected(self, shards):
+        # Only System sends load reports: a sharded run would silently
+        # send none.
+        with pytest.raises(ConfigError, match="needs System"):
+            sharded(machines=4, shards=shards, topology="mesh",
+                    load_report_interval=5_000)
+
     def test_repr_mentions_shards(self):
         assert "shards=2" in repr(sharded())
 
