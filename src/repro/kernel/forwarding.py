@@ -192,7 +192,9 @@ class Forwarder:
                 new_machine=forward_to,
             )
             dest = kernel._peers[sender_machine_of(message)]
-            update_msg = build_link_update(kernel.address, update, dest)
+            update_msg = build_link_update(
+                kernel.address, update, dest, kernel.next_serial()
+            )
             kernel.stats.link_updates_sent += 1
             if kernel._trace_wants("linkupd"):
                 kernel.tracer.record(
@@ -239,6 +241,7 @@ class Forwarder:
             payload=message,
             payload_bytes=message.wire_bytes,
             category="nack",
+            serial=kernel.next_serial(),
         )
         kernel.route_message(nack)
 
@@ -258,6 +261,7 @@ class Forwarder:
             },
             payload_bytes=8,
             category="nack",
+            serial=kernel.next_serial(),
         )
         kernel.route_message(notice)
 

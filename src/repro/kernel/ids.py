@@ -25,67 +25,54 @@ PROCESS_ID_BYTES = 4
 PROCESS_ADDRESS_BYTES = 6
 #: The reserved local id addressing a machine's kernel.
 KERNEL_LOCAL_ID = 0
+#: Bits of a packed pid that hold the local id; the creating machine
+#: sits above them.
+LOCAL_ID_BITS = 20
+#: The first local id that no longer fits its field of a packed pid.
+LOCAL_ID_LIMIT = 1 << LOCAL_ID_BITS
 
 
-@dataclass(frozen=True, order=True)
-class ProcessId:
-    """System-wide unique process identifier.  Immutable for life."""
+class ProcessId(int):
+    """System-wide unique process identifier.  Immutable for life.
 
-    creating_machine: MachineId
-    local_id: int
+    The pair ``<creating machine, local id>`` packed into one int
+    (``creating_machine << 20 | local_id``), so hashing, equality and
+    ordering run in C; the order is the pair's lexicographic order.
+    """
 
-    def __post_init__(self) -> None:
-        # Pids key the kernel's hottest dicts (process table, run queues,
-        # forwarding); cache the hash so each lookup skips the generated
-        # tuple-hash path.  Fields are frozen, so the cache never stales.
-        object.__setattr__(
-            self, "_hash", hash((self.creating_machine, self.local_id))
-        )
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __new__(
+        cls, creating_machine: MachineId, local_id: int
+    ) -> "ProcessId":
+        return int.__new__(cls, creating_machine << LOCAL_ID_BITS | local_id)
 
-    def __getstate__(self) -> tuple:
-        """Positional wire state: pids ride in every cross-shard record
-        blob, where dict keys and the cached hash are dead bytes."""
+    def __getnewargs__(self) -> tuple[int, int]:
         return (self.creating_machine, self.local_id)
 
-    def __setstate__(self, state: tuple) -> None:
-        object.__setattr__(self, "creating_machine", state[0])
-        object.__setattr__(self, "local_id", state[1])
-        self.__post_init__()
+    @property
+    def creating_machine(self) -> MachineId:
+        return self >> LOCAL_ID_BITS
+
+    @property
+    def local_id(self) -> int:
+        return self & (LOCAL_ID_LIMIT - 1)
 
     @property
     def is_kernel(self) -> bool:
         """Whether this id names a kernel rather than a process."""
-        return self.local_id == KERNEL_LOCAL_ID
+        return self & (LOCAL_ID_LIMIT - 1) == KERNEL_LOCAL_ID
 
     def __str__(self) -> str:
         if self.is_kernel:
             return f"kernel[{self.creating_machine}]"
         return f"p{self.creating_machine}.{self.local_id}"
 
-
-def _process_id_eq(self: ProcessId, other: object) -> bool:
-    # The dataclass-generated __eq__ builds a tuple per operand on every
-    # compare; the scheduler compares pids on each enqueue/release, which
-    # made that tuple build one of the hottest allocations at cluster
-    # scale.  Identity first (the common case: the scheduler compares a
-    # pid against the same object it stored), then direct field compares.
-    if self is other:
-        return True
-    if other.__class__ is ProcessId:
+    def __repr__(self) -> str:
         return (
-            self.local_id == other.local_id  # type: ignore[attr-defined]
-            and self.creating_machine
-            == other.creating_machine  # type: ignore[attr-defined]
+            f"ProcessId(creating_machine={self.creating_machine},"
+            f" local_id={self.local_id})"
         )
-    return NotImplemented
-
-
-# ``order=True`` requires the generated ``__eq__`` at class-creation time,
-# so the fast replacement is swapped in afterwards.
-ProcessId.__eq__ = _process_id_eq  # type: ignore[method-assign]
 
 
 _PID_TEXT = re.compile(r"p?([0-9]+)\.([0-9]+)")
@@ -119,7 +106,8 @@ class ProcessAddress:
     last_known_machine: MachineId
 
     def __getstate__(self) -> tuple:
-        """Positional wire state (see :meth:`ProcessId.__getstate__`)."""
+        """Positional wire state: addresses ride in every cross-shard
+        record blob, where dict keys would be dead bytes."""
         return (self.pid, self.last_known_machine)
 
     def __setstate__(self, state: tuple) -> None:

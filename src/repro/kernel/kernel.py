@@ -21,6 +21,7 @@ The parts that matter for the paper:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -29,6 +30,7 @@ from repro.errors import (
     LinkAccessError,
     ProcessStateError,
     ReproError,
+    SimulationError,
     UnknownProcessError,
 )
 from repro.kernel.context import ProcessContext
@@ -38,6 +40,7 @@ from repro.kernel.forwarding import (
     UndeliverablePolicy,
 )
 from repro.kernel.ids import (
+    LOCAL_ID_LIMIT,
     KernelAddresses,
     ProcessAddress,
     ProcessId,
@@ -188,6 +191,10 @@ class Kernel:
         #: the kernel addresses of the machines this one sends control
         #: traffic to (at most one entry per machine)
         self._peers = KernelAddresses()
+        #: mints the serial of every message this kernel sends; the
+        #: sender address names this machine, so the pair is unique
+        #: cluster-wide and counts alike on every engine
+        self.next_serial = itertools.count(1).__next__
 
         self.processes: dict[ProcessId, ProcessState] = {}
         self.dead: set[ProcessId] = set()
@@ -288,6 +295,11 @@ class Kernel:
         ``ctx.bootstrap`` so programs can reach the switchboard et al.
         """
         self._local_id_counter += 1
+        if self._local_id_counter >= LOCAL_ID_LIMIT:
+            raise SimulationError(
+                f"machine {self.machine} has minted all"
+                f" {LOCAL_ID_LIMIT - 1} local process ids"
+            )
         pid = ProcessId(self.machine, self._local_id_counter)
         state = ProcessState(
             pid=pid,
@@ -394,7 +406,8 @@ class Kernel:
             enclosed = ()
         # Positional, in field order: dest, sender, kind, op, payload,
         # payload_bytes, links, deliver_to_kernel, forward_count,
-        # category.  The sender address was minted once per residence.
+        # category, serial.  The sender address was minted once per
+        # residence.
         message = Message(
             link.address,
             state.context.address,
@@ -406,6 +419,7 @@ class Kernel:
             link.deliver_to_kernel or call.deliver_to_kernel,
             0,
             "user",
+            self.next_serial(),
         )
         accounting = state.accounting
         accounting.messages_sent += 1
@@ -434,6 +448,7 @@ class Kernel:
                 False,
                 0,
                 category,
+                self.next_serial(),
             )
         )
 
@@ -466,6 +481,7 @@ class Kernel:
             deliver_to_kernel=deliver_to_kernel,
             category=category,
             links=links,
+            serial=self.next_serial(),
         )
         self.route_message(message)
 

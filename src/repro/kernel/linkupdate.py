@@ -45,13 +45,15 @@ def build_link_update(
     forwarder: ProcessAddress,
     update: LinkUpdate,
     sender_kernel: ProcessAddress,
+    serial: int = 0,
 ) -> Message:
     """The special message the forwarding machine sends (Figure 5-1).
 
     It goes from the forwarding kernel's address *forwarder* to
     *sender_kernel*, the kernel of the machine the original message
     came from — the sender's machine as recorded in the forwarded
-    message (:func:`sender_machine_of`).
+    message (:func:`sender_machine_of`).  *serial* is the forwarding
+    kernel's next message serial.
     """
     # Positional, in field order (see Kernel.send_from_process).
     return Message(
@@ -65,6 +67,7 @@ def build_link_update(
         False,
         0,
         "linkupdate",
+        serial,
     )
 
 

@@ -10,8 +10,7 @@ which forwarding addresses patch en route.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -21,8 +20,6 @@ from repro.kernel.links import LINK_WIRE_BYTES, LinkSnapshot
 #: Fixed message header modelled on the wire: destination address (6) +
 #: sender address (6) + kind/op tag (3) + link count (1).
 MESSAGE_HEADER_BYTES = 2 * PROCESS_ADDRESS_BYTES + 4
-
-_message_serial = itertools.count(1)
 
 
 class MessageKind(Enum):
@@ -57,7 +54,9 @@ class Message:
     forward_count: int = 0
     #: accounting category for the network layer ("user", "admin", ...)
     category: str = "user"
-    serial: int = field(default_factory=_message_serial.__next__)
+    #: minted by the sending kernel (:attr:`Kernel.next_serial`); with
+    #: the sender's machine it names the message cluster-wide
+    serial: int = 0
     #: local link ids minted in the receiver's table at delivery time
     delivered_link_ids: tuple[int, ...] = ()
 
@@ -79,30 +78,26 @@ class Message:
     def __getstate__(self) -> tuple:
         """Positional wire form: every field except receiver-local state.
 
-        ``serial`` follows the same rule as
-        :meth:`repro.net.packet.Packet.__getstate__`: an
-        address-space-local diagnostic id whose value depends on the
-        executor, re-minted locally on unpickle.  ``delivered_link_ids``
-        is minted by the *receiver* at delivery time; a message in
-        flight has none, but the serial executor shares one live object
-        between sender and receiver, so a transport retransmission
-        after first delivery would otherwise pickle the receiver's
-        mutation — making blob bytes executor-dependent.  Positional
-        because per-record wire blobs cannot share pickle memos.
+        ``delivered_link_ids`` is minted by the *receiver* at delivery
+        time; a message in flight has none, but the serial executor
+        shares one live object between sender and receiver, so a
+        transport retransmission after first delivery would otherwise
+        pickle the receiver's mutation — making blob bytes
+        executor-dependent.  Positional because per-record wire blobs
+        cannot share pickle memos.
         """
         return (
             self.dest, self.sender, self.kind, self.op, self.payload,
             self.payload_bytes, self.links, self.deliver_to_kernel,
-            self.forward_count, self.category,
+            self.forward_count, self.category, self.serial,
         )
 
     def __setstate__(self, state: tuple) -> None:
         (
             self.dest, self.sender, self.kind, self.op, self.payload,
             self.payload_bytes, self.links, self.deliver_to_kernel,
-            self.forward_count, self.category,
+            self.forward_count, self.category, self.serial,
         ) = state
-        self.serial = next(_message_serial)
         self.delivered_link_ids = ()
 
     def __repr__(self) -> str:

@@ -8,8 +8,7 @@ what travels on the simulated wire.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -21,8 +20,6 @@ PACKET_HEADER_BYTES = 12
 
 #: Size of a transport-level acknowledgement (header only + 4-byte seq echo).
 ACK_PAYLOAD_BYTES = 4
-
-_packet_serial = itertools.count(1)
 
 
 class PacketKind(Enum):
@@ -45,7 +42,6 @@ class Packet:
     #: category tag from the layer above ("admin", "user", "datamove", ...);
     #: used only for accounting, never for routing.
     category: str = "user"
-    serial: int = field(default_factory=_packet_serial.__next__)
 
     @property
     def size_bytes(self) -> int:
@@ -53,17 +49,9 @@ class Packet:
         return PACKET_HEADER_BYTES + self.payload_bytes
 
     def __getstate__(self) -> tuple:
-        """Positional wire form: every field except ``serial``.
-
-        The serial is an address-space-local diagnostic id; a forked
-        shard's counter diverges from the serial executor's shared one,
-        so keeping it out of the pickle makes cross-shard blob bytes
-        identical under every executor.  Unpickling mints a fresh local
-        serial, preserving uniqueness within the receiving process.
-        Positional (not a dict) because per-record wire blobs cannot
-        share pickle memos — field-name keys would be repeated bytes on
-        every record.
-        """
+        """Positional wire form (not a dict): per-record wire blobs
+        cannot share pickle memos, so field-name keys would be repeated
+        bytes on every record."""
         return (
             self.src, self.dst, self.kind, self.seq,
             self.payload, self.payload_bytes, self.category,
@@ -74,11 +62,10 @@ class Packet:
             self.src, self.dst, self.kind, self.seq,
             self.payload, self.payload_bytes, self.category,
         ) = state
-        self.serial = next(_packet_serial)
 
     def __repr__(self) -> str:
         return (
-            f"Packet(#{self.serial} {self.src}->{self.dst}"
+            f"Packet({self.src}->{self.dst}"
             f" {self.kind.value} seq={self.seq} {self.payload_bytes}B"
             f" cat={self.category})"
         )

@@ -361,7 +361,7 @@ class MetricsSnapshot:
 
         Series carrying the label more than once cannot occur (labels
         are a mapping); series without the label are skipped, so the
-        global (unlabelled) histogram never shadows a domain's.
+        unlabelled (global) histogram never shadows a domain's.
         """
         out: dict[Any, HistogramSnapshot] = {}
         for labels, snapshot in self.histograms.get(name, {}).items():

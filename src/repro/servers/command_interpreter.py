@@ -17,14 +17,12 @@ A pid is written as ``run`` and ``ps`` print it (``p2.5``) or bare
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Generator
 
 from repro.kernel.context import ProcessContext
 from repro.kernel.ids import parse_pid
-from repro.kernel.messages import Message
 from repro.servers.common import serve_reply
-from repro.servers.filesystem import _serial_rpc
+from repro.servers.filesystem import Backlog, _serial_rpc
 
 HELP_TEXT = (
     "commands: run <program> [on <machine>] [key=value ...] | "
@@ -48,7 +46,7 @@ def command_interpreter_program(
     ctx: ProcessContext,
 ) -> Generator[Any, Any, None]:
     """The command-interpreter server loop."""
-    backlog: deque[Message] = deque()
+    backlog = Backlog()
     pm_link = ctx.bootstrap["process_manager"]
 
     while True:

@@ -102,7 +102,7 @@ def buffer_manager_program(
     cache trivially consistent (and models a single disk arm anyway).
     """
     cache: "OrderedDict[int, bytes]" = OrderedDict()
-    backlog: deque[Message] = deque()
+    backlog = Backlog()
     hits = misses = 0
     disk_link = ctx.bootstrap["disk_driver"]
 
@@ -295,7 +295,7 @@ def file_server_program(
     this process mid-operation is the paper's showcase test: the frozen
     generator, its backlog, and its links all travel in the process state.
     """
-    backlog: deque[Message] = deque()
+    backlog = Backlog()
     handles: dict[int, int] = {}  # handle -> inode
     next_handle = 0
     operations = 0
@@ -393,7 +393,7 @@ def file_server_program(
 
 def _fs_read(
     ctx: ProcessContext,
-    backlog: deque,
+    backlog: Backlog,
     msg: Message,
     handles: dict[int, int],
     dir_link: int,
@@ -439,7 +439,7 @@ def _fs_read(
 
 def _fs_write(
     ctx: ProcessContext,
-    backlog: deque,
+    backlog: Backlog,
     msg: Message,
     handles: dict[int, int],
     dir_link: int,
@@ -495,12 +495,17 @@ def _fs_write(
 # Serial sub-request helper
 # =====================================================================
 
-_serial_req_counter = 0
+class Backlog(deque):
+    """The messages a server process set aside while it waited for a
+    sub-request's reply, and the number of sub-requests it has issued
+    (which names each one's reply).  Every process keeps its own."""
+
+    issued = 0
 
 
 def _serial_rpc(
     ctx: ProcessContext,
-    backlog: deque,
+    backlog: Backlog,
     link: int,
     op: str,
     payload: dict,
@@ -511,9 +516,8 @@ def _serial_rpc(
     Messages that arrive meanwhile (new client requests, stray replies)
     are pushed onto *backlog* for the main loop.
     """
-    global _serial_req_counter
-    _serial_req_counter += 1
-    req_id = ("srpc", _serial_req_counter)
+    backlog.issued += 1
+    req_id = ("srpc", backlog.issued)
     reply_link = yield ctx.create_link()
     request = dict(payload)
     request["req_id"] = req_id

@@ -76,6 +76,7 @@ receiving worker refuses.
 
 from __future__ import annotations
 
+import functools
 import io
 import pickle
 from dataclasses import dataclass
@@ -155,40 +156,37 @@ class CapturedPayload:
     size_bytes: int  #: the packet's declared wire size
 
 
-#: lazily built identity-stable objects every record blob references —
-#: the classes and enum members of the wire vocabulary.  Packing each
-#: record standalone loses the memo sharing a whole-outbox pickle gets,
-#: so these are replaced by short persistent-id tokens instead of
-#: repeating ``module.QualName`` boilerplate in every blob.
-_WIRE_ATOMS: tuple[Any, ...] = ()
-_WIRE_ATOM_TOKENS: dict[int, int] = {}
+@functools.cache
+def _wire_atoms() -> tuple[Any, ...]:
+    """The identity-stable objects every record blob references — the
+    classes and enum members of the wire vocabulary.  Packing each
+    record standalone loses the memo sharing a whole-outbox pickle
+    gets, so these are replaced by short persistent-id tokens instead
+    of repeating ``module.QualName`` boilerplate in every blob.  Built
+    on first use: the kernel and net modules import this one."""
+    from repro.kernel.ids import ProcessAddress, ProcessId
+    from repro.kernel.links import (
+        DataArea,
+        Link,
+        LinkAttribute,
+        LinkSnapshot,
+    )
+    from repro.kernel.messages import Message, MessageKind
+    from repro.net.packet import Packet, PacketKind
+
+    return (
+        HopRecord, CapturedPayload,
+        Packet, PacketKind, *PacketKind,
+        Message, MessageKind, *MessageKind,
+        ProcessId, ProcessAddress,
+        LinkSnapshot, LinkAttribute, *LinkAttribute,
+        DataArea, Link,
+    )
 
 
+@functools.cache
 def _wire_atom_tokens() -> dict[int, int]:
-    global _WIRE_ATOMS, _WIRE_ATOM_TOKENS
-    if not _WIRE_ATOMS:
-        from repro.kernel.ids import ProcessAddress, ProcessId
-        from repro.kernel.links import (
-            DataArea,
-            Link,
-            LinkAttribute,
-            LinkSnapshot,
-        )
-        from repro.kernel.messages import Message, MessageKind
-        from repro.net.packet import Packet, PacketKind
-
-        _WIRE_ATOMS = (
-            HopRecord, CapturedPayload,
-            Packet, PacketKind, *PacketKind,
-            Message, MessageKind, *MessageKind,
-            ProcessId, ProcessAddress,
-            LinkSnapshot, LinkAttribute, *LinkAttribute,
-            DataArea, Link,
-        )
-        _WIRE_ATOM_TOKENS = {
-            id(atom): token for token, atom in enumerate(_WIRE_ATOMS)
-        }
-    return _WIRE_ATOM_TOKENS
+    return {id(atom): token for token, atom in enumerate(_wire_atoms())}
 
 
 class _RecordPickler(pickle.Pickler):
@@ -202,8 +200,7 @@ class _RecordUnpickler(pickle.Unpickler):
     """Inverse of :class:`_RecordPickler`."""
 
     def persistent_load(self, pid: int) -> Any:
-        _wire_atom_tokens()
-        return _WIRE_ATOMS[pid]
+        return _wire_atoms()[pid]
 
 
 def unpack_record(blob: bytes) -> HopRecord:

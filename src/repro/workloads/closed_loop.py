@@ -272,8 +272,8 @@ class ClientPool:
 
     - *domains* maps a service name to a domain label; each reply is
       then also observed into ``metric{domain=<label>}``, the per-domain
-      digests an SLO balancer consumes (their bitwise merge equals the
-      global histogram);
+      digests an SLO balancer consumes (their bitwise merge equals
+      the global histogram);
     - *addresses* maps service names to :class:`ProcessAddress`, letting
       tens of thousands of clients skip the switchboard stampede;
     - *spotlight* ``(label, start, end)`` additionally records requests

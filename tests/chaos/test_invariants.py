@@ -1,5 +1,7 @@
 """Survivor invariants: clean systems pass, seeded damage is named."""
 
+import pytest
+
 from repro.chaos import (
     check_chain_collapse,
     check_exactly_once,
@@ -111,6 +113,7 @@ class TestSeededViolations:
         problems = check_recovery_state(recovery)
         assert any("orphaned" in p for p in problems)
 
+    @pytest.mark.survivor_violation
     def test_memory_leak_detected(self):
         system = make_system(machines=4)
         pid = system.spawn(parked, machine=2, name="leak")

@@ -8,9 +8,24 @@ from heapq import heappush
 
 import pytest
 
+from repro.chaos.invariants import (
+    check_chain_collapse,
+    check_memory_accounting,
+    check_no_stranded_forwarding,
+    check_quiescence,
+)
 from repro.core.config import SystemConfig
 from repro.core.system import System
+from repro.sim.shard import ShardedSystem
 from repro.workloads.results import ResultsBoard
+
+#: what every quiescent cluster a test built must satisfy at teardown
+TEARDOWN_CHECKS = (
+    check_quiescence,
+    check_chain_collapse,
+    check_no_stranded_forwarding,
+    check_memory_accounting,
+)
 
 
 def make_system(machines: int = 4, **overrides) -> System:
@@ -22,6 +37,44 @@ def make_bare_system(machines: int = 3, **overrides) -> System:
     """A System without any system processes (pure kernel testing)."""
     overrides.setdefault("boot_servers", False)
     return System(SystemConfig(machines=machines, **overrides))
+
+
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers",
+        "survivor_violation: the test leaves a cluster breaking a survivor"
+        " invariant on purpose; its teardown check is skipped",
+    )
+
+
+@pytest.fixture(autouse=True)
+def survivor_invariants_at_teardown(request, monkeypatch):
+    """Record every cluster the test finishes building and, at teardown,
+    hold each one that ended quiescent to :data:`TEARDOWN_CHECKS`.
+
+    The hook runs once per build and the checks after the test, so no
+    ``count_work`` window (each times a run of an already-built
+    cluster) counts a frame of either.
+    """
+    built = []
+    for engine in (System, ShardedSystem):
+
+        def recording(self, *args, _init=engine.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(engine, "__init__", recording)
+    yield
+    if request.node.get_closest_marker("survivor_violation"):
+        return
+    problems = [
+        problem
+        for cluster in built
+        if cluster.quiescent()
+        for check in TEARDOWN_CHECKS
+        for problem in check(cluster)
+    ]
+    assert not problems, "\n".join(problems)
 
 
 @pytest.fixture

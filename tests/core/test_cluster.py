@@ -134,8 +134,7 @@ FULL_STEPS = [1, 2, 3, 4, 4, 5, 6, 7, 8]
 
 def span_view(span):
     """A span as comparable data.  Child events are sorted, because
-    shards trace them on separate tracers, and lose the message serial,
-    a process-global diagnostic id."""
+    shards trace them on separate tracers."""
     children = span.child_events()
     return (
         span.name,
@@ -143,8 +142,7 @@ def span_view(span):
         span.steps(),
         [e.time for e in span.events if e not in children],
         sorted(
-            (e.time, e.name,
-             sorted((k, v) for k, v in e.fields.items() if k != "serial"))
+            (e.time, e.name, sorted(e.fields.items()))
             for e in children
         ),
     )

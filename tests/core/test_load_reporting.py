@@ -47,6 +47,7 @@ class TestLoadReporting:
         drain(system)
         assert placement["ok"]
         assert placement["machine"] != 0
+        system.kernel(0).memory.cancel_reservation("ballast")
 
     def test_reporting_off_by_default(self):
         system = make_system()

@@ -1,7 +1,14 @@
 """Tests for process ids and addresses (paper Figure 2-1)."""
 
+import copy
+import pickle
+
+import pytest
+
+from repro.errors import SimulationError
 from repro.kernel.ids import (
     KERNEL_LOCAL_ID,
+    LOCAL_ID_LIMIT,
     PROCESS_ADDRESS_BYTES,
     PROCESS_ID_BYTES,
     ProcessAddress,
@@ -9,6 +16,12 @@ from repro.kernel.ids import (
     kernel_address,
     kernel_pid,
 )
+from tests.conftest import make_bare_system
+
+
+def parked(ctx):
+    while True:
+        yield ctx.receive()
 
 
 class TestProcessId:
@@ -20,11 +33,7 @@ class TestProcessId:
         assert len({ProcessId(0, 1), ProcessId(0, 1), ProcessId(0, 2)}) == 2
 
     def test_immutable(self):
-        import dataclasses
-
-        import pytest
-
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ProcessId(0, 1).local_id = 5
 
     def test_kernel_pid_reserved_local_id(self):
@@ -35,6 +44,29 @@ class TestProcessId:
     def test_str_forms(self):
         assert str(ProcessId(2, 5)) == "p2.5"
         assert str(kernel_pid(2)) == "kernel[2]"
+
+    def test_orders_as_the_pair(self):
+        pids = [ProcessId(1, 3), ProcessId(0, LOCAL_ID_LIMIT - 1),
+                ProcessId(1, 1)]
+        assert sorted(pids) == sorted(
+            pids, key=lambda p: (p.creating_machine, p.local_id)
+        )
+
+    def test_pickle_and_copy_keep_the_pid(self):
+        pid = ProcessId(3, 7)
+        for back in (pickle.loads(pickle.dumps(pid)), copy.deepcopy(pid)):
+            assert type(back) is ProcessId and back == pid
+            assert (back.creating_machine, back.local_id) == (3, 7)
+
+    def test_spawn_refuses_a_local_id_that_cannot_be_packed(self):
+        kernel = make_bare_system().kernel(1)
+        kernel._local_id_counter = LOCAL_ID_LIMIT - 2
+        last = kernel.spawn(parked)
+        assert (last.creating_machine, last.local_id) == (
+            1, LOCAL_ID_LIMIT - 1,
+        )
+        with pytest.raises(SimulationError, match="machine 1 "):
+            kernel.spawn(parked)
 
     def test_wire_sizes_match_paper_scale(self):
         # A pid is creating machine + local id; an address adds the

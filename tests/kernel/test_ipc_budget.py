@@ -34,7 +34,7 @@ CONFIG = SystemConfig(
 )
 LOCAL, REMOTE = 0, 1
 #: exact ceilings, calls per round trip, on both engines
-BUDGET = {LOCAL: 194, REMOTE: 226}
+BUDGET = {LOCAL: 167, REMOTE: 211}
 #: what one round trip is made of, on both engines
 SYSCALLS_PER_ROUND_TRIP = 7
 EVENTS_PER_ROUND_TRIP = {LOCAL: 7, REMOTE: 13}

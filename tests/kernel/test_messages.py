@@ -48,9 +48,16 @@ class TestMessage:
         assert msg.forward_count == 2
 
     def test_serials_unique(self):
-        a = Message(dest=addr(), sender=addr(), kind=MessageKind.USER, op="x")
-        b = Message(dest=addr(), sender=addr(), kind=MessageKind.USER, op="x")
-        assert a.serial != b.serial
+        # The sending kernel mints the serial: with the sender's machine
+        # it names a message cluster-wide.
+        system = make_bare_system()
+        received = []
+        system.kernel(2).register_control("probe", received.append)
+        for machine in (0, 0, 1):
+            system.kernel(machine).send_control(2, "probe", None, 8)
+        drain(system)
+        names = {(m.sender.last_known_machine, m.serial) for m in received}
+        assert len(names) == 3
 
     def test_repr_flags(self):
         msg = Message(

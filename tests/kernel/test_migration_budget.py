@@ -24,7 +24,7 @@ from tests.kernel.test_ipc_budget import CONFIG
 
 KB = 1 << 10
 #: exact ceilings, calls per move, on both engines
-BUDGET = {KB: 750.5, 8 * KB: 1_002.5}
+BUDGET = {KB: 701, 8 * KB: 939}
 #: the paper's §6 count: request, accept, three segment requests,
 #: transfer-complete, pending-forwarded, cleanup-complete, restart-ack
 ADMIN_MESSAGES_PER_MOVE = 9

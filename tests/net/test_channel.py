@@ -29,9 +29,6 @@ class TestPacket:
         packet = make_packet(size=100)
         assert packet.size_bytes == 100 + PACKET_HEADER_BYTES
 
-    def test_serials_unique(self):
-        assert make_packet().serial != make_packet().serial
-
 
 class TestPerfectChannel:
     def test_delivers_after_wire_delay(self):

@@ -160,6 +160,7 @@ class TestRecordWireFormat:
             payload={"n": 1},
             payload_bytes=16,
             links=(snap, LinkSnapshot.of(Link(snap.address))),
+            serial=41,
         )
         message.delivered_link_ids = (9, 10)  # receiver-local noise
         packet = Packet(0, 4, PacketKind.DATA, 5, message, 40)
@@ -186,9 +187,9 @@ class TestRecordWireFormat:
     def test_receiver_local_state_is_minted_fresh(self):
         original = self._record()
         back = unpack_record(pack_record(original))
-        # Serials are address-space diagnostics: re-minted, not copied.
-        assert back.packet.serial != original.packet.serial
-        assert back.packet.payload.serial != original.packet.payload.serial
+        # The sending kernel's message serial is wire state: it survives
+        # the pickle.
+        assert back.packet.payload.serial == original.packet.payload.serial
         # Delivery marks belong to the receiver that made them.
         assert original.packet.payload.delivered_link_ids == (9, 10)
         assert back.packet.payload.delivered_link_ids == ()
