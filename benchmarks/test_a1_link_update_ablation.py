@@ -19,10 +19,14 @@ from conftest import (
 from repro.kernel.ids import ProcessAddress
 
 ROUNDS = 20
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
 
 
 def run(updates_enabled: bool):
-    system = make_bare_system(send_link_updates=updates_enabled)
+    system = make_bare_system(
+        machines=MACHINES, send_link_updates=updates_enabled
+    )
     latencies = []
 
     def server(ctx):
@@ -97,7 +101,8 @@ def test_a1_link_update_ablation(bench_once):
                 without_updates["steady_latency"]
             ),
         },
-        meta={"paper": "§5: without link updates every request on a "
+        meta={"machines": MACHINES,
+              "paper": "§5: without link updates every request on a "
                        "stale link forwards forever"},
     )
 

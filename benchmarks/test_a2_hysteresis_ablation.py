@@ -23,11 +23,13 @@ from repro.workloads.results import ResultsBoard
 
 JOBS = 10
 WORK = 60_000
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
 
 
 def run(mode: str):
     board = ResultsBoard()
-    system = make_bare_system(machines=4)
+    system = make_bare_system(machines=MACHINES)
     for i in range(JOBS):
         system.loop.call_at(
             100 * i,
@@ -95,7 +97,8 @@ def test_a2_hysteresis_ablation(bench_once):
         metrics[f"state_bytes_{r['mode']}"] = r["state_bytes"]
     write_bench_artifact(
         "a2_hysteresis_ablation", metrics,
-        meta={"paper": "§3.1: hysteresis keeps migration costs from "
+        meta={"machines": MACHINES,
+              "paper": "§3.1: hysteresis keeps migration costs from "
                        "exceeding the gains"},
     )
 

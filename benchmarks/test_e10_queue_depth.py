@@ -20,10 +20,12 @@ from repro.kernel.ids import ProcessAddress
 from repro.kernel.messages import MessageKind
 
 QUEUE_DEPTHS = [0, 4, 16, 64, 128]
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
 
 
 def migrate_with_queue(depth: int):
-    system = make_bare_system()
+    system = make_bare_system(machines=MACHINES)
 
     def receiver(ctx):
         received = 0
@@ -80,7 +82,8 @@ def test_e10_pending_queue_cost(bench_once):
         )
     write_bench_artifact(
         "e10_queue_depth", metrics,
-        meta={"paper": "§6: pending messages ride the normal "
+        meta={"machines": MACHINES,
+              "paper": "§6: pending messages ride the normal "
                        "inter-machine path; admin cost stays 9 messages"},
     )
 

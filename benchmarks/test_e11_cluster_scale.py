@@ -94,10 +94,11 @@ SPARSE = ClusterParams(
     topology="torus",
 )
 
-#: 1,024 machines on a 32x32 torus — the ROADMAP scale-out step the
-#: adaptive route cache unblocked (a hard 512-source LRU thrashed here:
-#: forwarding makes all 1,024 machines routing sources, and every
-#: evicted source cost a full Dijkstra per hop).  Workload per server
+#: 1,024 machines on a 32x32 torus — the ROADMAP scale-out step that
+#: needs the route cache to keep one table per machine (a 512-source
+#: LRU once thrashed here: forwarding makes all 1,024 machines routing
+#: sources, and every evicted source cost a full Dijkstra per hop).
+#: The cache now evicts nothing.  Workload per server
 #: is minimal; the point is protocol traffic across a diameter-32
 #: network.  The sharded engine runs the same machine count in
 #: `test_e11_shards.py` (`e11_shards_xsparse`), where shards=1 and

@@ -22,6 +22,8 @@ from repro.kernel.ids import ProcessAddress, ProcessId
 from repro.kernel.memory import MemoryImage
 
 PROGRAM_SIZES = [1 << 10, 8 << 10, 64 << 10, 256 << 10]
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
 
 
 def typical_links(n: int = 10) -> dict[str, ProcessAddress]:
@@ -33,7 +35,7 @@ def typical_links(n: int = 10) -> dict[str, ProcessAddress]:
 
 
 def migrate_once(program_bytes: int):
-    system = make_bare_system(memory_capacity=1 << 30)
+    system = make_bare_system(machines=MACHINES, memory_capacity=1 << 30)
     code = program_bytes // 2
     data = program_bytes - code
 
@@ -97,7 +99,8 @@ def test_e1_migration_cost_breakdown(bench_once):
         metrics[f"chunks_{size >> 10}kb"] = record.datamove_chunks
     write_bench_artifact(
         "e1_migration_cost", metrics,
-        meta={"paper": "9 admin msgs of 6-12B; resident ~250B; "
+        meta={"machines": MACHINES,
+              "paper": "9 admin msgs of 6-12B; resident ~250B; "
                        "swappable ~600B"},
     )
 

@@ -20,13 +20,16 @@ from conftest import (
 
 from repro.kernel.ids import ProcessAddress
 
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
+
 
 def run_client_server(gap: int, rounds: int = 8, migrate_at: int = 9_000):
     """A client pinging a server that migrates mid-stream.
 
     Returns (per-round transcript, network/kernel counters).
     """
-    system = make_bare_system()
+    system = make_bare_system(machines=MACHINES)
     transcript = []
 
     def server(ctx):
@@ -103,7 +106,8 @@ def test_e2_incremental_cost(bench_once):
             "forwarded_rounds": forwarded_round_count,
             "final_round_forward_hops": transcript[-1]["fwd"],
         },
-        meta={"paper": "2 extra messages per forward; link typically "
+        meta={"machines": MACHINES,
+              "paper": "2 extra messages per forward; link typically "
                        "updated after the first message"},
     )
 
@@ -126,7 +130,7 @@ def run_pipelined_worst_case():
     """Two messages launched back-to-back on a stale link: both are
     enroute before the update from the first forward can land — the
     paper's observed worst case of two messages per link."""
-    system = make_bare_system()
+    system = make_bare_system(machines=MACHINES)
     fwd_flags = []
 
     def server(ctx):
@@ -188,7 +192,8 @@ def test_e2_back_to_back_messages_show_worst_case(bench_once):
             "total_messages": len(fwd_flags),
             "max_forward_hops": max(fwd_flags),
         },
-        meta={"paper": "worst case observed was two messages sent over "
+        meta={"machines": MACHINES,
+              "paper": "worst case observed was two messages sent over "
                        "a link before it was updated"},
     )
     # Both pipelined messages were already enroute: exactly the paper's

@@ -26,9 +26,12 @@ STEP_CONTROL = {
     "step8-restart": (8, "destination"),
 }
 
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
+
 
 def run_migration():
-    system = make_bare_system()
+    system = make_bare_system(machines=MACHINES)
 
     def parked(ctx):
         while True:
@@ -72,7 +75,8 @@ def test_e3_step_timeline(bench_once):
     metrics["duration_us"] = record.duration
     write_bench_artifact(
         "e3_migration_steps", metrics,
-        meta={"paper": "Figure 3-1: 8-step protocol, downtime spans "
+        meta={"machines": MACHINES,
+              "paper": "Figure 3-1: 8-step protocol, downtime spans "
                        "freeze to restart"},
     )
 

@@ -21,11 +21,14 @@ from conftest import (
 from repro.kernel.ids import ProcessAddress
 from repro.kernel.messages import MessageKind
 
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 5
+
 
 def measure_chain(chain_length: int):
     """Move a process along a chain, then time a message sent with the
     original (now maximally stale) address."""
-    system = make_bare_system(machines=5)
+    system = make_bare_system(machines=MACHINES)
     arrival = {}
 
     def receiver(ctx):
@@ -78,7 +81,8 @@ def test_e4_forwarding_latency(bench_once):
         metrics[f"residual_bytes_chain{s['chain']}"] = s["residue_bytes"]
     write_bench_artifact(
         "e4_forwarding_latency", metrics,
-        meta={"paper": "Figure 4-1: each hop re-routes the message and "
+        meta={"machines": MACHINES,
+              "paper": "Figure 4-1: each hop re-routes the message and "
                        "leaves an 8-byte forwarding address"},
     )
 

@@ -18,10 +18,12 @@ from repro.kernel.ids import ProcessAddress
 
 CLIENT_COUNTS = [1, 2, 4, 8, 16, 32, 64]
 ROUNDS_PER_CLIENT = 6
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
 
 
 def run_convergence(clients: int):
-    system = make_bare_system(machines=4)
+    system = make_bare_system(machines=MACHINES)
     finished = []
 
     def server(ctx):
@@ -89,7 +91,8 @@ def test_e5_link_update_convergence(bench_once):
         metrics[f"retargeted_clients{s['clients']}"] = s["retargeted"]
     write_bench_artifact(
         "e5_link_update_convergence", metrics,
-        meta={"paper": "Figure 5-1: typically one forward per stale "
+        meta={"machines": MACHINES,
+              "paper": "Figure 5-1: typically one forward per stale "
                        "link, worst case two"},
     )
 

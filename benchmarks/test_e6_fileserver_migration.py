@@ -22,6 +22,8 @@ from repro.workloads.file_clients import file_io_client
 from repro.workloads.results import ResultsBoard
 
 CLIENTS = 4
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
 OPERATIONS = 8
 MIGRATE_AT = 60_000
 WINDOW = 25_000
@@ -29,7 +31,7 @@ WINDOW = 25_000
 
 def run_scenario(migrate: bool):
     board = ResultsBoard()
-    system = make_system()
+    system = make_system(machines=MACHINES)
     fs_pid = system.server_pids["file_system"]
     completions: list[int] = []
 
@@ -84,7 +86,8 @@ def test_e6_fileserver_migration_under_io(bench_once):
             "errors": sum(len(r["errors"]) for r in results),
             "last_completion_us": until,
         },
-        meta={"paper": "§2.3: file system migrates while user processes "
+        meta={"machines": MACHINES,
+              "paper": "§2.3: file system migrates while user processes "
                        "perform I/O; nothing is lost or corrupted"},
     )
 
@@ -125,7 +128,8 @@ def test_e6_latency_dip_and_recovery(bench_once):
             "mean_latency_us_still": round(still),
             "mean_latency_us_migrated": round(moved),
         },
-        meta={"paper": "migration costs a bounded latency perturbation, "
+        meta={"machines": MACHINES,
+              "paper": "migration costs a bounded latency perturbation, "
                        "not correctness"},
     )
     # Migration may slow things, but boundedly (no retries/timeouts).

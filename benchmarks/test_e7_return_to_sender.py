@@ -22,6 +22,8 @@ from repro.workloads.pingpong import echo_server, pinger
 from repro.workloads.results import ResultsBoard
 
 ROUNDS = 8
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = 4
 
 
 def run_policy(policy: str):
@@ -32,7 +34,7 @@ def run_policy(policy: str):
             leave_forwarding_address=False,
         )
     board = ResultsBoard()
-    system = make_system(**kwargs)
+    system = make_system(machines=MACHINES, **kwargs)
     box = {}
 
     def server(ctx):
@@ -105,7 +107,8 @@ def test_e7_forwarding_vs_return_to_sender(bench_once):
             "rts_residual_bytes": rts["residual_bytes"],
             "rts_worst_latency_us": worst(rts["latencies"]),
         },
-        meta={"paper": "§4: return-to-sender drags more of the system "
+        meta={"machines": MACHINES,
+              "paper": "§4: return-to-sender drags more of the system "
                        "into migration awareness"},
     )
 

@@ -24,10 +24,12 @@ from repro.kernel.ids import ProcessAddress
 from repro.kernel.messages import MessageKind
 
 MAX_HOPS = 5
+#: the machines every run of this benchmark builds (``meta.machines``)
+MACHINES = MAX_HOPS + 2
 
 
 def run_chain_experiment():
-    system = make_bare_system(machines=MAX_HOPS + 2)
+    system = make_bare_system(machines=MACHINES)
     probe_hops = {}
 
     def receiver(ctx):
@@ -92,7 +94,8 @@ def test_e8_chains_and_garbage_collection(bench_once):
         )
     write_bench_artifact(
         "e8_forwarding_chains", metrics,
-        meta={"paper": "§4: 8-byte forwarding addresses, collected via "
+        meta={"machines": MACHINES,
+              "paper": "§4: 8-byte forwarding addresses, collected via "
                        "backward pointers when the process dies"},
     )
 

@@ -98,7 +98,8 @@ def test_e9_load_balancing_beats_static(bench_once):
             "balanced_jobs_moved": balanced["jobs_moved"],
             "balanced_migrations": balanced["migrations"],
         },
-        meta={"paper": "§1: better overall throughput in spite of the "
+        meta={"machines": MACHINES,
+              "paper": "§1: better overall throughput in spite of the "
                        "communication and computation of moving"},
     )
 

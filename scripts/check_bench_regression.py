@@ -22,9 +22,10 @@ Usage:
 glob, for CI jobs that run a subset of the benchmark suite (the other
 baselines would otherwise fail as "artifact missing").
 
-A results artifact with no committed baseline also fails the gate: a
-new benchmark must land together with its baseline, otherwise its
-counters are silently ungated until someone notices.
+A results artifact with no committed baseline also fails the gate, and
+so does a metric its baseline lacks: a new benchmark or metric must
+land together with its baseline, otherwise its counters are silently
+ungated until someone notices.
 
 Wall-clock timings (``*wall*``, ``*seconds*``, ``*speedup*``, ...) are
 host-dependent and may only appear under ``meta``, never as gated
@@ -189,8 +190,13 @@ def compare_metrics(
                 f"({base} -> {now}, tolerance {tolerance:.0%})"
             )
     for key in sorted(set(current) - set(baseline)):
-        # New metrics are fine (a new benchmark facet), just worth noting.
-        print(f"note: {name}: new metric {key!r} has no baseline")
+        # Ungated until someone notices: a new metric lands together
+        # with its baseline value, like a new benchmark does.
+        problems.append(
+            f"{name}: metric {key!r} has no baseline — add it to the "
+            f"committed baseline (after checking it is deterministic "
+            f"across two runs)"
+        )
     return problems
 
 

@@ -162,9 +162,7 @@ class System(Cluster):
         self, until: int | None = None, max_events: int | None = None
     ) -> int:
         """Run the simulation; with *until*, stop the clock there."""
-        if until is None:
-            return self.loop.run(max_events=max_events)
-        return self.loop.run_until(until, max_events=max_events)
+        return self.loop.run_until(until, max_events)
 
     def call_at_barrier(
         self, time: int, key: tuple, callback: Callable[..., None], *args: Any

@@ -6,15 +6,11 @@ latency and a bandwidth.  Routing uses latency-weighted shortest paths
 a wire changes: eager all-pairs precomputation was fine for DEMOS/MP-sized
 networks (2..64 machines) but is O(V * E log V) up front, which dominates
 start-up once clusters reach hundreds of machines where each kernel only
-ever routes from its own seat.  The per-source cache is LRU-bounded; by
-default the bound adapts to ``max(512, machine count)``, because packet
-forwarding makes every machine on a multi-hop path a routing source —
-the steady-state working set IS one table per machine, and an LRU
-capped below it degenerates to a full Dijkstra per forwarded hop
-(cyclic access over V sources with limit < V evicts on every lookup).
-Passing ``route_cache_limit`` explicitly pins a hard cap instead, which
-keeps memory at O(limit * V) at the price of recomputing evicted
-sources on their next send.
+ever routes from its own seat.  The cache holds one table per source
+and evicts nothing: every routing source is a machine, and packet
+forwarding makes every machine on a multi-hop path one, so the
+steady-state working set IS one table per machine — any bound below
+that would recompute a full Dijkstra per forwarded hop.
 
 Builders are provided for the shapes used in tests and benchmarks: full
 mesh (the default, matching a shared bus/LAN), line, ring, and star, plus
@@ -26,20 +22,12 @@ count instead of quadratically.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import NetworkError, NoRouteError, UnknownMachineError
 
 #: Machines are identified by small integers, like DEMOS/MP processor ids.
 MachineId = int
-
-#: Floor for the adaptive route-cache bound.  The effective default is
-#: ``max(DEFAULT_ROUTE_CACHE_LIMIT, len(machines))``: forwarding makes
-#: every machine on a multi-hop path a routing source, so anything
-#: below one table per machine thrashes once the cluster outgrows the
-#: cap (each evicted source costs a full Dijkstra on its next hop).
-DEFAULT_ROUTE_CACHE_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -60,11 +48,7 @@ class Wire:
 class Topology:
     """The set of machines and wires, plus shortest-path routing."""
 
-    def __init__(self, route_cache_limit: int | None = None) -> None:
-        if route_cache_limit is not None and route_cache_limit < 1:
-            raise ValueError(
-                f"route_cache_limit must be positive, got {route_cache_limit}"
-            )
+    def __init__(self) -> None:
         self._machines: set[MachineId] = set()
         self._wires: dict[tuple[MachineId, MachineId], Wire] = {}
         # Per-machine out-edges, maintained incrementally in wire-insertion
@@ -74,14 +58,8 @@ class Topology:
         # fresh walk of _wires.items() would produce.
         self._adjacency: dict[MachineId, list[tuple[MachineId, int]]] = {}
         # Routing tables keyed by source, filled on first route from that
-        # source, discarded wholesale whenever a wire changes, and bounded
-        # LRU-wise (least recently routed-from evicted first; a victim is
-        # simply recomputed on its next route).  None = adaptive bound,
-        # max(DEFAULT_ROUTE_CACHE_LIMIT, machine count).
-        self._routes: OrderedDict[
-            MachineId, dict[MachineId, MachineId]
-        ] = OrderedDict()
-        self._route_cache_limit: int | None = route_cache_limit
+        # source and discarded wholesale whenever a wire changes.
+        self._routes: dict[MachineId, dict[MachineId, MachineId]] = {}
         #: set once a network is built on this topology (see freeze)
         self._frozen = False
 
@@ -179,8 +157,6 @@ class Topology:
         routes = self._routes.get(src)
         if routes is None:
             routes = self._routes_from(src)
-        else:
-            self._routes.move_to_end(src)
         hop = routes.get(dst)
         if hop is not None:
             return hop
@@ -227,11 +203,6 @@ class Topology:
                     first[b] = first.get(here, b) if here != source else b
                     heapq.heappush(heap, (nd, b))
         self._routes[source] = first
-        limit = self._route_cache_limit
-        if limit is None:
-            limit = max(DEFAULT_ROUTE_CACHE_LIMIT, len(self._machines))
-        if len(self._routes) > limit:
-            self._routes.popitem(last=False)
         return first
 
     # ------------------------------------------------------------------

@@ -9,16 +9,20 @@ The loop owns the integer clock (``_now``) and the event heap
 An event is one heap entry, the list ``[time, key, callback, args]``,
 and the list itself is the handle every ``call_*`` returns and
 :meth:`EventLoop.cancel` takes.  Entries are ordered by
-``(time, key)``: the key is unique per loop (the FIFO sequence number
-``_seq`` here, a packed tie-break int on the keyed loop), so two events
+``(time, key)``: the key is a unique int per loop, so two events
 scheduled for the same instant fire in the order their keys say and
 list comparison never reaches the callback — sift comparisons resolve
 on two ints in C, which keeps every run bit-for-bit reproducible and
 never calls back into Python.  Cancelling writes ``None`` into the
 callback slot; the loop skips such entries when popping instead of
 paying O(n) removal, and ``_live`` counts the entries not cancelled.
-"""
 
+Both loops build a local event's key the same way, ``(now // grid) <<
+81 | n`` with ``n`` the FIFO sequence number ``_seq``, and pop events in
+one place, :meth:`EventLoop.run_until`.  The classic loop's grid is one
+endless window, so its local key is ``n`` itself.  The two loops differ
+in exactly one thing, the key of a hop (:meth:`EventLoop.hop_lander`).
+"""
 from __future__ import annotations
 
 from typing import Any, Callable, Container, Iterable
@@ -31,6 +35,10 @@ from repro.errors import ClockError, ConfigError, SimulationError
 #: once cancelled.  Hot paths index the slots by number (``entry[2]``
 #: is the callback).
 Event = list
+
+#: A tick no simulation reaches (about 5 * 10**24 years of microseconds):
+#: the classic loop's one grid window, and the horizon of a drain.
+FOREVER = 1 << 127
 
 
 class EventLoop:
@@ -48,6 +56,7 @@ class EventLoop:
             raise ClockError(f"clock cannot start at negative time {start}")
         self._now = start
         self._heap: list[Event] = []
+        self._grid = FOREVER
         self._seq = 0
         self._live = 0
         self._running = False
@@ -100,13 +109,14 @@ class EventLoop:
         *args: Any,
     ) -> Event:
         """Schedule *callback* at absolute simulated time *time*."""
-        if time < self._now:
+        now = self._now
+        if time < now:
             raise ClockError(
-                f"cannot schedule at {time}, clock already at {self._now}"
+                f"cannot schedule at {time}, clock already at {now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        entry = [time, seq, callback, args]
+        n = self._seq
+        self._seq = n + 1
+        entry = [time, (now // self._grid) << 81 | n, callback, args]
         heappush(self._heap, entry)
         self._live += 1
         return entry
@@ -124,9 +134,10 @@ class EventLoop:
         # entry inline instead of chaining through call_at — this is
         # the hottest scheduling entry point in the simulator, called
         # once per future event.
-        seq = self._seq
-        self._seq = seq + 1
-        entry = [self._now + delay, seq, callback, args]
+        n = self._seq
+        self._seq = n + 1
+        now = self._now
+        entry = [now + delay, (now // self._grid) << 81 | n, callback, args]
         heappush(self._heap, entry)
         self._live += 1
         return entry
@@ -137,9 +148,10 @@ class EventLoop:
         *args: Any,
     ) -> Event:
         """Schedule *callback* at the current instant (after queued peers)."""
-        seq = self._seq
-        self._seq = seq + 1
-        entry = [self._now, seq, callback, args]
+        n = self._seq
+        self._seq = n + 1
+        now = self._now
+        entry = [now, (now // self._grid) << 81 | n, callback, args]
         heappush(self._heap, entry)
         self._live += 1
         return entry
@@ -152,8 +164,9 @@ class EventLoop:
         ``land(delay, packet)`` numbers the hop with the wire's own
         counter (from 1) and files ``callback(src, dst, wire_seq,
         packet, gen)`` *delay* from now, where ``call_after`` would
-        file it: under the next FIFO sequence number.  This loop has no
-        window grid, so *gen* is the tick the hop was produced at.
+        file it: under the next local key, which on one endless grid
+        window is the FIFO sequence number.  *gen* is the tick the hop
+        was produced at.
         *delay* is never negative (a wire delay), so it is not checked.
         """
         heap = self._heap
@@ -187,90 +200,72 @@ class EventLoop:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        heap = self._heap
-        while heap:
-            time, _, callback, args = heappop(heap)
-            if callback is None:
-                continue
-            self._live -= 1
-            self.advance_to(time)
-            self._events_fired += 1
-            callback(*args)
-            return True
-        return False
+        return self.run_until(None, 1) == 1
 
     def run(self, max_events: int | None = None) -> int:
-        """Run until the queue drains (or *max_events* fire).
+        """Run until the queue drains (or *max_events* fire)."""
+        return self.run_until(None, max_events)
 
-        Returns the number of events executed by this call.  A
-        *max_events* bound is the standard guard against accidental
-        infinite event cascades in tests.
-
-        The heap is popped here, not through :meth:`step`: this loop
-        executes every event of every benchmark, and the heap already
-        yields events in non-decreasing time order, so the clock write
-        needs no backwards-motion check.  A cancelled entry was uncounted from
-        ``_live`` when it was cancelled; it is dropped unfired.
-        """
-        if self._running:
-            raise SimulationError("event loop is already running")
-        self._running = True
-        fired = 0
-        limit = None if max_events is None else max(max_events, 0)
-        heap = self._heap
-        try:
-            while heap and fired != limit:
-                time, _, callback, args = heappop(heap)
-                if callback is None:
-                    continue
-                self._live -= 1
-                self._now = time
-                fired += 1
-                self._events_fired += 1
-                callback(*args)
-        finally:
-            self._running = False
-        return fired
-
-    def run_until(self, deadline: int, max_events: int | None = None) -> int:
+    def run_until(
+        self, deadline: int | None = None, max_events: int | None = None
+    ) -> int:
         """Run events with time <= *deadline*, then set the clock there.
 
-        Events scheduled beyond the deadline stay queued, so simulation can
-        be resumed with further ``run_until`` calls.  A run that spends
+        Returns the number of events executed by this call; a
+        *max_events* bound is the standard guard against accidental
+        infinite event cascades in tests.  A *deadline* of None drains
+        the queue and leaves the clock at the last event fired.
+
+        This is the only loop that pops events.  It pops first and
+        pushes back the first live entry past the deadline, or past the
+        budget: keys are unique, so the push changes no pop order.  The
+        heap yields events in non-decreasing time order, so the clock
+        write needs no backwards-motion check.  A cancelled entry was
+        uncounted from ``_live`` when it was cancelled; it is dropped
+        unfired.
+
+        Events scheduled beyond the deadline stay queued, so simulation
+        can be resumed with further calls.  A run that spends
         *max_events* while an event at or before the deadline is still
         due leaves the clock at the last event it fired: moving it to
         the deadline would put the clock past that event, which a
         resumed run must still fire at its own time.
         """
-        if deadline < self._now:
+        if deadline is None:
+            horizon = FOREVER
+        elif deadline < self._now:
             raise ClockError(
                 f"deadline {deadline} is before current time {self._now}"
             )
+        else:
+            horizon = deadline
         if self._running:
             raise SimulationError("event loop is already running")
         self._running = True
         fired = 0
-        limit = None if max_events is None else max(max_events, 0)
+        limit = max_events if max_events is None or max_events > 0 else 0
         heap = self._heap
         try:
             while heap:
-                time, _, callback, args = heap[0]
+                entry = heappop(heap)
+                time, _, callback, args = entry
                 if callback is None:
-                    heappop(heap)
                     continue
-                if time > deadline:
+                if time > horizon:
+                    heappush(heap, entry)
                     break
                 if fired == limit:
+                    heappush(heap, entry)
                     return fired
-                heappop(heap)
                 self._live -= 1
                 self._now = time
                 fired += 1
                 self._events_fired += 1
                 callback(*args)
-            # Checked above: the deadline is not behind the clock, and
-            # every event fired here was at or before it.
-            self._now = deadline
+            if deadline is not None:
+                # Checked above: the deadline is not behind the clock,
+                # and every event fired here was at or before it.
+                self._now = deadline
         finally:
             self._running = False
         return fired
@@ -311,7 +306,8 @@ class KeyedEventLoop(EventLoop):
 
     - a **local** event scheduled while the clock sits in grid window
       ``g`` ranks as ``(g, 0, n)`` with ``n`` a per-loop monotone
-      counter — same relative order the classic loop would assign;
+      counter — same relative order the classic loop would assign
+      (this is :class:`EventLoop`'s own key, on a finite grid);
     - a **hop** produced in grid window ``g`` ranks as
       ``(g, 1, src, dst, wire_seq)``, slotted after window-``g``
       locals and before window-``g + 1`` events — where a barrier at
@@ -328,7 +324,8 @@ class KeyedEventLoop(EventLoop):
     local event and ``src << 60 | dst << 40 | wire_seq`` for a hop.
     Machine ids get 20 bits, refused at build time beyond that
     (:func:`check_machine_ids`); ``n`` gets 80 and ``wire_seq`` 40 bits
-    (a trillion transmits on one wire).
+    (a trillion transmits on one wire).  This class adds nothing to
+    :class:`EventLoop` but the grid and that hop key.
     """
 
     def __init__(self, grid: int, start: int = 0) -> None:
@@ -341,53 +338,6 @@ class KeyedEventLoop(EventLoop):
     def grid(self) -> int:
         """The window-grid length keys are computed against."""
         return self._grid
-
-    def call_at(
-        self,
-        time: int,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> Event:
-        now = self._now
-        if time < now:
-            raise ClockError(
-                f"cannot schedule at {time}, clock already at {now}"
-            )
-        n = self._seq
-        self._seq = n + 1
-        entry = [time, (now // self._grid) << 81 | n, callback, args]
-        heappush(self._heap, entry)
-        self._live += 1
-        return entry
-
-    def call_after(
-        self,
-        delay: int,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> Event:
-        if delay < 0:
-            raise ClockError(f"negative delay {delay}")
-        n = self._seq
-        self._seq = n + 1
-        now = self._now
-        entry = [now + delay, (now // self._grid) << 81 | n, callback, args]
-        heappush(self._heap, entry)
-        self._live += 1
-        return entry
-
-    def call_soon(
-        self,
-        callback: Callable[..., None],
-        *args: Any,
-    ) -> Event:
-        n = self._seq
-        self._seq = n + 1
-        now = self._now
-        entry = [now, (now // self._grid) << 81 | n, callback, args]
-        heappush(self._heap, entry)
-        self._live += 1
-        return entry
 
     def hop_lander(
         self, src: int, dst: int, callback: Callable[..., None]

@@ -203,11 +203,8 @@ class ShardRuntime:
 
     def run_events(self, deadline: int | None, max_events: int | None) -> None:
         loop = self.shard.loop
-        if deadline is not None:
-            loop.run_until(deadline, max_events)
-            return
-        loop.run(max_events)
-        if loop.next_event_time() is None:
+        loop.run_until(deadline, max_events)
+        if deadline is None and loop.next_event_time() is None:
             loop.advance_to(window_end(loop.now, loop.grid) - 1)
 
     def advance_to(self, time: int) -> None:

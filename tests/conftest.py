@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from heapq import heappush
 
 import pytest
+from hypothesis import settings
 
 from repro.chaos.invariants import (
     check_chain_collapse,
@@ -18,6 +20,12 @@ from repro.core.config import SystemConfig
 from repro.core.system import System
 from repro.sim.shard import ShardedSystem
 from repro.workloads.results import ResultsBoard
+
+# CI's test and coverage jobs set HYPOTHESIS_PROFILE=ci, so every push
+# draws the same examples; the weekly workflow runs tier 1 once more on
+# the default profile, which draws fresh ones.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 #: what every quiescent cluster a test built must satisfy at teardown
 TEARDOWN_CHECKS = (

@@ -110,37 +110,17 @@ class TestRouting:
 
 
 class TestRouteCacheLru:
-    def test_cache_bounded_at_limit(self):
-        topo = Topology.line(5)
-        topo._route_cache_limit = 2
-        for src in range(4):
-            topo.next_hop(src, 4)
-        assert len(topo._routes) == 2
-        assert list(topo._routes) == [2, 3]
-
-    def test_recent_hit_survives_eviction(self):
-        topo = Topology.line(4)
-        topo._route_cache_limit = 2
-        topo.next_hop(0, 3)
-        topo.next_hop(1, 3)
-        # Touch 0 again so 1 is now the least recently used source.
-        topo.next_hop(0, 2)
-        topo.next_hop(2, 3)
-        assert list(topo._routes) == [0, 2]
-
     def test_evicted_source_recomputed_correctly(self):
         topo = Topology.line(4)
-        topo._route_cache_limit = 1
         assert topo.next_hop(0, 3) == 1
-        assert topo.next_hop(3, 0) == 2  # evicts source 0
-        assert 0 not in topo._routes
+        assert topo.next_hop(3, 0) == 2
+        del topo._routes[0]  # as a wire change would drop it
         # Source 0 routes identically after recomputation.
         assert topo.next_hop(0, 3) == 1
         assert topo.path(0, 3) == [0, 1, 2, 3]
 
     def test_wire_change_still_invalidates_all(self):
         topo = Topology.line(3)
-        topo._route_cache_limit = 2
         topo.next_hop(0, 2)
         topo.next_hop(1, 2)
         topo.connect(0, 2, latency=1)
@@ -148,26 +128,14 @@ class TestRouteCacheLru:
         assert topo.next_hop(0, 2) == 2
 
     def test_default_limit_adapts_to_machine_count(self):
-        from repro.net.topology import DEFAULT_ROUTE_CACHE_LIMIT
-
-        assert DEFAULT_ROUTE_CACHE_LIMIT == 512
-        assert Topology()._route_cache_limit is None
         # Every machine on a multi-hop path becomes a routing source
-        # when it forwards, so the adaptive bound must fit one table
-        # per machine — no eviction however many sources route.
+        # when it forwards, so the cache keeps one table per machine —
+        # nothing is evicted however many sources route, and a second
+        # route from a source reuses its table.
         topo = Topology.ring(8)
         for src in range(8):
             topo.next_hop(src, (src + 3) % 8)
         assert len(topo._routes) == 8
-
-    def test_explicit_limit_still_binds(self):
-        topo = Topology.ring(8)
-        topo._route_cache_limit = 4
-        for src in range(8):
-            topo.next_hop(src, (src + 3) % 8)
-        assert len(topo._routes) == 4
-
-    def test_constructor_limit_validated(self):
-        with pytest.raises(ValueError):
-            Topology(route_cache_limit=0)
-        assert Topology(route_cache_limit=3)._route_cache_limit == 3
+        table = topo._routes[5]
+        topo.next_hop(5, 1)
+        assert topo._routes[5] is table

@@ -85,12 +85,12 @@ class TestComparison:
         assert run(results, baselines) == 1
         assert "disappeared" in capsys.readouterr().out
 
-    def test_new_metric_is_noted_not_fatal(self, dirs, capsys):
+    def test_new_metric_without_baseline_fails(self, dirs, capsys):
         results, baselines = dirs
         write_artifact(baselines, "e1", {"a": 1})
         write_artifact(results, "e1", {"a": 1, "brand_new": 5})
-        assert run(results, baselines) == 0
-        assert "no baseline" in capsys.readouterr().out
+        assert run(results, baselines) == 1
+        assert "'brand_new' has no baseline" in capsys.readouterr().out
 
     def test_missing_result_artifact_fails(self, dirs, capsys):
         results, baselines = dirs
@@ -280,6 +280,13 @@ class TestRepoBaselines:
             assert check_bench.check_speedup_honesty(
                 document["name"], document.get("meta", {}),
             ) == []
+
+    def test_every_baseline_pins_its_run_identity(self):
+        baselines = SCRIPT.parent.parent / "benchmarks" / "baselines"
+        for path in sorted(baselines.glob("BENCH_*.json")):
+            meta = check_bench.load_artifact(path).get("meta", {})
+            for key in check_bench.IDENTITY_META_KEYS:
+                assert key in meta, f"{path.name} lacks meta.{key}"
 
     def test_paper_headline_numbers_in_baselines(self):
         baselines = SCRIPT.parent.parent / "benchmarks" / "baselines"

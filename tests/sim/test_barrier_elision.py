@@ -132,7 +132,7 @@ class TestRecordWireFormat:
     """The per-record blob: atom tokens, positional state, envelopes."""
 
     @staticmethod
-    def _record(serial_burn=0):
+    def _record():
         from repro.kernel.ids import ProcessAddress, ProcessId
         from repro.kernel.links import (
             DataArea,
@@ -143,10 +143,6 @@ class TestRecordWireFormat:
         from repro.kernel.messages import Message, MessageKind
         from repro.net.packet import Packet, PacketKind
 
-        # Burn serials so two builds of the "same" record come from
-        # visibly different counter states (the serial-executor case).
-        for _ in range(serial_burn):
-            Packet(0, 0, PacketKind.ACK, 0, None, 0)
         snap = LinkSnapshot(
             ProcessAddress(ProcessId(1, 7), 3),
             LinkAttribute.DATA_READ,
@@ -193,13 +189,6 @@ class TestRecordWireFormat:
         # Delivery marks belong to the receiver that made them.
         assert original.packet.payload.delivered_link_ids == (9, 10)
         assert back.packet.payload.delivered_link_ids == ()
-
-    def test_blob_bytes_ignore_producer_counter_state(self):
-        """The executor-exactness core: two object graphs that differ
-        only in address-space-local counters pack to identical bytes."""
-        assert pack_record(self._record()) == pack_record(
-            self._record(serial_burn=17)
-        )
 
     def test_unpicklable_payload_packs_as_capture_envelope(self):
         def live():
