@@ -1,219 +1,40 @@
 """E11b — Closed-loop latency under migration churn (ROADMAP north star).
 
-The cluster-scale experiment (test_e11_cluster_scale) gates protocol
-*counters*: how many forwards, link updates and admin bytes the churn
-produced.  This experiment gates what a *user* of the cluster sees: a
-closed-loop pool of simulated users (request -> reply -> think) drives
-one echo server per machine while half the servers are force-migrated
-mid-conversation, and the end-to-end request latencies land in the
-registry's log-spaced :class:`~repro.obs.metrics.LatencyHistogram`.
-
-Two properties are checked:
-
-- **deterministic load**: the pool is closed-loop, so the request count
-  is exactly ``clients * requests_per_client`` — no open-loop drift —
-  and the per-client request-count vector is pinned;
-- **deterministic latency distribution** (gated via baseline diff): the
-  histogram's count/sum and its p50/p95/p99/max are exactly
-  reproducible, so any change to migration cost, forwarding, or the
-  delivery path shows up as a percentile shift in the baseline diff.
-  Migration cost lives in the *tail* (p99 >> p50), which is the paper's
-  §6 cost analysis expressed as users experience it.
+The cluster-scale arms gate protocol *counters*; these gate what a
+*user* sees.  The clients of the e11 scenario (``e11.py``) are a
+closed-loop pool of simulated users (request -> reply -> think), so
+the request count is exactly ``clients * requests_per_client`` (the
+per-client vector is pinned), and the end-to-end latencies land in the
+registry's log-spaced histogram, whose count, sum and p50/p95/p99/max
+are gated: a change to migration cost, forwarding or the delivery path
+shows up as a percentile shift.  Migration cost lives in the *tail*
+(p99 >> p50), the paper's §6 cost analysis as users experience it.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+import e11
 
-from conftest import drain, make_system, print_table, write_bench_artifact
-
-from repro.workloads.closed_loop import (
-    REQUEST_LATENCY_METRIC,
-    ClientPool,
-    ClosedLoopConfig,
-)
-from repro.workloads.pingpong import echo_server
-from repro.workloads.results import ResultsBoard
-
-
-@dataclass(frozen=True)
-class ClosedLoopParams:
-    """One closed-loop scenario size."""
-
-    name: str
-    machines: int
-    clients_per_server: int
-    requests_per_client: int
-    mean_think_us: int
-    server_compute_us: int  #: CPU us the server burns per request
-    server_moves: int  #: echo servers force-migrated mid-run
-    churn_start: int  #: first forced migration (us)
-    churn_gap: int  #: spacing between forced migrations (us)
-    duration: int  #: run_until horizon before draining
-
-
-FULL = ClosedLoopParams(
-    name="e11_closed_loop",
-    machines=64,
-    clients_per_server=4,
-    requests_per_client=12,
-    mean_think_us=20_000,
-    server_compute_us=2_000,
-    server_moves=24,
-    churn_start=60_000,
-    churn_gap=8_000,
-    duration=1_200_000,
-)
-
-#: reduced scenario for the CI `scale-smoke` job: same shape, 8 machines
-SMOKE = ClosedLoopParams(
-    name="e11_closed_loop_smoke",
-    machines=8,
-    clients_per_server=3,
-    requests_per_client=8,
-    mean_think_us=10_000,
-    server_compute_us=2_000,
-    server_moves=4,
-    churn_start=40_000,
-    churn_gap=10_000,
-    duration=900_000,
+PAPER = (
+    "§6 cost analysis as request-latency percentiles: migration cost "
+    "concentrates in the tail"
 )
 
 
-def run_closed_loop(p: ClosedLoopParams) -> dict:
-    board = ResultsBoard()
-    # Metrics stay ON: the latency histogram *is* the experiment.
-    system = make_system(
-        machines=p.machines,
-        trace_categories=(),  # tracing off: measure the bare hot path
-    )
-
-    # One echo server per machine; requests cost CPU so queueing (and
-    # therefore migration-induced stalls) show up in the latencies.
-    server_pids = {}
-    for m in range(p.machines):
-        server_pids[m] = system.spawn(
-            lambda ctx, _m=m: echo_server(
-                ctx, service_name=f"echo-{_m}",
-                compute_per_request=p.server_compute_us,
-            ),
-            machine=m, name=f"echo-{m}",
-        )
-
-    # Clients for echo-m sit one machine over, so every request crosses
-    # the network and forced server moves leave genuinely stale links.
-    pool = ClientPool(
-        system,
-        ClosedLoopConfig(
-            clients=p.machines * p.clients_per_server,
-            requests_per_client=p.requests_per_client,
-            mean_think_us=p.mean_think_us,
-        ),
-        services=tuple(f"echo-{m}" for m in range(p.machines)),
-        machines=tuple((m + 1) % p.machines for m in range(p.machines)),
-        board=board,
-    )
-    pool.install()
-
-    # Forced churn: migrate every other echo server across the cluster
-    # while its clients are mid-conversation.
-    for j in range(p.server_moves):
-        victim = (2 * j) % p.machines
-        dest = (victim + p.machines // 2) % p.machines
-        system.loop.call_at(
-            p.churn_start + p.churn_gap * j,
-            lambda _pid=server_pids[victim], _dest=dest: system.migrate(
-                _pid, _dest
-            ),
-        )
-
-    started = time.perf_counter()
-    system.run(until=p.duration)
-    drain(system, max_events=100_000_000)
-    wall = time.perf_counter() - started
-
-    snapshot = system.metrics.snapshot()
-    latency = snapshot.histogram(REQUEST_LATENCY_METRIC)
-    kstats = [k.stats for k in system.kernels]
-    records = system.migration_records()
-    return {
-        "system": system,
-        "pool": pool,
-        "board": board,
-        "latency": latency,
-        "wall_seconds": wall,
-        "events_fired": system.loop.events_fired,
-        "metrics": {
-            "requests_total": sum(pool.request_counts),
-            "clients_finished": len(board.get("closed-loop")),
-            "latency_count": latency.count,
-            "latency_sum_us": int(latency.sum),
-            "latency_p50_us": latency.p50,
-            "latency_p95_us": latency.p95,
-            "latency_p99_us": latency.p99,
-            "latency_max_us": latency.max,
-            "replies_forwarded": int(
-                snapshot.total("workload.replies_forwarded")
-            ),
-            "migrations_ok": sum(1 for r in records if r.success),
-            "forwards": sum(s.messages_forwarded for s in kstats),
-            "link_updates_applied": sum(
-                s.link_updates_applied for s in kstats
-            ),
-            "messages_delivered": sum(s.messages_delivered for s in kstats),
-            "packets_sent": system.network.stats.packets_sent,
-        },
-    }
-
-
-def _report(p: ClosedLoopParams, result: dict) -> None:
-    metrics = result["metrics"]
-    events_per_sec = result["events_fired"] / max(
-        result["wall_seconds"], 1e-9
-    )
-    print_table(
-        f"E11b: closed-loop latency ({p.machines} machines, "
-        f"{p.machines * p.clients_per_server} clients)",
-        ["metric", "value"],
-        [[k, v] for k, v in metrics.items()]
-        + [
-            ["events_fired (not gated)", result["events_fired"]],
-            ["events/sec (not gated)", f"{events_per_sec:,.0f}"],
-        ],
-        notes="latency percentiles are deterministic and gated; "
-              "migration cost lives in the tail (p99 vs p50)",
-    )
-    write_bench_artifact(
-        p.name,
-        metrics,
-        meta={
-            "machines": p.machines,
-            "clients": p.machines * p.clients_per_server,
-            "requests_per_client": p.requests_per_client,
-            "server_moves": p.server_moves,
-            "events_fired": result["events_fired"],
-            "wall_seconds": round(result["wall_seconds"], 3),
-            "events_per_sec": round(events_per_sec),
-            "paper": "§6 cost analysis as request-latency percentiles: "
-                     "migration cost concentrates in the tail",
-        },
-    )
-
-
-def _check(p: ClosedLoopParams, result: dict) -> None:
-    metrics = result["metrics"]
-    pool: ClientPool = result["pool"]
-    clients = p.machines * p.clients_per_server
+def check(p: e11.Arm) -> None:
+    result = e11.run(p)
+    metrics = result.counters
+    clients = p.machines * p.clients
+    e11.publish(p, {p.shards: result}, metrics, PAPER)
     # Closed loop: the offered load is exactly the configured quota.
-    assert pool.done
-    assert pool.request_counts == [p.requests_per_client] * clients
-    assert metrics["requests_total"] == clients * p.requests_per_client
+    assert result.pool.done
+    assert result.pool.request_counts == [p.rounds] * clients
+    assert metrics["requests_total"] == clients * p.rounds
     assert metrics["clients_finished"] == clients
     # Every request latency was observed exactly once.
     assert metrics["latency_count"] == metrics["requests_total"]
     # Churn really happened, and some replies chased migrated servers.
-    assert metrics["migrations_ok"] >= p.server_moves
+    assert metrics["migrations_ok"] >= p.moves
     assert metrics["forwards"] >= 1
     assert metrics["replies_forwarded"] >= 1
     # Migration cost concentrates in the tail.
@@ -223,12 +44,8 @@ def _check(p: ClosedLoopParams, result: dict) -> None:
 
 
 def test_e11_closed_loop(bench_once):
-    result = bench_once(run_closed_loop, FULL)
-    _report(FULL, result)
-    _check(FULL, result)
+    bench_once(check, e11.CLOSED_LOOP)
 
 
 def test_e11_closed_loop_smoke(bench_once):
-    result = bench_once(run_closed_loop, SMOKE)
-    _report(SMOKE, result)
-    _check(SMOKE, result)
+    bench_once(check, e11.CLOSED_LOOP_SMOKE)

@@ -3,16 +3,17 @@
 The paper leaves the migration *policy* open: §3.1 suggests the process
 manager reuse the load information kernels already report, which is what
 the e9/e10 queue-depth balancer does.  This experiment measures where
-that signal fails.  Two hot echo services share machine 3; an open-loop
-arrival burst pushes their combined demand past one machine's capacity
-while every client lives elsewhere — so the backlog piles up in the
-services' *mailboxes* and machine 3's run queue never holds more than
-the two servers.  Run-queue spread stays below the queue-depth
-threshold for the whole burst: the queue-depth balancer never fires
-and the tail rots.  The latency-aware balancer watches the windowed
-p99 of the same domain's request-latency histogram instead, fires when
-the SLO is breached for ``sustain`` consecutive windows, and spreads
-the pair — latency says *when* to act, load says *where*.
+that signal fails, on the scenario :mod:`repro.workloads.slo` defines
+once for it and for ``python -m repro slo``.  Two hot echo services
+share machine 3; an open-loop arrival burst pushes their combined demand
+past one machine's capacity while every client lives elsewhere — so the
+backlog piles up in the services' *mailboxes* and machine 3's run queue
+never holds more than the two servers.  Run-queue spread stays below the
+queue-depth threshold for the whole burst: the queue-depth balancer
+never fires and the tail rots.  The latency-aware balancer watches the
+windowed p99 of the same domain's request-latency histogram instead,
+fires when the SLO is breached for ``sustain`` consecutive windows, and
+spreads the pair — latency says *when* to act, load says *where*.
 
 Three gates:
 
@@ -32,167 +33,29 @@ Three gates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
-from conftest import make_system, print_table, write_bench_artifact
+from conftest import print_table, write_bench_artifact
 
-from repro.policy.load_balancer import DomainLoadBalancer, SloPolicy
-from repro.workloads.closed_loop import (
-    REQUEST_LATENCY_METRIC,
-    ClientPool,
-    LoadShape,
-    OpenLoopConfig,
-)
-from repro.workloads.pingpong import echo_server
+from repro.workloads import slo
+from repro.workloads.slo import SloParams, run_arm
 
-
-@dataclass(frozen=True)
-class SloParams:
-    """One head-to-head scenario size."""
-
-    name: str
-    machines: int
-    clients: int
-    mean_interarrival_us: int
-    duration: int  #: open-loop arrival window
-    burst_start: int  #: burst onset, relative to the arrival window
-    burst_end: int
-    burst_factor: float
-    compute_us: int  #: CPU us each hot service burns per request
-    slo_us: int  #: p99 objective; also the per-request deadline
-    interval: int  #: balancer sampling interval
-    threshold: int  #: queue-depth spread threshold (the e11 setting)
-    sustain: int
-    cooldown: int
-    min_window_count: int
-    stop_at: int  #: balancer retires here so the drain can finish
-    drain_grace_us: int
-
-
-FULL = SloParams(
-    name="e13_slo",
-    machines=4,
-    clients=24,
-    mean_interarrival_us=20_000,
-    duration=400_000,
-    burst_start=120_000,
-    burst_end=280_000,
-    burst_factor=3.0,
-    compute_us=500,
-    slo_us=10_000,
-    interval=25_000,
-    threshold=3,
-    sustain=2,
-    cooldown=100_000,
-    min_window_count=5,
-    stop_at=450_000,
-    drain_grace_us=150_000,
-)
-
+FULL = SloParams()
 #: reduced burst for the CI `slo-smoke` job: same shape, shorter window
-SMOKE = SloParams(
-    name="e13_slo_smoke",
-    machines=4,
-    clients=24,
-    mean_interarrival_us=20_000,
+SMOKE = replace(
+    FULL,
     duration=250_000,
     burst_start=80_000,
     burst_end=200_000,
-    burst_factor=3.0,
-    compute_us=500,
-    slo_us=10_000,
-    interval=25_000,
-    threshold=3,
-    sustain=2,
-    cooldown=100_000,
-    min_window_count=5,
     stop_at=280_000,
     drain_grace_us=120_000,
 )
-
-
-def run_arm(p: SloParams, latency_aware: bool) -> dict:
-    """One policy arm of the head-to-head; returns its gated numbers."""
-    system = make_system(machines=p.machines, trace_categories=())
-    for name in ("svc-0", "svc-1"):
-        system.spawn(
-            lambda ctx, _n=name: echo_server(
-                ctx, service_name=_n, compute_per_request=p.compute_us
-            ),
-            machine=3, name=name,
-        )
-    config = OpenLoopConfig(
-        clients=p.clients,
-        mean_interarrival_us=p.mean_interarrival_us,
-        duration=p.duration,
-        deadline_us=p.slo_us,
-        drain_grace_us=p.drain_grace_us,
-        shape=LoadShape(
-            kind="burst", burst_start=p.burst_start,
-            burst_end=p.burst_end, burst_factor=p.burst_factor,
-            hot_services=2, hot_share=1.0,
-        ),
-    )
-    pool = ClientPool(
-        system,
-        config,
-        services=("svc-0", "svc-1"),
-        domains={"svc-0": "all", "svc-1": "all"},
-        # Clients stay off machine 3: the overload must queue in the
-        # servers' mailboxes, invisible to run-queue spread.
-        machines=tuple(range(p.machines - 1)),
-        key="slo",
-        spotlight=(
-            "burst",
-            config.start_at + p.burst_start,
-            config.start_at + p.burst_end,
-        ),
-    )
-    pool.install()
-    slo = None
-    if latency_aware:
-        slo = SloPolicy(
-            p99_slo_us=p.slo_us, sustain=p.sustain, cooldown=p.cooldown,
-            min_window_count=p.min_window_count,
-        )
-    balancer = DomainLoadBalancer(
-        system.domain_view(list(range(p.machines))),
-        domain="all",
-        interval=p.interval,
-        threshold=p.threshold,
-        sustain=p.sustain,
-        cooldown=p.cooldown,
-        victim_strategy="hungriest",
-        slo=slo,
-    )
-    balancer.install()
-    system.loop.call_at(p.stop_at, balancer.stop)
-    fired = system.run(max_events=40_000_000)
-    assert fired < 40_000_000, "simulation did not quiesce"
-
-    snapshot = system.metrics.snapshot()
-    overall = snapshot.histogram(REQUEST_LATENCY_METRIC)
-    burst = snapshot.histogram(REQUEST_LATENCY_METRIC, window="burst")
-    move_times = balancer.stats.move_times
-    prefix = "latency_aware" if latency_aware else "queue_depth"
-    return {
-        f"{prefix}_requests_sent": sum(pool.request_counts),
-        f"{prefix}_replies": overall.count,
-        f"{prefix}_in_slo": pool.in_slo,
-        f"{prefix}_late": pool.late,
-        f"{prefix}_unanswered": pool.unanswered,
-        f"{prefix}_mismatches": pool.mismatches,
-        f"{prefix}_p50_us": overall.p50,
-        f"{prefix}_p99_us": overall.p99,
-        f"{prefix}_burst_count": burst.count if burst else 0,
-        f"{prefix}_burst_p50_us": burst.p50 if burst else 0,
-        f"{prefix}_burst_p99_us": burst.p99 if burst else 0,
-        f"{prefix}_migrations": balancer.stats.migrations_started,
-        f"{prefix}_first_move_at_us": (
-            move_times[0] if move_times else -1
-        ),
-        f"{prefix}_slo_breach_samples": balancer.stats.slo_breach_samples,
-    }
+#: the artifact's names for the arm's reply counts
+RENAMED = {
+    "requests": "replies",
+    "replies_in_slo": "in_slo",
+    "replies_late": "late",
+}
 
 
 def run_head_to_head(p: SloParams) -> dict:
@@ -209,11 +72,15 @@ def run_head_to_head(p: SloParams) -> dict:
                 if first[key] != second[key]
             })
         )
-        metrics.update(first)
+        if first["first_move_at_us"] is None:
+            first["first_move_at_us"] = -1
+        prefix = "latency_aware" if latency_aware else "queue_depth"
+        for key, value in first.items():
+            metrics[f"{prefix}_{RENAMED.get(key, key)}"] = value
     return metrics
 
 
-def _report(p: SloParams, metrics: dict) -> None:
+def _report(name: str, p: SloParams, metrics: dict) -> None:
     rows = []
     for field in (
         "requests_sent", "in_slo", "late", "p50_us", "p99_us",
@@ -225,8 +92,8 @@ def _report(p: SloParams, metrics: dict) -> None:
             metrics[f"latency_aware_{field}"],
         ])
     print_table(
-        f"E13: queue-depth vs latency-aware under a x{p.burst_factor:g} "
-        f"burst ({p.name})",
+        f"E13: queue-depth vs latency-aware under a x{slo.BURST_FACTOR:g} "
+        f"burst ({name})",
         ["metric", "queue-depth", "latency-aware"],
         rows,
         notes="mailbox backlog is invisible to run-queue spread: the "
@@ -234,20 +101,20 @@ def _report(p: SloParams, metrics: dict) -> None:
               "hot pair and wins the burst-window p99",
     )
     write_bench_artifact(
-        p.name,
+        name,
         metrics,
         meta={
-            "machines": p.machines,
+            "machines": slo.MACHINES,
             "clients": p.clients,
-            "mean_interarrival_us": p.mean_interarrival_us,
+            "mean_interarrival_us": slo.MEAN_INTERARRIVAL_US,
             "duration_us": p.duration,
-            "burst": [p.burst_start, p.burst_end, p.burst_factor],
+            "burst": [p.burst_start, p.burst_end, slo.BURST_FACTOR],
             "p99_slo_us": p.slo_us,
             "balancer": {
-                "interval": p.interval,
-                "threshold": p.threshold,
-                "sustain": p.sustain,
-                "cooldown": p.cooldown,
+                "interval": slo.INTERVAL,
+                "threshold": slo.THRESHOLD,
+                "sustain": slo.SUSTAIN,
+                "cooldown": slo.COOLDOWN,
             },
             "paper": "§3.1 policy question made concrete: queue depth "
                      "misses mailbox overload; windowed p99 does not",
@@ -273,7 +140,7 @@ def _check(p: SloParams, metrics: dict) -> None:
     # ...and it cost the users: the tail sat far beyond the SLO.
     assert metrics["queue_depth_burst_p99_us"] > 2 * p.slo_us
     # The SLO arm saw the breach, moved, and won the burst window.
-    assert metrics["latency_aware_slo_breach_samples"] >= p.sustain
+    assert metrics["latency_aware_slo_breach_samples"] >= slo.SUSTAIN
     assert metrics["latency_aware_migrations"] >= 1
     assert (
         metrics["latency_aware_burst_p99_us"]
@@ -284,11 +151,11 @@ def _check(p: SloParams, metrics: dict) -> None:
 
 def test_e13_slo(bench_once):
     metrics = bench_once(run_head_to_head, FULL)
-    _report(FULL, metrics)
+    _report("e13_slo", FULL, metrics)
     _check(FULL, metrics)
 
 
 def test_e13_slo_smoke(bench_once):
     metrics = bench_once(run_head_to_head, SMOKE)
-    _report(SMOKE, metrics)
+    _report("e13_slo_smoke", SMOKE, metrics)
     _check(SMOKE, metrics)

@@ -22,9 +22,10 @@ Quickstart::
     assert ticket.success
 """
 
+from repro.core.cluster import MigrationTicket
 from repro.core.config import SystemConfig
 from repro.core.registry import register_program
-from repro.core.system import MigrationTicket, System
+from repro.core.system import System
 from repro.errors import ReproError
 from repro.kernel.context import ProcessContext
 from repro.kernel.ids import ProcessAddress, ProcessId

@@ -34,6 +34,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.chaos.campaign import SCALES, SCENARIOS, run_campaign
@@ -165,100 +166,31 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    """Queue-depth vs latency-aware migration under an open-loop burst.
+    """Queue-depth vs latency-aware migration under an open-loop burst:
+    both arms of :mod:`repro.workloads.slo` (the scenario e13 gates)."""
+    from repro.workloads.slo import SloParams, run_arm
 
-    Two hot echo services share machine 3; an arrival-rate burst pushes
-    their combined demand past one machine's capacity while the backlog
-    queues in their *mailboxes* — invisible to run-queue spread.  The
-    same scenario runs once per policy and the printed comparison is the
-    paper's open question made concrete: when should the process manager
-    move a process, queue depth or user-visible latency?
-    """
-    from repro.policy.load_balancer import DomainLoadBalancer, SloPolicy
-    from repro.workloads.closed_loop import (
-        ClientPool,
-        LoadShape,
-        OpenLoopConfig,
-    )
-    from repro.workloads.pingpong import echo_server
-
-    def run(latency_aware: bool) -> dict:
-        system = System(SystemConfig(machines=4, seed=args.seed))
-        for name in ("svc-0", "svc-1"):
-            system.spawn(
-                lambda ctx, _n=name: echo_server(
-                    ctx, service_name=_n, compute_per_request=500
-                ),
-                machine=3, name=name,
-            )
-        pool = ClientPool(
-            system,
-            OpenLoopConfig(
-                clients=args.clients,
-                mean_interarrival_us=20_000,
-                duration=400_000,
-                deadline_us=args.slo_us,
-                drain_grace_us=150_000,
-                shape=LoadShape(
-                    kind="burst", burst_start=120_000, burst_end=280_000,
-                    burst_factor=3.0, hot_services=2, hot_share=1.0,
-                ),
-            ),
-            services=("svc-0", "svc-1"),
-            domains={"svc-0": "all", "svc-1": "all"},
-            machines=(0, 1, 2),
-            key="slo",
-        )
-        pool.install()
-        slo = None
-        if latency_aware:
-            slo = SloPolicy(p99_slo_us=args.slo_us, sustain=2,
-                            cooldown=100_000, min_window_count=5)
-        balancer = DomainLoadBalancer(
-            system.domain_view([0, 1, 2, 3]),
-            domain="all", interval=25_000, threshold=3, sustain=2,
-            cooldown=100_000, victim_strategy="hungriest", slo=slo,
-        )
-        balancer.install()
-        system.loop.call_at(450_000, balancer.stop)
-        system.run(max_events=20_000_000)
-        digest = collect_report(system).request_latency or {}
-        moves = [
-            r.time for r in system.tracer
-            if r.event in ("balance", "slo_balance")
-        ]
-        return {
-            "policy": "latency-aware" if latency_aware else "queue-depth",
-            "migrations": balancer.stats.migrations_started,
-            "first_move_at_us": moves[0] if moves else None,
-            "p50_us": digest.get("p50_us"),
-            "p99_us": digest.get("p99_us"),
-            "requests": digest.get("count", 0),
-            "replies_in_slo": pool.in_slo,
-            "replies_late": pool.late,
-            "slo_breach_samples": balancer.stats.slo_breach_samples,
-        }
-
-    arms = [run(latency_aware=False), run(latency_aware=True)]
+    params = replace(SloParams(), clients=args.clients, slo_us=args.slo_us,
+                     seed=args.seed)
+    arms = []
+    for policy in ("queue-depth", "latency-aware"):
+        arm = run_arm(params, latency_aware=policy == "latency-aware")
+        for key in ("requests_sent", "unanswered", "mismatches",
+                    "burst_count", "burst_p50_us", "burst_p99_us"):
+            del arm[key]  # gated by e13, not printed here
+        arms.append({"policy": policy, **arm})
     if args.json:
-        print(json.dumps(
-            {"slo_us": args.slo_us, "policies": arms},
-            indent=2, sort_keys=True,
-        ))
+        print(json.dumps({"slo_us": args.slo_us, "policies": arms},
+                         indent=2, sort_keys=True))
         return 0
     print(f"open-loop burst, p99 SLO {args.slo_us}us, "
           f"{args.clients} clients:")
     for arm in arms:
-        first = (
-            f"first move t={arm['first_move_at_us']}us"
-            if arm["first_move_at_us"] is not None
-            else "never moved"
-        )
-        print(
-            f"  {arm['policy']:>13}: p99 {arm['p99_us']:>9.0f}us, "
-            f"in-SLO {arm['replies_in_slo']}/{arm['requests']}, "
-            f"{arm['migrations']} migrations ({first})"
-        )
+        first = arm["first_move_at_us"]
+        first = "never moved" if first is None else f"first move t={first}us"
+        print(f"  {arm['policy']:>13}: p99 {arm['p99_us']:>9.0f}us, "
+              f"in-SLO {arm['replies_in_slo']}/{arm['requests']}, "
+              f"{arm['migrations']} migrations ({first})")
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 from repro.core.config import SystemConfig
 from repro.core.registry import registered_programs
-from repro.errors import ConfigError, UnknownProcessError
+from repro.errors import ConfigError, SimulationError, UnknownProcessError
 from repro.kernel.context import ProcessContext
 from repro.kernel.ids import ProcessAddress, ProcessId
 from repro.kernel.kernel import Kernel
@@ -42,6 +42,7 @@ from repro.stats.migration_cost import MigrationCostRecord
 
 Program = Callable[[ProcessContext], Any]
 MigrationDone = Callable[[bool, MigrationCostRecord], None]
+DRAIN_MAX_EVENTS = 100_000_000  #: a drain that fires this many is a hang
 
 
 @dataclass
@@ -328,8 +329,9 @@ class Cluster:
     # -- execution -------------------------------------------------------
 
     def drain(self) -> None:
-        """Serial execution to global quiescence."""
-        self.run()
+        """Serial execution to global quiescence; a hang raises."""
+        if self.run(max_events=DRAIN_MAX_EVENTS) >= DRAIN_MAX_EVENTS:
+            raise SimulationError("drain did not quiesce")
 
     def execute(
         self,

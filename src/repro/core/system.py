@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.core.cluster import Cluster, Program, Shard
-from repro.core.cluster import MigrationTicket  # noqa: F401 (old home)
 from repro.core.config import SystemConfig
 from repro.errors import ConfigError
 from repro.kernel.ids import ProcessAddress, ProcessId, kernel_address

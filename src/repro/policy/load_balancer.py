@@ -349,7 +349,7 @@ class ThresholdLoadBalancer:
 class DomainLoadBalancer(ThresholdLoadBalancer):
     """A threshold balancer scoped to one topology neighbourhood.
 
-    Runs against a :class:`repro.sim.shard.DomainView` — a torus row, a
+    Runs against a :class:`repro.core.cluster.DomainView` — a torus row, a
     clique, any machine set the shard partitioner keeps whole — instead
     of the global system.  Its inputs (the domain's run-queue loads) and
     outputs (an intra-domain migration) are functions of per-machine

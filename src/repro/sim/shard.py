@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.cluster import Cluster, Shard
-from repro.core.cluster import DomainView  # noqa: F401 (old home)
 from repro.core.config import SystemConfig, near_square_factor
 from repro.core.system import boot_standard_servers
 from repro.errors import ConfigError, SimulationError

@@ -7,18 +7,12 @@ from repro.workloads.closed_loop import (
 )
 from repro.workloads.compute import compute_bound, migratory_compute
 from repro.workloads.file_clients import file_io_client, file_reader
-from repro.workloads.generators import (
-    Arrival,
-    ArrivalGenerator,
-    burst_plan,
-    poisson_plan,
-)
+from repro.workloads.generators import Arrival, burst_plan, poisson_plan
 from repro.workloads.pingpong import echo_server, make_pair_programs, pinger
 from repro.workloads.results import DEFAULT_BOARD, ResultsBoard
 
 __all__ = [
     "Arrival",
-    "ArrivalGenerator",
     "ClientPool",
     "ClosedLoopConfig",
     "DEFAULT_BOARD",

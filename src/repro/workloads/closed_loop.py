@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Generator, Mapping, Sequence
 
 from repro.errors import ConfigError
 from repro.kernel.context import ProcessContext
-from repro.kernel.ids import ProcessAddress, ProcessId
+from repro.kernel.ids import ProcessId
 from repro.servers.common import lookup_service, rpc
 from repro.workloads.results import ResultsBoard
 
@@ -274,8 +274,6 @@ class ClientPool:
       then also observed into ``metric{domain=<label>}``, the per-domain
       digests an SLO balancer consumes (their bitwise merge equals
       the global histogram);
-    - *addresses* maps service names to :class:`ProcessAddress`, letting
-      tens of thousands of clients skip the switchboard stampede;
     - *spotlight* ``(label, start, end)`` additionally records requests
       *sent* inside ``[start, end)`` into ``metric{window=<label>}`` —
       how the e13 benchmark isolates the burst window's percentiles.
@@ -299,7 +297,6 @@ class ClientPool:
         board: ResultsBoard | None = None,
         key: str = "closed-loop",
         domains: Mapping[str, str] | None = None,
-        addresses: Mapping[str, ProcessAddress] | None = None,
         spotlight: tuple[str, int, int] | None = None,
     ) -> None:
         if not services:
@@ -314,7 +311,6 @@ class ClientPool:
         self.board = board if board is not None else ResultsBoard()
         self.key = key
         self.domains = dict(domains) if domains else {}
-        self.addresses = dict(addresses) if addresses else None
         self.spotlight = spotlight
         #: requests completed (closed loop) / sent (open loop), by client
         self.request_counts: list[int] = [0] * self.config.clients
@@ -407,16 +403,7 @@ class ClientPool:
             else (lambda ctx: self._client(ctx, index, service))
         )
         kernel = self.system.kernel(machine)
-        extra_links = None
-        if self.addresses is not None:
-            extra_links = {"service": self.addresses[service]}
-        self.spawned.append(
-            kernel.spawn(
-                program,
-                name=f"{self.key}-{index}",
-                extra_links=extra_links,
-            )
-        )
+        self.spawned.append(kernel.spawn(program, name=f"{self.key}-{index}"))
 
     @property
     def done(self) -> bool:
@@ -493,10 +480,7 @@ class ClientPool:
         counted *late*, never in-SLO.
         """
         cfg = self.config
-        if self.addresses is not None:
-            service = ctx.bootstrap["service"]
-        else:
-            service = yield from lookup_service(ctx, service_name)
+        service = yield from lookup_service(ctx, service_name)
         domain = self.domains.get(service_name)
         schedule = self._schedules[index]
         meters = self._meters[index]

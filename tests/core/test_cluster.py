@@ -13,10 +13,11 @@ import pytest
 
 from repro.chaos.runner import protocol_counters
 from repro.chaos.invariants import check_quiescence
+from repro.core import cluster as cluster_module
 from repro.core.cluster import Cluster, DomainView, MigrationTicket, Shard
 from repro.core.config import SystemConfig
 from repro.core.system import System
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.policy.load_balancer import DomainLoadBalancer
 from repro.policy.recovery import CrashRecoveryManager
 from repro.sim.shard import ShardedSystem
@@ -320,6 +321,19 @@ class TestOneAnswerPerQuestion:
         (problem,) = check_quiescence(cluster)
         shard = cluster.shard_for(4).index
         assert problem.startswith(f"shard {shard} transport not quiescent")
+
+    def test_a_drain_that_never_quiesces_raises(self, engine, monkeypatch):
+        monkeypatch.setattr(cluster_module, "DRAIN_MAX_EVENTS", 500)
+        cluster = build(engine, boot_servers=False)
+        loop = cluster.shard_for(5).loop
+
+        def tick():
+            loop.call_at(loop.now + 10, tick)
+
+        cluster.call_at(10, 5, tick)
+        with pytest.raises(SimulationError, match="did not quiesce"):
+            cluster.drain()
+        assert cluster.events_fired() >= 500
 
 
 class TestSingleLoopExecute:

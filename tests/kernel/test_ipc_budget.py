@@ -8,8 +8,9 @@ other one of two (remote, one wire each way).  ``sys.setprofile``
 counts every function entered while the system runs dry, so calls per
 round trip is a work ratio that reads the same on any host, the
 kernel's twin of ``tests/net/test_hop_budget.py``.  Tracing and
-metrics are off and the retransmission timeout sits above the round
-trip, so nothing but the round trips runs.
+metrics are off (one test turns both on, to pin what they cost) and
+the retransmission timeout sits above the round trip, so nothing but
+the round trips runs.
 """
 
 import dataclasses
@@ -42,6 +43,12 @@ EVENTS_PER_ROUND_TRIP = {LOCAL: 7, REMOTE: 13}
 #: (a hop is one entry) plus, remote, the two retransmission timers an
 #: ack settles before they fire
 HEAP_PUSHES_PER_ROUND_TRIP = {LOCAL: 7, REMOTE: 15}
+#: the same round trips with every trace category and the metrics on:
+#: tracing adds 28 calls per round trip, metrics none
+OBS_CONFIG = dataclasses.replace(
+    CONFIG, trace_categories=None, metrics_enabled=True
+)
+OBS_BUDGET = {LOCAL: 195, REMOTE: 239}
 
 
 def replier(ctx):
@@ -52,13 +59,13 @@ def replier(ctx):
         yield ctx.destroy_link(reply_link)
 
 
-def work_for(cluster_class, caller_machine, rounds):
+def work_for(cluster_class, caller_machine, rounds, config=CONFIG):
     """Calls, syscalls, events and heap pushes of *rounds* round trips,
     run dry."""
     if cluster_class is System:
-        system = System(CONFIG)
+        system = System(config)
     else:
-        system = cluster_class(dataclasses.replace(CONFIG, shards=1))
+        system = cluster_class(dataclasses.replace(config, shards=1))
     server = system.spawn(replier, machine=0, name="replier")
 
     def caller(ctx):
@@ -84,11 +91,13 @@ def _networks(system):
     return [shard.network for shard in system.shards]
 
 
-def per_round_trip(cluster_class, caller_machine, few=100, many=300):
+def per_round_trip(
+    cluster_class, caller_machine, config=CONFIG, few=100, many=300
+):
     """What *many* round trips add over *few*, per round trip: spawn,
     the first timer and the exit cancel out."""
-    low = work_for(cluster_class, caller_machine, few)
-    high = work_for(cluster_class, caller_machine, many)
+    low = work_for(cluster_class, caller_machine, few, config)
+    high = work_for(cluster_class, caller_machine, many, config)
     return [(h - lo) / (many - few) for h, lo in zip(high, low)]
 
 
@@ -118,3 +127,15 @@ class TestIpcBudget:
         classic = per_round_trip(System, caller_machine)
         sharded = per_round_trip(ShardedSystem, caller_machine)
         assert sharded == classic
+
+    def test_obs_on_stays_within_its_call_budget(self, caller_machine):
+        # Tracing and metrics on change what a round trip costs in
+        # calls, never what it is made of; both engines alike.
+        for cluster_class in (System, ShardedSystem):
+            calls, syscalls, events, pushes = per_round_trip(
+                cluster_class, caller_machine, OBS_CONFIG
+            )
+            assert syscalls == SYSCALLS_PER_ROUND_TRIP
+            assert events == EVENTS_PER_ROUND_TRIP[caller_machine]
+            assert pushes == HEAP_PUSHES_PER_ROUND_TRIP[caller_machine]
+            assert calls <= OBS_BUDGET[caller_machine], calls

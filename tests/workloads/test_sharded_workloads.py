@@ -17,7 +17,7 @@ from repro.workloads.closed_loop import (
     ClosedLoopConfig,
     OpenLoopConfig,
 )
-from repro.workloads.generators import Arrival, ArrivalGenerator
+from repro.workloads.generators import Arrival
 from repro.workloads.pingpong import echo_server
 from tests.conftest import drain
 
@@ -92,23 +92,23 @@ def test_arrival_generator_spawns_each_arrival_on_its_machine():
         seen = []
 
         def job(ctx):
-            seen.append((ctx.now, ctx.machine))
+            seen.append((ctx.now, ctx.machine, ctx.pid.creating_machine))
             yield ctx.exit()
 
         plan = [
             Arrival(at=1_000 + 700 * i, machine=m, program=job)
             for i, m in enumerate((3, 0, 2, 1, 3))
         ]
-        generator = ArrivalGenerator(cluster, plan)
-        generator.install()
+        for arrival in plan:
+            cluster.schedule_spawn(
+                arrival.at, arrival.machine, arrival.program, arrival.name
+            )
         drain(cluster)
-        assert [pid.creating_machine for pid in generator.spawned] == [
-            a.machine for a in plan
-        ]
         return seen
 
     seen = arrivals(sharded(2))
-    assert [machine for _, machine in seen] == [3, 0, 2, 1, 3]
+    machines = [(machine, home) for _, machine, home in seen]
+    assert machines == [(m, m) for m in (3, 0, 2, 1, 3)]
     # Each job starts on its own machine's loop at the planned tick
     # plus the dispatch delay, exactly as on the single loop.
     assert seen == arrivals(

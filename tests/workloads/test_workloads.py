@@ -1,11 +1,9 @@
 """Tests for the synthetic workload programs and generators."""
 
+from repro.core.config import SystemConfig
+from repro.sim.shard import ShardedSystem
 from repro.workloads.compute import compute_bound, migratory_compute
-from repro.workloads.generators import (
-    ArrivalGenerator,
-    burst_plan,
-    poisson_plan,
-)
+from repro.workloads.generators import burst_plan, poisson_plan
 from repro.workloads.pingpong import echo_server, make_pair_programs, pinger
 from repro.workloads.results import ResultsBoard
 from tests.conftest import drain, make_bare_system, make_system
@@ -109,16 +107,30 @@ class TestGenerators:
         assert all(a.machine == 2 for a in plan)
 
     def test_arrival_generator_spawns_on_schedule(self, board):
-        system = make_bare_system()
-        plan = burst_plan(
-            lambda ctx: compute_bound(ctx, total=1_000, board=board),
-            machine=1, count=4, start=1_000, spacing=500,
-        )
-        generator = ArrivalGenerator(system, plan)
-        generator.install()
-        drain(system)
-        assert len(generator.spawned) == 4
-        assert len(board.get("compute")) == 4
+        # A plan lands through Cluster.schedule_spawn, one call per
+        # arrival, on either engine.
+        starts = []
+
+        def job(ctx):
+            starts.append((ctx.now, ctx.machine))
+            yield from compute_bound(ctx, total=1_000, board=board)
+
+        plan = burst_plan(job, machine=1, count=4, start=1_000, spacing=2_000)
+        for cluster in (
+            make_bare_system(machines=4),
+            ShardedSystem(
+                SystemConfig(machines=4, shards=2, boot_servers=False)
+            ),
+        ):
+            for arrival in plan:
+                cluster.schedule_spawn(
+                    arrival.at, arrival.machine, arrival.program, arrival.name
+                )
+            drain(cluster)
+        assert len(board.get("compute")) == 8
+        # Every job starts on its machine, one dispatch after its tick.
+        delay = starts[0][0] - plan[0].at
+        assert starts == [(a.at + delay, 1) for a in plan] * 2
 
     def test_poisson_plan_is_deterministic(self):
         system_a = make_bare_system(seed=5)
