@@ -17,7 +17,7 @@ from conftest import (
     write_bench_artifact,
 )
 
-from repro.kernel.kernel import UndeliverablePolicy
+from repro.kernel.forwarding import UndeliverablePolicy
 from repro.workloads.pingpong import echo_server, pinger
 from repro.workloads.results import ResultsBoard
 

@@ -29,7 +29,7 @@ from repro.core.system import System
 from repro.errors import ReproError
 from repro.kernel.context import ProcessContext
 from repro.kernel.ids import ProcessAddress, ProcessId
-from repro.kernel.kernel import KernelConfig, UndeliverablePolicy
+from repro.kernel.forwarding import UndeliverablePolicy
 from repro.kernel.links import DataArea, Link, LinkAttribute
 from repro.kernel.memory import MemoryImage
 from repro.kernel.process_state import ProcessStatus
@@ -44,7 +44,6 @@ __all__ = [
     "DataArea",
     "FaultPlan",
     "FileClient",
-    "KernelConfig",
     "Link",
     "LinkAttribute",
     "MemoryImage",

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.net.topology import MachineId
+from repro.workloads.closed_loop import REQUEST_LATENCY_METRIC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import Cluster
@@ -51,7 +52,7 @@ def check_exactly_once(pool: "ClientPool") -> list[str]:
             f"{pool.mismatches} repl(y/ies) did not echo the request "
             f"awaiting them"
         )
-    histogram = pool.system.snapshot().histogram(pool.config.metric)
+    histogram = pool.system.snapshot().histogram(REQUEST_LATENCY_METRIC)
     expected = pool.config.clients * quota
     observed = histogram.count if histogram is not None else 0
     if observed != expected:

@@ -43,6 +43,7 @@ from repro.stats.migration_cost import MigrationCostRecord
 Program = Callable[[ProcessContext], Any]
 MigrationDone = Callable[[bool, MigrationCostRecord], None]
 DRAIN_MAX_EVENTS = 100_000_000  #: a drain that fires this many is a hang
+MAX_TRACE_RECORDS = 200_000  #: each shard tracer's ring-buffer bound
 
 
 @dataclass
@@ -136,12 +137,12 @@ class Cluster:
         **network_args: Any,
     ) -> Shard:
         """Wire the next shard on *loop*: tracer, registry, network and
-        one kernel (with its own ``KernelConfig``) per machine.  Engines
-        build their shards in machine order."""
+        one kernel per machine.  Engines build their shards in machine
+        order."""
         config = self.config
         tracer = Tracer(
             lambda: loop.now,
-            max_records=config.max_trace_records,
+            max_records=MAX_TRACE_RECORDS,
             enabled_categories=config.trace_categories,
         )
         metrics = MetricsRegistry(enabled=config.metrics_enabled)
@@ -162,7 +163,7 @@ class Cluster:
                 loop,
                 network,
                 tracer,
-                config=config.kernel_config(),
+                config=config,
                 well_known=self.well_known,
                 metrics=metrics,
             )

@@ -11,14 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.kernel.kernel import KernelConfig, UndeliverablePolicy
+from repro.kernel.forwarding import UndeliverablePolicy
 from repro.net.channel import FaultPlan
 from repro.net.topology import Topology
 
 #: Topology shapes :func:`repro.core.system.System` knows how to build.
-TOPOLOGY_SHAPES = (
-    "mesh", "line", "ring", "star", "torus", "hypercube", "cliques",
-)
+TOPOLOGY_SHAPES = ("mesh", "line", "torus")
 
 
 @dataclass
@@ -36,25 +34,19 @@ class SystemConfig:
     #: (1 = the classic single event loop; >1 selects the sharded engine,
     #: :class:`repro.sim.shard.ShardedSystem`)
     shards: int = 1
-    #: latency of the topology's backbone wires (torus inter-row wires
-    #: and column wraps; the clique gateway ring).  None keeps every
-    #: wire at ``latency``.  A backbone slower than the local wires is
-    #: what lets shard pairs rendezvous less often than the global
-    #: window grid (see :mod:`repro.sim.barrier`).
+    #: latency of the torus's backbone wires (inter-row wires and
+    #: column wraps).  None keeps every wire at ``latency``.  A backbone
+    #: slower than the local wires is what lets shard pairs rendezvous
+    #: less often than the global window grid (see
+    #: :mod:`repro.sim.barrier`).
     backbone_latency: int | None = None
 
     # --- kernels --------------------------------------------------------
-    quantum: int = 1_000
-    syscall_cpu_cost: int = 10
-    memory_capacity: int = 1 << 22
-    max_data_packet: int = 1_024
+    memory_capacity: int = 1 << 22  #: real memory per machine, bytes
     undeliverable_policy: UndeliverablePolicy = UndeliverablePolicy.FORWARD
     leave_forwarding_address: bool = True
     send_link_updates: bool = True
     notify_process_manager: bool = False
-    #: interval for kernels to push load/memory reports to the process
-    #: manager and memory scheduler (0 disables reporting)
-    load_report_interval: int = 0
 
     # --- system processes ------------------------------------------------
     boot_servers: bool = True
@@ -66,7 +58,6 @@ class SystemConfig:
     # --- bookkeeping ------------------------------------------------------
     seed: int = 0
     trace_categories: tuple[str, ...] | None = None
-    max_trace_records: int | None = 200_000
     #: when False, the metrics registry hands out no-op instruments and
     #: snapshots come back empty — for throughput benchmarks that only
     #: read the kernels' plain integer counters
@@ -83,15 +74,14 @@ class SystemConfig:
                 f"unknown topology {self.topology!r}; "
                 f"choose from {TOPOLOGY_SHAPES}"
             )
-        if self.topology == "hypercube" and (
-            self.machines & (self.machines - 1)
-        ):
-            raise ConfigError(
-                f"hypercube needs a power-of-two machine count, "
-                f"got {self.machines}"
-            )
         if self.latency < 0 or self.bandwidth <= 0:
             raise ConfigError("latency must be >= 0 and bandwidth > 0")
+        if self.rto <= 0:
+            raise ConfigError(f"rto must be positive, got {self.rto}")
+        if self.faults.max_jitter < 0:
+            raise ConfigError(
+                f"max_jitter must be >= 0, got {self.faults.max_jitter}"
+            )
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
         if self.shards > self.machines:
@@ -106,11 +96,10 @@ class SystemConfig:
                 "lookahead admits no parallel window"
             )
         if self.backbone_latency is not None:
-            if self.topology not in ("torus", "cliques"):
+            if self.topology != "torus":
                 raise ConfigError(
-                    "backbone_latency applies only to topologies with a "
-                    "backbone tier (torus, cliques); "
-                    f"got {self.topology!r}"
+                    "backbone_latency applies only to the torus, the "
+                    f"topology with a backbone tier; got {self.topology!r}"
                 )
             if self.backbone_latency < self.latency:
                 raise ConfigError(
@@ -118,10 +107,10 @@ class SystemConfig:
                     "is the slow tier; a faster backbone would shrink "
                     "the conservative lookahead instead)"
                 )
-        if self.quantum <= 0 or self.syscall_cpu_cost <= 0:
-            raise ConfigError("quantum and syscall cost must be positive")
-        if self.max_data_packet <= 0:
-            raise ConfigError("max_data_packet must be positive")
+        if self.memory_capacity <= 0:
+            raise ConfigError(
+                f"memory_capacity must be positive, got {self.memory_capacity}"
+            )
         machines = f"the {self.machines} machines (0..{self.machines - 1})"
         if not 0 <= self.control_machine < self.machines:
             raise ConfigError(
@@ -162,43 +151,17 @@ class SystemConfig:
                 rows, n // rows, latency, bandwidth,
                 backbone_latency=self.backbone_latency,
             )
-        if shape == "hypercube":
-            # validate() guarantees n is a power of two
-            return Topology.hypercube(n.bit_length() - 1, latency, bandwidth)
-        if shape == "cliques":
-            size = near_square_factor(n)
-            return Topology.ring_of_cliques(
-                n // size, size, latency, bandwidth,
-                backbone_latency=self.backbone_latency,
-            )
-        builder = {
-            "mesh": Topology.full_mesh,
-            "line": Topology.line,
-            "ring": Topology.ring,
-            "star": Topology.star,
-        }[shape]
-        return builder(n, latency, bandwidth)
-
-    def kernel_config(self) -> KernelConfig:
-        """The per-kernel slice of this system config."""
-        return KernelConfig(
-            quantum=self.quantum,
-            syscall_cpu_cost=self.syscall_cpu_cost,
-            memory_capacity=self.memory_capacity,
-            max_data_packet=self.max_data_packet,
-            undeliverable_policy=self.undeliverable_policy,
-            leave_forwarding_address=self.leave_forwarding_address,
-            send_link_updates=self.send_link_updates,
-            notify_process_manager=self.notify_process_manager,
-        )
+        if shape == "line":
+            return Topology.line(n, latency, bandwidth)
+        return Topology.full_mesh(n, latency, bandwidth)
 
 
 def near_square_factor(n: int) -> int:
     """The largest divisor of *n* that is <= sqrt(n).
 
-    Shapes a machine count into the most-square grid (torus) or pod
-    layout (cliques) it divides into; for a prime count this degenerates
-    to 1 x n, which is still a valid (ring-like) arrangement.
+    Shapes a machine count into the most-square torus grid it divides
+    into; for a prime count this degenerates to 1 x n, which is still a
+    valid (ring-like) arrangement.
     """
     factor = 1
     d = 2

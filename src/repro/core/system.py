@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 from repro.core.cluster import Cluster, Program, Shard
 from repro.core.config import SystemConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MemoryError_
 from repro.kernel.ids import ProcessAddress, ProcessId, kernel_address
 from repro.net.topology import MachineId
 from repro.obs.metrics import MetricsRegistry
@@ -35,8 +35,19 @@ def boot_standard_servers(system: Cluster) -> None:
     """Spawn the Figure 2-3 system processes in dependency order.
 
     Every engine boots through here once its shards are built, so all
-    of them start from bit-identical server populations.
+    of them start from bit-identical server populations.  A machine too
+    small to hold its servers is a :class:`ConfigError`.
     """
+    try:
+        _boot_servers(system)
+    except MemoryError_ as exc:
+        raise ConfigError(
+            f"memory_capacity={system.config.memory_capacity} cannot hold"
+            f" the system processes: {exc}"
+        ) from None
+
+
+def _boot_servers(system: Cluster) -> None:
     from repro.servers.command_interpreter import command_interpreter_program
     from repro.servers.filesystem import boot_file_system
     from repro.servers.memory_scheduler import memory_scheduler_program
@@ -101,9 +112,8 @@ class System(Cluster):
         self.network = shard.network
         if self.config.boot_servers:
             boot_standard_servers(self)
-        self._load_reporting = False
-        if self.config.load_report_interval > 0:
-            self.start_load_reporting()
+        #: microseconds between load reports; 0 while reporting is off
+        self._load_report_interval = 0
 
     # ------------------------------------------------------------------
     # Load reporting (§3.1: "The process manager and memory scheduler
@@ -111,24 +121,23 @@ class System(Cluster):
     # can use the same information to make process migration decisions.")
     # ------------------------------------------------------------------
 
-    def start_load_reporting(self) -> None:
-        """Make every kernel push periodic load/memory reports to the
-        process manager and memory scheduler.
+    def start_load_reporting(self, interval: int) -> None:
+        """Make every kernel push load/memory reports to the process
+        manager and memory scheduler every *interval* microseconds.
 
         Note: while reporting is active the event loop never drains; run
         the system with an explicit ``until`` and call
         :meth:`stop_load_reporting` before draining.
         """
-        self._load_reporting = True
-        interval = max(1, self.config.load_report_interval)
-        self.loop.call_after(interval, self._report_loads)
+        self._load_report_interval = max(1, interval)
+        self.loop.call_after(self._load_report_interval, self._report_loads)
 
     def stop_load_reporting(self) -> None:
         """Cease pushing load reports after the current tick."""
-        self._load_reporting = False
+        self._load_report_interval = 0
 
     def _report_loads(self) -> None:
-        if not self._load_reporting:
+        if not self._load_report_interval:
             return
         from repro.kernel.messages import MessageKind
 
@@ -149,9 +158,7 @@ class System(Cluster):
                     payload_bytes=8, kind=MessageKind.USER,
                     category="load",
                 )
-        self.loop.call_after(
-            max(1, self.config.load_report_interval), self._report_loads,
-        )
+        self.loop.call_after(self._load_report_interval, self._report_loads)
 
     # ------------------------------------------------------------------
     # Time

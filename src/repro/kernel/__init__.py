@@ -11,6 +11,7 @@ from repro.kernel.forwarding import (
     FORWARDING_ADDRESS_BYTES,
     ForwardingAddress,
     ForwardingTable,
+    UndeliverablePolicy,
 )
 from repro.kernel.ids import (
     KERNEL_LOCAL_ID,
@@ -21,12 +22,7 @@ from repro.kernel.ids import (
     kernel_address,
     kernel_pid,
 )
-from repro.kernel.kernel import (
-    Kernel,
-    KernelConfig,
-    KernelStats,
-    UndeliverablePolicy,
-)
+from repro.kernel.kernel import Kernel, KernelStats
 from repro.kernel.links import (
     DataArea,
     Link,
@@ -80,7 +76,6 @@ __all__ = [
     "GetInfo",
     "KERNEL_LOCAL_ID",
     "Kernel",
-    "KernelConfig",
     "KernelStats",
     "Link",
     "LinkAttribute",

@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Bytes copied per microsecond for same-machine transfers (a memcpy).
 LOCAL_COPY_BYTES_PER_USEC = 200
+#: Payload bytes of one move-data chunk message.
+MAX_DATA_PACKET = 1_024
 
 TransferId = tuple[MachineId, int]
 
@@ -169,7 +171,7 @@ class TransferManager:
         length: int,
     ) -> None:
         holder_addr = ProcessAddress(holder.pid, self.kernel.machine)
-        chunk = self.kernel.config.max_data_packet
+        chunk = MAX_DATA_PACKET
         count = max(1, math.ceil(length / chunk))
         sent = 0
         for i in range(count):
@@ -203,7 +205,7 @@ class TransferManager:
                 holder, transfer_id, "window outside owner memory"
             )
             return
-        chunk = self.kernel.config.max_data_packet
+        chunk = MAX_DATA_PACKET
         count = max(1, math.ceil(length / chunk))
         sent = 0
         for _ in range(count):

@@ -34,11 +34,7 @@ from repro.errors import (
     UnknownProcessError,
 )
 from repro.kernel.context import ProcessContext
-from repro.kernel.forwarding import (
-    Forwarder,
-    ForwardingTable,
-    UndeliverablePolicy,
-)
+from repro.kernel.forwarding import Forwarder, ForwardingTable
 from repro.kernel.ids import (
     LOCAL_ID_LIMIT,
     KernelAddresses,
@@ -81,6 +77,7 @@ from repro.sim.loop import Event, EventLoop
 from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard
+    from repro.core.config import SystemConfig
     from repro.kernel.datamove import TransferManager
     from repro.kernel.migration import MigrationEngine
     from repro.obs.metrics import MetricsRegistry
@@ -100,26 +97,10 @@ _USER = MessageKind.USER
 _CONTROL = MessageKind.CONTROL
 
 
-@dataclass
-class KernelConfig:
-    """Per-kernel tunables.  Defaults model the paper's environment."""
-
-    quantum: int = 1_000  #: CPU quantum, microseconds
-    syscall_cpu_cost: int = 10  #: cost of one program resume / kernel call
-    memory_capacity: int = 1 << 22  #: real memory per machine, bytes
-    max_data_packet: int = 1_024  #: move-data chunk payload, bytes
-    undeliverable_policy: UndeliverablePolicy = UndeliverablePolicy.FORWARD
-    #: whether migration leaves a forwarding address (False only in the
-    #: return-to-sender ablation)
-    leave_forwarding_address: bool = True
-    #: whether forwards send the §5 link-update message (False only in
-    #: the A1 ablation quantifying what lazy link updating buys)
-    send_link_updates: bool = True
-    #: notify the process manager of spawn/exit/migration events
-    notify_process_manager: bool = False
-    #: predicate consulted before accepting an inbound migration (§3.2
-    #: autonomy); receives (pid, total_bytes) and returns a verdict
-    accept_migration: Callable[[ProcessId, int], bool] | None = None
+#: CPU quantum, microseconds
+QUANTUM = 1_000
+#: CPU cost of one program resume / kernel call, microseconds
+SYSCALL_CPU_COST = 10
 
 
 @dataclass
@@ -163,7 +144,7 @@ class Kernel:
         loop: EventLoop,
         network: Network,
         tracer: Tracer,
-        config: KernelConfig | None = None,
+        config: "SystemConfig",
         well_known: dict[str, ProcessAddress] | None = None,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
@@ -171,7 +152,10 @@ class Kernel:
         self.loop = loop
         self.network = network
         self.tracer = tracer
-        self.config = config or KernelConfig()
+        self.config = config
+        #: §3.2 autonomy: consulted before accepting an inbound
+        #: migration; receives (pid, total_bytes) and returns a verdict
+        self.accept_migration: Callable[[ProcessId, int], bool] | None = None
         #: the system-wide registry this kernel publishes into; a
         #: standalone kernel gets a private one so publishing never
         #: needs a null check
@@ -199,7 +183,7 @@ class Kernel:
         self.processes: dict[ProcessId, ProcessState] = {}
         self.dead: set[ProcessId] = set()
         self.forwarding = ForwardingTable()
-        self.scheduler = RoundRobinScheduler(self.config.quantum)
+        self.scheduler = RoundRobinScheduler()
         self.memory = MemoryManager(self.config.memory_capacity)
         self.stats = KernelStats()
         # Bound-method locals for the delivery fast path.  The dicts and
@@ -745,14 +729,13 @@ class Kernel:
             self._cpu_busy = True
         remaining = state.compute_remaining
         if remaining > 0:
-            quantum = self.config.quantum
-            slice_len = remaining if remaining < quantum else quantum
+            slice_len = remaining if remaining < QUANTUM else QUANTUM
             self.loop.call_after(
                 slice_len, self._compute_slice_done, state.pid, slice_len
             )
         else:
             self.loop.call_after(
-                self.config.syscall_cpu_cost, self._resume_program, state.pid
+                SYSCALL_CPU_COST, self._resume_program, state.pid
             )
 
     def _release_cpu(self, pid: ProcessId) -> None:
@@ -795,7 +778,7 @@ class Kernel:
         if state is None:
             self._release_cpu(pid)
             return
-        state.accounting.cpu_time += self.config.syscall_cpu_cost
+        state.accounting.cpu_time += SYSCALL_CPU_COST
         if state.status is not _RUNNING:
             # Migration or suspension won the race; resume later, elsewhere.
             self._release_cpu(pid)

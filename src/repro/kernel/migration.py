@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import MigrationError
+from repro.kernel.datamove import MAX_DATA_PACKET
 from repro.kernel.ids import ProcessId
 from repro.kernel.messages import Message
 from repro.kernel.ops import (
@@ -247,7 +248,7 @@ class MigrationEngine:
             return
         record = entry.record
         nbytes = getattr(state, _SEGMENT_BYTES[segment])
-        chunk = self.kernel.config.max_data_packet
+        chunk = MAX_DATA_PACKET
         count = max(1, math.ceil(nbytes / chunk))
         record.segment_bytes[segment] = nbytes
         record.datamove_chunks += count
@@ -405,7 +406,7 @@ class MigrationEngine:
         source = message.sender.last_known_machine
         total = sum(sizes.values())
 
-        predicate = kernel.config.accept_migration
+        predicate = kernel.accept_migration
         addressed = message.dest.last_known_machine
         if addressed != kernel.machine:
             # Addressed to a crashed machine this kernel executes for:

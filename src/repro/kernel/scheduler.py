@@ -18,8 +18,7 @@ from repro.kernel.ids import ProcessId
 class RoundRobinScheduler:
     """Priority levels of FIFO run queues with O(1) membership checks."""
 
-    def __init__(self, quantum: int = 1_000) -> None:
-        self.quantum = quantum
+    def __init__(self) -> None:
         self._queues: dict[int, deque[ProcessId]] = {}
         #: priority levels in dispatch order (descending); rebuilt only
         #: when a new level appears, so pick_next never re-sorts

@@ -12,10 +12,9 @@ forwarding makes every machine on a multi-hop path one, so the
 steady-state working set IS one table per machine — any bound below
 that would recompute a full Dijkstra per forwarded hop.
 
-Builders are provided for the shapes used in tests and benchmarks: full
-mesh (the default, matching a shared bus/LAN), line, ring, and star, plus
-the sparse shapes used at cluster scale — 2-D torus, hypercube, and
-ring-of-cliques — whose edge counts grow roughly linearly with machine
+Builders are provided for the three shapes the workloads run on: full
+mesh (the default, matching a shared bus/LAN), line, and the 2-D torus
+used at cluster scale, whose edge count grows linearly with machine
 count instead of quadratically.
 """
 
@@ -241,36 +240,6 @@ class Topology:
         return topo
 
     @classmethod
-    def ring(
-        cls,
-        n: int,
-        latency: int = 100,
-        bandwidth: int = 1_000,
-    ) -> "Topology":
-        """A line with the ends joined."""
-        topo = cls.line(n, latency, bandwidth)
-        if n > 2:
-            topo.connect(n - 1, 0, latency, bandwidth)
-        return topo
-
-    @classmethod
-    def star(
-        cls,
-        n: int,
-        latency: int = 100,
-        bandwidth: int = 1_000,
-    ) -> "Topology":
-        """Machine 0 at the hub, all others as spokes."""
-        topo = cls()
-        for m in range(n):
-            topo.add_machine(m)
-        for m in range(1, n):
-            topo.connect(0, m, latency, bandwidth)
-        return topo
-
-    # -- sparse shapes for cluster-scale runs --------------------------
-
-    @classmethod
     def torus2d(
         cls,
         rows: int,
@@ -308,66 +277,4 @@ class Topology:
         if rows > 2:
             for c in range(cols):
                 topo.connect((rows - 1) * cols + c, c, backbone, bandwidth)
-        return topo
-
-    @classmethod
-    def hypercube(
-        cls,
-        dimensions: int,
-        latency: int = 100,
-        bandwidth: int = 1_000,
-    ) -> "Topology":
-        """A binary hypercube of ``2 ** dimensions`` machines.
-
-        Each machine links to the ids differing from it in exactly one
-        bit, giving degree == dimensions and diameter == dimensions.
-        """
-        topo = cls()
-        for m in range(1 << dimensions):
-            topo.add_machine(m)
-        for m in range(1 << dimensions):
-            for bit in range(dimensions):
-                peer = m ^ (1 << bit)
-                if peer > m:
-                    topo.connect(m, peer, latency, bandwidth)
-        return topo
-
-    @classmethod
-    def ring_of_cliques(
-        cls,
-        cliques: int,
-        clique_size: int,
-        latency: int = 100,
-        bandwidth: int = 1_000,
-        backbone_latency: int | None = None,
-    ) -> "Topology":
-        """Fully-meshed pods of ``clique_size`` machines joined in a ring.
-
-        Models racks on a backbone: clique *k* holds machines
-        ``k * clique_size .. (k + 1) * clique_size - 1`` and its first
-        member is the gateway wired to the neighbouring cliques'
-        gateways.  With *backbone_latency* set, the gateway ring carries
-        that latency while intra-clique wires keep *latency* — cliques
-        are the shard-alignment unit, so every shard-crossing wire is a
-        backbone wire.
-        """
-        backbone = latency if backbone_latency is None else backbone_latency
-        topo = cls()
-        for m in range(cliques * clique_size):
-            topo.add_machine(m)
-        for k in range(cliques):
-            base = k * clique_size
-            for a in range(clique_size):
-                for b in range(a + 1, clique_size):
-                    topo.connect(base + a, base + b, latency, bandwidth)
-        if cliques == 2:
-            topo.connect(0, clique_size, backbone, bandwidth)
-        elif cliques > 2:
-            for k in range(cliques):
-                topo.connect(
-                    k * clique_size,
-                    ((k + 1) % cliques) * clique_size,
-                    backbone,
-                    bandwidth,
-                )
         return topo

@@ -127,4 +127,4 @@ class DomainRegistry:
                     _dest.refused += 1
                 return verdict
 
-            kernel.config.accept_migration = predicate
+            kernel.accept_migration = predicate

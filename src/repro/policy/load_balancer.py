@@ -22,12 +22,12 @@ snapshot deltas (:meth:`~repro.obs.metrics.HistogramSnapshot.
 delta_since`).  When the windowed p99 breaches the SLO for ``sustain``
 consecutive samples, one process migrates from the hottest to the
 coolest machine; a clear band (breach streaks only reset once p99 drops
-below ``clear_factor * slo``) plus a firing cooldown keep an
+below ``CLEAR_FACTOR * slo``) plus a firing cooldown keep an
 oscillating tail from causing a migration storm.  The decision state
 machine itself is the pure :class:`SloTrigger`, property-tested in
 isolation.  All inputs are per-machine or registry-local, so a
 :class:`DomainLoadBalancer` in latency mode stays shard-local: it reads
-its own domain's ``metric{domain=...}`` series from the shard registry.
+its own domain's ``domain=...`` latency series from the shard registry.
 """
 
 from __future__ import annotations
@@ -40,9 +40,14 @@ from repro.kernel.ids import ProcessId
 from repro.obs.metrics import HistogramSnapshot
 from repro.policy.metrics import imbalance, machine_loads, migratable_processes
 from repro.stats.migration_cost import MigrationCostRecord
+from repro.workloads.closed_loop import REQUEST_LATENCY_METRIC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import System
+
+#: breach streaks reset only once p99 < CLEAR_FACTOR * slo — the
+#: hysteresis band that stops oscillation around the SLO thrashing
+CLEAR_FACTOR = 0.8
 
 #: System processes a balancer must not move by default (they are "often
 #: tied to unmovable resources", §5 — here, it is just unhelpful).
@@ -59,16 +64,10 @@ class SloPolicy:
 
     #: the service-level objective: windowed p99 must stay below this
     p99_slo_us: float
-    #: histogram the pool publishes request latencies into; a
-    #: :class:`DomainLoadBalancer` reads its ``domain=<label>`` series
-    metric: str = "workload.request_latency_us"
     #: consecutive breached samples required before a migration fires
     sustain: int = 2
     #: minimum time between SLO-triggered migrations, microseconds
     cooldown: int = 200_000
-    #: breach streaks reset only once p99 < clear_factor * slo — the
-    #: hysteresis band that stops oscillation around the SLO thrashing
-    clear_factor: float = 0.8
     #: windows with fewer observations than this are ignored (a single
     #: unlucky request is not an SLO violation)
     min_window_count: int = 8
@@ -80,8 +79,6 @@ class SloPolicy:
             raise ConfigError("sustain must be >= 1")
         if self.cooldown < 0:
             raise ConfigError("cooldown must be non-negative")
-        if not 0.0 < self.clear_factor <= 1.0:
-            raise ConfigError("clear_factor must be in (0, 1]")
         if self.min_window_count < 1:
             raise ConfigError("min_window_count must be >= 1")
 
@@ -124,7 +121,7 @@ class SloTrigger:
                 self.last_fired = now
                 return True
             return False
-        if p99 <= policy.clear_factor * policy.p99_slo_us:
+        if p99 <= CLEAR_FACTOR * policy.p99_slo_us:
             self.breaches = 0
         return False
 
@@ -184,7 +181,7 @@ class ThresholdLoadBalancer:
         self.cooldown = cooldown
         self.exclude_names = exclude_names
         #: latency-aware mode: when set, samples watch the windowed p99
-        #: of ``slo.metric`` instead of the run-queue spread
+        #: of the pool's request latencies instead of the run-queue spread
         self.slo = slo
         self._slo_trigger = SloTrigger(slo) if slo is not None else None
         self._slo_prev: HistogramSnapshot | None = None
@@ -267,7 +264,7 @@ class ThresholdLoadBalancer:
         """
         assert self.slo is not None and self._slo_trigger is not None
         current = self.system.metrics.latency_histogram(
-            self.slo.metric, **self._slo_labels
+            REQUEST_LATENCY_METRIC, **self._slo_labels
         ).freeze()
         previous = self._slo_prev
         self._slo_prev = current

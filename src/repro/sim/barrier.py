@@ -923,11 +923,28 @@ class WorkerBarrier(_Rendezvous):
             peer.inject(inbound)
         return nxt
 
-    def run(self, peer: ShardPeer, horizon: int | None = None) -> None:
-        """Rendezvous schedule up to *horizon*; strided drain without."""
+    def run(
+        self,
+        peer: ShardPeer,
+        horizon: int | None = None,
+        max_events: int | None = None,
+    ) -> None:
+        """Rendezvous schedule up to *horizon*; strided drain without.
+
+        *max_events* bounds a drain: a shard that fires that many events
+        without global quiescence raises :class:`SimulationError` (the
+        worker dies, so its peers see EOF at their next exchange).
+        """
         if horizon is None:
             lookahead = self.lookahead
+            budget = None
+            if max_events is not None:
+                budget = peer.events_fired() + max_events
             while (nxt := self._exchange(peer)) is not None:
+                if budget is not None and peer.events_fired() >= budget:
+                    raise SimulationError(
+                        f"shard {self.index} drain did not quiesce"
+                    )
                 floor = window_end(nxt, lookahead) - 1
                 peer.run_window(floor + self._drain_step - lookahead)
             return

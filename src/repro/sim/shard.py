@@ -50,6 +50,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.core import cluster as cluster_module
 from repro.core.cluster import Cluster, Shard
 from repro.core.config import SystemConfig, near_square_factor
 from repro.core.system import boot_standard_servers
@@ -71,16 +72,12 @@ if TYPE_CHECKING:  # pragma: no cover
 def shard_alignment(config: SystemConfig) -> int:
     """Smallest machine-id block the partitioner must keep whole.
 
-    Torus rows and whole cliques are the natural traffic neighbourhoods
-    (and the balancer domains), so they must not straddle a shard
-    boundary; every other shape partitions freely (hypercube blocks of
-    ``n // shards`` are subcubes whenever the counts are powers of two,
-    which ``validate()`` guarantees for the machine count).
+    Torus rows are the natural traffic neighbourhoods (and the
+    balancer domains), so they must not straddle a shard boundary;
+    every other shape partitions freely.
     """
     if config.topology == "torus":
         return config.machines // near_square_factor(config.machines)
-    if config.topology == "cliques":
-        return near_square_factor(config.machines)
     return 1
 
 
@@ -91,8 +88,7 @@ def partition_machines(
 
     Units of *alignment* consecutive machines are distributed so group
     sizes differ by at most one unit; the id ranges are contiguous, so
-    a group is a band of torus rows, a run of whole cliques, or (for
-    power-of-two counts) a subcube.
+    a group is a band of torus rows.
     """
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
@@ -235,14 +231,6 @@ class ShardedSystem(Cluster):
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         super().__init__(config)
-        if self.config.load_report_interval > 0:
-            # Load reporting is System's alone; refused here rather
-            # than silently sending no reports.
-            raise ConfigError(
-                "ShardedSystem sends no load reports;"
-                f" load_report_interval={self.config.load_report_interval}"
-                " needs System"
-            )
         self.plan = ShardPlan.build(self.config, self.topology)
         for index, machines in enumerate(self.plan.shards):
             self._build_shard(
@@ -463,7 +451,9 @@ def _forked_worker(
         system.plan.pair_periods, sync=system.shards[index].network.sync,
     )
     runtime = ShardRuntime(system.shards[index])
-    barrier.run(runtime, horizon=until)
-    barrier.run(runtime, horizon=None)
+    # Read at call time, so a patched budget reaches the child.
+    budget = cluster_module.DRAIN_MAX_EVENTS
+    barrier.run(runtime, horizon=until, max_events=budget)
+    barrier.run(runtime, max_events=budget)
     result_conn.send(collect(system.shards[index]))
     result_conn.close()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import MetricsSnapshot
+from repro.workloads.closed_loop import REQUEST_LATENCY_METRIC
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import Cluster
@@ -30,10 +31,6 @@ _NETWORK_SCALARS = (
     "payload_bytes_sent",
 )
 
-#: histogram the closed-loop client pool publishes request latencies into
-_REQUEST_LATENCY = "workload.request_latency_us"
-
-
 def _digest(histogram) -> dict[str, Any]:
     return {
         "count": histogram.count,
@@ -48,7 +45,7 @@ def _digest(histogram) -> dict[str, Any]:
 def _latency_summary(snapshot: MetricsSnapshot) -> dict[str, Any] | None:
     """p50/p95/p99/max request-latency digest, or None when no
     request-scale workload ran."""
-    histogram = snapshot.histogram(_REQUEST_LATENCY)
+    histogram = snapshot.histogram(REQUEST_LATENCY_METRIC)
     if histogram is None or not histogram.count:
         return None
     return _digest(histogram)
@@ -62,11 +59,11 @@ def _latency_by_domain(snapshot: MetricsSnapshot) -> dict[str, Any]:
     the digests an SLO balancer acts on, surfaced so reports show *which*
     neighbourhood's tail breached.
     """
+    by_domain = snapshot.histogram_by_label(REQUEST_LATENCY_METRIC, "domain")
     return {
         str(domain): _digest(histogram)
         for domain, histogram in sorted(
-            snapshot.histogram_by_label(_REQUEST_LATENCY, "domain").items(),
-            key=lambda item: str(item[0]),
+            by_domain.items(), key=lambda item: str(item[0])
         )
         if histogram.count
     }

@@ -11,9 +11,8 @@ Two traffic models share one :class:`ClientPool`:
   arrived*.  Slow service no longer throttles the arrival rate (the
   coordinated-omission trap of closed loops), so queues genuinely build
   when demand exceeds capacity — which is what an SLO-driven migration
-  policy needs to see.  A :class:`LoadShape` modulates the arrival rate
-  over time (steady, burst, diurnal ramp) and can skew demand onto a
-  few hot services (hot-key).
+  policy needs to see.  An optional burst window multiplies the arrival
+  rate for part of the run.
 
 A server that migrates mid-conversation — or answers through a
 forwarding chain — stretches the *observed response time* of exactly
@@ -38,7 +37,7 @@ event loop interleaves the clients at run time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Mapping, Sequence
 
 from repro.errors import ConfigError
@@ -53,129 +52,64 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: registry name for the pool's end-to-end request latency histogram
 REQUEST_LATENCY_METRIC = "workload.request_latency_us"
-
-#: rate profiles :class:`LoadShape` understands
-LOAD_SHAPE_KINDS = ("steady", "burst", "diurnal", "hot_key")
+#: request payload size, bytes
+PAYLOAD_BYTES = 32
+#: spawn spacing between successive closed-loop clients (staggers the
+#: switchboard lookups, like real users arriving over time); open-loop
+#: clients all spawn at time 0
+CLOSED_STAGGER_US = 500
+#: simulated time of the first possible open-loop arrival
+OPEN_START_AT = 1_000
 
 
 @dataclass(frozen=True)
 class ClosedLoopConfig:
-    """Shape of one closed-loop client pool."""
+    """Shape of one closed-loop client pool.
+
+    Think times are drawn from the ``closed-loop`` random stream.
+    """
 
     clients: int = 4
     requests_per_client: int = 10
     #: mean think time between a reply and the next request (exponential;
     #: 0 disables thinking entirely)
     mean_think_us: int = 2_000
-    payload_bytes: int = 32
     #: simulated time of the first client spawn
     start_at: int = 1_000
-    #: spawn spacing between successive clients (staggers the switchboard
-    #: lookups, like real users arriving over time)
-    stagger_us: int = 500
-    #: named random stream the think times are drawn from
-    stream: str = "closed-loop"
-    metric: str = REQUEST_LATENCY_METRIC
 
     def validate(self) -> None:
         if self.clients < 1:
             raise ConfigError(f"need at least one client, got {self.clients}")
         if self.requests_per_client < 1:
             raise ConfigError("requests_per_client must be positive")
-        if self.mean_think_us < 0 or self.start_at < 0 or self.stagger_us < 0:
+        if self.mean_think_us < 0 or self.start_at < 0:
             raise ConfigError("times must be non-negative")
 
 
 @dataclass(frozen=True)
-class LoadShape:
-    """Time-varying arrival-rate profile plus per-service demand skew.
+class OpenLoopConfig:
+    """Shape of one open-loop (Poisson-arrival) client pool.
 
-    ``kind`` selects the rate profile: ``steady`` (flat), ``burst``
-    (``burst_factor``x inside ``[burst_start, burst_end)``, relative to
-    the pool's ``start_at``), ``diurnal`` (linear ramp from 1x to
-    ``ramp_factor``x over the arrival window), ``hot_key`` (flat rate,
-    but demand skew required).  The skew fields apply under *any* kind —
-    a burst can be aimed at hot services — and default to uniform.
+    Arrivals start at :data:`OPEN_START_AT` and are drawn from the
+    ``open-loop`` random stream.
     """
 
-    kind: str = "steady"
-    #: burst window, microseconds relative to the pool's ``start_at``
-    burst_start: int = 0
-    burst_end: int = 0
-    burst_factor: float = 4.0
-    #: diurnal: rate multiplier reached at the end of the window
-    ramp_factor: float = 2.0
-    #: the first *hot_services* service names absorb *hot_share* of the
-    #: clients between them (0 = uniform demand across all services)
-    hot_services: int = 1
-    hot_share: float = 0.0
-
-    def validate(self) -> None:
-        if self.kind not in LOAD_SHAPE_KINDS:
-            raise ConfigError(
-                f"unknown load shape {self.kind!r}; "
-                f"choose from {LOAD_SHAPE_KINDS}"
-            )
-        if not 0.0 <= self.hot_share <= 1.0:
-            raise ConfigError("hot_share must be within [0, 1]")
-        if self.hot_services < 1:
-            raise ConfigError("hot_services must be positive")
-        if self.kind == "burst":
-            if self.burst_end <= self.burst_start or self.burst_start < 0:
-                raise ConfigError("burst window must be non-empty")
-            if self.burst_factor <= 0:
-                raise ConfigError("burst_factor must be positive")
-        if self.kind == "diurnal" and self.ramp_factor <= 0:
-            raise ConfigError("ramp_factor must be positive")
-        if self.kind == "hot_key" and self.hot_share == 0.0:
-            raise ConfigError("hot_key shape needs hot_share > 0")
-
-    def rate_factor(self, elapsed: int, duration: int) -> float:
-        """Arrival-rate multiplier at *elapsed* us into the window."""
-        if self.kind == "burst":
-            if self.burst_start <= elapsed < self.burst_end:
-                return self.burst_factor
-            return 1.0
-        if self.kind == "diurnal" and duration > 0:
-            return 1.0 + (self.ramp_factor - 1.0) * min(
-                1.0, elapsed / duration
-            )
-        return 1.0
-
-    def service_weights(self, services: int) -> list[float]:
-        """Per-service probability of absorbing one client."""
-        hot = min(self.hot_services, services)
-        if self.hot_share == 0.0 or hot == services:
-            return [1.0 / services] * services
-        cold = services - hot
-        return [self.hot_share / hot] * hot + [
-            (1.0 - self.hot_share) / cold
-        ] * cold
-
-
-@dataclass(frozen=True)
-class OpenLoopConfig:
-    """Shape of one open-loop (Poisson-arrival) client pool."""
-
     clients: int = 100
-    #: mean gap between one client's requests at rate factor 1.0
+    #: mean gap between one client's requests outside the burst
     mean_interarrival_us: int = 100_000
-    #: length of the arrival window, from ``start_at``
+    #: length of the arrival window, from :data:`OPEN_START_AT`
     duration: int = 1_000_000
     #: per-request SLO window: a reply later than this is *late*, never
     #: in-SLO, however long the client keeps listening for it
     deadline_us: int = 50_000
     #: how long a client waits for stragglers after its last send
     drain_grace_us: int = 300_000
-    shape: LoadShape = field(default_factory=LoadShape)
-    payload_bytes: int = 32
-    #: simulated time of the first possible arrival
-    start_at: int = 1_000
-    #: spawn spacing between successive clients
-    stagger_us: int = 0
-    #: named random stream schedules and skew draws come from
-    stream: str = "open-loop"
-    metric: str = REQUEST_LATENCY_METRIC
+    #: burst window, microseconds relative to :data:`OPEN_START_AT`; the
+    #: arrival rate is ``burst_factor`` times higher inside it (an empty
+    #: window means a steady rate)
+    burst_start: int = 0
+    burst_end: int = 0
+    burst_factor: float = 4.0
 
     def validate(self) -> None:
         if self.clients < 1:
@@ -186,9 +120,18 @@ class OpenLoopConfig:
             raise ConfigError("duration must be positive")
         if self.deadline_us < 1:
             raise ConfigError("deadline_us must be positive")
-        if min(self.drain_grace_us, self.start_at, self.stagger_us) < 0:
+        if self.drain_grace_us < 0:
             raise ConfigError("times must be non-negative")
-        self.shape.validate()
+        if self.burst_start < 0 or self.burst_end < self.burst_start:
+            raise ConfigError("burst window must be ordered, from >= 0")
+        if self.burst_factor <= 0:
+            raise ConfigError("burst_factor must be positive")
+
+    def rate_factor(self, elapsed: int) -> float:
+        """Arrival-rate multiplier at *elapsed* us into the window."""
+        if self.burst_start <= elapsed < self.burst_end:
+            return self.burst_factor
+        return 1.0
 
 
 def open_loop_schedules(
@@ -202,16 +145,13 @@ def open_loop_schedules(
     approximation — each gap is drawn at the rate in force when it
     starts — which is deterministic and close enough for load shaping.
     """
-    shape = config.shape
-    end = config.start_at + config.duration
+    end = OPEN_START_AT + config.duration
     schedules: list[list[int]] = []
     for _ in range(config.clients):
-        at = float(config.start_at)
+        at = float(OPEN_START_AT)
         times: list[int] = []
         while True:
-            factor = shape.rate_factor(
-                int(at) - config.start_at, config.duration
-            )
+            factor = config.rate_factor(int(at) - OPEN_START_AT)
             at += rng.expovariate(factor / config.mean_interarrival_us)
             if at >= end:
                 break
@@ -231,10 +171,10 @@ class _Meters:
     def __init__(
         self,
         metrics: "MetricsRegistry",
-        metric: str,
         domains: Mapping[str, str],
         spotlight: tuple[str, int, int] | None,
     ) -> None:
+        metric = REQUEST_LATENCY_METRIC
         self.latency = metrics.latency_histogram(metric)
         self.completed = metrics.counter("workload.requests_completed")
         self.forwarded = metrics.counter("workload.replies_forwarded")
@@ -328,7 +268,7 @@ class ClientPool:
         if not self.machines:
             raise ConfigError("need at least one client machine")
         meters = [
-            _Meters(shard.metrics, self.config.metric, self.domains, spotlight)
+            _Meters(shard.metrics, self.domains, spotlight)
             for shard in system.shards
         ]
         #: per client, the instruments of its machine's shard
@@ -349,13 +289,12 @@ class ClientPool:
     def install(self) -> None:
         """Pre-draw every think time / arrival, then schedule spawns."""
         cfg = self.config
-        rng = self.system.rngs.stream(cfg.stream)
         if self.open_loop:
-            # Draw order matters for determinism: schedules first (in
-            # client order), then the per-client service skew draws.
+            rng = self.system.rngs.stream("open-loop")
             self._schedules = open_loop_schedules(cfg, rng)
-            assignments = self._assign_services(rng)
+            start, stagger = 0, 0
         else:
+            rng = self.system.rngs.stream("closed-loop")
             mean = cfg.mean_think_us
             self._think_times = [
                 [
@@ -364,37 +303,22 @@ class ClientPool:
                 ]
                 for _ in range(cfg.clients)
             ]
-            assignments = [
-                self.services[index % len(self.services)]
-                for index in range(cfg.clients)
-            ]
-        start = 0 if self.open_loop else cfg.start_at
+            start, stagger = cfg.start_at, CLOSED_STAGGER_US
+        services = self.services
         for index in range(cfg.clients):
             machine = self._machine(index)
             self.system.call_at(
-                start + index * cfg.stagger_us,
+                start + index * stagger,
                 machine,
                 self._spawn_client,
                 index,
                 machine,
-                assignments[index],
+                services[index % len(services)],
             )
 
     def _machine(self, index: int) -> int:
         """The machine client *index* lives on."""
         return self.machines[index % len(self.machines)]
-
-    def _assign_services(self, rng: random.Random) -> list[str]:
-        """One service per client: round-robin when demand is uniform,
-        weighted draws when the shape skews it onto hot services."""
-        cfg = self.config
-        weights = cfg.shape.service_weights(len(self.services))
-        if len(set(weights)) == 1:
-            return [
-                self.services[index % len(self.services)]
-                for index in range(cfg.clients)
-            ]
-        return rng.choices(self.services, weights=weights, k=cfg.clients)
 
     def _spawn_client(self, index: int, machine: int, service: str) -> None:
         program = (
@@ -431,7 +355,7 @@ class ClientPool:
                 service,
                 "echo",
                 request,
-                payload_bytes=cfg.payload_bytes,
+                payload_bytes=PAYLOAD_BYTES,
             )
             assert reply is not None
             if reply.payload.get("echo") != request:
@@ -497,7 +421,7 @@ class ClientPool:
                         service,
                         op="echo",
                         payload={"client": index, "req": next_req},
-                        payload_bytes=cfg.payload_bytes,
+                        payload_bytes=PAYLOAD_BYTES,
                         links=(reply_link,),
                     )
                     pending[next_req] = (ctx.now, reply_link)

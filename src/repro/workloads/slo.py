@@ -16,9 +16,9 @@ from repro.core.config import SystemConfig
 from repro.core.system import System
 from repro.policy.load_balancer import DomainLoadBalancer, SloPolicy
 from repro.workloads.closed_loop import (
+    OPEN_START_AT,
     REQUEST_LATENCY_METRIC,
     ClientPool,
-    LoadShape,
     OpenLoopConfig,
 )
 from repro.workloads.pingpong import echo_server
@@ -62,14 +62,10 @@ def run_arm(p: SloParams, latency_aware: bool) -> dict:
     config = OpenLoopConfig(
         clients=p.clients, mean_interarrival_us=MEAN_INTERARRIVAL_US,
         duration=p.duration, deadline_us=p.slo_us,
-        drain_grace_us=p.drain_grace_us,
-        shape=LoadShape(
-            kind="burst", burst_start=p.burst_start,
-            burst_end=p.burst_end, burst_factor=BURST_FACTOR,
-            hot_services=2, hot_share=1.0,
-        ),
+        drain_grace_us=p.drain_grace_us, burst_start=p.burst_start,
+        burst_end=p.burst_end, burst_factor=BURST_FACTOR,
     )
-    burst = config.start_at + p.burst_start, config.start_at + p.burst_end
+    burst = OPEN_START_AT + p.burst_start, OPEN_START_AT + p.burst_end
     pool = ClientPool(
         system, config, services=SERVICES,
         domains=dict.fromkeys(SERVICES, "all"),

@@ -6,7 +6,8 @@ from tests.conftest import drain, make_system
 
 class TestLoadReporting:
     def test_pm_accumulates_load_reports(self):
-        system = make_system(load_report_interval=10_000)
+        system = make_system()
+        system.start_load_reporting(10_000)
         status = {}
 
         def probe(ctx):
@@ -27,7 +28,8 @@ class TestLoadReporting:
 
     def test_memory_scheduler_places_by_real_free_memory(self):
         # Fill machine 0's memory so reports steer placement elsewhere.
-        system = make_system(load_report_interval=10_000)
+        system = make_system()
+        system.start_load_reporting(10_000)
         system.kernel(0).memory.reserve("ballast",
                                         system.kernel(0).memory.free_bytes)
         placement = {}
@@ -56,7 +58,8 @@ class TestLoadReporting:
         assert sends.get("load", 0) == 0
 
     def test_stop_load_reporting_lets_loop_drain(self):
-        system = make_system(load_report_interval=5_000)
+        system = make_system()
+        system.start_load_reporting(5_000)
         system.run(until=20_000)
         system.stop_load_reporting()
         drain(system)  # would hang (assert) if the timer kept rearming

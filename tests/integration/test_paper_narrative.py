@@ -113,7 +113,7 @@ class TestSection3Moving:
         from repro.policy.placement import migrate_with_fallback
 
         system = make_system()
-        system.kernel(2).config.accept_migration = lambda p, s: False
+        system.kernel(2).accept_migration = lambda p, s: False
 
         def parked(ctx):
             while True:

@@ -9,7 +9,7 @@ manager for the new location and re-sends.
 """
 
 from repro.kernel.ids import ProcessAddress
-from repro.kernel.kernel import UndeliverablePolicy
+from repro.kernel.forwarding import UndeliverablePolicy
 from repro.kernel.messages import MessageKind
 from repro.workloads.pingpong import echo_server, pinger
 from repro.workloads.results import ResultsBoard

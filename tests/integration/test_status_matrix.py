@@ -9,6 +9,7 @@ its semantics on the destination.  One test per status, same template.
 import pytest
 
 from repro.kernel.ids import ProcessAddress
+from repro.kernel.memory import MemoryImage
 from repro.kernel.messages import MessageKind
 from repro.kernel.ops import OP_START_PROCESS, OP_STOP_PROCESS
 from repro.kernel.process_state import ProcessStatus
@@ -123,12 +124,12 @@ class TestStatusMatrix:
         invariant across the freeze."""
         from repro.kernel.links import DataArea, LinkAttribute
 
-        system = make_bare_system(max_data_packet=128, latency=3_000)
+        system = make_bare_system(latency=3_000)
         done = {}
 
         def owner(ctx):
             link = yield ctx.create_link(
-                LinkAttribute.DATA_READ, DataArea(0, 4_096),
+                LinkAttribute.DATA_READ, DataArea(0, 32_768),
             )
             yield ctx.send(ctx.bootstrap["holder"], op="area",
                           links=(link,))
@@ -138,7 +139,7 @@ class TestStatusMatrix:
         def holder(ctx):
             msg = yield ctx.receive()
             moved = yield ctx.move_data(
-                msg.delivered_link_ids[0], "read", 0, 4_096,
+                msg.delivered_link_ids[0], "read", 0, 32_768,
             )
             done["moved"] = moved
             done["machine"] = ctx.machine
@@ -146,14 +147,14 @@ class TestStatusMatrix:
 
         holder_pid = system.kernel(1).spawn(holder, name="holder")
         system.kernel(0).spawn(
-            owner, name="owner",
+            owner, name="owner", memory=MemoryImage.sized(data=32_768),
             extra_links={"holder": ProcessAddress(holder_pid, 1)},
         )
         system.loop.call_at(
             7_000, lambda: system.migrate(holder_pid, 2),
         )
         drain(system)
-        assert done["moved"] == 4_096
+        assert done["moved"] == 32_768
         assert done["machine"] == 2
 
     @pytest.mark.parametrize("destination", [1, 2])

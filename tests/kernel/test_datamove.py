@@ -3,6 +3,7 @@
 from repro.errors import LinkAccessError, TransferError
 from repro.kernel.ids import ProcessAddress
 from repro.kernel.links import DataArea, LinkAttribute
+from repro.kernel.memory import MemoryImage
 from tests.conftest import drain, make_bare_system
 
 
@@ -42,11 +43,14 @@ def make_holder(direction, offset, length, outcome):
     return holder
 
 
-def wire_up(system, owner_machine, holder_machine, owner, holder):
+def wire_up(
+    system, owner_machine, holder_machine, owner, holder, owner_memory=None,
+):
     holder_pid = system.kernel(holder_machine).spawn(holder, name="holder")
     system.kernel(owner_machine).spawn(
         owner,
         name="owner",
+        memory=owner_memory,
         extra_links={"holder": ProcessAddress(holder_pid, holder_machine)},
     )
     return holder_pid
@@ -63,14 +67,14 @@ class TestRead:
         assert outcome["moved"] == 3_000
 
     def test_read_streams_in_packets(self):
-        system = make_bare_system(max_data_packet=512)
+        system = make_bare_system()
         outcome = {}
         wire_up(
-            system, 0, 1, make_owner(), make_holder("read", 0, 2_048, outcome)
+            system, 0, 1, make_owner(), make_holder("read", 0, 4_096, outcome)
         )
         drain(system)
-        assert outcome["moved"] == 2_048
-        # ceil(2048/512) = 4 chunks in the datamove category.
+        assert outcome["moved"] == 4_096
+        # ceil(4096/1024) = 4 chunks in the datamove category.
         assert system.network.stats.sends_by_category["datamove"] == 4
 
     def test_local_read_uses_no_network(self):
@@ -203,7 +207,6 @@ class TestTransferVsMigration:
     def test_holder_migrating_mid_transfer_still_completes(self):
         """Chunks and the completion chase the holder via forwarding."""
         system = make_bare_system(
-            max_data_packet=256,
             latency=2_000,  # slow wires: the transfer takes a while
         )
         outcome = {}
@@ -211,18 +214,19 @@ class TestTransferVsMigration:
         def holder(ctx):
             msg = yield ctx.receive()
             area_link = msg.delivered_link_ids[0]
-            moved = yield ctx.move_data(area_link, "read", 0, 6_144)
+            moved = yield ctx.move_data(area_link, "read", 0, 24_576)
             outcome["moved"] = moved
             outcome["machine"] = ctx.machine
             yield ctx.exit()
 
         holder_pid = wire_up(
-            system, 0, 1, make_owner(area_length=6_144), holder
+            system, 0, 1, make_owner(area_length=24_576), holder,
+            owner_memory=MemoryImage.sized(data=24_576),
         )
         # Migrate the holder while chunks are in flight: the area link
         # arrives ~2ms (one wire latency), the read request ~4ms, and the
         # 24 chunks land from ~6ms — so at 4.5ms the transfer is pending.
         system.loop.call_at(4_500, lambda: system.migrate(holder_pid, 2))
         drain(system)
-        assert outcome["moved"] == 6_144
+        assert outcome["moved"] == 24_576
         assert outcome["machine"] == 2

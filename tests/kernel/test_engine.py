@@ -134,7 +134,7 @@ class TestCompute:
         assert max(finished.values()) < 7_000
 
     def test_round_robin_interleaves_quanta(self):
-        system = make_bare_system(quantum=1_000)
+        system = make_bare_system()
         order = []
 
         def make_program(tag):

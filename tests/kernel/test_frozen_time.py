@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.ids import ProcessAddress
+from repro.kernel.kernel import SYSCALL_CPU_COST
 from repro.kernel.ops import OP_START_PROCESS, OP_STOP_PROCESS
 from tests.conftest import drain, make_bare_system
 
@@ -134,7 +135,7 @@ class TestFrozenTime:
                 assert any(moved[0] <= edge < moved[1] for edge in window)
         if kind == "receive":
             assert seen["message"] is None  # timed out
-        cost = system.kernel(0).config.syscall_cpu_cost
+        cost = SYSCALL_CPU_COST
         assert seen["woke"] - seen["t0"] == (
             duration + union_length(frozen) + cost
         )

@@ -281,7 +281,7 @@ class TestValidationAndRefusal:
 
     def test_policy_refusal_restores_process(self):
         system = make_bare_system()
-        system.kernel(1).config.accept_migration = lambda pid, size: False
+        system.kernel(1).accept_migration = lambda pid, size: False
         pid = system.spawn(parked, machine=0)
         drain(system)
         ticket = system.migrate(pid, 1)
@@ -294,7 +294,7 @@ class TestValidationAndRefusal:
 
     def test_refusal_uses_two_admin_messages(self):
         system = make_bare_system()
-        system.kernel(1).config.accept_migration = lambda pid, size: False
+        system.kernel(1).accept_migration = lambda pid, size: False
         pid = system.spawn(parked, machine=0)
         ticket = system.migrate(pid, 1)
         drain(system)
@@ -312,7 +312,7 @@ class TestValidationAndRefusal:
 
     def test_process_still_works_after_refusal(self):
         system = make_bare_system()
-        system.kernel(1).config.accept_migration = lambda pid, size: False
+        system.kernel(1).accept_migration = lambda pid, size: False
         log = []
 
         def worker(ctx):

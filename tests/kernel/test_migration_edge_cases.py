@@ -129,7 +129,7 @@ class TestSwappedMemory:
 
     def test_migration_reservation_released_on_refusal(self):
         system = make_bare_system()
-        system.kernel(1).config.accept_migration = lambda pid, size: False
+        system.kernel(1).accept_migration = lambda pid, size: False
         pid = system.spawn(parked, machine=0)
         before = system.kernel(1).memory.used_bytes
         ticket = system.migrate(pid, 1)

@@ -1,5 +1,6 @@
 """Miscellaneous kernel behaviours: unknown ops, trace filtering,
 stats accessors, and defensive paths."""
+from repro.core import cluster as cluster_module
 
 from repro.kernel.ids import ProcessAddress, ProcessId, kernel_address
 from repro.kernel.messages import Message, MessageKind
@@ -57,8 +58,9 @@ class TestTraceFiltering:
         assert categories == {"migrate"}
         assert system.tracer.dropped > 0
 
-    def test_trace_ring_buffer_bound(self):
-        system = make_bare_system(max_trace_records=10)
+    def test_trace_ring_buffer_bound(self, monkeypatch):
+        monkeypatch.setattr(cluster_module, "MAX_TRACE_RECORDS", 10)
+        system = make_bare_system()
         for _ in range(5):
             pid = system.spawn(parked, machine=0)
         drain(system)

@@ -34,13 +34,22 @@ class TestBuilders:
         assert topo.neighbors(3) == [2]
 
     def test_ring_closes_the_loop(self):
-        topo = Topology.ring(4)
-        assert 0 in topo.neighbors(3)
+        # Hand-wired shapes are plain graphs: the last wire of a ring
+        # makes its two ends neighbours both ways.
+        topo = Topology()
+        for m in range(4):
+            topo.connect(m, (m + 1) % 4)
+        assert topo.neighbors(3) == [0, 2]
+        assert topo.neighbors(0) == [1, 3]
+        assert topo.path(0, 3) == [0, 3]
 
     def test_star_hub_and_spokes(self):
-        topo = Topology.star(5)
+        topo = Topology()
+        for m in range(1, 5):
+            topo.connect(0, m)
         assert topo.neighbors(0) == [1, 2, 3, 4]
         assert topo.neighbors(3) == [0]
+        assert topo.path(3, 4) == [3, 0, 4]
 
     def test_machines_sorted(self):
         assert Topology.full_mesh(3).machines == [0, 1, 2]
@@ -132,7 +141,9 @@ class TestRouteCacheLru:
         # when it forwards, so the cache keeps one table per machine —
         # nothing is evicted however many sources route, and a second
         # route from a source reuses its table.
-        topo = Topology.ring(8)
+        topo = Topology()
+        for m in range(8):
+            topo.connect(m, (m + 1) % 8)
         for src in range(8):
             topo.next_hop(src, (src + 3) % 8)
         assert len(topo._routes) == 8

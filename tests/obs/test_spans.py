@@ -1,5 +1,6 @@
 """Tests for migration spans, the view of the kernels' cost records."""
 
+from repro.core import cluster as cluster_module
 from repro.kernel.ids import ProcessAddress, ProcessId
 from repro.kernel.messages import MessageKind
 from repro.obs.spans import migration_spans
@@ -77,7 +78,7 @@ class TestSpanAssembly:
         # The record is the one account: every protocol event of the
         # span is exactly the ``migrate`` record the kernel traced.
         system = make_bare_system()
-        system.kernel(1).config.accept_migration = lambda p, s: False
+        system.kernel(1).accept_migration = lambda p, s: False
         moved = system.spawn(parked, machine=0)
         refused = system.spawn(parked, machine=2)
         system.migrate(moved, 2)
@@ -134,10 +135,11 @@ class TestSpanAssembly:
         (span,) = system.spans()
         assert span.status == "ok" and span.steps() == FULL_STEPS
 
-    def test_partial_trace_ignored(self):
+    def test_partial_trace_ignored(self, monkeypatch):
         # A tracer that keeps one record still gives the full protocol
         # span: the steps come from the kernel's record, not the trace.
-        system, ticket = migrated(max_trace_records=1)
+        monkeypatch.setattr(cluster_module, "MAX_TRACE_RECORDS", 1)
+        system, ticket = migrated()
         assert len(system.tracer) == 1
         (span,) = system.spans()
         assert span.status == "ok"
@@ -249,7 +251,7 @@ class TestAgainstRealSystem:
         # The destination declines (destination autonomy, paper §3.2) —
         # the span records the refusal.
         system = make_bare_system()
-        system.kernel(1).config.accept_migration = lambda p, s: False
+        system.kernel(1).accept_migration = lambda p, s: False
         pid = system.spawn(parked, machine=0)
         ticket = system.migrate(pid, 1)
         drain(system)

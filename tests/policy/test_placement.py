@@ -35,8 +35,8 @@ class TestFallbackMigration:
 
     def test_rebuffed_source_looks_elsewhere(self):
         system = make_bare_system(machines=4)
-        system.kernel(1).config.accept_migration = refuse
-        system.kernel(2).config.accept_migration = refuse
+        system.kernel(1).accept_migration = refuse
+        system.kernel(2).accept_migration = refuse
         pid = system.spawn(parked, machine=0)
         outcome = migrate_with_fallback(system, pid, [1, 2, 3])
         drain(system)
@@ -47,8 +47,8 @@ class TestFallbackMigration:
 
     def test_everyone_refuses_leaves_process_home(self):
         system = make_bare_system(machines=3)
-        system.kernel(1).config.accept_migration = refuse
-        system.kernel(2).config.accept_migration = refuse
+        system.kernel(1).accept_migration = refuse
+        system.kernel(2).accept_migration = refuse
         pid = system.spawn(parked, machine=0)
         outcome = migrate_with_fallback(system, pid, [1, 2])
         drain(system)

@@ -19,11 +19,7 @@ from repro.policy.load_balancer import (
     SloPolicy,
     SloTrigger,
 )
-from repro.workloads.closed_loop import (
-    ClientPool,
-    LoadShape,
-    OpenLoopConfig,
-)
+from repro.workloads.closed_loop import ClientPool, OpenLoopConfig
 from repro.workloads.pingpong import echo_server
 from tests.conftest import drain, make_system
 
@@ -43,10 +39,6 @@ class TestSloPolicyValidation:
         with pytest.raises(ConfigError):
             SloPolicy(p99_slo_us=1_000, cooldown=-1).validate()
         with pytest.raises(ConfigError):
-            SloPolicy(p99_slo_us=1_000, clear_factor=0.0).validate()
-        with pytest.raises(ConfigError):
-            SloPolicy(p99_slo_us=1_000, clear_factor=1.1).validate()
-        with pytest.raises(ConfigError):
             SloPolicy(p99_slo_us=1_000, min_window_count=0).validate()
 
     def test_trigger_validates_on_construction(self):
@@ -57,7 +49,7 @@ class TestSloPolicyValidation:
 class TestSloTrigger:
     def policy(self, **overrides):
         defaults = dict(p99_slo_us=10_000, sustain=2, cooldown=100_000,
-                        clear_factor=0.8, min_window_count=4)
+                        min_window_count=4)
         defaults.update(overrides)
         return SloPolicy(**defaults)
 
@@ -80,7 +72,7 @@ class TestSloTrigger:
         assert trigger.observe(20_000, 50, now=100_000) is True
 
     def test_clear_band_keeps_streak_alive(self):
-        """p99 dipping below the SLO but above clear_factor*SLO does not
+        """p99 dipping below the SLO but above CLEAR_FACTOR*SLO does not
         reset the streak — the hysteresis band."""
         trigger = SloTrigger(self.policy(sustain=2))
         assert trigger.observe(20_000, 50, now=0) is False
@@ -186,9 +178,9 @@ def run_hot_pair_scenario(seed=0, slo=None, threshold=3, compute=500):
             duration=400_000,
             deadline_us=10_000,
             drain_grace_us=150_000,
-            shape=LoadShape(kind="burst", burst_start=120_000,
-                            burst_end=280_000, burst_factor=3.0,
-                            hot_services=2, hot_share=1.0),
+            burst_start=120_000,
+            burst_end=280_000,
+            burst_factor=3.0,
         ),
         services=("svc-0", "svc-1"),
         domains={"svc-0": "all", "svc-1": "all"},

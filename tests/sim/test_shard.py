@@ -59,14 +59,10 @@ class TestPartitioner:
         config = SystemConfig(machines=16, topology="torus")
         assert shard_alignment(config) == 4
 
-    def test_cliques_alignment_is_clique_size(self):
-        config = SystemConfig(machines=12, topology="cliques")
-        assert shard_alignment(config) == 3
-
     def test_dense_shapes_partition_freely(self):
         assert shard_alignment(SystemConfig(machines=9)) == 1
         assert shard_alignment(
-            SystemConfig(machines=8, topology="hypercube")
+            SystemConfig(machines=8, topology="line")
         ) == 1
 
 
@@ -178,11 +174,11 @@ class TestShardedSystemBuild:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_load_reporting_rejected(self, shards):
-        # Only System sends load reports: a sharded run would silently
-        # send none.
-        with pytest.raises(ConfigError, match="needs System"):
-            sharded(machines=4, shards=shards, topology="mesh",
-                    load_report_interval=5_000)
+        # Only System sends load reports: the sharded engine offers no
+        # way to start them, so a sharded run cannot silently send none.
+        system = sharded(machines=4, shards=shards, topology="mesh")
+        with pytest.raises(AttributeError, match="start_load_reporting"):
+            system.start_load_reporting(5_000)
 
     def test_repr_mentions_shards(self):
         assert "shards=2" in repr(sharded())

@@ -274,8 +274,6 @@ class TestElisionOrderEquivalence:
             ("torus", 8, 2, 4_000),
             ("torus", 16, 4, 2_000),
             ("torus", 16, 4, None),
-            ("cliques", 8, 2, 3_000),
-            ("cliques", 16, 4, 2_000),
             ("mesh", 8, 2, None),
         ]),
         faults=fault_plans,
@@ -305,7 +303,6 @@ class TestElisionOrderEquivalence:
     @given(
         shape=st.sampled_from([
             ("torus", 8, 2, 4_000),
-            ("cliques", 8, 2, 3_000),
             ("torus", 16, 4, 2_000),
         ]),
         idle=st.sampled_from([40_000, 90_000]),

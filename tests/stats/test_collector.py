@@ -39,7 +39,7 @@ class TestCollector:
 
     def test_report_counts_refusals_separately(self):
         system = make_bare_system()
-        system.kernel(1).config.accept_migration = lambda p, s: False
+        system.kernel(1).accept_migration = lambda p, s: False
         pid = system.spawn(parked, machine=0)
         system.migrate(pid, 1)
         drain(system)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.obs.metrics import merge_histogram_snapshots
 from repro.workloads.closed_loop import (
+    OPEN_START_AT,
     REQUEST_LATENCY_METRIC,
     ClientPool,
-    LoadShape,
     OpenLoopConfig,
     open_loop_schedules,
 )
@@ -33,12 +33,10 @@ BOUNDED = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+#: a steady rate, and a 5x burst
 SHAPES = [
-    LoadShape(),
-    LoadShape(kind="burst", burst_start=20_000, burst_end=60_000,
-              burst_factor=5.0),
-    LoadShape(kind="diurnal", ramp_factor=3.0),
-    LoadShape(kind="hot_key", hot_services=1, hot_share=0.8),
+    {},
+    dict(burst_start=20_000, burst_end=60_000, burst_factor=5.0),
 ]
 
 
@@ -202,45 +200,33 @@ class TestDeadlineVerdicts:
 class TestLoadShape:
     def test_validation_rejects_bad_shapes(self):
         with pytest.raises(ConfigError):
-            LoadShape(kind="tidal").validate()
+            OpenLoopConfig(burst_start=10, burst_end=5).validate()
         with pytest.raises(ConfigError):
-            LoadShape(kind="burst", burst_start=10, burst_end=10).validate()
+            OpenLoopConfig(burst_start=-10, burst_end=5).validate()
         with pytest.raises(ConfigError):
-            LoadShape(kind="burst", burst_start=0, burst_end=10,
-                      burst_factor=0).validate()
-        with pytest.raises(ConfigError):
-            LoadShape(kind="diurnal", ramp_factor=0).validate()
-        with pytest.raises(ConfigError):
-            LoadShape(kind="hot_key").validate()
-        with pytest.raises(ConfigError):
-            LoadShape(hot_share=1.5).validate()
-        with pytest.raises(ConfigError):
-            LoadShape(hot_services=0).validate()
+            OpenLoopConfig(burst_start=0, burst_end=10,
+                           burst_factor=0).validate()
+        # An empty window is the steady rate.
+        OpenLoopConfig(burst_start=10, burst_end=10).validate()
 
     def test_burst_factor_applies_only_inside_window(self):
-        shape = LoadShape(kind="burst", burst_start=100, burst_end=200,
-                          burst_factor=4.0)
-        assert shape.rate_factor(50, 1_000) == 1.0
-        assert shape.rate_factor(100, 1_000) == 4.0
-        assert shape.rate_factor(199, 1_000) == 4.0
-        assert shape.rate_factor(200, 1_000) == 1.0
-
-    def test_diurnal_ramp_is_linear(self):
-        shape = LoadShape(kind="diurnal", ramp_factor=3.0)
-        assert shape.rate_factor(0, 1_000) == 1.0
-        assert shape.rate_factor(500, 1_000) == 2.0
-        assert shape.rate_factor(1_000, 1_000) == 3.0
-        assert shape.rate_factor(2_000, 1_000) == 3.0
-
-    def test_hot_key_weights_sum_to_one_and_skew(self):
-        shape = LoadShape(kind="hot_key", hot_services=2, hot_share=0.8)
-        weights = shape.service_weights(8)
-        assert sum(weights) == pytest.approx(1.0)
-        assert weights[0] == weights[1] == pytest.approx(0.4)
-        assert all(w == pytest.approx(0.2 / 6) for w in weights[2:])
+        config = OpenLoopConfig(burst_start=100, burst_end=200,
+                                burst_factor=4.0)
+        assert config.rate_factor(50) == 1.0
+        assert config.rate_factor(100) == 4.0
+        assert config.rate_factor(199) == 4.0
+        assert config.rate_factor(200) == 1.0
+        assert OpenLoopConfig().rate_factor(0) == 1.0
 
     def test_uniform_weights_when_no_skew(self):
-        assert LoadShape().service_weights(4) == [0.25] * 4
+        """Demand is uniform: clients take the services round-robin."""
+        services = ("svc-a", "svc-b", "svc-c", "svc-d")
+        _, pool = run_open_pool(
+            small_config(clients=8), services=services,
+            server_machines=(1, 2, 3, 1),
+        )
+        targeted = sorted(r["service"] for r in pool.board.get(pool.key))
+        assert targeted == sorted(services * 2)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -267,26 +253,25 @@ class TestScheduleDeterminism:
         """The arrival schedule is a pure function of (config, seed)."""
         config = OpenLoopConfig(
             clients=clients, mean_interarrival_us=mean,
-            duration=200_000, shape=shape,
+            duration=200_000, **shape,
         )
         first = open_loop_schedules(config, random.Random(seed))
         second = open_loop_schedules(config, random.Random(seed))
         assert first == second
         assert len(first) == clients
-        end = config.start_at + config.duration
+        end = OPEN_START_AT + config.duration
         for times in first:
             assert times == sorted(times)
-            assert all(config.start_at <= t < end for t in times)
+            assert all(OPEN_START_AT <= t < end for t in times)
 
     def test_burst_window_densifies_arrivals(self):
         config = OpenLoopConfig(
             clients=50, mean_interarrival_us=20_000, duration=300_000,
-            shape=LoadShape(kind="burst", burst_start=100_000,
-                            burst_end=200_000, burst_factor=6.0),
+            burst_start=100_000, burst_end=200_000, burst_factor=6.0,
         )
         schedules = open_loop_schedules(config, random.Random(7))
         flat = [t for times in schedules for t in times]
-        window = config.start_at + 100_000, config.start_at + 200_000
+        window = OPEN_START_AT + 100_000, OPEN_START_AT + 200_000
         inside = sum(1 for t in flat if window[0] <= t < window[1])
         outside = len(flat) - inside
         # The burst window is 1/3 of the run at 6x the rate: inside
@@ -300,8 +285,7 @@ class TestScheduleDeterminism:
         def observe():
             system, pool = run_open_pool(
                 small_config(
-                    shape=LoadShape(kind="burst", burst_start=30_000,
-                                    burst_end=80_000, burst_factor=4.0),
+                    burst_start=30_000, burst_end=80_000, burst_factor=4.0,
                 ),
                 seed=11, compute=3_000,
             )
@@ -322,10 +306,7 @@ class TestPerDomainDigests:
         """Observed through a real run: folding the per-domain histogram
         snapshots reproduces the global snapshot exactly (latencies are
         integers, so float sums are exact and order-free)."""
-        config = small_config(
-            clients=16,
-            shape=LoadShape(kind="hot_key", hot_services=1, hot_share=0.7),
-        )
+        config = small_config(clients=16)
         system, pool = run_open_pool(
             config,
             services=("svc-a", "svc-b"),
