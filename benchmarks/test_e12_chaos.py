@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from conftest import print_table, write_bench_artifact
 
-from repro.chaos import SCENARIOS, run_campaign
+from repro.chaos.campaign import SCENARIOS, run_campaign
 
 #: per-scenario system sizes, pinned as run identity in the artifact
 MACHINES = {

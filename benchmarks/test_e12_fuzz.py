@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from conftest import print_table, write_bench_artifact
 
-from repro.chaos import generate_schedule, run_fuzz
+from repro.chaos.fuzz import generate_schedule, run_fuzz
 
 #: the pinned sweep identities (root seed, number of schedules)
 SMOKE = {"seed": 1983, "runs": 12}

@@ -227,7 +227,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Fuzz random chaos schedules; replay repro files."""
-    from repro.chaos import replay, run_fuzz
+    from repro.chaos.fuzz import replay, run_fuzz
 
     if args.replay is not None:
         outcome = replay(args.replay, budget=args.budget)

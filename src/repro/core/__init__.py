@@ -1,20 +1,2 @@
-"""Public API of the DEMOS/MP reproduction."""
-
-from repro.core.cluster import Cluster, MigrationTicket
-from repro.core.config import SystemConfig
-from repro.core.registry import (
-    lookup_program,
-    register_program,
-    registered_programs,
-)
-from repro.core.system import System
-
-__all__ = [
-    "Cluster",
-    "MigrationTicket",
-    "System",
-    "SystemConfig",
-    "lookup_program",
-    "register_program",
-    "registered_programs",
-]
+"""The cluster surface, the one-shard engine, its configuration and the
+by-name program registry (the public facade is :mod:`repro`)."""

@@ -40,6 +40,14 @@ from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 from repro.stats.migration_cost import MigrationCostRecord
 
+# The process manager spawns by program name (§2.3), and a program joins
+# the registry when its module is imported.  These three modules define
+# the by-name programs; importing them here, beside the one reader of
+# the registry, gives every kernel all of them.
+import repro.workloads.compute  # noqa: F401
+import repro.workloads.file_clients  # noqa: F401
+import repro.workloads.pingpong  # noqa: F401
+
 Program = Callable[[ProcessContext], Any]
 MigrationDone = Callable[[bool, MigrationCostRecord], None]
 DRAIN_MAX_EVENTS = 100_000_000  #: a drain that fires this many is a hang
@@ -216,12 +224,9 @@ class Cluster:
         machine: MachineId = 0,
         name: str = "",
         memory: MemoryImage | None = None,
-        priority: int = 0,
     ) -> ProcessId:
         """Create a process on *machine* running *program*."""
-        return self.kernel(machine).spawn(
-            program, name=name, memory=memory, priority=priority
-        )
+        return self.kernel(machine).spawn(program, name=name, memory=memory)
 
     def call_at(
         self,

@@ -309,7 +309,7 @@ class TransferManager:
             "kernel", "dma-done", pid=str(holder.pid), bytes=nbytes,
         )
         holder.status = ProcessStatus.READY
-        self.kernel.scheduler.enqueue(holder.pid, holder.priority)
+        self.kernel.scheduler.enqueue(holder.pid)
         self.kernel._maybe_dispatch()
 
     def _fail_holder(self, holder: ProcessState, reason: str) -> None:
@@ -321,7 +321,7 @@ class TransferManager:
             "kernel", "dma-failed", pid=str(holder.pid), reason=reason,
         )
         holder.status = ProcessStatus.READY
-        self.kernel.scheduler.enqueue(holder.pid, holder.priority)
+        self.kernel.scheduler.enqueue(holder.pid)
         self.kernel._maybe_dispatch()
 
     def _send_error(

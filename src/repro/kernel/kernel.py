@@ -269,7 +269,6 @@ class Kernel:
         program_factory: ProgramFactory,
         name: str = "",
         memory: MemoryImage | None = None,
-        priority: int = 0,
         extra_links: dict[str, ProcessAddress] | None = None,
     ) -> ProcessId:
         """Create a process on this machine and make it runnable.
@@ -289,7 +288,6 @@ class Kernel:
             pid=pid,
             name=name or f"proc-{pid.local_id}",
             memory=memory or MemoryImage.sized(),
-            priority=priority,
         )
         state.residence_history.append(self.machine)
         self.memory.attach(pid, state.memory)
@@ -548,7 +546,7 @@ class Kernel:
                     state.wake_deadline = None
                 self._hand_message(state)
                 state.status = _READY
-                self.scheduler.enqueue(state.pid, state.priority)
+                self.scheduler.enqueue(state.pid)
                 if not self._cpu_busy and not self._wakeup_flush_scheduled:
                     self._wakeup_flush_scheduled = True
                     self.loop.call_soon(self._flush_wakeups)
@@ -699,7 +697,7 @@ class Kernel:
 
     def _make_runnable(self, state: ProcessState) -> None:
         state.status = ProcessStatus.READY
-        self.scheduler.enqueue(state.pid, state.priority)
+        self.scheduler.enqueue(state.pid)
         self._maybe_dispatch()
 
     def _maybe_dispatch(self, holder: ProcessState | None = None) -> None:
@@ -767,7 +765,7 @@ class Kernel:
             state.resume_value = None
         state.status = _READY
         self.scheduler.release_cpu(pid)
-        self.scheduler.enqueue(pid, state.priority)
+        self.scheduler.enqueue(pid)
         self._cpu_busy = False
         self._maybe_dispatch()
 
@@ -834,7 +832,7 @@ class Kernel:
                     return
                 # Otherwise it goes to the back of the queue.
                 state.status = _READY
-                scheduler.enqueue(state.pid, state.priority)
+                scheduler.enqueue(state.pid)
         self._cpu_busy = False
         if self._run_queue:  # _maybe_dispatch's own first probe, hoisted
             self._maybe_dispatch()
@@ -888,7 +886,7 @@ class Kernel:
 
     def _requeue(self, state: ProcessState) -> None:
         state.status = _READY
-        self.scheduler.enqueue(state.pid, state.priority)
+        self.scheduler.enqueue(state.pid)
 
     def _do_receive(self, state: ProcessState, syscall: Receive) -> None:
         if state.message_queue:
@@ -997,7 +995,7 @@ class Kernel:
     def _rearm_after_unfreeze(self, state: ProcessState) -> None:
         """Restore run-queue membership / timers after restart or resume."""
         if state.status is ProcessStatus.READY:
-            self.scheduler.enqueue(state.pid, state.priority)
+            self.scheduler.enqueue(state.pid)
             self._maybe_dispatch()
         elif state.status in (
             ProcessStatus.WAITING_MESSAGE, ProcessStatus.SLEEPING,

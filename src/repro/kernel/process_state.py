@@ -85,7 +85,6 @@ class ProcessState:
     message_queue: deque[Message] = field(default_factory=deque)
     link_table: LinkTable = field(default_factory=LinkTable)
     memory: MemoryImage = field(default_factory=MemoryImage.sized)
-    priority: int = 0
     accounting: ProcessAccounting = field(default_factory=ProcessAccounting)
     #: machines this process has lived on, oldest first (for forwarding-
     #: address garbage collection backwards along the migration path)

@@ -4,31 +4,3 @@ Topology + lossy channels + a reliable ordered transport: the stand-in for
 the Z8000 network and the *published communications* reliable-delivery
 substrate the paper assumes.
 """
-
-from repro.net.channel import Channel, FaultPlan
-from repro.net.network import Network
-from repro.net.packet import (
-    ACK_PAYLOAD_BYTES,
-    PACKET_HEADER_BYTES,
-    Packet,
-    PacketKind,
-)
-from repro.net.reliable import DEFAULT_RTO, ReliableTransport
-from repro.net.stats import NetworkStats
-from repro.net.topology import MachineId, Topology, Wire
-
-__all__ = [
-    "ACK_PAYLOAD_BYTES",
-    "DEFAULT_RTO",
-    "PACKET_HEADER_BYTES",
-    "Channel",
-    "FaultPlan",
-    "MachineId",
-    "Network",
-    "NetworkStats",
-    "Packet",
-    "PacketKind",
-    "ReliableTransport",
-    "Topology",
-    "Wire",
-]

@@ -26,15 +26,6 @@ class FaultPlan:
     duplicate_probability: float = 0.0
     max_jitter: int = 0  #: extra delivery delay, uniform in [0, max_jitter]
 
-    @property
-    def is_perfect(self) -> bool:
-        """True when no faults will ever be injected."""
-        return (
-            self.drop_probability == 0.0
-            and self.duplicate_probability == 0.0
-            and self.max_jitter == 0
-        )
-
 
 class Channel:
     """One directed wire with delay and optional fault injection.

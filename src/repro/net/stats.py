@@ -108,13 +108,3 @@ class NetworkStats:
             )
         for cat, count in self.delivered_by_category.items():
             registry.counter("net.delivered", category=cat).set_total(count)
-
-    def category_snapshot(self) -> dict[str, tuple[int, int]]:
-        """Per-category ``(sends, payload_bytes)`` pairs."""
-        return {
-            cat: (
-                self.sends_by_category[cat],
-                self.payload_bytes_by_category[cat],
-            )
-            for cat in self.sends_by_category
-        }

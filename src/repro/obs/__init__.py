@@ -12,39 +12,3 @@ gives the reproduction the same power as a first-class layer:
 - :mod:`repro.obs.exporters` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) and flat JSON metrics snapshots.
 """
-
-from repro.obs.exporters import (
-    chrome_trace,
-    metrics_snapshot_dict,
-    span_to_trace_events,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_US,
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSnapshot,
-    LatencyHistogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
-from repro.obs.spans import Span, SpanEvent, migration_spans
-
-__all__ = [
-    "LATENCY_BUCKETS_US",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramSnapshot",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "Span",
-    "SpanEvent",
-    "chrome_trace",
-    "metrics_snapshot_dict",
-    "migration_spans",
-    "span_to_trace_events",
-    "write_chrome_trace",
-]

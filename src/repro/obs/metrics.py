@@ -97,12 +97,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
 
 @dataclass(frozen=True)
 class HistogramSnapshot:
@@ -242,43 +236,6 @@ class Histogram:
         if index < len(self._bucket_counts):
             self._bucket_counts[index] += 1
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s observations into this histogram.
-
-        Equivalent to having observed the concatenation of both streams;
-        requires identical bucket bounds.
-        """
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histogram {other.name} into {self.name}: "
-                f"bucket bounds differ"
-            )
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None:
-            if self.min is None or other.min < self.min:
-                self.min = other.min
-        if other.max is not None:
-            if self.max is None or other.max > self.max:
-                self.max = other.max
-        for index, n in enumerate(other._bucket_counts):
-            self._bucket_counts[index] += n
-
-    def reset(self) -> HistogramSnapshot:
-        """Freeze the current distribution, then forget it.
-
-        Returns the frozen view, so interval readers can drain the
-        histogram without losing observations: the counts in successive
-        ``reset()`` snapshots always sum to everything ever observed.
-        """
-        snapshot = self.freeze()
-        self._bucket_counts = [0] * len(self.bounds)
-        self.count = 0
-        self.sum = 0
-        self.min = None
-        self.max = None
-        return snapshot
-
     def freeze(self) -> HistogramSnapshot:
         """A cumulative-bucket snapshot of the distribution."""
         cumulative = []
@@ -294,26 +251,6 @@ class Histogram:
             bucket_bounds=self.bounds,
             bucket_counts=tuple(cumulative),
         )
-
-
-class LatencyHistogram(Histogram):
-    """A histogram specialised for request latencies.
-
-    The default grid is :data:`LATENCY_BUCKETS_US` — log-spaced,
-    deterministic, microsecond-denominated — so p50/p95/p99 extracted
-    from a snapshot (:meth:`HistogramSnapshot.percentile`) carry a
-    bounded ~19% relative error while ``min``/``max`` stay exact.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        name: str,
-        labels: LabelSet,
-        buckets: Iterable[float] = LATENCY_BUCKETS_US,
-    ) -> None:
-        super().__init__(name, labels, buckets=buckets)
 
 
 class MetricsSnapshot:
@@ -414,12 +351,6 @@ class NullGauge(Gauge):
     def set(self, value: float) -> None:
         pass
 
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
 
 class NullHistogram(Histogram):
     """A histogram that discards observations (disabled registry)."""
@@ -427,9 +358,6 @@ class NullHistogram(Histogram):
     __slots__ = ()
 
     def observe(self, value: float) -> None:
-        pass
-
-    def merge(self, other: Histogram) -> None:
         pass
 
 
@@ -490,18 +418,23 @@ class MetricsRegistry:
         return instrument
 
     def latency_histogram(self, name: str, **labels: Any) -> Histogram:
-        """Get-or-create a :class:`LatencyHistogram` (log-spaced buckets).
+        """Get-or-create a histogram on :data:`LATENCY_BUCKETS_US`.
 
-        Lives in the same namespace as :meth:`histogram`; as with custom
-        buckets, the grid is fixed by whichever call creates the
-        instrument first.
+        The grid is log-spaced, deterministic and microsecond-denominated,
+        so p50/p95/p99 read off a snapshot
+        (:meth:`HistogramSnapshot.percentile`) carry a bounded ~19%
+        relative error while ``min``/``max`` stay exact.  Lives in the
+        same namespace as :meth:`histogram`; as with custom buckets, the
+        grid is fixed by whichever call creates the instrument first.
         """
         if not self.enabled:
             return self._null_histogram
         key = (name, _labelset(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
-            instrument = self._histograms[key] = LatencyHistogram(*key)
+            instrument = self._histograms[key] = Histogram(
+                *key, buckets=LATENCY_BUCKETS_US
+            )
         return instrument
 
     # -- collectors -----------------------------------------------------
@@ -540,52 +473,42 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 
 
-def thaw_histogram(
-    name: str, labels: LabelSet, snapshot: HistogramSnapshot
-) -> Histogram:
-    """Rebuild a live :class:`Histogram` equivalent to *snapshot*.
-
-    The snapshot stores Prometheus-style cumulative bucket counts; the
-    live instrument keeps per-bucket counts, so this de-cumulates.  The
-    round trip is exact: ``thaw_histogram(...).freeze() == snapshot``
-    (observations beyond the last bound survive in ``count``/``sum``
-    without a bucket, same as in the original instrument).
-    """
-    histogram = Histogram(name, labels, buckets=snapshot.bucket_bounds)
-    previous = 0
-    counts = []
-    for cumulative in snapshot.bucket_counts:
-        counts.append(cumulative - previous)
-        previous = cumulative
-    histogram._bucket_counts = counts
-    histogram.count = snapshot.count
-    histogram.sum = snapshot.sum
-    histogram.min = snapshot.min
-    histogram.max = snapshot.max
-    return histogram
-
-
 def merge_histogram_snapshots(
     snapshots: Iterable[HistogramSnapshot],
-    name: str = "merged",
-    labels: LabelSet = (),
 ) -> HistogramSnapshot:
     """Fold several histogram snapshots into one distribution.
 
-    Thaws each snapshot and reuses :meth:`Histogram.merge`, so the
-    result is exactly the snapshot of a single histogram that had
-    observed every shard's stream; identical bucket bounds required.
+    The result is exactly the snapshot of a single histogram that had
+    observed every shard's stream: cumulative bucket counts, ``count``
+    and ``sum`` add (in snapshot order), ``min``/``max`` keep the
+    envelope.  Identical bucket bounds required.
     """
-    merged: Histogram | None = None
+    merged: HistogramSnapshot | None = None
     for snapshot in snapshots:
-        thawed = thaw_histogram(name, labels, snapshot)
         if merged is None:
-            merged = thawed
-        else:
-            merged.merge(thawed)
+            merged = snapshot
+            continue
+        if snapshot.bucket_bounds != merged.bucket_bounds:
+            raise ValueError("cannot merge histograms: bucket bounds differ")
+        low, high = merged.min, merged.max
+        if snapshot.min is not None and (low is None or snapshot.min < low):
+            low = snapshot.min
+        if snapshot.max is not None and (high is None or snapshot.max > high):
+            high = snapshot.max
+        merged = HistogramSnapshot(
+            count=merged.count + snapshot.count,
+            sum=merged.sum + snapshot.sum,
+            min=low,
+            max=high,
+            bucket_bounds=merged.bucket_bounds,
+            bucket_counts=tuple(
+                a + b
+                for a, b in zip(merged.bucket_counts, snapshot.bucket_counts)
+            ),
+        )
     if merged is None:
         raise ValueError("cannot merge zero histogram snapshots")
-    return merged.freeze()
+    return merged
 
 
 def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
@@ -614,7 +537,7 @@ def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
                 bucket.setdefault(labels, []).append(hist)
     histograms = {
         name: {
-            labels: merge_histogram_snapshots(group, name, labels)
+            labels: merge_histogram_snapshots(group)
             for labels, group in series.items()
         }
         for name, series in parts.items()

@@ -1,53 +1,1 @@
 """Migration decision policies — the paper's "continuing work" (§7)."""
-
-from repro.policy.affinity import AffinityPolicy
-from repro.policy.domains import (
-    Domain,
-    DomainRegistry,
-    accept_all,
-    refuse_foreign,
-    size_capped,
-)
-from repro.policy.gc import ForwardingSweeper, SweeperStats
-from repro.policy.load_balancer import (
-    DEFAULT_EXCLUDE,
-    BalancerStats,
-    ThresholdLoadBalancer,
-)
-from repro.policy.metrics import (
-    CommunicationMatrix,
-    imbalance,
-    machine_loads,
-    memory_demand,
-    migratable_processes,
-)
-from repro.policy.placement import (
-    FallbackMigration,
-    FallbackOutcome,
-    migrate_with_fallback,
-)
-from repro.policy.recovery import CrashRecoveryManager, CrashReport
-
-__all__ = [
-    "AffinityPolicy",
-    "BalancerStats",
-    "CommunicationMatrix",
-    "CrashRecoveryManager",
-    "CrashReport",
-    "DEFAULT_EXCLUDE",
-    "Domain",
-    "DomainRegistry",
-    "FallbackMigration",
-    "FallbackOutcome",
-    "ForwardingSweeper",
-    "SweeperStats",
-    "ThresholdLoadBalancer",
-    "accept_all",
-    "imbalance",
-    "machine_loads",
-    "memory_demand",
-    "migratable_processes",
-    "migrate_with_fallback",
-    "refuse_foreign",
-    "size_capped",
-]

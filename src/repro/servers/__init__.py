@@ -4,37 +4,3 @@ Switchboard, process manager, memory scheduler, the four-process file
 system, and the command interpreter — all ordinary programs reached only
 through links, and therefore all migratable.
 """
-
-from repro.servers.command_interpreter import command_interpreter_program
-from repro.servers.common import Correlator, lookup_service, rpc, serve_reply
-from repro.servers.filesystem import (
-    BLOCK_SIZE,
-    FileClient,
-    boot_file_system,
-    buffer_manager_program,
-    directory_manager_program,
-    disk_driver_program,
-    file_server_program,
-)
-from repro.servers.memory_scheduler import memory_scheduler_program
-from repro.servers.process_manager import process_manager_program
-from repro.servers.switchboard import register_service, switchboard_program
-
-__all__ = [
-    "BLOCK_SIZE",
-    "Correlator",
-    "FileClient",
-    "boot_file_system",
-    "buffer_manager_program",
-    "command_interpreter_program",
-    "directory_manager_program",
-    "disk_driver_program",
-    "file_server_program",
-    "lookup_service",
-    "memory_scheduler_program",
-    "process_manager_program",
-    "register_service",
-    "rpc",
-    "serve_reply",
-    "switchboard_program",
-]

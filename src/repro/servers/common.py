@@ -3,7 +3,11 @@
 Requests are messages whose first enclosed link is a *reply link* — the
 paper's short-lived link used exactly once to respond.  ``serve_reply``
 answers on it and destroys it; ``rpc`` is the client half: create a reply
-link, send, wait for the answer.
+link, send, wait for the answer.  ``lookup_service`` is the one ``rpc``
+every client starts with: ask the switchboard for a service link by
+name.  A server that fans out sub-requests (the file system, the
+command interpreter) tags each with a request id and waits for that
+reply, backlogging whatever else arrives (``filesystem._serial_rpc``).
 
 These helpers are sub-generators: call them with ``yield from`` inside a
 program.
@@ -100,29 +104,3 @@ def lookup_service(
         raise ServerError(f"switchboard lookup failed for {name!r}")
     # delivered_link_ids[0] is the service link enclosed in the reply
     return reply.delivered_link_ids[0]
-
-
-class Correlator:
-    """Matches asynchronous replies back to the request that caused them.
-
-    Servers that fan out sub-requests (the file-system front end, the
-    process manager) tag each with a fresh id and stash a continuation
-    record here.
-    """
-
-    def __init__(self) -> None:
-        self._next = 0
-        self._pending: dict[int, Any] = {}
-
-    def register(self, state: Any) -> int:
-        """Stash *state*; returns the request id to tag the message with."""
-        self._next += 1
-        self._pending[self._next] = state
-        return self._next
-
-    def pop(self, req_id: int) -> Any:
-        """Retrieve and forget the state for *req_id* (None if unknown)."""
-        return self._pending.pop(req_id, None)
-
-    def __len__(self) -> int:
-        return len(self._pending)

@@ -1,26 +1,1 @@
 """Measurement: migration cost ledgers and system-wide reports."""
-
-from repro.stats.collector import (
-    SystemReport,
-    collect_report,
-    report_from_snapshot,
-)
-from repro.stats.migration_cost import SEGMENTS, MigrationCostRecord
-from repro.stats.timeline import (
-    TimelineEntry,
-    forwarding_story,
-    migration_timeline,
-    render_timeline,
-)
-
-__all__ = [
-    "MigrationCostRecord",
-    "SEGMENTS",
-    "SystemReport",
-    "TimelineEntry",
-    "collect_report",
-    "forwarding_story",
-    "migration_timeline",
-    "render_timeline",
-    "report_from_snapshot",
-]

@@ -20,7 +20,9 @@ the requests it delayed, and the paper's §6 per-event cost analysis
 becomes a request-latency distribution, the metric interactive services
 are actually judged on (means hide the damage; percentiles don't).
 
-Latencies land in a :class:`~repro.obs.metrics.LatencyHistogram` in the
+Latencies land in a histogram on the log-spaced
+:data:`~repro.obs.metrics.LATENCY_BUCKETS_US` grid
+(:meth:`~repro.obs.metrics.MetricsRegistry.latency_histogram`) in the
 registry of the shard owning each client's machine, so ``report
 --json``, the metrics exporters and the benchmark artifacts all see
 p50/p95/p99 in the cluster's merged snapshot without extra plumbing, on

@@ -6,7 +6,7 @@ from typing import Any, Generator
 
 from repro.core.registry import register_program
 from repro.kernel.context import ProcessContext
-from repro.workloads.results import DEFAULT_BOARD, ResultsBoard
+from repro.workloads.results import ResultsBoard
 
 
 @register_program("compute")
@@ -19,10 +19,10 @@ def compute_bound(
 ) -> Generator[Any, Any, None]:
     """Burn *total* microseconds of CPU in *slice_size* pieces, then exit.
 
-    Posts ``{pid, started, finished, elapsed, machines}`` so benchmarks
-    can compute makespans and see where the work actually ran.
+    Posts ``{pid, started, finished, elapsed, machines}`` on *board*
+    (nothing without one) so benchmarks can compute makespans and see
+    where the work actually ran.
     """
-    board = board if board is not None else DEFAULT_BOARD
     started = ctx.now
     machines = [ctx.machine]
     remaining = total
@@ -32,13 +32,14 @@ def compute_bound(
         remaining -= burst
         if ctx.machine != machines[-1]:
             machines.append(ctx.machine)
-    board.post(key, {
-        "pid": ctx.pid,
-        "started": started,
-        "finished": ctx.now,
-        "elapsed": ctx.now - started,
-        "machines": machines,
-    })
+    if board is not None:
+        board.post(key, {
+            "pid": ctx.pid,
+            "started": started,
+            "finished": ctx.now,
+            "elapsed": ctx.now - started,
+            "machines": machines,
+        })
     yield ctx.exit()
 
 
@@ -55,7 +56,6 @@ def migratory_compute(
     """A compute job that requests its own migration part-way (§3.1:
     "It is of course possible for a process to request its own
     migration")."""
-    board = board if board is not None else DEFAULT_BOARD
     started = ctx.now
     done = 0
     hopped = False
@@ -66,10 +66,11 @@ def migratory_compute(
         if not hopped and hop_to is not None and done >= hop_after:
             hopped = True
             yield ctx.request_migration(hop_to)
-    board.post(key, {
-        "pid": ctx.pid,
-        "elapsed": ctx.now - started,
-        "finished_on": ctx.machine,
-        "hopped": hopped,
-    })
+    if board is not None:
+        board.post(key, {
+            "pid": ctx.pid,
+            "elapsed": ctx.now - started,
+            "finished_on": ctx.machine,
+            "hopped": hopped,
+        })
     yield ctx.exit()

@@ -14,7 +14,7 @@ from typing import Any, Generator
 from repro.core.registry import register_program
 from repro.kernel.context import ProcessContext
 from repro.servers.filesystem import FileClient
-from repro.workloads.results import DEFAULT_BOARD, ResultsBoard
+from repro.workloads.results import ResultsBoard
 
 
 def _pattern(tag: int, index: int, size: int) -> bytes:
@@ -41,7 +41,6 @@ def file_io_client(
     at the end carries per-operation latencies and the verification
     verdict.
     """
-    board = board if board is not None else DEFAULT_BOARD
     fs = FileClient(ctx)
     name = f"client-{tag}.dat"
     errors: list[str] = []
@@ -66,13 +65,14 @@ def file_io_client(
         if gap:
             yield ctx.sleep(gap)
     yield from fs.close(handle)
-    board.post(key, {
-        "pid": ctx.pid,
-        "tag": tag,
-        "operations": operations,
-        "errors": errors,
-        "latencies": latencies,
-    })
+    if board is not None:
+        board.post(key, {
+            "pid": ctx.pid,
+            "tag": tag,
+            "operations": operations,
+            "errors": errors,
+            "latencies": latencies,
+        })
     yield ctx.exit()
 
 
@@ -87,7 +87,6 @@ def file_reader(
     key: str = "file-reader",
 ) -> Generator[Any, Any, None]:
     """Repeatedly read the head of an existing file (cache-friendly)."""
-    board = board if board is not None else DEFAULT_BOARD
     fs = FileClient(ctx)
     handle = yield from fs.open(name)
     latencies = []
@@ -98,5 +97,6 @@ def file_reader(
         if gap:
             yield ctx.sleep(gap)
     yield from fs.close(handle)
-    board.post(key, {"pid": ctx.pid, "latencies": latencies})
+    if board is not None:
+        board.post(key, {"pid": ctx.pid, "latencies": latencies})
     yield ctx.exit()

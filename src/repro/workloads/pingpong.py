@@ -14,7 +14,7 @@ from repro.core.registry import register_program
 from repro.kernel.context import ProcessContext
 from repro.servers.common import lookup_service, rpc
 from repro.servers.switchboard import register_service
-from repro.workloads.results import DEFAULT_BOARD, ResultsBoard
+from repro.workloads.results import ResultsBoard
 
 
 @register_program("echo-server")
@@ -57,11 +57,11 @@ def pinger(
 ) -> Generator[Any, Any, None]:
     """Send *rounds* echo requests and record each round-trip.
 
-    Posts one record per round: latency, which machine answered, and how
-    many forwarding hops the request suffered (mirrored back by the
-    server), plus a final summary under ``key + '-summary'``.
+    Posts on *board* (nothing without one) one record per round:
+    latency, which machine answered, and how many forwarding hops the
+    request suffered (mirrored back by the server), plus a final summary
+    under ``key + '-summary'``.
     """
-    board = board if board is not None else DEFAULT_BOARD
     service = yield from lookup_service(ctx, service_name)
     transcript = []
     for round_no in range(rounds):
@@ -78,14 +78,16 @@ def pinger(
             "request_forwarded": reply.payload["forwarded"],
             "echo": reply.payload["echo"],
         })
-        board.post(key, transcript[-1])
+        if board is not None:
+            board.post(key, transcript[-1])
         if gap:
             yield ctx.sleep(gap)
-    board.post(key + "-summary", {
-        "pid": ctx.pid,
-        "rounds": rounds,
-        "transcript": transcript,
-    })
+    if board is not None:
+        board.post(key + "-summary", {
+            "pid": ctx.pid,
+            "rounds": rounds,
+            "transcript": transcript,
+        })
     yield ctx.exit()
 
 

@@ -47,8 +47,3 @@ class ResultsBoard:
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._entries.values())
-
-
-#: Default board used by programs spawned by name (e.g. via the command
-#: interpreter), where no board instance can be passed through.
-DEFAULT_BOARD = ResultsBoard()

@@ -6,14 +6,8 @@ from dataclasses import replace
 import pytest
 
 from repro.__main__ import main
-from repro.chaos import (
-    CampaignResult,
-    SCENARIOS,
-    ScenarioOutcome,
-    ledger_digest,
-    run_campaign,
-    run_scenario,
-)
+from repro.chaos.campaign import SCENARIOS, CampaignResult, run_campaign
+from repro.chaos.runner import ScenarioOutcome, ledger_digest, run_scenario
 from repro.chaos.engine import FaultEvent
 from repro.errors import ConfigError
 

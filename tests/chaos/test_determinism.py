@@ -8,7 +8,8 @@ gated counters, on repeated runs and across shard counts.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import ActionSpec, ChaosEngine, FaultEvent, Scenario
+from repro.chaos.engine import ChaosEngine, FaultEvent
+from repro.chaos.scenario import ActionSpec, Scenario
 from repro.core.config import SystemConfig
 from repro.sim.shard import ShardedSystem
 from repro.workloads.pingpong import echo_server, pinger

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.chaos import ActionSpec, ChaosEngine, FaultEvent, Scenario
+from repro.chaos.engine import ChaosEngine, FaultEvent
+from repro.chaos.scenario import ActionSpec, Scenario
 from repro.core.config import SystemConfig
 from repro.errors import ConfigError, SimulationError
 from repro.net.channel import FaultPlan

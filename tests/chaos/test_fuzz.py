@@ -12,19 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import (
-    SCENARIOS,
-    ActionSpec,
-    Scenario,
+from repro.chaos.campaign import SCENARIOS
+from repro.chaos.fuzz import (
     generate_schedule,
     load_repro,
     replay,
     run_fuzz,
-    run_scenario,
     shrink,
     validate_schedule,
     write_repro,
 )
+from repro.chaos.runner import run_scenario
+from repro.chaos.scenario import ActionSpec, Scenario
 from repro.errors import ConfigError
 from repro.__main__ import main
 

@@ -16,16 +16,15 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import (
-    ChaosEngine,
-    Scenario,
+from repro.chaos.engine import ChaosEngine
+from repro.chaos.fuzz import (
     generate_schedule,
     load_repro,
-    run_scenario,
     shrink,
     validate_schedule,
 )
-from repro.chaos.runner import build_cluster
+from repro.chaos.runner import build_cluster, run_scenario
+from repro.chaos.scenario import Scenario
 from repro.errors import ConfigError
 from repro.kernel.ids import ProcessId
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import (
+from repro.chaos.invariants import (
     check_chain_collapse,
     check_exactly_once,
     check_memory_accounting,

@@ -10,7 +10,7 @@ otherwise turns the stale entry into a routing cycle 1 -> 2 -> 1 that
 forwards the request forever and the simulation never quiesces.
 """
 
-from repro.chaos import survivor_invariants
+from repro.chaos.invariants import survivor_invariants
 from repro.policy.recovery import CrashRecoveryManager
 from repro.servers.common import lookup_service, rpc
 from repro.workloads.pingpong import echo_server

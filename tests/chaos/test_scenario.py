@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos import ActionSpec, Scenario
+from repro.chaos.scenario import ActionSpec, Scenario
 from repro.errors import ConfigError
 from repro.kernel.ids import ProcessId
 

@@ -1,4 +1,4 @@
-"""Tests for tracer unsubscribe and System.spawn priority."""
+"""Tests for tracer unsubscribe."""
 
 from tests.conftest import drain, make_bare_system
 
@@ -53,20 +53,3 @@ class TestUnsubscribe:
         drain(system)
         assert sum(policy.matrix.counts.values()) == count_before
 
-
-class TestSpawnPriority:
-    def test_system_spawn_passes_priority(self):
-        system = make_bare_system()
-        order = []
-
-        def make_job(tag):
-            def job(ctx):
-                yield ctx.compute(10_000)
-                order.append(tag)
-                yield ctx.exit()
-            return job
-
-        system.spawn(make_job("low"), machine=0, priority=0)
-        system.spawn(make_job("high"), machine=0, priority=3)
-        drain(system)
-        assert order == ["high", "low"]

@@ -1,7 +1,14 @@
 """Tests for the System facade."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.config import SystemConfig
 from repro.core.system import System
 from repro.errors import ConfigError, UnknownProcessError
@@ -196,7 +203,40 @@ class TestBudgetedRun:
         assert self.run(budget=25) == self.run(budget=None)
 
 
+#: every program the process manager can spawn by name (§2.3)
+BY_NAME_PROGRAMS = [
+    "compute",
+    "echo-server",
+    "file-io-client",
+    "file-reader",
+    "migratory-compute",
+    "pinger",
+]
+
+
 class TestRegistry:
+    def test_facade_alone_registers_every_by_name_program(self):
+        """A program registers when its module is imported; a fresh
+        interpreter that imports only the facade must still give every
+        kernel all of them, or ``shell "run compute"`` breaks."""
+        code = (
+            "import json\n"
+            "from repro import System, SystemConfig\n"
+            "system = System(SystemConfig(machines=4))\n"
+            "print(json.dumps([sorted(k.program_registry)"
+            " for k in system.kernels]))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [BY_NAME_PROGRAMS] * 4
+
     def test_registered_programs_spawnable_by_name(self):
         from repro.core.registry import lookup_program, registered_programs
 

@@ -5,9 +5,7 @@ import pytest
 from repro.errors import MigrationError
 from repro.kernel.ids import ProcessAddress, kernel_pid
 from repro.kernel.messages import MessageKind
-from repro.kernel.ops import (
-    ADMIN_MESSAGES_PER_MIGRATION, ADMIN_PAYLOAD_BYTES, OP_MIGRATE_PROCESS
-)
+from repro.kernel.ops import ADMIN_MESSAGES_PER_MIGRATION, OP_MIGRATE_PROCESS
 from repro.kernel.process_state import ProcessStatus
 from tests.conftest import drain, make_bare_system
 

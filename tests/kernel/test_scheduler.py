@@ -61,11 +61,15 @@ class TestRoundRobin:
         sched.release_cpu(pid(1))
         assert sched.load == 1
 
-    def test_queued_pids_in_order(self):
+    def test_dispatch_follows_arrival_order(self):
         sched = RoundRobinScheduler()
         for n in (3, 1, 2):
             sched.enqueue(pid(n))
-        assert sched.queued_pids() == [pid(3), pid(1), pid(2)]
+        order = []
+        while (picked := sched.pick_next()) is not None:
+            order.append(picked)
+            sched.release_cpu(picked)
+        assert order == [pid(3), pid(1), pid(2)]
 
     def test_release_other_pid_keeps_running(self):
         sched = RoundRobinScheduler()
@@ -76,43 +80,37 @@ class TestRoundRobin:
 
 
 class ListScheduler:
-    """The reference model: one list of ``(priority, pid)`` in arrival
-    order, scanned in full on every call, with equality (never
-    identity) deciding membership."""
+    """The reference model: one list of pids in arrival order, scanned
+    in full on every call, with equality (never identity) deciding
+    membership."""
 
     def __init__(self):
         self.queue = []
         self.running = None
 
-    def enqueue(self, pid, priority):
-        if pid == self.running or any(p == pid for _, p in self.queue):
+    def enqueue(self, pid):
+        if pid == self.running or any(p == pid for p in self.queue):
             return
-        self.queue.append((priority, pid))
+        self.queue.append(pid)
 
     def remove(self, pid):
-        self.queue = [(pr, p) for pr, p in self.queue if p != pid]
+        self.queue = [p for p in self.queue if p != pid]
 
     def pick_next(self):
         if not self.queue:
             return None
-        top = max(pr for pr, _ in self.queue)
-        at = next(i for i, (pr, _) in enumerate(self.queue) if pr == top)
-        self.running = self.queue.pop(at)[1]
+        self.running = self.queue.pop(0)
         return self.running
 
     def release_cpu(self, pid):
         if self.running == pid:
             self.running = None
 
-    def queued_pids(self):
-        return [p for _, p in sorted(self.queue, key=lambda e: -e[0])]
-
 
 operations = st.lists(
     st.tuples(
         st.sampled_from(["enqueue", "remove", "pick_next", "release_cpu"]),
         st.integers(min_value=1, max_value=4),
-        st.integers(min_value=-1, max_value=2),
     ),
     max_size=60,
 )
@@ -123,19 +121,20 @@ class TestAgainstListModel:
     def test_same_answers_with_equal_but_distinct_pids(self, ops):
         """Every call gets a freshly built pid, equal to but never the
         object the scheduler stored, so an identity shortcut that
-        skipped the equality fallback would diverge from the model."""
+        skipped the equality fallback would diverge from the model.  The
+        run ends by draining both, so the queues match in order too."""
         sched, model = RoundRobinScheduler(), ListScheduler()
-        for op, local_id, priority in ops:
+        for op, local_id in ops:
             if op == "pick_next":
                 assert sched.pick_next() is model.pick_next()
-            elif op == "enqueue":
-                fresh = pid(local_id)
-                sched.enqueue(fresh, priority)
-                model.enqueue(fresh, priority)
             else:
-                getattr(sched, op)(pid(local_id))
-                getattr(model, op)(pid(local_id))
+                fresh = pid(local_id)
+                getattr(sched, op)(fresh)
+                getattr(model, op)(fresh)
             assert sched.running == model.running
-            assert sched.queued_pids() == model.queued_pids()
             assert len(sched) == len(model.queue)
             assert sched.load == len(model.queue) + (model.running is not None)
+        sched.running = model.running = None
+        while model.queue:
+            assert sched.pick_next() is model.pick_next()
+        assert sched.pick_next() is None

@@ -54,8 +54,29 @@ class TestPerfectChannel:
         assert network.in_flight() == 0
 
     def test_fault_plan_is_perfect_by_default(self):
-        assert FaultPlan().is_perfect
-        assert not FaultPlan(drop_probability=0.1).is_perfect
+        # With a random stream to draw from, a default plan still drops,
+        # duplicates and delays nothing: each copy lands once, on time.
+        loop = EventLoop()
+        seen, dropped, duplicated = [], [], []
+        channel = Channel(
+            loop,
+            Wire(0, 1, 10, 1_000),
+            landing(loop, lambda packet: seen.append((loop.now, packet))),
+            faults=FaultPlan(),
+            make_rng=lambda: random.Random(0),
+            on_drop=dropped.append,
+            on_duplicate=duplicated.append,
+        )
+        packets = [make_packet(seq=seq) for seq in range(20)]
+        for packet in packets:
+            channel.transmit(packet)
+        loop.run()
+        period = make_packet().size_bytes  # a 1 B/us wire
+        assert seen == [
+            (10 + (index + 1) * period, packet)
+            for index, packet in enumerate(packets)
+        ]
+        assert dropped == duplicated == []
 
 
 class TestFaultInjection:

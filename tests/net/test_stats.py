@@ -49,8 +49,8 @@ class TestNetworkStats:
         snapshot = stats.snapshot()
         assert snapshot["packets_sent"] == 1
         assert snapshot["packets_delivered"] == 1
-        categories = stats.category_snapshot()
-        assert categories["user"] == (1, 100)
+        assert stats.sends_by_category["user"] == 1
+        assert stats.payload_bytes_by_category["user"] == 100
 
 
 class TestWireOccupancy:

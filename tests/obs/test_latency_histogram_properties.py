@@ -5,11 +5,12 @@ Three contracts the latency pipeline rests on:
 - **bracketing** — a percentile read off the log-spaced buckets is
   within one bucket's relative width (a factor of ``2 ** 0.25``) of the
   true sample percentile, never below it;
-- **mergeability** — ``a.merge(b)`` is indistinguishable from having
-  recorded the concatenated stream (latencies are integer microseconds,
-  so float summation is exact and the snapshots compare equal);
-- **conservation** — observations never vanish across snapshot/reset
-  cycles: interval snapshots sum back to the one-shot histogram.
+- **mergeability** — ``merge_histogram_snapshots([a, b])`` is
+  indistinguishable from having recorded the concatenated stream
+  (latencies are integer microseconds, so float summation is exact and
+  the snapshots compare equal);
+- **conservation** — observations never vanish across ``delta_since``
+  windows: the windows merge back to the one-shot histogram.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.obs.metrics import (
     LATENCY_BUCKETS_US,
     Histogram,
-    LatencyHistogram,
+    merge_histogram_snapshots,
 )
 
 #: adjacent latency bucket bounds differ by exactly this factor
@@ -39,8 +40,8 @@ QUANTILES = (0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0)
 BOUNDED = settings(max_examples=200, deadline=None)
 
 
-def fresh() -> LatencyHistogram:
-    return LatencyHistogram("latency", ())
+def fresh() -> Histogram:
+    return Histogram("latency", (), buckets=LATENCY_BUCKETS_US)
 
 
 def true_percentile(samples: list[int], q: float) -> int:
@@ -111,59 +112,47 @@ class TestMerge:
         concat = fresh()
         for value in first + second:
             concat.observe(value)
-        left.merge(right)
-        assert left.freeze() == concat.freeze()
+        merged = merge_histogram_snapshots([left.freeze(), right.freeze()])
+        assert merged == concat.freeze()
 
     @BOUNDED
     @given(samples=latencies)
     def test_merge_into_empty_is_identity(self, samples):
-        target = fresh()
         source = fresh()
         for value in samples:
             source.observe(value)
-        target.merge(source)
-        assert target.freeze() == source.freeze()
+        merged = merge_histogram_snapshots(
+            [fresh().freeze(), source.freeze()]
+        )
+        assert merged == source.freeze()
 
     def test_merge_rejects_mismatched_bounds(self):
         other = Histogram("h", (), buckets=(1, 2, 3))
         with pytest.raises(ValueError):
-            fresh().merge(other)
+            merge_histogram_snapshots([fresh().freeze(), other.freeze()])
 
 
 class TestConservation:
     @BOUNDED
     @given(first=latencies, second=latencies)
-    def test_counts_conserved_across_snapshot_reset(self, first, second):
+    def test_counts_conserved_across_windows(self, first, second):
         histogram = fresh()
+        start = histogram.freeze()
         for value in first:
             histogram.observe(value)
-        interval_one = histogram.reset()
+        middle = histogram.freeze()
         for value in second:
             histogram.observe(value)
-        interval_two = histogram.reset()
+        end = histogram.freeze()
+        windows = [middle.delta_since(start), end.delta_since(middle)]
 
         concat = fresh()
         for value in first + second:
             concat.observe(value)
         whole = concat.freeze()
 
-        assert interval_one.count + interval_two.count == whole.count
-        assert interval_one.sum + interval_two.sum == whole.sum
-        summed = tuple(
-            a + b
-            for a, b in zip(
-                interval_one.bucket_counts, interval_two.bucket_counts
-            )
-        )
-        assert summed == whole.bucket_counts
-        # and the histogram itself is empty again
-        assert histogram.freeze().count == 0
-
-    def test_reset_returns_the_pre_reset_view(self):
-        histogram = fresh()
-        histogram.observe(10)
-        snap = histogram.reset()
-        assert snap.count == 1
-        assert snap.min == 10
-        assert histogram.count == 0
-        assert histogram.min is None
+        assert windows[0].count + windows[1].count == whole.count
+        assert windows[0].sum + windows[1].sum == whole.sum
+        # each window keeps the lifetime envelope, so the merged windows
+        # are the one-shot histogram exactly
+        assert merge_histogram_snapshots(windows) == whole

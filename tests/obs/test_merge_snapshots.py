@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_histogram_snapshots,
     merge_snapshots,
-    thaw_histogram,
 )
 
 values = st.lists(
@@ -17,24 +16,6 @@ values = st.lists(
               allow_nan=False, allow_infinity=False),
     max_size=40,
 )
-
-
-class TestThawHistogram:
-    @given(observations=values)
-    def test_freeze_thaw_freeze_is_identity(self, observations):
-        histogram = Histogram("h", (), buckets=(1.0, 10.0, 100.0, 1000.0))
-        for value in observations:
-            histogram.observe(value)
-        snapshot = histogram.freeze()
-        assert thaw_histogram("h", (), snapshot).freeze() == snapshot
-
-    def test_overflow_observations_survive(self):
-        histogram = Histogram("h", (), buckets=(1.0, 2.0))
-        histogram.observe(50.0)  # beyond the last bound
-        snapshot = histogram.freeze()
-        thawed = thaw_histogram("h", (), snapshot)
-        assert thawed.count == 1
-        assert thawed.freeze() == snapshot
 
 
 class TestMergeHistogramSnapshots:
@@ -60,6 +41,17 @@ class TestMergeHistogramSnapshots:
             max=expected.max, bucket_bounds=expected.bucket_bounds,
             bucket_counts=expected.bucket_counts,
         )
+
+    def test_overflow_observations_survive(self):
+        parts = []
+        for value in (50.0, 70.0):  # beyond the last bound
+            part = Histogram("h", (), buckets=(1.0, 2.0))
+            part.observe(value)
+            parts.append(part.freeze())
+        merged = merge_histogram_snapshots(parts)
+        assert merged.count == 2 and merged.sum == 120.0
+        assert merged.bucket_counts == (0, 0)
+        assert (merged.min, merged.max) == (50.0, 70.0)
 
     def test_zero_snapshots_rejected(self):
         with pytest.raises(ValueError, match="zero"):

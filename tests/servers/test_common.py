@@ -1,29 +1,9 @@
 """Tests for the server/client RPC conventions."""
 
 from repro.errors import ServerError
-from repro.servers.common import Correlator, rpc, serve_reply
+from repro.servers.common import rpc, serve_reply
 from tests.conftest import drain, make_bare_system
 from repro.kernel.ids import ProcessAddress
-
-
-class TestCorrelator:
-    def test_register_and_pop(self):
-        correlator = Correlator()
-        rid = correlator.register({"a": 1})
-        assert correlator.pop(rid) == {"a": 1}
-        assert correlator.pop(rid) is None
-
-    def test_ids_unique(self):
-        correlator = Correlator()
-        ids = {correlator.register(i) for i in range(10)}
-        assert len(ids) == 10
-
-    def test_len(self):
-        correlator = Correlator()
-        rid = correlator.register("x")
-        assert len(correlator) == 1
-        correlator.pop(rid)
-        assert len(correlator) == 0
 
 
 class TestRpcRoundTrip:

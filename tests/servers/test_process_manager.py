@@ -1,6 +1,9 @@
 """Tests for the process manager (§2.3, §3.1)."""
 
+import functools
+
 from repro.servers.common import rpc
+from repro.workloads.compute import compute_bound
 from tests.conftest import drain, make_system
 
 
@@ -51,9 +54,12 @@ class TestCreateProcess:
 
     def test_created_process_actually_runs(self, board):
         system = make_system()
-        from repro.workloads.results import DEFAULT_BOARD
-
-        DEFAULT_BOARD.clear()
+        # A by-name spawn carries no board, so bind one into the program
+        # every kernel knows as "compute".
+        for kernel in system.kernels:
+            kernel.register_program(
+                "compute", functools.partial(compute_bound, board=board)
+            )
         out = pm_request(
             system, "create-process",
             {"program": "compute", "machine": 1,
@@ -61,8 +67,7 @@ class TestCreateProcess:
         )
         assert out["ok"]
         drain(system)
-        assert len(DEFAULT_BOARD.get("pm-spawned")) == 1
-        DEFAULT_BOARD.clear()
+        assert len(board.get("pm-spawned")) == 1
 
 
 class TestControl:
